@@ -1316,13 +1316,46 @@ def _mlt_select(toks: list[str], idf, n_terms: int) -> list[str]:
     return [t for t, _ in weighted[:n_terms]]
 
 
+# Query-table modes → (IndexReader call on (reader, tokens, k), merge
+# kind). The ``k`` column carries the top-k for BM25, the slop for the
+# proximity modes and m for MSM. "ids" modes return ascending doc ids
+# (a doc's match is complete within its owning shard, so partials over
+# disjoint shard subsets concatenate); "topk" partials merge by
+# (score desc, doc_id asc) and cut at k.
+_STAGE_MODES = {
+    "BM25": (lambda r, t, k: r.bm25_topk(t, k), "topk"),
+    "NEAR": (lambda r, t, k: r.search_near(t, slop=k), "ids"),
+    "ONEAR": (lambda r, t, k: r.search_near(t, slop=k, ordered=True), "ids"),
+    "MSM": (lambda r, t, k: r.search_min_should(t, k), "ids"),
+    **{m.value: (lambda r, t, k, m=m: r.search(t, m), "ids")
+       for m in SearchMode},
+}
+_TOPK_MODES = pa.array([m for m, (_, kind) in _STAGE_MODES.items()
+                        if kind == "topk"])
+
+
+def _merge_ids(parts) -> list[int]:
+    """Disjoint per-subset ascending id lists → one ascending list."""
+    return np.sort(np.concatenate(
+        [np.asarray(p, dtype=np.int64) for p in parts])).tolist()
+
+
+def _merge_topk(parts, k: int) -> list[tuple[int, float]]:
+    """Per-subset partial top-k lists → the global top-k, ordered by
+    (score desc, doc_id asc) — the single reader's order."""
+    ids = np.array([d for p in parts for d, _ in p], dtype=np.int64)
+    scores = np.array([s for p in parts for _, s in p], dtype=np.float64)
+    order = np.lexsort((ids, -scores))[:k]
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
+
+
 class QueryStage:
     """Actor-pool query server for ``map_batches`` over a query table.
 
     Input batch columns: ``qid: int64, tokens: list<string>, mode: string,
-    k: int64`` (k ignored for Boolean modes). Output rows: one per result
-    doc — ``qid, doc_id, rank, score`` (score 0.0, rank = position for
-    Boolean modes).
+    k: int64`` (modes and the meaning of k: ``_STAGE_MODES``). Output
+    rows: one per result doc — ``qid, doc_id, rank, score`` (score 0.0,
+    rank = position for id modes).
 
     ``shards`` + ``partial=True`` turn the stage into one leg of the
     scatter-gather layout (``sharded_query_pipeline``): the actor holds
@@ -1349,35 +1382,49 @@ class QueryStage:
             batch["mode"].to_pylist(),
             batch["k"].to_pylist(),
         ):
-            if mode == "BM25":
-                pairs = self.reader.bm25_topk(tokens, int(k))
-            elif mode in ("NEAR", "ONEAR"):
-                # Proximity modes: the k column carries the slop. The
-                # docstore recheck is shard-local, so partial/sharded
-                # serving concatenates exactly like Boolean modes.
-                pairs = [(d, 0.0) for d in self.reader.search_near(
-                    tokens, slop=int(k), ordered=(mode == "ONEAR"))]
-            elif mode == "MSM":
-                # minimum_should_match: the k column carries m. A doc's
-                # match count is complete within its owning shard, so
-                # partial/sharded serving concatenates like Boolean.
-                pairs = [(d, 0.0) for d in
-                         self.reader.search_min_should(tokens, int(k))]
-            else:
-                pairs = [(d, 0.0) for d in self.reader.search(tokens, mode)]
-            for r, (d, s) in enumerate(pairs):
+            if mode not in _STAGE_MODES:
+                raise ValueError(f"unknown query mode {mode!r}")
+            call, kind = _STAGE_MODES[mode]
+            hits = call(self.reader, tokens, int(k))
+            if kind == "ids":
+                hits = [(d, 0.0) for d in hits]
+            for r, (d, s) in enumerate(hits):
                 qids.append(qid); docs.append(d); ranks.append(r); scores.append(s)
                 modes.append(mode); ks.append(int(k))
-        out = {
-            "qid": pa.array(qids, pa.int64()),
-            "doc_id": pa.array(docs, pa.int64()),
-            "rank": pa.array(ranks, pa.int64()),
-            "score": pa.array(scores, pa.float64()),
-        }
+        out = _result_table(qids, docs, ranks, scores)
         if self.partial:
-            out["mode"] = pa.array(modes, pa.string())
-            out["k"] = pa.array(ks, pa.int64())
-        return pa.table(out)
+            out = out.append_column("mode", pa.array(modes, pa.string()))
+            out = out.append_column("k", pa.array(ks, pa.int64()))
+        return out
+
+
+def _result_table(qids, docs, ranks, scores) -> pa.Table:
+    return pa.table({
+        "qid": pa.array(qids, pa.int64()),
+        "doc_id": pa.array(docs, pa.int64()),
+        "rank": pa.array(ranks, pa.int64()),
+        "score": pa.array(scores, pa.float64()),
+    })
+
+
+def _merge_partials(t: pa.Table) -> pa.Table:
+    """Per-qid merge of partial ``QueryStage`` rows: one ranking over
+    (qid, -score, doc_id). Id-mode rows score 0.0, so the same sort
+    orders them by doc_id; only top-k rows are cut at ``k`` (for the
+    other modes the k column is the slop or m)."""
+    q = t["qid"].to_numpy()
+    d = t["doc_id"].to_numpy()
+    s = t["score"].to_numpy()
+    order = np.lexsort((d, -s, q))
+    q, d, s = q[order], d[order], s[order]
+    first = np.ones(len(q), dtype=bool)
+    first[1:] = q[1:] != q[:-1]
+    pos = np.arange(len(q))
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    topk = pc.is_in(t["mode"], value_set=_TOPK_MODES).to_numpy(
+        zero_copy_only=False)[order]
+    keep = ~topk | (rank < t["k"].to_numpy()[order])
+    return _result_table(q[keep], d[keep], rank[keep], s[keep])
 
 
 def sharded_query_pipeline(
@@ -1385,27 +1432,23 @@ def sharded_query_pipeline(
     queries: "ray.data.Dataset",
     num_subsets: int = 4,
     concurrency_per_subset: int | tuple[int, int] = 1,
-    merge_partitions: int | None = None,
 ):
     """Scatter-gather query serving entirely in the Dataset API.
 
     The index's shards split into ``num_subsets`` disjoint groups; the
     query stream fans out through one ``map_batches(QueryStage)`` actor
     pool per group (each actor holds ONLY its group — memory per actor =
-    index/K instead of the whole index), the partial streams union, and a
-    per-qid grouped merge produces final ranks. Results are identical to
-    a whole-index ``QueryStage``: Boolean partials concatenate over
-    disjoint doc sets; BM25 per-doc scores are complete within a group
-    and global-df idf keeps scores equal, so the merged top-k (ties by
-    ascending doc_id) matches bit-for-bit.
+    index/K instead of the whole index), the partial streams union, and
+    one merge task (``_merge_partials``) produces final ranks. Results
+    are identical to a whole-index ``QueryStage``: id-mode partials
+    concatenate over disjoint doc sets; BM25 per-doc scores are complete
+    within a group and global-df idf keeps scores equal, so the merged
+    top-k (ties by ascending doc_id) matches bit-for-bit.
     """
-    import pandas as pd
-    import ray as _ray
-    import ray.data  # noqa: F401
+    from ray.data import from_arrow
 
     groups = _sharded_groups(index_dir, num_subsets,
                              "sharded_query_pipeline")
-
     parts = [
         queries.map_batches(
             QueryStage,
@@ -1415,63 +1458,15 @@ def sharded_query_pipeline(
         for g in groups
     ]
     u = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
-    def merge_block(g: pd.DataFrame) -> pd.DataFrame:
-        """Vectorized multi-qid merge: qids bucket into a few dozen
-        ``part`` groups (qid % nparts), so each merge call handles a
-        whole bucket with one pandas sort + grouped cumcount instead of
-        one Python call per qid (the per-qid map_groups path spent more
-        time in per-group slicing than in the merge itself)."""
-        cols = ["qid", "doc_id", "rank", "score"]
-        outs = []
-        bm = (g["mode"] == "BM25") if len(g) else pd.Series([], dtype=bool)
-        b = g[bm]
-        if len(b):
-            b = b.sort_values(["qid", "score", "doc_id"],
-                              ascending=[True, False, True])
-            r = b.groupby("qid", sort=False).cumcount()
-            keep = r.to_numpy() < b["k"].to_numpy()
-            b = b.assign(rank=r.to_numpy())[keep]
-            outs.append(b[cols])
-        nb = g[~bm]
-        if len(nb):
-            nb = nb.sort_values(["qid", "doc_id"])
-            nb = nb.assign(
-                rank=nb.groupby("qid", sort=False).cumcount().to_numpy())
-            outs.append(nb[cols])
-        out = pd.concat(outs, ignore_index=True) if outs else pd.DataFrame(
-            {"qid": pd.Series(dtype="int64"),
-             "doc_id": pd.Series(dtype="int64"),
-             "rank": pd.Series(dtype="int64"),
-             "score": pd.Series(dtype="float64")})
-        # Arrow out: keeps every block of the merged stream in one format
-        # with a metadata-free schema (mixed pandas/arrow blocks trip
-        # executor schema-mismatch warnings).
-        return pa.Table.from_pandas(
-            out, preserve_index=False).replace_schema_metadata(None)
-
-    if merge_partitions is None:
-        # Default: coalesce the partial stream into ONE vectorized merge
-        # task. Partials are k·Q·num_subsets tiny rows — a narrow
-        # repartition + one pandas-grouped merge beats a sort-shuffle
-        # groupby by ~2x in wall time at serving batch sizes (the shuffle
-        # fixed cost dwarfed the 80k-row merge). For huge offline query
-        # batches pass merge_partitions > 1 to bucket qids and merge in
-        # parallel instead.
-        return (u.repartition(1)
-                .map_batches(merge_block, batch_format="pandas",
-                             batch_size=None))
-
-    nparts = int(merge_partitions)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        q = t["qid"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("part", pa.array(q % nparts, pa.int64()))
-
-    return (u.map_batches(add_part, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(lambda g: merge_block(g.drop(columns=["part"])),
-                        batch_format="pandas"))
+    # Partials are k·Q·num_subsets tiny rows: coalescing them into ONE
+    # vectorized merge task beats a sort-shuffle groupby at serving
+    # batch sizes. Ray never calls the merge on zero rows, so an all-miss
+    # batch would leave the stream without a schema; the typed empty
+    # block keeps the whole-index stage's four columns.
+    return (u.repartition(1)
+            .map_batches(_merge_partials, batch_format="pyarrow",
+                         batch_size=None)
+            .union(from_arrow(_result_table([], [], [], []))))
 
 
 def _sharded_groups(index_dir: str, k: int, caller: str) -> list[list[int]]:
@@ -1504,6 +1499,11 @@ class ShardQueryActor:
     actor pool cannot pin specific shards to specific actors).
     """
 
+    # Calls that need the actor's own DocStore; every other op is an
+    # IndexReader method.
+    _OWN_OPS = frozenset({"bm25_topk_filtered", "mlt_terms",
+                          "facet_partial"})
+
     def __init__(self, index_dir: str, shards: list[int]):
         from konlsearch_ray.docstore import DocStore
 
@@ -1514,30 +1514,13 @@ class ShardQueryActor:
         # BM25 path was rebuilding a DocStore (meta read + tombstone
         # load) on every query.
         self._docstore = DocStore(index_dir)
+        self._mlt_analyzers: dict = {}
 
-    def search(self, tokens, mode):
-        return self.reader.search(tokens, mode)
-
-    def search_complex(self, tree):
-        return self.reader.search_complex(tree)
-
-    def search_prefix(self, prefix, limit):
-        return self.reader.search_prefix(prefix, limit=limit)
-
-    def search_contains(self, substring, limit):
-        return self.reader.search_contains(substring, limit=limit)
-
-    def search_regex(self, pattern, limit):
-        return self.reader.search_regex(pattern, limit=limit)
-
-    def search_near(self, tokens, slop, ordered=False):
-        return self.reader.search_near(tokens, slop=slop, ordered=ordered)
-
-    def search_min_should(self, tokens, m):
-        return self.reader.search_min_should(tokens, m)
-
-    def bm25_topk(self, tokens, k, boosts=None):
-        return self.reader.bm25_topk(tokens, k, boosts=boosts)
+    def run(self, op: str, *args, **kw):
+        """Serve one scatter-gather call: the named method of this actor
+        (``_OWN_OPS``) or of its subset ``IndexReader``."""
+        target = self if op in self._OWN_OPS else self.reader
+        return getattr(target, op)(*args, **kw)
 
     def bm25_topk_filtered(self, tokens, k, flt):
         """Filtered BM25 over this actor's shard subset: the metadata
@@ -1560,12 +1543,10 @@ class ShardQueryActor:
             return None
         analyzer = None
         if analyzer_factory is not None:
-            memo = getattr(self, "_mlt_analyzers", None)
-            if memo is None:
-                memo = self._mlt_analyzers = {}
-            analyzer = memo.get(analyzer_factory)
+            analyzer = self._mlt_analyzers.get(analyzer_factory)
             if analyzer is None:
-                analyzer = memo[analyzer_factory] = analyzer_factory()
+                analyzer = self._mlt_analyzers[analyzer_factory] = \
+                    analyzer_factory()
         toks = self._docstore.get_ordered_tokens(int(doc_id),
                                                  analyzer=analyzer)
         if not toks:
@@ -1592,14 +1573,21 @@ class ShardQueryActor:
 class ShardedQueryEngine:
     """Distributed query serving: K actors × disjoint shard subsets.
 
-    Each doc lives in exactly one shard, so: Boolean/complex results
-    concatenate (then one sort — subsets are disjoint ID sets); BM25
-    per-doc scores are complete within one actor (global N/avgdl from
-    stats.json, global df from dictionary/), so the merge is a simple
-    top-k over the per-actor partial top-k lists — rank-identical to the
-    single-reader path. This is the cluster layout of the north star: on
-    N nodes each actor owns ~num_shards/K shards; scatter-gather fan-out
-    is one RPC per actor per query.
+    Each doc lives in exactly one shard, so id results (Boolean, complex,
+    NEAR, MSM, prefix/contains/regex) concatenate and sort
+    (``_merge_ids``); BM25 per-doc scores are complete within one actor
+    (global N/avgdl from stats.json, global df from dictionary/), so the
+    merge is a top-k over the per-actor partial top-k lists
+    (``_merge_topk``) — rank-identical to the single-reader path. This is
+    the cluster layout of the north star: on N nodes each actor owns
+    ~num_shards/K shards; scatter-gather fan-out is one RPC per actor
+    per query.
+
+    Term-expanding searches (prefix/contains/regex) expand over each
+    actor's OWN shard vocabulary, so when ``limit`` binds the union can
+    differ from the single reader's globally capped expansion; with
+    expansions under the cap — the operational case — results are
+    identical.
     """
 
     def __init__(self, index_dir: str, num_actors: int = 4):
@@ -1610,105 +1598,46 @@ class ShardedQueryEngine:
         cls = _ray.remote(ShardQueryActor)
         self._actors = [cls.remote(index_dir, g) for g in groups]
 
-    def search(self, tokens, mode="AND"):
+    def _gather(self, op: str, *args, **kw) -> list:
+        """Scatter ``op`` to every actor; its partials in actor order."""
         import ray as _ray
 
-        parts = _ray.get([a.search.remote(tokens, mode) for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _ray.get([a.run.remote(op, *args, **kw)
+                         for a in self._actors])
+
+    def search(self, tokens, mode="AND"):
+        return _merge_ids(self._gather("search", tokens, mode))
 
     def search_complex(self, tree):
-        import ray as _ray
-
-        parts = _ray.get([a.search_complex.remote(tree) for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(self._gather("search_complex", tree))
 
     def search_prefix(self, prefix, limit=64):
-        """Scatter-gather prefix search. Each actor expands over its OWN
-        shard subset's vocabulary, so when ``limit`` binds the union can
-        differ from the single-reader expansion (which caps globally);
-        with expansions under the cap — the operational case — results
-        are identical. Doc subsets are disjoint, so concat+sort merges."""
-        import ray as _ray
-
-        parts = _ray.get(
-            [a.search_prefix.remote(prefix, limit) for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(self._gather("search_prefix", prefix, limit=limit))
 
     def search_contains(self, substring, limit=64):
-        """Scatter-gather ``*sub*`` wildcard search — each actor scans
-        only its own shards' vocabulary (the scan parallelizes across
-        the pool). Same per-shard cap caveat as :meth:`search_prefix`."""
-        import ray as _ray
-
-        parts = _ray.get([a.search_contains.remote(substring, limit)
-                          for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(
+            self._gather("search_contains", substring, limit=limit))
 
     def search_regex(self, pattern, limit=64):
-        """Scatter-gather regex term search; see :meth:`search_contains`."""
-        import ray as _ray
-
-        parts = _ray.get([a.search_regex.remote(pattern, limit)
-                          for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(self._gather("search_regex", pattern, limit=limit))
 
     def search_near(self, tokens, slop=2, ordered=False):
-        """Scatter-gather proximity search: the AND candidates and the
-        docstore recheck are both shard-local (each doc's postings AND
-        its stored content live in its own shard), so per-actor results
-        concatenate exactly like plain Boolean search."""
-        import ray as _ray
-
-        parts = _ray.get([a.search_near.remote(tokens, slop, ordered)
-                          for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(self._gather("search_near", tokens, slop=slop,
+                                       ordered=ordered))
 
     def search_min_should(self, tokens, m):
-        """Scatter-gather minimum_should_match: a doc's match count is
-        complete within the one actor owning its shard, so per-actor
-        results concatenate exactly like plain Boolean search."""
-        import ray as _ray
-
-        parts = _ray.get([a.search_min_should.remote(tokens, m)
-                          for a in self._actors])
-        out = np.sort(np.concatenate([np.asarray(p, dtype=np.int64)
-                                      for p in parts]))
-        return [int(x) for x in out]
+        return _merge_ids(self._gather("search_min_should", tokens, m))
 
     def bm25_topk(self, tokens, k=10, boosts=None):
-        import ray as _ray
-
-        parts = _ray.get([a.bm25_topk.remote(tokens, k, boosts)
-                          for a in self._actors])
-        merged = [t for p in parts for t in p]
-        merged.sort(key=lambda t: (-t[1], t[0]))
-        return merged[:k]
+        return _merge_topk(
+            self._gather("bm25_topk", tokens, k, boosts=boosts), k)
 
     def bm25_topk_filtered(self, tokens, k, flt):
-        """Scatter-gather filtered BM25 (pyarrow dataset expression
-        ``flt``, e.g. ``pads.field("lang") == "ko"``): scores are
-        corpus-stat-identical to the single reader, each actor resolves
-        the predicate over its own shards, so the merge is the same
-        top-k-of-partial-top-ks as :meth:`bm25_topk`."""
-        import ray as _ray
-
-        parts = _ray.get([a.bm25_topk_filtered.remote(tokens, k, flt)
-                          for a in self._actors])
-        merged = [t for p in parts for t in p]
-        merged.sort(key=lambda t: (-t[1], t[0]))
-        return merged[:k]
+        """Filtered BM25 (pyarrow dataset expression ``flt``, e.g.
+        ``pads.field("lang") == "ko"``): each actor resolves the
+        predicate over its own shards; scores keep corpus-level stats."""
+        return _merge_topk(
+            self._gather("bm25_topk_filtered", tokens, k, flt), k)
 
     def more_like_this(self, doc_id: int, n_terms: int = 5,
                        k: int = 10,
@@ -1720,11 +1649,8 @@ class ShardedQueryEngine:
         the exact k+1 source-exclusion argument. Custom-analyzer indexes
         pass the FACTORY (actors build + cache it; same contract as the
         single reader's ``analyzer`` arg)."""
-        import ray as _ray
-
-        parts = _ray.get([
-            a.mlt_terms.remote(int(doc_id), n_terms, analyzer_factory)
-            for a in self._actors])
+        parts = self._gather("mlt_terms", int(doc_id), n_terms,
+                             analyzer_factory)
         sel = next((p for p in parts if p is not None), None)
         if not sel:
             return []
@@ -1740,10 +1666,7 @@ class ShardedQueryEngine:
         query, never the hit sets. Same output contract: ``(facet, n)``
         ordered by ``n`` desc, facet asc (nulls last), top ``k`` if
         ``k > 0``."""
-        import ray as _ray
-
-        parts = _ray.get([a.facet_partial.remote(tokens, facet_col, mode)
-                          for a in self._actors])
+        parts = self._gather("facet_partial", tokens, facet_col, mode)
         ftype = parts[0][0] if parts else None
         cnt: dict = {}
         for _, p in parts:

@@ -118,8 +118,10 @@ def test_near_sharded_parity(near_built):
     eng = ShardedQueryEngine(index_dir, num_actors=3)
     try:
         for slop in (1, 6):
-            assert (eng.search_near(terms, slop=slop)
-                    == reader.search_near(terms, slop=slop))
+            for ordered in (False, True):
+                assert (eng.search_near(terms, slop=slop, ordered=ordered)
+                        == reader.search_near(terms, slop=slop,
+                                              ordered=ordered))
     finally:
         eng.shutdown()
 

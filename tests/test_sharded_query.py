@@ -135,29 +135,65 @@ def test_sharded_query_pipeline_matches_whole_index(ray_session, tmp_path):
     assert msm  # non-trivial
 
 
-def test_sharded_pipeline_bucketed_merge_path(ray_session, tmp_path):
-    """merge_partitions > 1 (the offline-batch shuffle merge) must agree
-    with the default coalesced merge."""
-    import pyarrow as pa
+def _stage_rows(idx, qt, sharded: bool):
     import ray.data as rd
 
-    from konlsearch_ray.build import IndexConfig, build_index
-    from konlsearch_ray.corpus import write_corpus
-    from konlsearch_ray.query import sharded_query_pipeline
+    from konlsearch_ray.query import QueryStage, sharded_query_pipeline
 
-    corpus = write_corpus(str(tmp_path / "qc"), 300, seed=23)
-    idx = str(tmp_path / "qi")
-    build_index(corpus, idx, IndexConfig(shard_size=64))
-    qt = pa.table({
-        "qid": pa.array(range(4), pa.int64()),
-        "tokens": pa.array([["def", "return"], ["import"], ["def"],
-                            ["class"]], pa.list_(pa.string())),
-        "mode": pa.array(["BM25", "AND", "BM25", "OR"]),
-        "k": pa.array([5, 0, 3, 0], pa.int64()),
+    if sharded:
+        return sharded_query_pipeline(idx, rd.from_arrow(qt), num_subsets=2)
+    return rd.from_arrow(qt).map_batches(
+        QueryStage, fn_constructor_kwargs={"index_dir": idx},
+        batch_format="pyarrow", concurrency=1)
+
+
+def _query_table(tokens, modes, ks):
+    import pyarrow as pa
+
+    return pa.table({
+        "qid": pa.array(range(len(tokens)), pa.int64()),
+        "tokens": pa.array(tokens, pa.list_(pa.string())),
+        "mode": pa.array(modes),
+        "k": pa.array(ks, pa.int64()),
     })
-    a = (sharded_query_pipeline(idx, rd.from_arrow(qt), num_subsets=2)
-         .to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True))
-    b = (sharded_query_pipeline(idx, rd.from_arrow(qt), num_subsets=2,
-                                merge_partitions=3)
-         .to_pandas().sort_values(["qid", "rank"]).reset_index(drop=True))
-    assert a.values.tolist() == b.values.tolist()
+
+
+def test_sharded_pipeline_all_miss_keeps_schema(built):
+    """An all-miss batch yields 0 rows typed exactly like the whole-index
+    stage; a BM25 k above the hit count returns every hit, unpadded."""
+    import pyarrow as pa
+
+    _, reader = built
+    idx = reader.index_dir
+    miss = _query_table([["zzznope"], ["qqqnope", "def"]], ["BM25", "AND"],
+                        [10, 0])
+    whole = _stage_rows(idx, miss, sharded=False)
+    shard = _stage_rows(idx, miss, sharded=True)
+    want = [("qid", pa.int64()), ("doc_id", pa.int64()),
+            ("rank", pa.int64()), ("score", pa.float64())]
+    for ds in (whole, shard):
+        schema = ds.schema()
+        assert schema is not None
+        assert list(zip(schema.names, schema.types)) == want
+    assert shard.count() == 0
+
+    n_hits = len(reader.search(["def"], "OR"))
+    big = _query_table([["def"]], ["BM25"], [n_hits + 7])
+    rows = (_stage_rows(idx, big, sharded=True).to_pandas()
+            .sort_values("rank").reset_index(drop=True))
+    want_rows = reader.bm25_topk(["def"], n_hits + 7)
+    assert len(want_rows) == n_hits
+    assert rows["doc_id"].tolist() == [d for d, _ in want_rows]
+    assert rows["score"].tolist() == [s for _, s in want_rows]
+    assert rows["rank"].tolist() == list(range(n_hits))
+
+
+@pytest.mark.parametrize("shards", [None, [0, 2]])
+def test_query_stage_unknown_mode_raises(built, shards):
+    from konlsearch_ray.query import QueryStage
+
+    _, reader = built
+    stage = QueryStage(reader.index_dir, shards=shards,
+                       partial=shards is not None)
+    with pytest.raises(ValueError):
+        stage(_query_table([["def"]], ["XOR"], [0]))
