@@ -9,12 +9,17 @@ Encode and decode are both vectorized (no per-int Python loop):
 - encode: compute per-value byte widths, allocate one output buffer,
   scatter the 7-bit groups with numpy arithmetic;
 - decode: locate varint terminators via the continuation-bit mask,
-  reduce 7-bit groups per value with a small fixed loop over byte lanes
-  (≤ 10 lanes for 64-bit values).
+  shift each byte's 7-bit group into place and OR-reduce them per value
+  (``bitwise_or.reduceat``).
 
 Block-max metadata (``block_last_doc``, ``block_max_tf`` per
 ``BLOCK_SIZE``-entry block) supports block-skip / block-max-WAND pruning
 at query time.
+
+The per-term encoder and decoders (``encode_posting``, ``decode_doc_ids``,
+``decode_tfs``, ``decode_positions``) live in ``tests/test_codec.py`` as
+the reference the grouped encoder and the fused decoder are checked
+against; the library writes and reads whole segments only.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_SIZE = 128
+
+# uint8 masks as numpy scalars: a Python int operand against a uint8
+# array pays value-based casting on every call (~2x the op's cost).
+_CONT = np.uint8(0x80)   # LEB128 continuation bit
+_LOW7 = np.uint8(0x7F)
 
 
 def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -72,86 +82,58 @@ def varint_decode(buf: bytes, count: int | None = None) -> np.ndarray:
     tfs and positions, which are mostly < 128). The general path sums
     per-byte 7-bit contributions with ``bitwise_or.reduceat`` — one pass
     over the bytes instead of a fancy-indexed loop per byte lane.
+
+    Serving decodes a few hundred bytes per call, so the fixed cost of
+    each numpy call dominates: the general path keeps its call count low
+    and updates intermediates in place.
     """
     raw = np.frombuffer(buf, dtype=np.uint8)
-    if raw.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    is_last = (raw & 0x80) == 0
-    if is_last.all():  # every value single-byte (high bit already 0)
-        if count is not None and raw.size != count:
-            raise ValueError(
-                f"varint stream has {raw.size} values, expected {count}")
-        return raw.astype(np.uint64)
-    ends = np.flatnonzero(is_last)
-    n = len(ends)
+    last = raw < _CONT
+    if last.all():  # every value single-byte (or an empty stream)
+        n = raw.size
+        out = raw.astype(np.uint64)
+    else:
+        ends = last.nonzero()[0]
+        n = ends.size
+        starts = np.empty(n, dtype=np.intp)
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        # Byte offset within its value, times 7: each byte's shift.
+        shift = np.arange(raw.size, dtype=np.intp)
+        shift -= starts.repeat(ends - starts + 1)
+        shift *= 7
+        out = (raw & _LOW7).astype(np.uint64)
+        out <<= shift.view(np.uint64)
+        out = np.bitwise_or.reduceat(out, starts)
     if count is not None and n != count:
         raise ValueError(f"varint stream has {n} values, expected {count}")
-    starts = np.empty(n, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lens = ends - starts + 1
-    pos_in_val = (np.arange(raw.size, dtype=np.int64)
-                  - np.repeat(starts, lens)).astype(np.uint64)
-    contrib = (raw.astype(np.uint64) & np.uint64(0x7F)) \
-        << (np.uint64(7) * pos_in_val)
-    return np.bitwise_or.reduceat(contrib, starts)
+    return out
 
 
-def decode_doc_ids_grouped(blob, df: np.ndarray) -> np.ndarray:
-    """Concatenated per-term delta-gap varint streams → absolute int64
-    doc ids, in one pass.
+def decode_postings(doc_blob, tf_blob, df) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated per-term (doc-gap, tf) varint streams → absolute int64
+    doc ids and int32 tfs, in ONE varint pass over both streams.
 
     ``df`` gives each sub-list's entry count; per the
     ``encode_postings_grouped`` contract the FIRST gap of every sub-list
     is the absolute doc id and later gaps are deltas, so absolutization
     is a full cumsum minus the running total just before each sub-list
-    start (segmented cumsum). This is the codec's most
+    start (segmented cumsum, inline). This is the codec's most
     invariant-sensitive trick — the ONE shared implementation behind
     the reader's fused cross-shard decode, tombstone compaction's shard
     rewrite, and the postings export. Zero-length sub-lists are allowed.
     """
-    df = np.ascontiguousarray(df, dtype=np.int64)
-    total = int(df.sum())
-    if not total:
-        return np.zeros(0, dtype=np.int64)
-    gaps = varint_decode(blob, total).astype(np.int64)
-    c = np.cumsum(gaps)
-    starts = np.concatenate(([0], np.cumsum(df)[:-1]))
-    # c[starts - 1] with starts==0 would wrap to c[-1]; np.where keeps
-    # the evaluation safe and picks 0 for the first (and any empty-run)
-    # boundary.
-    prev = np.where(starts > 0, c[np.maximum(starts - 1, 0)], 0)
-    return c - np.repeat(prev, df)
-
-
-def encode_posting(
-    doc_ids: np.ndarray, tfs: np.ndarray, positions: np.ndarray
-) -> dict:
-    """Encode one term's posting list (doc_ids must be sorted ascending).
-
-    Returns the segment-row payload: binary blobs + block-max metadata.
-    """
-    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
-    if doc_ids.size and np.any(np.diff(doc_ids) <= 0):
-        raise ValueError("doc_ids must be strictly increasing")
-    gaps = np.diff(doc_ids, prepend=np.int64(0)).astype(np.uint64)
-    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
-    positions = np.ascontiguousarray(positions, dtype=np.uint64)
-    n = len(doc_ids)
-    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE if n else 0
-    block_last = [int(doc_ids[min((b + 1) * BLOCK_SIZE, n) - 1]) for b in range(nblocks)]
-    block_max_tf = [
-        int(tfs[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE].max()) for b in range(nblocks)
-    ]
-    return {
-        "df": n,
-        "cf": int(tfs.sum()),
-        "doc_ids_bin": varint_encode(gaps),
-        "tfs_bin": varint_encode(tfs),
-        "pos_bin": varint_encode(positions),
-        "block_last_doc": block_last,
-        "block_max_tf": block_max_tf,
-    }
+    df = np.asarray(df, dtype=np.int64)
+    ends = np.add.accumulate(df)
+    n = int(ends[-1]) if len(ends) else 0
+    vals = varint_decode(b"".join((doc_blob, tf_blob)), 2 * n).view(np.int64)
+    c = np.zeros(n + 1, dtype=np.int64)
+    np.add.accumulate(vals[:n], out=c[1:])
+    ids = c[1:]
+    if len(df) > 1:
+        # c[s] is the running total just before the sub-list starting at s.
+        ids -= c[ends - df].repeat(df)
+    return ids, vals[n:].astype(np.int32)
 
 
 def encode_postings_grouped(
@@ -165,14 +147,14 @@ def encode_postings_grouped(
     Input: the shard's posting entries sorted by (term, doc_id) —
     ``starts`` marks each term's first entry. One varint pass runs over
     the full concatenated streams; per-term blobs are then zero-copy-ish
-    slices of the shared buffers (the per-term ``encode_posting`` loop
-    this replaces spent ~50µs of call overhead per df=1 term).
+    slices of the shared buffers (a per-term encode loop spent ~50µs of
+    call overhead per df=1 term).
 
     Returns columns aligned with ``starts``: df, cf, doc_ids_bin, tfs_bin,
     pos_bin (lists of bytes) and block metadata as flat arrays +
     per-term block counts (``block_*_flat``, ``nblocks``) ready for
     ``pa.ListArray.from_arrays``. Output is byte-identical to calling
-    ``encode_posting`` per term.
+    the per-term reference encoder (``tests/test_codec.py``) per term.
     """
     n = len(doc_s)
     nterms = len(starts)
@@ -190,7 +172,7 @@ def encode_postings_grouped(
     gaps = np.empty(n, dtype=np.int64)
     gaps[1:] = doc_s[1:] - doc_s[:-1]
     gaps[starts] = doc_s[starts]
-    # Same fail-fast contract as encode_posting: a non-increasing id
+    # Fail fast, as the per-term reference encoder does: a non-increasing id
     # within a term would wrap to a ~2^64 varint and decode into garbage
     # with no error at any layer.
     within = np.ones(n, dtype=bool)
@@ -231,16 +213,3 @@ def encode_postings_grouped(
         "block_max_flat": block_max,
         "nblocks": nblocks.astype(np.int64),
     }
-
-
-def decode_doc_ids(blob: bytes, df: int) -> np.ndarray:
-    gaps = varint_decode(blob, df)
-    return np.cumsum(gaps.astype(np.int64))
-
-
-def decode_tfs(blob: bytes, df: int) -> np.ndarray:
-    return varint_decode(blob, df).astype(np.int32)
-
-
-def decode_positions(blob: bytes, df: int) -> np.ndarray:
-    return varint_decode(blob, df).astype(np.int32)

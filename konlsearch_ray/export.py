@@ -104,7 +104,7 @@ def export_postings(
         return _binary_col_data(batch[name])
 
     def decode(batch: pa.Table) -> pa.Table:
-        from konlsearch_ray.codec import varint_decode
+        from konlsearch_ray.codec import decode_postings, varint_decode
 
         if not batch.num_rows:
             return out_schema.empty_table()
@@ -116,12 +116,10 @@ def export_postings(
         total = int(df.sum())
         if not total:
             return out_schema.empty_table()
-        from konlsearch_ray.codec import decode_doc_ids_grouped
-
-        tfs = varint_decode(_blob(batch, "tfs_bin"), total).astype(np.int64)
-        # Shared segmented-cumsum re-absolutization (first gap per
-        # segment row is the absolute doc id).
-        docs = decode_doc_ids_grouped(_blob(batch, "doc_ids_bin"), df)
+        # Shared fused decode with segmented-cumsum re-absolutization
+        # (first gap per segment row is the absolute doc id).
+        docs, tfs = decode_postings(_blob(batch, "doc_ids_bin"),
+                                    _blob(batch, "tfs_bin"), df)
         term_col = (batch["term"].combine_chunks()
                     if isinstance(batch["term"], pa.ChunkedArray)
                     else batch["term"])

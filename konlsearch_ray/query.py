@@ -43,6 +43,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from konlsearch_ray.analyzer import normalize_query_tokens
+from konlsearch_ray.codec import BLOCK_SIZE, decode_postings, varint_decode
 
 K1 = 1.2
 B = 0.75
@@ -263,6 +264,26 @@ def _near_chunk_remote():
     return _NEAR_CHUNK_REMOTE
 
 
+class _TermEntry:
+    """Everything a reader keeps for one queried term, in one place.
+
+    ``locs`` are the term's (segment, row) cells; ``ids``/``tfs`` its live
+    postings and ``live`` the mask that removed tombstoned entries from
+    the stored ones (None when none was removed). Positions (``pos``) and
+    the block-max bounds (``bmax``/``bcount``/``maxtf``) decode on first
+    use. Bounds stay per stored block: ``bmax[b]`` is block b's max tf and
+    ``bcount[b]`` its stored entry count, so ``np.repeat(x, bcount)``
+    followed by ``[live]`` aligns a per-block value with the postings.
+    """
+
+    __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
+                 "maxtf")
+
+    def __init__(self, locs, ids, tfs, live):
+        self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
+        self.pos = self.bmax = self.bcount = self.maxtf = None
+
+
 class SearchMode(str, Enum):
     AND = "AND"
     OR = "OR"
@@ -362,7 +383,6 @@ class IndexReader:
         else:
             self._vocab = (np.zeros(0, "S1"), np.zeros(0, np.int32),
                            np.zeros(0, np.int32))
-        self._term_locs: dict[str, list[tuple[int, int]]] = {}  # probe memo
 
         # Global df: sorted term bytes + aligned df values (probed with
         # searchsorted, memoized) — same no-Python-dict rationale.
@@ -375,11 +395,7 @@ class IndexReader:
                 order = np.argsort(terms_s, kind="stable")
                 dfs = dt["df"].to_numpy(zero_copy_only=False).astype(np.int64)
                 self._global_df = (terms_s[order], dfs[order])
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._pos_cache: dict[str, np.ndarray] = {}
-        self._block_ub_cache: dict[str, np.ndarray] = {}
-        self._ent_ub_cache: dict[str, np.ndarray] = {}
-        self._live_mask_cache: dict[str, np.ndarray | None] = {}
+        self._terms: dict[str, _TermEntry] = {}  # one entry per term
         # Per-(segment, column) zero-copy views (offsets + data buffer /
         # flat values), built lazily once per segment: per-term cell
         # access is then a pure buffer slice — no per-cell .as_py()
@@ -471,137 +487,104 @@ class IndexReader:
     def _locate(self, term: str) -> list[tuple[int, int]]:
         """term → [(segment_idx, row), ...] ascending by segment, via TWO
         binary searches over the global sorted (term, segment, row) index
-        (memoized — the queried vocabulary is tiny next to the stored
-        one, so the memo stays small while init never touches Python
+        (the result is kept in the term's entry — the queried vocabulary
+        is tiny next to the stored one, while init never touches Python
         objects). The previous one-searchsorted-per-segment probe paid
         ~25 us of numpy dispatch per segment: ~2.4 ms per cold term on a
         95-shard index — the dominant rare-term serving cost."""
-        locs = self._term_locs.get(term)
-        if locs is None:
-            tb = term.encode("utf-8")
-            keys, seg_i, row_i = self._vocab
-            if not len(keys) or len(tb) > keys.dtype.itemsize:
-                locs = []  # longer than the longest stored term
-            else:
-                i0 = int(np.searchsorted(keys, tb, side="left"))
-                i1 = int(np.searchsorted(keys, tb, side="right"))
-                # stable sort preserved concat order -> ascending segment
-                locs = [(int(s), int(r))
-                        for s, r in zip(seg_i[i0:i1], row_i[i0:i1])]
-            self._term_locs[term] = locs
-        return locs
+        tb = term.encode("utf-8")
+        keys, seg_i, row_i = self._vocab
+        if not len(keys) or len(tb) > keys.dtype.itemsize:
+            return []  # longer than the longest stored term
+        i0 = int(np.searchsorted(keys, tb, side="left"))
+        i1 = int(np.searchsorted(keys, tb, side="right"))
+        # stable sort preserved concat order -> ascending segment
+        return list(zip(seg_i[i0:i1].tolist(), row_i[i0:i1].tolist()))
 
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """term → (doc_ids asc, tfs, first_positions).
+    def _entry(self, term: str) -> _TermEntry:
+        """The term's cached entry; a cold term decodes here.
 
-        A term's per-shard sub-lists decode in ONE fused pass: the varint
-        blobs concatenate into a single stream per column, one vectorized
-        decode runs over it, and the delta-gap cumsum resets at each
+        A term's per-shard sub-lists decode in ONE fused pass
+        (``codec.decode_postings``): the doc-gap and tf blobs concatenate
+        into one varint stream, and the delta-gap cumsum resets at each
         shard boundary (each sub-list's first gap is its absolute doc
         id). A head term spanning hundreds of shards costs one decode,
-        not one per shard — per-shard fixed costs dominated decode
-        latency before this (~25 ms → ~2 ms at df 130k over 97 shards).
-        """
-        core = self.postings_scores(term)
-        pos = self._pos_cache.get(term)
-        if pos is None:
-            from konlsearch_ray.codec import varint_decode
+        not one per shard. Positions are left for ``postings``."""
+        e = self._terms.get(term)
+        if e is not None:
+            return e
+        locs = self._locate(term)
+        docs, tfs, dfs = [], [], []
+        for si, i in locs:
+            dfs.append(self._seg_df(si)[i])
+            offs, data = self._seg_bin(si, "doc_ids_bin")
+            docs.append(data[offs[i]:offs[i + 1]])
+            offs, data = self._seg_bin(si, "tfs_bin")
+            tfs.append(data[offs[i]:offs[i + 1]])
+        ids, tf = decode_postings(b"".join(docs), b"".join(tfs), dfs)
+        live = None
+        if len(self._dead) and len(ids):
+            keep = ~np.isin(ids, self._dead, assume_unique=True)
+            if not keep.all():
+                live = keep
+                ids, tf = ids[keep], tf[keep]
+        e = self._terms[term] = _TermEntry(locs, ids, tf, live)
+        return e
 
-            blobs, dfs = [], 0
-            for si, i in self._locate(term):
-                dfs += int(self._seg_df(si)[i])
+    def _bounds(self, e: _TermEntry) -> _TermEntry:
+        """Fill the entry's per-block bounds from the segments'
+        ``block_max_tf`` lists (block b of a sub-list holds BLOCK_SIZE
+        entries, its last block the rest)."""
+        if e.bmax is None:
+            maxes, counts = [], []
+            for si, i in e.locs:
+                offs, vals = self._seg_list(si, "block_max_tf")
+                m = vals[offs[i]:offs[i + 1]]
+                if not len(m):
+                    continue  # an empty sub-list has no blocks
+                maxes.append(m)
+                counts += [BLOCK_SIZE] * (len(m) - 1)
+                counts.append(int(self._seg_df(si)[i])
+                              - BLOCK_SIZE * (len(m) - 1))
+            e.bmax = (np.concatenate(maxes, dtype=np.int64) if maxes
+                      else np.zeros(0, dtype=np.int64))
+            e.bcount = np.array(counts, dtype=np.int64)
+            e.maxtf = int(e.bmax.max()) if len(e.bmax) else 0
+        return e
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """term → (doc_ids asc, tfs, first_positions)."""
+        e = self._entry(term)
+        if e.pos is None:
+            blobs, n = [], 0
+            for si, i in e.locs:
+                n += int(self._seg_df(si)[i])
                 offs, data = self._seg_bin(si, "pos_bin")
                 blobs.append(data[offs[i]:offs[i + 1]])
-            pos = (varint_decode(b"".join(blobs), dfs).astype(np.int32)
-                   if blobs else np.array([], dtype=np.int32))
-            mask = self._live_mask_cache.get(term)
-            if mask is not None:
-                pos = pos[mask]
-            self._pos_cache[term] = pos
-        return (core[0], core[1], pos)
+            pos = varint_decode(b"".join(blobs), n).astype(np.int32)
+            e.pos = pos if e.live is None else pos[e.live]
+        return e.ids, e.tfs, e.pos
 
     def postings_scores(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """term → (doc_ids asc, tfs) WITHOUT the position stream —
         Boolean and BM25 paths never touch positions, so their decode is
         deferred until a PHRASE query asks (``postings``)."""
-        hit = self._cache.get(term)
-        if hit is not None:
-            return hit
-        from konlsearch_ray.codec import varint_decode
-
-        blobs_doc, blobs_tf, dfs = [], [], []
-        for si, i in self._locate(term):
-            dfs.append(int(self._seg_df(si)[i]))
-            offs, data = self._seg_bin(si, "doc_ids_bin")
-            blobs_doc.append(data[offs[i]:offs[i + 1]])
-            offs, data = self._seg_bin(si, "tfs_bin")
-            blobs_tf.append(data[offs[i]:offs[i + 1]])
-        if dfs:
-            from konlsearch_ray.codec import decode_doc_ids_grouped
-
-            n = int(sum(dfs))
-            dfs_np = np.asarray(dfs, dtype=np.int64)
-            out = (
-                decode_doc_ids_grouped(b"".join(blobs_doc), dfs_np),
-                varint_decode(b"".join(blobs_tf), n).astype(np.int32),
-            )
-        else:
-            out = (
-                np.array([], dtype=np.int64),
-                np.array([], dtype=np.int32),
-            )
-        mask = None
-        if len(self._dead) and len(out[0]):
-            keep = ~np.isin(out[0], self._dead, assume_unique=True)
-            if not keep.all():
-                mask = keep
-                out = (out[0][keep], out[1][keep])
-        self._live_mask_cache[term] = mask
-        self._cache[term] = out
-        return out
+        e = self._entry(term)
+        return e.ids, e.tfs
 
     def df(self, term: str) -> int:
-        return len(self.postings_scores(term)[0])
+        return len(self._entry(term).ids)
 
     def block_upper_tf(self, term: str) -> np.ndarray:
-        """Per-posting-entry block-max tf (block-max metadata expanded).
+        """Per-posting-entry block-max tf, aligned with ``postings_scores``.
 
         Entry ``i`` of term's posting list gets the max tf of the
         BLOCK_SIZE-entry block it belongs to (within its shard segment).
-        Used for block-level score upper bounds in ``bm25_topk`` pruning.
+        The reader keeps one value per block; this expands it on demand.
         """
-        hit = self._block_ub_cache.get(term)
-        if hit is not None:
-            return hit
-        from konlsearch_ray.codec import BLOCK_SIZE
-
-        # Gather every shard's block-max list as a numpy view, then ONE
-        # np.full/np.repeat over the concatenation — a head term spanning
-        # ~100 shards previously paid per-shard .as_py() + np.full +
-        # np.repeat (~60 numpy dispatches per cold term).
-        mtfs, last_counts = [], []
-        for si, i in self._locate(term):
-            offs, vals = self._seg_list(si, "block_max_tf")
-            m = vals[offs[i]:offs[i + 1]]
-            if len(m):
-                mtfs.append(m)
-                df = int(self._seg_df(si)[i])
-                last_counts.append(df - BLOCK_SIZE * (len(m) - 1))
-        if mtfs:
-            m = np.concatenate(mtfs).astype(np.int64)
-            counts = np.full(len(m), BLOCK_SIZE, dtype=np.int64)
-            ends = np.cumsum([len(x) for x in mtfs]) - 1
-            counts[ends] = last_counts
-            out = np.repeat(m, counts)
-        else:
-            out = np.array([], dtype=np.int64)
-        # Align with postings_scores(): apply the same tombstone mask.
-        self.postings_scores(term)
-        mask = self._live_mask_cache.get(term)
-        if mask is not None:
-            out = out[mask]
-        self._block_ub_cache[term] = out
-        return out
+        e = self._bounds(self._entry(term))
+        out = np.repeat(e.bmax, e.bcount)
+        return out if e.live is None else out[e.live]
 
     def doc_len(self, doc_ids: np.ndarray) -> np.ndarray:
         if self._dl_dense:
@@ -929,10 +912,12 @@ class IndexReader:
             df = self.df(term)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
-    def _kernel(self, w: float, tf: np.ndarray, dl: np.ndarray) -> np.ndarray:
-        """BM25 term kernel — op-for-op identical to the exact path so the
-        pruned path produces bit-identical scores (ranking ties included)."""
-        tf = tf.astype(np.float64)
+    def _kernel(self, w: float, tf, dl):
+        """BM25 term kernel — the ONE formula behind the exact path, the
+        pruned path, its bounds and ``explain``, so their scores are
+        bit-identical (ranking ties included). Takes numpy arrays or
+        Python scalars alike (an integer tf converts exactly in the first
+        multiply)."""
         return w * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / self.avgdl))
 
     def bm25_topk(
@@ -964,10 +949,11 @@ class IndexReader:
 
         ``boosts``: optional per-term positive weight (query-time term
         boosting — Lucene's ``term^w``): a term's score contribution is
-        multiplied by its boost (default 1.0). The BM25 kernel is linear
-        in idf, so boosting composes exactly with MaxScore pruning: the
-        cached per-entry upper bounds are stored unboosted and scaled at
-        use, keeping pruned results bit-identical to the exact path.
+        multiplied by its boost (default 1.0). Boosting composes exactly
+        with MaxScore pruning: bounds are computed per query from the
+        cached per-block max tf with the boosted weight, the same weight
+        the scores use, keeping pruned results bit-identical to the
+        exact path.
         """
         toks = sorted(set(normalize_query_tokens(tokens)))
         if boosts is not None:
@@ -995,27 +981,13 @@ class IndexReader:
             w = self.idf(t)
             if boosts is not None:
                 w *= boosts.get(t, 1.0)
-            dl = self.doc_len(ids)
-            tf = tfs.astype(np.float64)
-            s = w * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / self.avgdl))
             id_parts.append(ids)
-            score_parts.append(s)
+            score_parts.append(self._kernel(w, tfs, self.doc_len(ids)))
         if not id_parts:
             return []
-        all_ids = np.concatenate(id_parts)
-        all_scores = np.concatenate(score_parts)
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        agg = np.bincount(inv, weights=all_scores)
-        n = len(uniq)
-        if n > k:
-            # k-th highest score; keep ties at the boundary so doc-id
-            # tie-breaking is exact, then sort only the candidates.
-            thresh = -np.partition(-agg, k - 1)[k - 1]
-            cand = np.flatnonzero(agg >= thresh)
-        else:
-            cand = np.arange(n)
-        order = sorted(cand.tolist(), key=lambda i: (-agg[i], uniq[i]))[:k]
-        return [(int(uniq[i]), float(agg[i])) for i in order]
+        uniq, inv = np.unique(np.concatenate(id_parts), return_inverse=True)
+        return _topk(uniq, np.bincount(inv, weights=np.concatenate(score_parts)),
+                     k)
 
     def _bm25_maxscore(self, toks: list[str], k: int,
                        boosts: "dict[str, float] | None" = None,
@@ -1023,102 +995,85 @@ class IndexReader:
         """Term-at-a-time MaxScore with block-max skip (see bm25_topk).
 
         Invariants that make this exact:
-        - A doc first added at term *i* has no postings in terms < i
-          (every doc of terms < i that could still reach the threshold
-          was added as a candidate there), so scoring it over terms
-          [i, m) is its full score... except docs block-skipped earlier;
-          those are provably strictly below the final k-th score, so an
-          underestimated score cannot promote them into the top-k.
-        - The threshold θ is the k-th best *known* score, a lower bound
-          on the final k-th best; pruning uses strict ``< θ`` so
-          boundary ties (broken by ascending doc_id) are never lost.
+        - A doc added at the first of its terms in bound order has no
+          posting in the terms processed before it, so only the terms
+          still to come are probed (its own tfs are already aligned):
+          its score is its full sum, added in sorted-token order — the
+          order the exact path's bincount adds them — so sums are
+          bit-identical and ties order identically.
+        - Any other doc was block-skipped at the first of its terms (or
+          the loop stopped before it), so its full score — and the
+          partial sum it gets if a later term adds it — is strictly
+          below a θ seen there: it can neither reach the top-k nor
+          move θ.
+        - θ is the k-th best candidate score, a lower bound on the final
+          k-th best; pruning uses strict ``< θ`` so boundary ties
+          (broken by ascending doc_id) are never lost.
         """
-        all_terms = []
+        terms = []  # (weight, entry) of terms with postings, sorted-token order
         for t in toks:
-            ids, tfs = self.postings_scores(t)
-            if len(ids):
+            e = self._entry(t)
+            if len(e.ids):
                 w = self.idf(t)
                 if boosts is not None:
                     w *= boosts.get(t, 1.0)
-                all_terms.append((t, w, ids, tfs))
-        if not all_terms:
-            return []
-        # Per-term global upper bound from block-max tf at minimal dl.
-        min_dl = np.array([self._min_dl])
-        ubs = []
-        for t, w, ids, tfs in all_terms:
-            btf = self.block_upper_tf(t)
-            mtf = np.array([btf.max() if len(btf) else 1], dtype=np.float64)
-            ubs.append(float(self._kernel(w, mtf, min_dl)[0]))
-        order = np.argsort(-np.asarray(ubs), kind="stable")
-        terms = [all_terms[i] for i in order]
-        ubs = [ubs[i] for i in order]
-        suffix = np.concatenate([np.cumsum(np.asarray(ubs)[::-1])[::-1], [0.0]])
-
-        cand_ids = np.array([], dtype=np.int64)
-        cand_scores = np.array([], dtype=np.float64)
-        theta = -np.inf
-        for i, (t, w, ids, tfs) in enumerate(terms):
-            if i > 0 and suffix[i] < theta:
+                terms.append((w, self._bounds(e)))
+        # Term upper bound: its max block-max tf at the shortest doc.
+        ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e in terms]
+        order = sorted(range(len(terms)), key=lambda j: -ubs[j])
+        suffix = [0.0] * (len(order) + 1)
+        for r in range(len(order) - 1, -1, -1):
+            suffix[r] = suffix[r + 1] + ubs[order[r]]
+        done = [False] * len(terms)
+        cand_ids = cand_scores = None
+        theta = -math.inf
+        for r, j in enumerate(order):
+            if suffix[r] < theta:
                 break  # no unseen doc can reach the top-k
-            if theta > -np.inf:
-                # Block-max skip FIRST (one cached vector compare), so the
-                # candidate-membership probe below runs over the few
-                # surviving entries instead of the whole posting list —
-                # the mask conjunction commutes, results are identical.
-                ent_ub = self._ent_ub_cache.get(t)
-                if ent_ub is None:
-                    # Cached UNBOOSTED (base-idf) bounds; the kernel is
-                    # linear in w, so a boosted query scales them at use
-                    # instead of poisoning the cache.
-                    ent_ub = self._kernel(
-                        self.idf(t),
-                        self.block_upper_tf(t).astype(np.float64),
-                        np.full(len(ids), self._min_dl))
-                    self._ent_ub_cache[t] = ent_ub
-                if boosts is not None and boosts.get(t, 1.0) != 1.0:
-                    ent_ub = ent_ub * boosts[t]
-                ids_f = ids[ent_ub + suffix[i + 1] >= theta]
-            else:
-                ids_f = ids
-            # New docs: not already candidates.
-            pos = np.searchsorted(cand_ids, ids_f)
-            posc = np.clip(pos, 0, max(len(cand_ids) - 1, 0))
-            is_old = (
-                (pos < len(cand_ids)) & (cand_ids[posc] == ids_f)
-                if len(cand_ids) else np.zeros(len(ids_f), dtype=bool))
-            new_ids = ids_f[~is_old]
-            if len(new_ids) == 0:
+            w, e = terms[j]
+            ids, tfs = e.ids, e.tfs
+            done[j] = True
+            if theta > -math.inf:
+                keep = (self._kernel(w, e.bmax, self._min_dl)
+                        + suffix[r + 1] >= theta)
+                if not keep.all():
+                    keep = np.repeat(keep, e.bcount)
+                    if e.live is not None:
+                        keep = keep[e.live]
+                    ids, tfs = ids[keep], tfs[keep]
+            if cand_ids is not None:
+                # Probing a[:-1] lands past-the-end queries on a's last
+                # entry, so the position needs no clamp.
+                new = cand_ids[cand_ids[:-1].searchsorted(ids)] != ids
+                ids, tfs = ids[new], tfs[new]
+            if not len(ids):
                 continue
-            dl = self.doc_len(new_ids)
-            # Exact scores, accumulated over terms in sorted-token order —
-            # the same order the exact path's bincount adds them — so sums
-            # are bit-identical and ties order identically. Terms ahead of
-            # position i in ub order cannot contain a genuinely-new doc
-            # (their hit mask is empty); docs they block-skipped are
-            # provably below θ, so an underestimate cannot mis-rank them.
-            scores = np.zeros(len(new_ids), dtype=np.float64)
-            for tj, wj, jids, jtfs in all_terms:
-                p = np.searchsorted(jids, new_ids)
-                pc_ = np.clip(p, 0, len(jids) - 1)
-                hit = (p < len(jids)) & (jids[pc_] == new_ids)
-                if hit.any():
-                    scores[hit] += self._kernel(wj, jtfs[pc_][hit], dl[hit])
-            cand_ids = np.concatenate([cand_ids, new_ids])
-            cand_scores = np.concatenate([cand_scores, scores])
-            o = np.argsort(cand_ids, kind="stable")
-            cand_ids, cand_scores = cand_ids[o], cand_scores[o]
-            if len(cand_ids) >= k:
-                theta = -np.partition(-cand_scores, k - 1)[k - 1]
-        if len(cand_ids) == 0:
+            dl = self.doc_len(ids)
+            scores = np.zeros(len(ids))
+            for jj, (wj, ej) in enumerate(terms):
+                if jj == j:
+                    scores += self._kernel(w, tfs, dl)
+                elif not done[jj]:
+                    p = ej.ids[:-1].searchsorted(ids)
+                    hit = ej.ids[p] == ids
+                    if hit.any():
+                        scores[hit] += self._kernel(wj, ej.tfs[p[hit]],
+                                                    dl[hit])
+            if cand_ids is None:
+                cand_ids, cand_scores = ids, scores
+            else:
+                cand_ids = np.concatenate((cand_ids, ids))
+                cand_scores = np.concatenate((cand_scores, scores))
+            if r + 1 < len(order):  # the next term probes and prunes
+                if cand_ids is not ids:
+                    o = np.argsort(cand_ids, kind="stable")
+                    cand_ids, cand_scores = cand_ids[o], cand_scores[o]
+                n = len(cand_ids)
+                if 0 < k <= n:
+                    theta = np.partition(cand_scores, n - k)[n - k]
+        if cand_ids is None:
             return []
-        if len(cand_ids) > k:
-            thresh = -np.partition(-cand_scores, k - 1)[k - 1]
-            sel = np.flatnonzero(cand_scores >= thresh)
-        else:
-            sel = np.arange(len(cand_ids))
-        top = sorted(sel.tolist(), key=lambda i: (-cand_scores[i], cand_ids[i]))[:k]
-        return [(int(cand_ids[i]), float(cand_scores[i])) for i in top]
+        return _topk(cand_ids, cand_scores, k)
 
     def explain(self, tokens: list[str], doc_id: int) -> list[dict]:
         """Per-term BM25 score breakdown for ONE document — the
@@ -1143,14 +1098,12 @@ class IndexReader:
             i = int(np.searchsorted(ids, did))
             if i >= len(ids) or int(ids[i]) != did:
                 continue
-            tf = float(tfs[i])
+            tf = int(tfs[i])
             w = self.idf(t)
             if dl is None:
                 dl = float(self.doc_len(np.array([did], dtype=np.int64))[0])
-            contrib = w * tf * (K1 + 1) / (
-                tf + K1 * (1 - B + B * dl / self.avgdl))
-            out.append({"term": t, "tf": int(tfs[i]), "idf": w,
-                        "contrib": contrib})
+            out.append({"term": t, "tf": tf, "idf": w,
+                        "contrib": self._kernel(w, tf, dl)})
         return out
 
     def suggest_spelling(self, term: str, k: int = 5) -> list[tuple[int, str]]:
@@ -1340,13 +1293,26 @@ def _merge_ids(parts) -> list[int]:
         [np.asarray(p, dtype=np.int64) for p in parts])).tolist()
 
 
-def _merge_topk(parts, k: int) -> list[tuple[int, float]]:
-    """Per-subset partial top-k lists → the global top-k, ordered by
-    (score desc, doc_id asc) — the single reader's order."""
-    ids = np.array([d for p in parts for d, _ in p], dtype=np.int64)
-    scores = np.array([s for p in parts for _, s in p], dtype=np.float64)
+def _topk(ids: np.ndarray, scores: np.ndarray,
+          k: int) -> list[tuple[int, float]]:
+    """The ``k`` best (doc_id, score) pairs by (score desc, doc_id asc) —
+    the ONE ranking every BM25 path returns. Only the entries tied with
+    or above the k-th best score are sorted, so ties at the cut keep
+    the lowest doc ids."""
+    n = len(ids)
+    if 0 < k < n:
+        sel = scores >= np.partition(scores, n - k)[n - k]
+        ids, scores = ids[sel], scores[sel]
     order = np.lexsort((ids, -scores))[:k]
     return list(zip(ids[order].tolist(), scores[order].tolist()))
+
+
+def _merge_topk(parts, k: int) -> list[tuple[int, float]]:
+    """Per-subset partial top-k lists → the global top-k, in the single
+    reader's order."""
+    return _topk(np.array([d for p in parts for d, _ in p], dtype=np.int64),
+                 np.array([s for p in parts for _, s in p], dtype=np.float64),
+                 k)
 
 
 class QueryStage:

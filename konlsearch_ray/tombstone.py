@@ -82,14 +82,16 @@ def _binary_col_data(col) -> memoryview:
 def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Table:
     """Task body: rewrite one shard's segment + doclens without dead docs.
 
-    Whole-segment vectorized: ONE fused varint decode per column (doc-id
-    gaps re-absolutize via cumsum with per-term reset — the reader's
-    fused cross-shard decode trick), one mask, one grouped re-encode
+    Whole-segment vectorized: ONE fused (doc-gap, tf) decode plus one
+    position decode (doc-id gaps re-absolutize via cumsum with per-term
+    reset — ``codec.decode_postings``, the reader's cross-shard decode),
+    one mask, one grouped re-encode
     (``encode_postings_grouped``, byte-identical to the per-term
     encoder). The per-term decode/encode Python loop this replaces would
     crawl on a 100-TB compaction."""
     from konlsearch_ray.build import SEGMENT_SCHEMA, _atomic_write_parquet, _file_sha
-    from konlsearch_ray.codec import encode_postings_grouped, varint_decode
+    from konlsearch_ray.codec import (decode_postings,
+                                      encode_postings_grouped, varint_decode)
 
     out_rows = []
     for shard in batch["shard"].to_pylist():
@@ -99,12 +101,9 @@ def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Tabl
         nterms = seg.num_rows
         df = (seg["df"].to_numpy().astype(np.int64)
               if nterms else np.zeros(0, np.int64))
-        total = int(df.sum())
-        from konlsearch_ray.codec import decode_doc_ids_grouped
-
-        tfs = varint_decode(_binary_col_data(seg["tfs_bin"]), total)
-        poss = varint_decode(_binary_col_data(seg["pos_bin"]), total)
-        ids = decode_doc_ids_grouped(_binary_col_data(seg["doc_ids_bin"]), df)
+        ids, tfs = decode_postings(_binary_col_data(seg["doc_ids_bin"]),
+                                   _binary_col_data(seg["tfs_bin"]), df)
+        poss = varint_decode(_binary_col_data(seg["pos_bin"]), len(ids))
         keep = ~np.isin(ids, dead)
         term_of = np.repeat(np.arange(nterms, dtype=np.int64), df)
         new_df = np.bincount(term_of[keep], minlength=nterms)

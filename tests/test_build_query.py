@@ -8,6 +8,7 @@ truth over a deterministic synthetic source-code corpus (FIXTURES.md F1).
 import math
 import os
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -15,6 +16,7 @@ from konlsearch_ray.build import IndexConfig, build_index
 from konlsearch_ray.corpus import generate_corpus, write_corpus
 from konlsearch_ray.oracle import build_oracle
 from konlsearch_ray.query import IndexReader
+from konlsearch_ray.tombstone import delete_docs
 
 
 N_DOCS = 600
@@ -117,9 +119,33 @@ def test_bm25_matches_oracle(built):
             assert math.isclose(gs, es, rel_tol=1e-12), (tokens, gd)
 
 
+HEADS = ["def", "return", "import", "self", "class"]
+
+
+def _regime_queries(oracle, rng, n=40) -> list[list[str]]:
+    """Tail + mid term pairs (df ≤ 3 and 10..60) for each branch of the
+    MaxScore loop: the tail term has the higher bound and goes first; at
+    k=10/50 (df < k) it sets no θ, at k=1 (df ≥ k) it does, and the mid
+    term's blocks are then partly skipped."""
+    df = {t: len(p) for t, p in oracle.postings.items()}
+    vocab = sorted(df)
+    tail = [t for t in vocab if df[t] <= 3]
+    mid = [t for t in vocab if 10 <= df[t] <= 60]
+    return [list(p) for p in zip(rng.sample(tail, n), rng.sample(mid, n))]
+
+
+def _assert_pruned_equals_exact(reader, queries, boosts=None):
+    for tokens in queries:
+        for k in (1, 3, 10, 50):
+            exact = reader.bm25_topk(tokens, k, prune=False, boosts=boosts)
+            assert reader.bm25_topk(tokens, k, boosts=boosts) == exact, \
+                (tokens, k, boosts)
+
+
 def test_bm25_pruned_rank_identical(built):
-    """Block-max MaxScore pruning must be rank- AND score-identical to the
-    exact scorer for every query, including head/tail/absent term mixes."""
+    """Block-max MaxScore pruning must return exactly the exact scorer's
+    (doc_id, score) list — bit-identical scores — for every query,
+    including head/tail/absent term mixes and boosted terms."""
     import random
 
     _, reader, oracle, _, _ = built
@@ -131,13 +157,72 @@ def test_bm25_pruned_rank_identical(built):
     ]
     for _ in range(40):
         queries.append(rng.sample(vocab, rng.randint(2, 5)))
+    queries += _regime_queries(oracle, rng)
+    _assert_pruned_equals_exact(reader, queries)
+    for tokens in queries[-80:]:
+        _assert_pruned_equals_exact(
+            reader, [tokens], boosts={tokens[0]: 2.0, tokens[1]: 0.5})
+
+
+@pytest.fixture(scope="module")
+def tombstoned(ray_session, tmp_path_factory):
+    """The test corpus in 256-doc shards — a head term spans two
+    128-entry blocks per shard — with every fifth doc tombstoned, so
+    live masks cut through blocks."""
+    root = tmp_path_factory.mktemp("konl_tomb")
+    corpus_dir = write_corpus(str(root / "corpus"), N_DOCS, seed=42)
+    index_dir = str(root / "index")
+    build_index(corpus_dir, index_dir,
+                IndexConfig(shard_size=256, tokenize_batch_size=100))
+    delete_docs(index_dir, list(range(3, N_DOCS, 5)))
+    return IndexReader(index_dir)
+
+
+def test_bm25_pruned_identical_tombstoned(built, tombstoned):
+    """Pruned ≡ exact on a reader whose block skips go through the live
+    mask (blocks count stored entries, postings only live ones)."""
+    import random
+
+    _, _, oracle, _, _ = built
+    vocab = sorted(oracle.postings)
+    rng = random.Random(11)
+    queries = _regime_queries(oracle, rng) + [HEADS[:2], HEADS[1:4]]
+    queries += [rng.sample(vocab, rng.randint(2, 4)) for _ in range(40)]
+    # On this corpus, the k=3 top-k of these queries changes if a
+    # partial block skip is not aligned through the live mask.
+    queries += [["validxtl", "lensx", "numgettokvn", "colidxseghr"],
+                ["keyabn", "tmpptrge", "strcfgtn"],
+                ["docvalvalaom", "tmpptrge"],
+                ["idxstrbuz", "colbufain", "colidxseghr", "strbcg"]]
+    _assert_pruned_equals_exact(tombstoned, queries)
     for tokens in queries:
-        for k in (1, 3, 10, 50):
-            exact = reader.bm25_topk(tokens, k, prune=False)
-            pruned = reader.bm25_topk(tokens, k, prune=True)
-            assert [d for d, _ in exact] == [d for d, _ in pruned], (tokens, k)
-            for (_, a), (_, b) in zip(exact, pruned):
-                assert math.isclose(a, b, rel_tol=1e-12), (tokens, k)
+        _assert_pruned_equals_exact(
+            tombstoned, [tokens], boosts={tokens[0]: 2.0, tokens[1]: 0.5})
+
+
+def test_block_bounds_per_block_and_aligned(tombstoned):
+    """``block_upper_tf`` stays aligned with the live postings on a
+    tombstoned reader, while the reader keeps one bound per stored block
+    (at most ⌈df/128⌉ + segments values), not one per posting."""
+    from konlsearch_ray.codec import BLOCK_SIZE
+
+    r = tombstoned
+    assert len(r._dead)
+    masked = 0
+    for t in HEADS + ["마법", "zzznope"]:
+        ids, tfs = r.postings_scores(t)
+        ub = r.block_upper_tf(t)
+        assert len(ub) == len(ids), t
+        assert np.all(ub >= tfs), t
+        e = r._terms[t]
+        masked += e.live is not None
+        stored = int(e.bcount.sum())
+        assert stored == (len(ids) if e.live is None else len(e.live)), t
+        assert len(e.bmax) == len(e.bcount) <= (
+            -(-stored // BLOCK_SIZE) + len(e.locs)), t
+    assert masked  # the live mask really cuts these posting lists
+    e = r._terms["def"]
+    assert len(e.bmax) > len(e.locs)  # several blocks in one segment
 
 
 def test_content_sha256_invariant(built):

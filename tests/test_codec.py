@@ -5,13 +5,56 @@ from hypothesis import strategies as st
 
 from konlsearch_ray.codec import (
     BLOCK_SIZE,
-    decode_doc_ids,
-    decode_positions,
-    decode_tfs,
-    encode_posting,
+    decode_postings,
+    encode_postings_grouped,
     varint_decode,
     varint_encode,
 )
+
+
+# Per-term reference codec: one posting list at a time, the layout the
+# grouped encoder and the fused decoder must match byte for byte.
+def encode_posting(
+    doc_ids: np.ndarray, tfs: np.ndarray, positions: np.ndarray
+) -> dict:
+    """Encode one term's posting list (doc_ids must be sorted ascending).
+
+    Returns the segment-row payload: binary blobs + block-max metadata.
+    """
+    doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
+    if doc_ids.size and np.any(np.diff(doc_ids) <= 0):
+        raise ValueError("doc_ids must be strictly increasing")
+    gaps = np.diff(doc_ids, prepend=np.int64(0)).astype(np.uint64)
+    tfs = np.ascontiguousarray(tfs, dtype=np.uint64)
+    positions = np.ascontiguousarray(positions, dtype=np.uint64)
+    n = len(doc_ids)
+    nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE if n else 0
+    block_last = [int(doc_ids[min((b + 1) * BLOCK_SIZE, n) - 1]) for b in range(nblocks)]
+    block_max_tf = [
+        int(tfs[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE].max()) for b in range(nblocks)
+    ]
+    return {
+        "df": n,
+        "cf": int(tfs.sum()),
+        "doc_ids_bin": varint_encode(gaps),
+        "tfs_bin": varint_encode(tfs),
+        "pos_bin": varint_encode(positions),
+        "block_last_doc": block_last,
+        "block_max_tf": block_max_tf,
+    }
+
+
+def decode_doc_ids(blob: bytes, df: int) -> np.ndarray:
+    gaps = varint_decode(blob, df)
+    return np.cumsum(gaps.astype(np.int64))
+
+
+def decode_tfs(blob: bytes, df: int) -> np.ndarray:
+    return varint_decode(blob, df).astype(np.int32)
+
+
+def decode_positions(blob: bytes, df: int) -> np.ndarray:
+    return varint_decode(blob, df).astype(np.int32)
 
 
 def test_varint_roundtrip_basic():
@@ -60,10 +103,6 @@ def test_grouped_encode_matches_per_term():
     """encode_postings_grouped must be byte-identical to per-term
     encode_posting over random grouped data (including df=1 and >BLOCK_SIZE
     groups)."""
-    import numpy as np
-
-    from konlsearch_ray.codec import encode_posting, encode_postings_grouped
-
     rng = np.random.default_rng(3)
     doc_parts, tf_parts, pos_parts, starts = [], [], [], []
     n = 0
@@ -89,3 +128,12 @@ def test_grouped_encode_matches_per_term():
         assert g["pos_bin"][i] == ref["pos_bin"], i
         assert list(g["block_last_flat"][bl_off[i]:bl_off[i + 1]]) == ref["block_last_doc"]
         assert list(g["block_max_flat"][bl_off[i]:bl_off[i + 1]]) == ref["block_max_tf"]
+    # The fused decode inverts the grouped encode in one pass, with
+    # zero-length sub-lists (first, inner, last) allowed.
+    docs, tfs = b"".join(g["doc_ids_bin"]), b"".join(g["tfs_bin"])
+    for df in (g["df"], np.insert(g["df"], [0, 3, len(g["df"])], 0)):
+        ids, tf = decode_postings(docs, tfs, df)
+        assert ids.dtype == np.int64 and tf.dtype == np.int32
+        assert np.array_equal(ids, doc_s) and np.array_equal(tf, tf_s)
+    ids, tf = decode_postings(b"", b"", [])
+    assert len(ids) == len(tf) == 0

@@ -10,15 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from konlsearch_ray.analyzer import analyze_batch, tokenize
-from konlsearch_ray.codec import (
-    BLOCK_SIZE,
-    decode_doc_ids,
-    decode_positions,
-    decode_tfs,
-    encode_posting,
-    varint_decode,
-    varint_encode,
-)
+from konlsearch_ray.codec import BLOCK_SIZE, varint_decode, varint_encode
+from test_codec import (decode_doc_ids, decode_positions, decode_tfs,
+                        encode_posting)
 
 uint64s = st.integers(min_value=0, max_value=2**64 - 1)
 
