@@ -587,12 +587,6 @@ def _estimate_rows(source) -> int:
 
 
 @ray.remote
-def _block_shas(ref: pa.Table) -> pa.Array:
-    col = ref["content_sha256"]
-    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-
-
-@ray.remote
 def _block_light(ref: pa.Table, key_cols: list[str]) -> dict:
     """Per-block (sha, key) as fixed-width numpy byte arrays.
 
@@ -854,12 +848,10 @@ def _driver_rank_docs(
 
 @ray.remote
 def _filter_and_id_block(
-    block: pa.Table, mask: np.ndarray | None, offset: int,
-    dup_shas=None, owned=None,
+    block: pa.Table, offset: int, dup_shas=None, owned=None,
 ) -> pa.Table:
     """Attach dense ids to one sorted block, optionally applying the
-    driver-computed dedup mask OR the tie-break keep rule (mutually
-    exclusive). Tie rule: drop every duplicate-sha row except, in the
+    tie-break keep rule: drop every duplicate-sha row except, in the
     sha's OWNER block, the first row matching the sha's globally
     minimal fingerprint (see ``_resolve_tie_owners``)."""
     if dup_shas is not None:
@@ -882,33 +874,24 @@ def _filter_and_id_block(
                 keep[di[cand][hit][first]] = True
         if not keep.all():
             block = block.filter(pa.array(keep))
-    elif mask is not None and not mask.all():
-        block = block.filter(pa.array(mask))
     ids = pa.array(np.arange(offset, offset + block.num_rows, dtype=np.int64))
     return block.append_column("doc_id", ids)
 
 
 def _sorted_dedup_ids(
-    ds: ray.data.Dataset, sort_keys: list[str], start: int, dedup: bool,
-    tie_shas=None,
+    ds: ray.data.Dataset, sort_keys: list[str], start: int, tie_shas=None,
 ) -> ray.data.Dataset:
-    """Canonical sort → (optional dedup) → dense 1-based doc IDs, in ONE
-    full-data pass.
-
-    After sorting by the canonical key, first-wins dedup (reference
-    index.py:299-305) is simply "keep the first occurrence of each sha in
-    sorted order": the driver scans the *light* sha column of the sorted
-    blocks (one tiny task per block), computes per-block keep-masks, and a
-    single task wave applies mask + ``doc_id = offset + arange`` per block
-    (offsets from a driver prefix-sum over post-filter counts — metadata
-    only). Above ``DEDUP_DRIVER_MAX_ROWS`` the caller should use the
-    shuffle pre-pass (``_dedup_winners``/``_winner_filter``) instead and
-    pass ``tie_shas`` (the duplicate-sha set, mutually exclusive with
-    ``dedup``): winner-key TIES the filter cannot break (rows identical
-    in sha AND canonical key) are then resolved on the already-pinned
-    sorted blocks — a light fingerprint wave plus in-task keep masks
-    (``_resolve_tie_owners``) — so the corpus is pinned exactly once, by
-    this sort, and the driver holds only dup-sha metadata.
+    """Canonical sort → dense 1-based doc IDs, in ONE full-data pass:
+    a single task wave applies ``doc_id = offset + arange`` per sorted
+    block (offsets from a driver prefix-sum over post-filter counts —
+    metadata only). The huge-corpus path dedups with the shuffle
+    pre-pass (``_dedup_winners``/``_winner_filter``) first and passes
+    ``tie_shas`` (the duplicate-sha set): winner-key TIES the filter
+    cannot break (rows identical in sha AND canonical key) are then
+    resolved on the already-pinned sorted blocks — a light fingerprint
+    wave plus in-task keep masks (``_resolve_tie_owners``) — so the
+    corpus is pinned exactly once, by this sort, and the driver holds
+    only dup-sha metadata.
     """
     mat = ds.sort(sort_keys).materialize()
     block_refs = []
@@ -920,25 +903,7 @@ def _sorted_dedup_ids(
         empty = pa.table({"doc_id": pa.array([], pa.int64())})
         return ray.data.from_arrow(empty)
 
-    masks: list = [None] * len(block_refs)
     counts = [n for _, n in block_refs]
-    if dedup:
-        assert tie_shas is None, "dedup and tie_shas are mutually exclusive"
-        sha_parts = ray.get(
-            [_block_shas.remote(ref) for ref, _ in block_refs])
-        all_sha = pa.concat_arrays(
-            [p if isinstance(p, pa.Array) else p.combine_chunks()
-             for p in sha_parts])
-        import pandas as pd
-
-        keep_all = (~pd.Series(all_sha.to_pandas()).duplicated()).to_numpy()
-        off = 0
-        for i, (_, n) in enumerate(block_refs):
-            m = keep_all[off:off + n]
-            off += n
-            if not m.all():
-                masks[i] = m
-            counts[i] = int(m.sum())
     tie = tie_shas is not None and len(tie_shas) > 0
     shas_ref = ray.put(tie_shas) if tie else None
     per_block = (_resolve_tie_owners(block_refs, shas_ref, counts)
@@ -946,8 +911,7 @@ def _sorted_dedup_ids(
     offsets = start + np.concatenate(([0], np.cumsum(counts)[:-1]))
     out_refs = [
         _filter_and_id_block.remote(
-            ref, masks[i], int(offsets[i]),
-            dup_shas=shas_ref if tie else None,
+            ref, int(offsets[i]), dup_shas=shas_ref if tie else None,
             owned=per_block.get(i))
         for i, (ref, _) in enumerate(block_refs)
     ]
@@ -1181,7 +1145,7 @@ def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
                 fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
                            "key_cols": cfg.sort_keys})
             tie_shas = dup_shas if len(dup_shas) else None
-        ds = _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start, dedup=False,
+        ds = _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start,
                                tie_shas=tie_shas)
     else:
         if cfg.dedup:
@@ -1273,17 +1237,14 @@ def _append_tie_winners(tie_tmp: str, docs_dir: str, cfg: IndexConfig,
     (UUID file names — no collision with the main write)."""
     import shutil
 
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
 
     files = [os.path.join(tie_tmp, n) for n in sorted(os.listdir(tie_tmp))
              if n.endswith(".parquet")]
     if files:
-        grouped = (ray.data.read_parquet(files)
-                   .groupby("content_sha256")
-                   .map_groups(_first_tie_row, batch_format="pyarrow"))
-        # Bypassed 0-row shuffle partitions would reach write_parquet
-        # with a stale schema — keep real blocks only.
-        grouped = nonempty_blocks(grouped, ("content_sha256",))
+        ties = ray.data.read_parquet(files)
+        grouped = keyed_fold(ties, "content_sha256", _first_tie_row,
+                             fallback=arrow_schema(ties).empty_table())
         if cfg.id_col != "doc_id":
             grouped = grouped.rename_columns({cfg.id_col: "doc_id"})
         grouped = grouped.map_batches(add_shard, batch_format="pyarrow")

@@ -29,6 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
+                                             key_bucket, keyed_fold,
                                              nonempty_blocks)
 
 
@@ -55,17 +56,13 @@ def distinct_count(
                       "n_distinct": pa.array([], pa.int64())})
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
         # SQL COUNT(DISTINCT) semantics: null is not a value — a key whose
         # only value is null still appears, with count 0.
         n = len(pc.drop_null(pc.unique(g[value_col])))
         return pa.table({key_col: g[key_col][:1],
                          "n_distinct": pa.array([n], pa.int64())})
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n_distinct"), fallback=empty)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=empty)
 
 
 # --- HyperLogLog -----------------------------------------------------------
@@ -173,8 +170,6 @@ def approx_distinct(
     alpha = 0.7213 / (1.0 + 1.079 / m)
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
         regs = np.zeros(m, dtype=np.int64)
         np.maximum.at(regs, g["reg"].to_numpy(zero_copy_only=False),
                       g["rho"].to_numpy(zero_copy_only=False))
@@ -185,9 +180,7 @@ def approx_distinct(
         return pa.table({key_col: g[key_col][:1],
                          "n_approx": pa.array([int(round(est))], pa.int64())})
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n_approx"), fallback=empty)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=empty)
 
 
 def histogram(
@@ -266,13 +259,8 @@ def grouped_topk(
     def partial(t: pa.Table) -> pa.Table:
         return _topk_within(t, key_col, sort_keys, k)
 
-    def final(g: pa.Table) -> pa.Table:
-        return _topk_within(g, key_col, sort_keys, k)
-
-    out = (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-           .groupby(key_col).map_groups(final, batch_format="pyarrow"))
-    sch = _arrow_schema(ds)
-    return nonempty_blocks(out, tuple(sch.names), fallback=sch.empty_table())
+    return keyed_fold(ds, key_col, partial, partial=partial,
+                      fallback=_arrow_schema(ds).empty_table())
 
 
 def grouped_topk_ties(
@@ -324,12 +312,8 @@ def grouped_topk_ties(
         rank0 = run_start - key_start  # 0-based RANK (ties share it)
         return t.filter(pa.array(rank0 < k))
 
-    out = (ds.map_batches(rank_filter, batch_format="pyarrow",
-                          batch_size=None)
-           .groupby(key_col).map_groups(rank_filter,
-                                        batch_format="pyarrow"))
-    sch = _arrow_schema(ds)
-    return nonempty_blocks(out, tuple(sch.names), fallback=sch.empty_table())
+    return keyed_fold(ds, key_col, rank_filter, partial=rank_filter,
+                      fallback=_arrow_schema(ds).empty_table())
 
 
 def pivot_counts(
@@ -378,8 +362,6 @@ def pivot_counts(
     empty = pa.table(out_cols)
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
         ci = pc.index_in(g[cat_col], value_set=cats).to_numpy(
             zero_copy_only=False).astype(np.int64)
         # np.add.at on int64 accumulators — bincount's float64 weights
@@ -398,9 +380,7 @@ def pivot_counts(
                 row[f"cents_{c}"] = pa.array([s[j]], pa.int64())
         return pa.table(row)
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(out_cols), fallback=empty)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=empty)
 
 
 def _mg_reduce(vals: pa.Array, counts: np.ndarray, capacity: int
@@ -475,7 +455,6 @@ def heavy_hitters(
     Null values are dropped (SQL COUNT semantics).
     """
     from konlsearch_ray.functions.blocks import default_nbuckets
-    from konlsearch_ray.functions.temporal import _key_bucket
 
     if k < 1 or capacity < 4 * k:
         raise ValueError("need k >= 1 and capacity >= 4k")
@@ -504,7 +483,7 @@ def heavy_hitters(
     def _with_bucket(vals: pa.Array, counts: np.ndarray) -> pa.Table:
         return pa.table({value_col: vals,
                          "n": pa.array(counts, pa.int64()),
-                         "__hh_bucket": pa.array(_key_bucket(vals, nbuckets))})
+                         "__hh_bucket": pa.array(key_bucket(vals, nbuckets))})
 
     def _sentinel_b(n: int) -> pa.Table:
         return pa.table({value_col: pa.array([None], vtype),
@@ -555,8 +534,6 @@ def heavy_hitters(
                          "n": pa.array(counts[order], pa.int64())}), cut
 
     def bucket_merge(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return empty_m
         if t["__hh_bucket"][0].as_py() == -1:
             # The sentinel group: per-block MG thresholds — fold to one
             # summed row (driver needs only the total).
@@ -611,8 +588,6 @@ def heavy_hitters(
                 .astype(np.int64))
 
         def bucket_exact(t: pa.Table) -> pa.Table:
-            if not t.num_rows:
-                return empty
             vals, counts = _sum_by_value(t)
             # Tie-break must be (n desc, value ASC) — the same total
             # order as the final topk — or a globally-tied value can be
@@ -621,9 +596,8 @@ def heavy_hitters(
                                "n": pa.array(counts, pa.int64())})
             return topk(summed)
 
-        out = (ds.map_batches(full_partial, batch_format="pyarrow")
-               .groupby("__hh_bucket")
-               .map_groups(bucket_exact, batch_format="pyarrow")
+        out = (keyed_fold(ds, "__hh_bucket", bucket_exact,
+                          partial=full_partial, fallback=empty)
                .repartition(1)
                .map_batches(topk, batch_format="pyarrow", batch_size=None))
         return nonempty_blocks(out, (value_col, "n"), fallback=empty)
@@ -639,9 +613,8 @@ def heavy_hitters(
     if exact is True:
         return _exact_topk_path()
 
-    rows = (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__hh_bucket")
-            .map_groups(bucket_merge, batch_format="pyarrow")
+    rows = (keyed_fold(ds, "__hh_bucket", bucket_merge, partial=partial,
+                       fallback=empty_m)
             .repartition(1)
             .map_batches(merge, batch_format="pyarrow", batch_size=None)
             .take_all())
@@ -674,15 +647,12 @@ def heavy_hitters(
                             .astype(np.int64))
 
     def bucket_sum(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return empty
         vals, counts = _sum_by_value(t)
         return pa.table({value_col: vals,
                          "n": pa.array(counts, pa.int64())})
 
-    out = (ds.map_batches(recount, batch_format="pyarrow")
-           .groupby("__hh_bucket")
-           .map_groups(bucket_sum, batch_format="pyarrow")
+    out = (keyed_fold(ds, "__hh_bucket", bucket_sum, partial=recount,
+                      fallback=empty)
            .repartition(1)
            .map_batches(topk, batch_format="pyarrow", batch_size=None))
     if exact is False:
@@ -795,8 +765,6 @@ def _rollup_per_key(
                          "total": pa.array(tot)})
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return empty
         return pa.table({
             key_col: g[key_col][:1],
             "n": pa.array([pc.sum(g["n"]).as_py()], pa.int64()),
@@ -804,9 +772,8 @@ def _rollup_per_key(
             "total": pa.array([pc.sum(g["total"]).as_py()], pa.int64()),
         })
 
-    per_key = (ds.map_batches(partial, batch_format="pyarrow")
-                 .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return per_key, ktyp
+    return (keyed_fold(ds, key_col, merge, partial=partial, fallback=empty),
+            ktyp)
 
 
 def rollup_counts(
@@ -985,8 +952,6 @@ def cube_counts(
 
     def merge_by_b(g: pa.Table) -> pa.Table:
         # One key_a group: collapse its partials per key_b.
-        if not g.num_rows:
-            return p_empty
         df = g.to_pandas().groupby(key_b, sort=False,
                                    observed=True).agg(
             n=("n", "sum"), nv=("nv", "sum"),
@@ -998,9 +963,8 @@ def cube_counts(
                          "nv": pa.array(df["nv"], pa.int64()),
                          "total": pa.array(df["total"], pa.int64())})
 
-    pairs_raw = (ds.map_batches(partial, batch_format="pyarrow")
-                   .groupby(key_a).map_groups(merge_by_b,
-                                              batch_format="pyarrow"))
+    pairs_raw = keyed_fold(ds, key_a, merge_by_b, partial=partial,
+                           fallback=p_empty)
     grand_only = pa.table({key_a: pa.nulls(1, atyp),
                            key_b: pa.nulls(1, btyp),
                            "n": pa.array([0], pa.int64()),
@@ -1019,13 +983,13 @@ def cube_counts(
         return pa.table({key_a: t[key_a], key_b: t[key_b], "n": t["n"],
                          "total": _tot(t["nv"], t["total"], t.num_rows)})
 
+    m_empty = pa.table({key_a: pa.array([], atyp),
+                        key_b: pa.array([], btyp),
+                        "n": pa.array([], pa.int64()),
+                        "total": pa.array([], pa.int64())})
+
     def _marginal(keep_col: str, keep_typ, null_col: str, null_typ):
         def m(g: pa.Table) -> pa.Table:
-            if not g.num_rows:
-                return pa.table({key_a: pa.array([], atyp),
-                                 key_b: pa.array([], btyp),
-                                 "n": pa.array([], pa.int64()),
-                                 "total": pa.array([], pa.int64())})
             n = pa.array([pc.sum(g["n"]).as_py()], pa.int64())
             nv = pa.array([pc.sum(g["nv"]).as_py()], pa.int64())
             tot = pa.array([pc.sum(g["total"]).as_py()], pa.int64())
@@ -1052,12 +1016,10 @@ def cube_counts(
                       if nv else pa.nulls(1, pa.int64()))})
 
     full = pairs.map_batches(finish_pairs, batch_format="pyarrow")
-    a_marg = (pairs.groupby(key_a)
-              .map_groups(_marginal(key_a, atyp, key_b, btyp),
-                          batch_format="pyarrow"))
-    b_marg = (pairs.groupby(key_b)
-              .map_groups(_marginal(key_b, btyp, key_a, atyp),
-                          batch_format="pyarrow"))
+    a_marg = keyed_fold(pairs, key_a, _marginal(key_a, atyp, key_b, btyp),
+                        fallback=m_empty)
+    b_marg = keyed_fold(pairs, key_b, _marginal(key_b, btyp, key_a, atyp),
+                        fallback=m_empty)
     gt = (pairs.map_batches(block_sum, batch_format="pyarrow",
                             batch_size=None)
                .repartition(1)
@@ -1106,8 +1068,6 @@ def grouped_mode(
                          "cnt": pa.array([], pa.int64())})
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         # sum per-block pair counts, then argmax (desc cnt, asc value)
         summed = (g.group_by([value_col])
@@ -1121,10 +1081,7 @@ def grouped_mode(
             "cnt": pc.cast(top["cnt_sum"], pa.int64()),
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "mode_v", "cnt"),
-                           fallback=fallback)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=fallback)
 
 
 def grouped_entropy(
@@ -1169,8 +1126,6 @@ def grouped_entropy(
                          "n": pa.array([], pa.int64())})
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         summed = (g.group_by([value_col])
                    .aggregate([("cnt", "sum")])
@@ -1184,10 +1139,7 @@ def grouped_entropy(
             "n": pa.array([int(n)], pa.int64()),
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "entropy", "n"),
-                           fallback=fallback)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=fallback)
 
 
 def profile_columns(
@@ -1248,8 +1200,6 @@ def profile_columns(
                          "max_val": pa.array([], pa.string())})
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = pc.sum(g["n_rows"]).as_py() or 0
         nulls = pc.sum(g["n_nulls"]).as_py() or 0
         mn_i = pc.min(g["min_i"]).as_py()
@@ -1266,7 +1216,4 @@ def profile_columns(
             "max_val": pa.array([mx], pa.string()),
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("column").map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "column", merge, partial=partial, fallback=fallback)

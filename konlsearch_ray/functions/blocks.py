@@ -1,11 +1,23 @@
-"""Shared Dataset block-ref utilities.
+"""Shared Dataset block-ref utilities and the one keyed exchange.
 
-``nonempty_blocks`` works around a Ray Data landmine: empty
-shuffle/aggregate partitions emit 0-row blocks that BYPASS map UDFs
-entirely, so they reach downstream operators with empty (or stale
-upstream) schemas, which the hash-join operator rejects ("No match for
-FieldRef").  Rebuilding the dataset from its non-empty block refs moves
-only refs to the driver — the blocks stay in the object store.
+``keyed_fold(ds, key, merge, fallback=..., partial=...)`` is the
+package's only keyed ``groupby`` + ``map_groups`` exchange: an optional
+per-block ``partial`` (map-side combine), then Ray's default sort
+shuffle on ``key`` and ``merge`` once per group.  Every wide step —
+per-key folds, and the bucket-routed joins, windows and ranks whose
+``partial`` adds a ``key_bucket`` column — goes through it, so swapping
+the exchange is a one-place change.
+
+It owns the Ray Data landmine every keyed exchange hits: empty
+shuffle partitions emit 0-row blocks that either reach the group UDF
+as an empty batch or BYPASS map UDFs entirely, so they travel
+downstream with empty (or stale upstream) schemas, which the hash-join
+operator rejects ("No match for FieldRef").  ``keyed_fold`` answers an
+empty group with the typed ``fallback`` (``merge`` never sees one),
+then rebuilds the output from its non-empty block refs — only refs
+move to the driver, the blocks stay in the object store — and returns
+exactly ``fallback`` when nothing survives, so an empty input keeps
+the non-empty schema.
 
 ``nonempty_refs`` additionally reports the row count, so join chains can
 SHORT-CIRCUIT on an empty side: Ray's hash-shuffle join crashes when a
@@ -17,7 +29,11 @@ reach a join at all.
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -58,6 +74,57 @@ def nonempty_refs(ds: ray.data.Dataset) -> tuple[list, int]:
                 refs.append(ref)
                 rows += meta.num_rows
     return refs, rows
+
+
+def key_bucket(col, nbuckets: int) -> np.ndarray:
+    """Vectorized bucket id for a key column: integers hash by value,
+    strings and binaries by bytes, any other scalar type by its string
+    cast. Routing only — in-bucket grouping compares exact values.
+    Null keys route deterministically (as 0 / empty string)."""
+    t = col.type
+    if pa.types.is_integer(t):
+        hv = (pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
+              .astype(np.int64).view(np.uint64))
+        hv = hv * np.uint64(0xFF51AFD7ED558CCD)
+        hv ^= hv >> np.uint64(33)
+    else:
+        from konlsearch_ray.functions.dedup import _string_bucket_hash
+
+        if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            col = pc.cast(col, pa.string())
+        hv = _string_bucket_hash(
+            col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
+    return (hv % np.uint64(nbuckets)).astype(np.int64)
+
+
+def keyed_fold(
+    ds: ray.data.Dataset,
+    key: str | list[str],
+    merge: Callable,
+    *,
+    fallback: pa.Table,
+    partial: Callable | None = None,
+    batch_format: str = "pyarrow",
+) -> ray.data.Dataset:
+    """``map_batches(partial)``, then ``groupby(key)`` + ``map_groups``
+    of ``merge``, with the empty-partition landmine handled once (see
+    the module docstring).
+
+    ``partial`` and ``merge`` both see ``batch_format`` batches;
+    ``merge`` sees only non-empty groups.  ``fallback`` is the typed
+    empty output table: it answers empty groups, and it is the result
+    when no group emits a row."""
+    if partial is not None:
+        ds = ds.map_batches(partial, batch_format=batch_format)
+
+    def fold(g):
+        return merge(g) if len(g) else fallback
+
+    refs, _ = nonempty_refs(
+        ds.groupby(key).map_groups(fold, batch_format=batch_format))
+    return (ray.data.from_arrow_refs(refs) if refs
+            else ray.data.from_arrow(fallback))
 
 
 def nonempty_blocks(

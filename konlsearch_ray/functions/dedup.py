@@ -21,7 +21,7 @@ from ray.data.aggregate import Count, Min
 
 from konlsearch_ray.analyzer import analyze_strings
 from konlsearch_ray.functions.blocks import (default_join_partitions,
-                                             default_nbuckets,
+                                             default_nbuckets, keyed_fold,
                                              nonempty_blocks,
                                              pinned_nonempty)
 from konlsearch_ray.functions.text import FP_MOD, _token_hashes
@@ -272,10 +272,6 @@ def _emit_pairs_bucketed(
             "bucket", pa.array((h % np.uint64(nbuckets)).astype(np.int64)))
 
     def emit(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table({"a": pa.array([], pa.int64()),
-                          "b": pa.array([], pa.int64())})
-        if not len(g):
-            return empty
         codes_list = [
             pd.factorize(g[c], sort=False)[0].astype(np.int64)
             for c in group_cols
@@ -305,16 +301,13 @@ def _emit_pairs_bucketed(
             out_a.append(d_s[(offs[:, None] + ti[None, :]).ravel()])
             out_b.append(d_s[(offs[:, None] + tj[None, :]).ravel()])
         if not out_a:
-            return empty
+            return _empty_pairs()
         return pa.table({"a": pa.array(np.concatenate(out_a), pa.int64()),
                          "b": pa.array(np.concatenate(out_b), pa.int64())})
 
-    out = (ds.map_batches(add_bucket, batch_format="pyarrow")
-           .groupby("bucket").map_groups(emit, batch_format="pandas"))
-    # Empty bucket partitions BYPASS the emit UDF and surface with the
-    # stale upstream schema — downstream groupbys then see mixed-schema
-    # blocks and can silently drop rows. Keep only real (a, b) blocks.
-    return nonempty_blocks(out, ("a", "b"))
+    return keyed_fold(ds.map_batches(add_bucket, batch_format="pyarrow"),
+                      "bucket", emit, fallback=_empty_pairs(),
+                      batch_format="pandas")
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import nonempty_blocks
+from konlsearch_ray.functions.blocks import keyed_fold, nonempty_blocks
 
 _PAIR_FALLBACK = pa.table({"a": pa.array([], pa.string()),
                            "b": pa.array([], pa.string())})
@@ -146,8 +146,6 @@ def edit1_pairs(
         return _deletion_variants(terms)
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return _PAIR_FALLBACK
         terms = pc.unique(g["term"].combine_chunks())
         m = len(terms)
         if m < 2 or (max_bucket is not None and m > max_bucket):
@@ -165,14 +163,11 @@ def edit1_pairs(
                          t["b"].to_numpy(zero_copy_only=False))
         return t.filter(pa.array(keep)).select(["a", "b"])
 
-    cand = (ds.map_batches(variants, batch_format="pyarrow")
-            .groupby("variant")
-            .map_groups(bucket_pairs, batch_format="pyarrow"))
-    cand = nonempty_blocks(cand, ("a", "b"), fallback=_PAIR_FALLBACK)
+    cand = keyed_fold(ds, "variant", bucket_pairs, partial=variants,
+                      fallback=_PAIR_FALLBACK)
     # a pair can collide through several variants — dedupe BEFORE the
     # (more expensive) verification, moving distinct pairs only.
-    distinct = (cand.groupby(["a", "b"])
-                .map_groups(lambda g: g[:1] if g.num_rows else g,
-                            batch_format="pyarrow"))
+    distinct = keyed_fold(cand, ["a", "b"], lambda g: g[:1],
+                          fallback=_PAIR_FALLBACK)
     out = distinct.map_batches(verify, batch_format="pyarrow")
     return nonempty_blocks(out, ("a", "b"), fallback=_PAIR_FALLBACK)

@@ -23,6 +23,7 @@ import ray.data
 from konlsearch_ray.functions.blocks import (arrow_schema,
                                              default_join_partitions,
                                              default_nbuckets,
+                                             key_bucket, keyed_fold,
                                              pinned_nonempty)
 
 
@@ -225,8 +226,6 @@ def filter_join(
     drops such rows, ``anti`` keeps them; null right keys are ignored.
     Key columns must share a comparable Arrow type.
     """
-    from konlsearch_ray.functions.temporal import _key_bucket
-
     if mode not in ("semi", "anti"):
         raise ValueError(f"mode must be 'semi' or 'anti', got {mode!r}")
     nbuckets = nbuckets or default_nbuckets()
@@ -243,7 +242,7 @@ def filter_join(
         return (t.append_column("__fj_side",
                                 pa.nulls(t.num_rows, pa.int8()).fill_null(0))
                  .append_column("__fj_bucket",
-                                pa.array(_key_bucket(t[left_key], nbuckets)))
+                                pa.array(key_bucket(t[left_key], nbuckets)))
                  .replace_schema_metadata(None))
 
     def prep_right(t: pa.Table) -> pa.Table:
@@ -269,15 +268,13 @@ def filter_join(
             else:
                 cols[name] = pa.nulls(n, lsch.field(name).type)
         cols["__fj_side"] = pa.nulls(n, pa.int8()).fill_null(1)
-        cols["__fj_bucket"] = pa.array(_key_bucket(keys, nbuckets))
+        cols["__fj_bucket"] = pa.array(key_bucket(keys, nbuckets))
         return pa.table(cols)
 
     fallback = pa.table(
         {name: pa.array([], lsch.field(name).type) for name in lcols})
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         side = g["__fj_side"].to_numpy(zero_copy_only=False)
         lrows = g.filter(pa.array(side == 0)).drop_columns(
@@ -296,7 +293,4 @@ def filter_join(
 
     lds = left.map_batches(prep_left, batch_format="pyarrow")
     rds = right.map_batches(prep_right, batch_format="pyarrow")
-    out = (lds.union(rds).groupby("__fj_bucket")
-              .map_groups(emit, batch_format="pyarrow"))
-    from konlsearch_ray.functions.blocks import nonempty_blocks
-    return nonempty_blocks(out, tuple(lcols), fallback=fallback)
+    return keyed_fold(lds.union(rds), "__fj_bucket", emit, fallback=fallback)

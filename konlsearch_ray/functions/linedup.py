@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
-                                             nonempty_blocks)
+                                             keyed_fold)
 
 
 def drop_duplicate_lines(
@@ -101,25 +101,21 @@ def drop_duplicate_lines(
                 .group_by(["line", id_col]).aggregate([])
                 .replace_schema_metadata(None))
 
+    no_lines = pa.table({"line": pa.array([], pa.string())})
+
     def dup_only(g: pa.Table) -> pa.Table:
-        empty = pa.table({"line": pa.array([], pa.string())})
-        if not g.num_rows:
-            return empty
         n = len(pc.unique(g[id_col]))
         return g.select(["line"]).slice(0, 1) if n >= min_dup_docs \
-            else empty
+            else no_lines
 
-    dup_vocab = (lines.map_batches(pair_partial, batch_format="pyarrow")
-                 .groupby("line").map_groups(dup_only,
-                                             batch_format="pyarrow"))
+    dup_vocab = keyed_fold(lines, "line", dup_only, partial=pair_partial,
+                           fallback=no_lines)
     # every vocabulary line is >= min_line_len chars, so short lines can
     # never match: ONE anti join over ALL lines keeps them automatically
     # (no short/long split, no extra corpus pass).
     kept = filter_join(lines, dup_vocab, "line", "line", mode="anti")
 
     def assemble(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return out_schema.empty_table()
         order = np.argsort(g["ord"].to_numpy(zero_copy_only=False),
                            kind="stable")
         joined = "\n".join(
@@ -127,6 +123,5 @@ def drop_duplicate_lines(
         return pa.table({id_col: g[id_col][:1],
                          text_col: pa.array([joined], pa.string())})
 
-    out = kept.groupby(id_col).map_groups(assemble, batch_format="pyarrow")
-    return nonempty_blocks(out, (id_col, text_col),
-                           fallback=out_schema.empty_table())
+    return keyed_fold(kept, id_col, assemble,
+                      fallback=out_schema.empty_table())

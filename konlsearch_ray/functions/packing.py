@@ -39,7 +39,7 @@ from ray.data.aggregate import Max, Min
 
 from konlsearch_ray.functions.blocks import (default_nbuckets as
                                              _default_nbuckets,
-                                             nonempty_blocks)
+                                             keyed_fold)
 
 
 def pack_by_offset(
@@ -55,14 +55,14 @@ def pack_by_offset(
         raise ValueError("budget must be positive")
     nbuckets = nbuckets or _default_nbuckets()
 
+    empty = pa.table({id_col: pa.array([], pa.int64()),
+                      weight_col: pa.array([], pa.int64()),
+                      "pack_id": pa.array([], pa.int64())})
     light = ds.select_columns([id_col, weight_col])
     bounds = light.aggregate(Min(id_col), Max(id_col))
     lo = bounds.get(f"min({id_col})")
     if lo is None:  # empty input
-        return ray.data.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            weight_col: pa.array([], pa.int64()),
-            "pack_id": pa.array([], pa.int64())}))
+        return ray.data.from_arrow(empty)
     hi = bounds[f"max({id_col})"]
     width = max((int(hi) - int(lo)) // nbuckets + 1, 1)
 
@@ -100,10 +100,6 @@ def pack_by_offset(
                          "bucket": pa.array(b, pa.int64())})
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:  # bypassed empty shuffle partition
-            return pa.table({id_col: pa.array([], pa.int64()),
-                             weight_col: pa.array([], pa.int64()),
-                             "pack_id": pa.array([], pa.int64())})
         ids = g[id_col].to_numpy(zero_copy_only=False)
         w = g[weight_col].to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")
@@ -114,6 +110,5 @@ def pack_by_offset(
                          weight_col: pa.array(w, pa.int64()),
                          "pack_id": pa.array(before // budget, pa.int64())})
 
-    out = (light.map_batches(attach_bucket, batch_format="pyarrow")
-           .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (id_col, weight_col, "pack_id"))
+    return keyed_fold(light, "bucket", emit, partial=attach_bucket,
+                      fallback=empty)

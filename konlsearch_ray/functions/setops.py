@@ -22,7 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import arrow_schema as _arrow_schema
+from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
+                                             keyed_fold)
 
 _KEY = "__setop_key"
 
@@ -73,12 +74,12 @@ def _block_distinct(t: pa.Table) -> pa.Table:
     return t.take(pa.array(np.sort(first[seen]), pa.int64()))
 
 
-def _global_distinct(ds: ray.data.Dataset) -> ray.data.Dataset:
-    def first(g: pa.Table) -> pa.Table:
-        return g.slice(0, 1)
-
-    return (ds.map_batches(_block_distinct, batch_format="pyarrow")
-              .groupby(_KEY).map_groups(first, batch_format="pyarrow"))
+def _global_distinct(ds: ray.data.Dataset,
+                     lsch: pa.Schema) -> ray.data.Dataset:
+    fallback = lsch.empty_table().append_column(_KEY,
+                                                pa.array([], pa.string()))
+    return keyed_fold(ds, _KEY, lambda g: g.slice(0, 1),
+                      partial=_block_distinct, fallback=fallback)
 
 
 def _setop(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -86,7 +87,7 @@ def _setop(left: ray.data.Dataset, right: ray.data.Dataset,
     from konlsearch_ray.functions.joins import filter_join
 
     lsch, lcols, rcols = _validate_operands(left, right)
-    ld = _global_distinct(_keyed(left, lcols))
+    ld = _global_distinct(_keyed(left, lcols), lsch)
     # right side: keys only — filter_join pre-distincts per block, so a
     # full global distinct would be a second exchange for nothing.
     rd = _keyed(right, rcols, rename_to=lcols).select_columns([_KEY])
@@ -146,5 +147,5 @@ def union_distinct(left: ray.data.Dataset,
     single global distinct, with no join at all."""
     lsch, lcols, rcols = _validate_operands(left, right)
     both = _keyed(left, lcols).union(_keyed(right, rcols, rename_to=lcols))
-    out = _global_distinct(both).drop_columns([_KEY])
+    out = _global_distinct(both, lsch).drop_columns([_KEY])
     return _pin_left_schema(out, lsch, lcols)

@@ -39,7 +39,7 @@ def _grouped_topk_merge(parts_ds: ray.data.Dataset, k: int) -> pa.Table:
     independent of block/cell count (the previous driver-side concat grew
     linearly with block count). Ordering/tie-break: cos desc, neighbor
     asc; output sorted (qid asc, rk asc), cos rounded to 4."""
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import keyed_fold, nonempty_blocks
 
     def merge(g: pa.Table) -> pa.Table:
         # Arrow-native (no pandas round-trip); metadata-free schema keeps
@@ -51,11 +51,12 @@ def _grouped_topk_merge(parts_ds: ray.data.Dataset, k: int) -> pa.Table:
             "rk", pa.array(np.arange(1, sel.num_rows + 1, dtype=np.int64))
         ).replace_schema_metadata(None)
 
-    parts_ds = nonempty_blocks(parts_ds, ("qid", "neighbor", "cos"))
-    merged = parts_ds.groupby("qid").map_groups(merge, batch_format="pyarrow")
-    # Bypassed empty group partitions carry the rk-less partial schema —
-    # drop them so the driver frame's dtypes stay stable.
-    res = nonempty_blocks(merged, ("qid", "neighbor", "cos", "rk")).to_pandas()
+    fallback = pa.table({"qid": pa.array([], pa.int64()),
+                         "neighbor": pa.array([], pa.int64()),
+                         "cos": pa.array([], pa.float64()),
+                         "rk": pa.array([], pa.int64())})
+    res = keyed_fold(nonempty_blocks(parts_ds, ("qid", "neighbor", "cos")),
+                     "qid", merge, fallback=fallback).to_pandas()
     if not len(res):
         res = pd.DataFrame({"qid": pd.Series(dtype="int64"),
                             "neighbor": pd.Series(dtype="int64"),
@@ -439,10 +440,13 @@ def lsh_bucketed_pairs(
                  "bucket": pa.array(bucket.astype(np.int64))}))
         return pa.concat_tables(parts)
 
-    def within(g: pd.DataFrame) -> pd.DataFrame:
+    no_pairs = pa.table({"a": pa.array([], pa.int64()),
+                         "b": pa.array([], pa.int64())})
+
+    def within(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
         ids = g[id_col].to_numpy().astype(np.int64)
         if len(ids) < 2:
-            return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")})
+            return no_pairs
         m = _normalize(np.stack([np.asarray(v, np.float64) for v in g[vec_col]]))
         sims = m @ m.T
         rows, cols = np.nonzero(sims >= tau)
@@ -450,17 +454,13 @@ def lsh_bucketed_pairs(
         keep = a < b
         return pd.DataFrame({"a": a[keep], "b": b[keep]})
 
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
-    pairs = bucketed.groupby(["table", "bucket"]).map_groups(
-        within, batch_format="pandas")
     from ray.data.aggregate import Count
 
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import keyed_fold
 
-    # Empty bucket partitions BYPASS `within` and surface with the stale
-    # upstream schema; feeding those into the (a, b) aggregate can
-    # silently drop rows (mixed-schema hazard) — keep real blocks only.
-    pairs = nonempty_blocks(pairs, ("a", "b"))
+    pairs = keyed_fold(ds.map_batches(bucketize, batch_format="pyarrow"),
+                       ["table", "bucket"], within, fallback=no_pairs,
+                       batch_format="pandas")
     return pairs.groupby(["a", "b"]).aggregate(Count(alias_name="nb")).select_columns(["a", "b"])
 
 

@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from konlsearch_ray.functions.blocks import keyed_fold
+
 _SAFE = re.compile(r"[^A-Za-z0-9_.\-]")
 
 _RESERVED_COLS = ("__part_token", "__part_salt")
@@ -158,9 +160,6 @@ def write_partitioned_parquet(
     ext = "parquet" if format == "parquet" else "jsonl"
 
     def commit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:  # bypassed empty shuffle partition
-            return pa.table({"partition": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
         token = g["__part_token"][0].as_py()
         salt = int(g["__part_salt"][0].as_py())
         g = g.drop_columns(list(_RESERVED_COLS))
@@ -180,9 +179,10 @@ def write_partitioned_parquet(
         return pa.table({"partition": pa.array([token], pa.string()),
                          "rows": pa.array([g.num_rows], pa.int64())})
 
-    out = (ds.map_batches(tokenize_and_drop, batch_format="pyarrow")
-           .groupby(["__part_token", "__part_salt"])
-           .map_groups(commit, batch_format="pyarrow"))
+    out = keyed_fold(ds, ["__part_token", "__part_salt"], commit,
+                     partial=tokenize_and_drop,
+                     fallback=pa.table({"partition": pa.array([], pa.string()),
+                                        "rows": pa.array([], pa.int64())}))
     # The consume is the commit-wave barrier: every salt of every
     # partition has landed once take_all returns — mark partitions done.
     # Driver holds O(partitions x salts) light rows.

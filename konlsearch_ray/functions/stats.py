@@ -6,9 +6,9 @@ points picks ``sorted_values[(n-1) * q_bp // 10000]`` — so any engine
 with no interpolation or float round-mode ambiguity.
 
 Scale note: exact quantiles need each key's values co-located, so this
-is a ``groupby(key).map_groups`` stage — the standard keyed-shuffle
+is a ``keyed_fold`` on the key — the standard keyed-shuffle
 assumption (one key's values fit one task, same contract as any
-map_groups). For keys too hot for that, bucket values into a fixed-point
+keyed fold). For keys too hot for that, bucket values into a fixed-point
 histogram inside ``map_batches`` and aggregate histograms instead; the
 exact path here is the oracle-comparable configuration.
 """
@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
-                                             nonempty_blocks)
+                                             key_bucket, keyed_fold)
 
 DEFAULT_QS = (("p50", 5000), ("p90", 9000), ("p99", 9900))
 
@@ -40,16 +40,13 @@ def grouped_quantiles(
     """
     labels = [lb for lb, _ in qs]
     bps = np.array([bp for _, bp in qs], dtype=np.int64)
+    fallback = pa.table({
+        key_col: pa.array([], _arrow_schema(ds).field(key_col).type),
+        "n": pa.array([], pa.int64()),
+        **{lb: pa.array([], pa.float64()) for lb in labels},
+    })
 
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        cols: dict[str, object] = {
-            key_col: pd.Series([], dtype=g[key_col].dtype),
-            "n": pd.Series([], dtype="int64"),
-        }
-        for lb in labels:
-            cols[lb] = pd.Series([], dtype="float64")
-        if not len(g):
-            return pd.DataFrame(cols)
+    def emit(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
         # Nulls are not values (SQL quantile semantics): NaN would sort
         # to the end and both shift the real quantiles and land the top
         # ones on NaN.
@@ -57,15 +54,15 @@ def grouped_quantiles(
         v = np.sort(raw[~np.isnan(raw)])
         n = len(v)
         if not n:  # all-null group: emit nothing for it
-            return pd.DataFrame(cols)
+            return fallback
         idx = (n - 1) * bps // 10_000
         out = {key_col: [g[key_col].iloc[0]], "n": [n]}
         for lb, i in zip(labels, idx):
             out[lb] = [float(v[i])]
         return pd.DataFrame(out)
 
-    out = ds.groupby(key_col).map_groups(emit, batch_format="pandas")
-    return nonempty_blocks(out, tuple([key_col, "n"] + labels))
+    return keyed_fold(ds, key_col, emit, fallback=fallback,
+                      batch_format="pandas")
 
 
 def global_topk(
@@ -295,8 +292,6 @@ def grouped_corr(
     })
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = pc.sum(g["n"]).as_py()
         sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
         sxx, syy = pc.sum(g["sxx"]).as_py(), pc.sum(g["syy"]).as_py()
@@ -317,9 +312,7 @@ def grouped_corr(
             "corr": corr_arr,
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "corr"), fallback=fallback)
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
 
 
 def grouped_covar(
@@ -364,8 +357,6 @@ def grouped_covar(
     })
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = pc.sum(g["n"]).as_py()
         sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
         sxy = pc.sum(g["sxy"]).as_py()
@@ -380,9 +371,7 @@ def grouped_covar(
             "covar": cov,
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "covar"), fallback=fallback)
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
 
 
 def grouped_stddev(
@@ -423,8 +412,6 @@ def grouped_stddev(
     })
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = pc.sum(g["n"]).as_py()
         sx, sxx = pc.sum(g["sx"]).as_py(), pc.sum(g["sxx"]).as_py()
         if n < 2:
@@ -444,9 +431,7 @@ def grouped_stddev(
             "stddev": sd,
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "stddev"), fallback=fallback)
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
 
 
 def grouped_regression(
@@ -493,8 +478,6 @@ def grouped_regression(
     })
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = pc.sum(g["n"]).as_py()
         sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
         sxx, sxy = pc.sum(g["sxx"]).as_py(), pc.sum(g["sxy"]).as_py()
@@ -516,10 +499,7 @@ def grouped_regression(
             "intercept": icept_arr,
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "slope", "intercept"),
-                           fallback=fallback)
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
 
 
 def grouped_percent_rank(
@@ -548,8 +528,7 @@ def grouped_percent_rank(
     every keyed op here); in-bucket it is one lexsort + run-length
     first-occurrence scan — no per-row Python.
     """
-    from konlsearch_ray.functions.temporal import (_key_bucket,
-                                                   _required_rows,
+    from konlsearch_ray.functions.temporal import (_required_rows,
                                                    _segmented_order)
     from konlsearch_ray.functions.blocks import default_nbuckets
 
@@ -568,7 +547,7 @@ def grouped_percent_rank(
             "k": t[key_col],
             "i": t[id_col],
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -579,8 +558,6 @@ def grouped_percent_rank(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         v = g["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["i"].to_numpy(zero_copy_only=False)
@@ -609,10 +586,7 @@ def grouped_percent_rank(
             "pct": pa.array(pct),
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
 
 def grouped_ntile(
     ds: ray.data.Dataset,
@@ -641,8 +615,7 @@ def grouped_ntile(
     bucket; in-bucket one lexsort + integer arithmetic.
     """
     from konlsearch_ray.functions.blocks import default_nbuckets
-    from konlsearch_ray.functions.temporal import (_key_bucket,
-                                                   _required_rows,
+    from konlsearch_ray.functions.temporal import (_required_rows,
                                                    _segmented_order)
 
     if n_tiles < 1:
@@ -662,7 +635,7 @@ def grouped_ntile(
             "k": t[key_col],
             "i": t[id_col],
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -673,8 +646,6 @@ def grouped_ntile(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         v = g["v"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["i"].to_numpy(zero_copy_only=False)
@@ -698,10 +669,7 @@ def grouped_ntile(
             "tile": pa.array(tile.astype(np.int64)),
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
 
 def grouped_minmax_norm(
     ds: ray.data.Dataset,
@@ -736,10 +704,11 @@ def grouped_minmax_norm(
             f"value_col {value_col!r} must be integer-typed "
             f"(got {sch.field(value_col).type}); quantize upstream")
 
+    empty = pa.table({key_col: pa.array([], ktyp),
+                      "mn": pa.array([], pa.int64()),
+                      "mx": pa.array([], pa.int64())})
+
     def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table({key_col: pa.array([], ktyp),
-                          "mn": pa.array([], pa.int64()),
-                          "mx": pa.array([], pa.int64())})
         t = _required_rows(t, (key_col, value_col))
         if not t.num_rows:
             return empty
@@ -755,10 +724,6 @@ def grouped_minmax_norm(
                          "mn": pa.array(mn), "mx": pa.array(mx)})
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return pa.table({key_col: pa.array([], ktyp),
-                             "mn": pa.array([], pa.int64()),
-                             "mx": pa.array([], pa.int64())})
         return pa.table({
             key_col: g[key_col][:1],
             "mn": pa.array([pc.min(g["mn"]).as_py()], pa.int64()),
@@ -767,10 +732,8 @@ def grouped_minmax_norm(
 
     from konlsearch_ray.functions.blocks import nonempty_refs
 
-    bounds_ds = (ds.map_batches(partial, batch_format="pyarrow")
-                   .groupby(key_col).map_groups(merge,
-                                                batch_format="pyarrow"))
-    refs, rows = nonempty_refs(bounds_ds)
+    refs, rows = nonempty_refs(
+        keyed_fold(ds, key_col, merge, partial=partial, fallback=empty))
     if not rows:
         def passthru(t: pa.Table) -> pa.Table:
             t2 = _required_rows(t, (key_col,))
@@ -909,13 +872,12 @@ def grouped_zscore(
                          "saa": pa.array(saa), "sab": pa.array(sab),
                          "sbb": pa.array(sbb)})
 
+    stats_empty = pa.table({key_col: pa.array([], ktyp),
+                            "n": pa.array([], pa.int64()),
+                            "s_d": pa.array([], pa.float64()),
+                            "var_d": pa.array([], pa.float64())})
+
     def merge(g: pa.Table) -> pa.Table:
-        stats_empty = pa.table({key_col: pa.array([], ktyp),
-                                "n": pa.array([], pa.int64()),
-                                "s_d": pa.array([], pa.float64()),
-                                "var_d": pa.array([], pa.float64())})
-        if not g.num_rows:
-            return stats_empty
         n = sum(g["n"].to_pylist())          # exact: Python ints
         s = sum(g["s"].to_pylist())
         ssq = (sum(g["saa"].to_pylist()) * (1 << 32)
@@ -931,10 +893,8 @@ def grouped_zscore(
             "var_d": pa.array([var_d], pa.float64()),
         })
 
-    stats_ds = (ds.map_batches(partial, batch_format="pyarrow")
-                  .groupby(key_col).map_groups(merge,
-                                               batch_format="pyarrow"))
-    refs, rows = nonempty_refs(stats_ds)
+    refs, rows = nonempty_refs(
+        keyed_fold(ds, key_col, merge, partial=partial, fallback=stats_empty))
     out_schema = pa.schema([(key_col, ktyp), (id_col, pa.int64()),
                             ("v", pa.int64()), ("z", pa.float64())])
     if not rows:
@@ -1010,8 +970,6 @@ def _histogram_quantile_op(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         summed = (g.group_by([value_col]).aggregate([("cnt", "sum")])
                   .rename_columns([value_col, "cnt"]))
@@ -1027,10 +985,7 @@ def _histogram_quantile_op(
             row[lb] = pa.array([float(val)], pa.float64())
         return pa.table(row)
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, key_col, emit, partial=partial, fallback=fallback)
 
 
 def grouped_quantiles_int(
@@ -1229,8 +1184,6 @@ def grouped_weighted_mean(
     })
 
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         n = sum(g["n"].to_pylist())          # exact: Python ints
         sw = sum(g["sw"].to_pylist())
         swv = sum(g["hi"].to_pylist()) * (1 << 32) + sum(g["lo"].to_pylist())
@@ -1243,7 +1196,4 @@ def grouped_weighted_mean(
             "wmean": wmean,
         })
 
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "sw", "wmean"),
-                           fallback=fallback)
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)

@@ -2,10 +2,9 @@
 as-of join, band (range) join.
 
 Ray Data has no native window / as-of / range-join operators, so each is
-composed from the house bucketed-groupby pattern (see
-``dedup.bucketed_pairs``): a cheap vectorized hash routes rows into
-``O(cluster CPUs)`` buckets, ``groupby("bucket").map_groups`` brings each
-bucket to one task, and inside the bucket everything is one lexsort /
+composed on ``blocks.keyed_fold``: ``blocks.key_bucket`` routes rows into
+``O(cluster CPUs)`` buckets, the fold on ``"bucket"`` brings each bucket
+to one task, and inside the bucket everything is one lexsort /
 searchsorted pass — the partitioning key (the join/session key) fully
 determines the bucket, so in-bucket results are globally exact.
 
@@ -38,8 +37,8 @@ from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
                                              cents_np,
                                              default_nbuckets as
                                              _default_nbuckets,
+                                             key_bucket, keyed_fold,
                                              nonempty_blocks)
-from konlsearch_ray.functions.dedup import _string_bucket_hash
 
 US = 1_000_000  # microseconds per second
 
@@ -76,21 +75,6 @@ def _ts_us(col: pa.ChunkedArray | pa.Array,
     # checked multiply: an epoch-ns column mislabeled 's' would wrap
     # int64 — fail loudly, never wrap.
     return out if mul == 1 else pc.multiply_checked(out, mul)
-
-
-def _key_bucket(col, nbuckets: int) -> np.ndarray:
-    """Vectorized bucket id for an int or string key column. Routing
-    only — in-bucket grouping compares exact values. Null keys route
-    deterministically (as 0 / empty string)."""
-    if pa.types.is_integer(col.type):
-        hv = (pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
-              .astype(np.int64).view(np.uint64))
-        hv = hv * np.uint64(0xFF51AFD7ED558CCD)
-        hv ^= hv >> np.uint64(33)
-    else:
-        hv = _string_bucket_hash(
-            col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
-    return (hv % np.uint64(nbuckets)).astype(np.int64)
 
 
 def _required_rows(t: pa.Table, cols: tuple[str, ...]) -> pa.Table:
@@ -312,19 +296,10 @@ def sessionize(
         return pa.table({
             "k": t[key_col],
             "t": _ts_us(t[ts_col], int_unit),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     def emit(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            key_col: pd.Series([], dtype=g["k"].dtype if len(g) else "int64"),
-            "session_seq": pd.Series([], dtype="int64"),
-            "session_start_us": pd.Series([], dtype="int64"),
-            "session_end_us": pd.Series([], dtype="int64"),
-            "n_events": pd.Series([], dtype="int64"),
-        })
-        if not len(g):
-            return empty
         codes = pd.factorize(g["k"], sort=False)[0].astype(np.int64)
         t = g["t"].to_numpy().astype(np.int64)
         order = np.lexsort((t, codes))
@@ -352,8 +327,6 @@ def sessionize(
             "n_events": s_sizes.astype(np.int64),
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pandas"))
     ktyp = _arrow_schema(ds).field(key_col).type
     fallback = pa.table({
         key_col: pa.array([], ktyp),
@@ -362,8 +335,8 @@ def sessionize(
         "session_end_us": pa.array([], pa.int64()),
         "n_events": pa.array([], pa.int64()),
     })
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds.map_batches(prep, batch_format="pyarrow"), "bucket",
+                      emit, fallback=fallback, batch_format="pandas")
 
 
 # --------------------------------------------------------------------------
@@ -434,7 +407,7 @@ def _union_sides(
                 "__k": t[key_col],
                 "__t": _ts_us(t[ts_name], int_unit),
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
-                "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+                "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
             }
             for out_name, typ in all_types.items():
                 if out_name in own:
@@ -505,9 +478,6 @@ def asof_join(
         left_cols, right_cols, right_prefix, nbuckets,
         keep_null_left=how == "left", int_unit=int_unit)
     tol_us = None if tolerance_s is None else int(tolerance_s * US)
-    out_names = ([key_col, "ts_us"] + list(left_cols)
-                 + [right_prefix + "ts_us"]
-                 + [right_prefix + c for c in right_cols])
     out_fallback = pa.table({
         key_col: pa.array([], ktyp),
         "ts_us": pa.array([], pa.int64()),
@@ -518,27 +488,13 @@ def asof_join(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        def empty() -> pa.Table:
-            cols: dict[str, pa.Array] = {}
-            ktyp = g["__k"].type if g.num_rows >= 0 else pa.int64()
-            cols[key_col] = pa.array([], ktyp)
-            cols["ts_us"] = pa.array([], pa.int64())
-            for c in left_cols:
-                cols[c] = pa.array([], ptypes[c])
-            cols[right_prefix + "ts_us"] = pa.array([], pa.int64())
-            for c in right_cols:
-                cols[right_prefix + c] = pa.array([], ptypes[right_prefix + c])
-            return pa.table(cols)
-
-        if not g.num_rows:
-            return empty()
         g = g.combine_chunks()
         codes = pd.factorize(g["__k"].to_pandas(), sort=False)[0].astype(np.int64)
         t = g["__t"].to_numpy(zero_copy_only=False).astype(np.int64)
         side = g["__side"].to_numpy(zero_copy_only=False)
         is_l, is_r = side == 1, side == 0
         if not is_l.any():
-            return empty()
+            return out_fallback
         t0 = int(t.min())
         span = int(t.max()) - t0 + 2
         t_rel = t - t0
@@ -575,7 +531,7 @@ def asof_join(
             li, match = li[valid], match[valid]
             valid = np.ones(len(li), dtype=bool)
         if not len(li):
-            return empty()
+            return out_fallback
         vmask = pa.array(valid)
         m_safe = np.where(valid, match, 0)
         cols = {key_col: g["__k"].take(pa.array(li)),
@@ -592,8 +548,7 @@ def asof_join(
                                     pa.nulls(len(li), vals.type))
         return pa.table(cols)
 
-    out = unioned.groupby("bucket").map_groups(emit, batch_format="pyarrow")
-    return nonempty_blocks(out, tuple(out_names), fallback=out_fallback)
+    return keyed_fold(unioned, "bucket", emit, fallback=out_fallback)
 
 
 def band_join(
@@ -649,7 +604,6 @@ def band_join(
         keep_null_left=mode == "count", int_unit=int_unit)
     lo_us, hi_us = int(round(lo_s * US)), int(round(hi_s * US))
     if mode == "count":
-        out_names = [key_col, "ts_us"] + list(left_cols) + ["n_matches"]
         out_fallback = pa.table({
             key_col: pa.array([], ktyp),
             "ts_us": pa.array([], pa.int64()),
@@ -657,9 +611,6 @@ def band_join(
             "n_matches": pa.array([], pa.int64()),
         })
     else:
-        out_names = ([key_col, "ts_us"] + list(left_cols)
-                     + [right_prefix + "ts_us"]
-                     + [right_prefix + c for c in right_cols])
         out_fallback = pa.table({
             key_col: pa.array([], ktyp),
             "ts_us": pa.array([], pa.int64()),
@@ -670,23 +621,6 @@ def band_join(
         })
 
     def emit(g: pa.Table) -> pa.Table:
-        def empty() -> pa.Table:
-            ktyp = g["__k"].type
-            cols: dict[str, pa.Array] = {key_col: pa.array([], ktyp),
-                                         "ts_us": pa.array([], pa.int64())}
-            for c in left_cols:
-                cols[c] = pa.array([], ptypes[c])
-            if mode == "count":
-                cols["n_matches"] = pa.array([], pa.int64())
-            else:
-                cols[right_prefix + "ts_us"] = pa.array([], pa.int64())
-                for c in right_cols:
-                    cols[right_prefix + c] = pa.array(
-                        [], ptypes[right_prefix + c])
-            return pa.table(cols)
-
-        if not g.num_rows:
-            return empty()
         g = g.combine_chunks()
         codes = pd.factorize(g["__k"].to_pandas(), sort=False)[0].astype(np.int64)
         t = g["__t"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -694,7 +628,7 @@ def band_join(
         li = np.flatnonzero(side == 1)
         ri = np.flatnonzero(side == 0)
         if not len(li):
-            return empty()
+            return out_fallback
         t0 = int(t.min()) + (lo_us if lo_us < 0 else 0)
         span = int(t.max()) + (hi_us if hi_us > 0 else 0) - t0 + 2
         t_rel = t - t0
@@ -731,7 +665,7 @@ def band_join(
             return pa.table(cols)
         total = int(counts.sum())
         if not total:
-            return empty()
+            return out_fallback
         rep = np.repeat(np.arange(len(li)), counts)
         starts = np.cumsum(counts) - counts
         within = np.arange(total) - np.repeat(starts, counts)
@@ -746,8 +680,7 @@ def band_join(
             cols[right_prefix + c] = g[right_prefix + c].take(pa.array(rpos))
         return pa.table(cols)
 
-    out = unioned.groupby("bucket").map_groups(emit, batch_format="pyarrow")
-    return nonempty_blocks(out, tuple(out_names), fallback=out_fallback)
+    return keyed_fold(unioned, "bucket", emit, fallback=out_fallback)
 
 
 def key_lag_deltas(
@@ -783,7 +716,7 @@ def key_lag_deltas(
             "k": t[key_col],
             "i": t[id_col],
             "t": _ts_us(t[ts_col], int_unit),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -794,8 +727,6 @@ def key_lag_deltas(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         t = g["t"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["i"].to_numpy(zero_copy_only=False)
@@ -814,10 +745,7 @@ def key_lag_deltas(
             "delta_us": dcol,
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
 
 def rolling_agg(
     ds: ray.data.Dataset,
@@ -873,7 +801,7 @@ def rolling_agg(
             "i": t[id_col],
             "t": _ts_us(t[ts_col], int_unit),
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -885,8 +813,6 @@ def rolling_agg(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         t = g["t"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["i"].to_numpy(zero_copy_only=False)
@@ -918,10 +844,7 @@ def rolling_agg(
             "roll_sum": scol,
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
 
 def grouped_sequence(
     ds: ray.data.Dataset,
@@ -950,8 +873,7 @@ def grouped_sequence(
     One hash exchange on the key bucket; in-bucket one lexsort + one
     ``binary_join`` over a run-length-built ListArray — no per-row
     Python. The whole-key sequence lands in one output row, so per-key
-    volume follows the same co-location contract as any keyed
-    map_groups.
+    volume follows the same co-location contract as any keyed fold.
     """
     nbuckets = nbuckets or _default_nbuckets()
     ktyp = _arrow_schema(ds).field(key_col).type
@@ -966,7 +888,7 @@ def grouped_sequence(
             # pass 2 GiB at scale — 32-bit offsets would overflow in
             # take/filter below.
             "v": pc.cast(t[value_col], pa.large_string()),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -976,8 +898,6 @@ def grouped_sequence(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         t = g["t"].to_numpy(zero_copy_only=False).astype(np.int64)
         ids = g["i"].to_numpy(zero_copy_only=False)
@@ -1008,10 +928,7 @@ def grouped_sequence(
             "seq": seq,
         })
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
 
 def funnel_counts(
     ds: ray.data.Dataset,
@@ -1059,12 +976,13 @@ def funnel_counts(
                   tolerance_s=within_s, nbuckets=nbuckets,
                   int_unit=int_unit)
 
+    fallback = pa.table({key_col: pa.array([], ktyp),
+                         "n_then": pa.array([], pa.int64()),
+                         "n_converted": pa.array([], pa.int64())})
+
     def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table({key_col: pa.array([], ktyp),
-                          "n_then": pa.array([], pa.int64()),
-                          "n_converted": pa.array([], pa.int64())})
         if not t.num_rows:
-            return empty
+            return fallback
         t = t.combine_chunks()
         codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
         conv = (pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
@@ -1078,13 +996,7 @@ def funnel_counts(
                          "n_then": pa.array(n),
                          "n_converted": pa.array(c)})
 
-    fallback = pa.table({key_col: pa.array([], ktyp),
-                         "n_then": pa.array([], pa.int64()),
-                         "n_converted": pa.array([], pa.int64())})
-
     def merge(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         return pa.table({
             key_col: g[key_col][:1],
             "n_then": pa.array([pc.sum(g["n_then"]).as_py()], pa.int64()),
@@ -1092,10 +1004,7 @@ def funnel_counts(
                                     pa.int64()),
         })
 
-    out = (j.map_batches(partial, batch_format="pyarrow")
-            .groupby(key_col).map_groups(merge, batch_format="pyarrow"))
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_fold(j, key_col, merge, partial=partial, fallback=fallback)
 
 
 # --------------------------------------------------------------------------
@@ -1145,13 +1054,8 @@ def latest_by_key(
         last[:-1] = ks[1:] != ks[:-1]
         return t.take(pa.array(order[last], pa.int64()))
 
-    sch = _arrow_schema(ds)
-    out = (ds.map_batches(best, batch_format="pyarrow")
-             .groupby(key_col).map_groups(best, batch_format="pyarrow"))
-    # an all-dropped input must keep the input schema (schema-less
-    # 0-row Datasets break downstream unions and the oracle gate).
-    fb = pa.table({n: pa.array([], t) for n, t in zip(sch.names, sch.types)})
-    return nonempty_blocks(out, tuple(sch.names), fallback=fb)
+    return keyed_fold(ds, key_col, best, partial=best,
+                      fallback=_arrow_schema(ds).empty_table())
 
 
 # --------------------------------------------------------------------------
@@ -1204,7 +1108,7 @@ def time_weighted_mean(
             "i": pc.cast(t[id_col], pa.int64()),
             "t": _ts_us(t[ts_col], int_unit),
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(_key_bucket(t[key_col], nbuckets)),
+            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -1215,8 +1119,6 @@ def time_weighted_mean(
     })
 
     def emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return fallback
         g = g.combine_chunks()
         kvals = g["k"]
         codes, uniq_idx = pd.factorize(kvals.to_pandas(), sort=False)
@@ -1265,7 +1167,4 @@ def time_weighted_mean(
         # TWAP at all — SQL's WHERE w IS NOT NULL drops it pre-group
         return out.filter(pc.greater(out["n"], 0))
 
-    out = (ds.map_batches(prep, batch_format="pyarrow")
-             .groupby("bucket").map_groups(emit, batch_format="pyarrow"))
-    return nonempty_blocks(out, (key_col, "n", "sw", "twap"),
-                           fallback=fallback)
+    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)

@@ -400,7 +400,7 @@ def tfidf_keywords(
     them to lower the idf scale.
     """
     from konlsearch_ray.functions.aggregates import grouped_topk
-    from konlsearch_ray.functions.blocks import nonempty_blocks, pinned_nonempty
+    from konlsearch_ray.functions.blocks import keyed_fold, pinned_nonempty
 
     n_docs = ds.count()
 
@@ -495,19 +495,13 @@ def tfidf_keywords(
     # one vocab-sized groupby, hash-join df back onto the tf rows, then
     # the grouped_topk partial+final kernel.
     def df_emit(g: pa.Table) -> pa.Table:
-        if not g.num_rows:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
         tot = pc.sum(g["pdf"]).as_py()
         return pa.table({"term": g["term"][:1],
                          "df": pa.array([tot], pa.int64())})
 
-    df_ds = nonempty_blocks(
-        ray.data.from_arrow_refs(refs)
-        .groupby("term").map_groups(df_emit, batch_format="pyarrow"),
-        ("term", "df"),
-        fallback=pa.table({"term": pa.array([], pa.string()),
-                           "df": pa.array([], pa.int64())}))
+    df_ds = keyed_fold(ray.data.from_arrow_refs(refs), "term", df_emit,
+                       fallback=pa.table({"term": pa.array([], pa.string()),
+                                          "df": pa.array([], pa.int64())}))
 
     j = tf_ds.join(df_ds, "inner", num_partitions=num_partitions,
                    on=("term",))

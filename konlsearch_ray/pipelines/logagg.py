@@ -289,9 +289,12 @@ def assign_seq_ids(
         g["seq"] = np.arange(len(g), dtype=np.int64)
         return g[[id_col, "sec", "seq"]]
 
-    with_sec = events.map_batches(add_sec, batch_format="pyarrow")
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
 
-    out = with_sec.groupby("sec").map_groups(per_second, batch_format="pandas")
-    # Bypassed empty group partitions carry the seq-less upstream schema.
-    return nonempty_blocks(out, (id_col, "sec", "seq"))
+    fallback = pa.table({
+        id_col: pa.array([], arrow_schema(events).field(id_col).type),
+        "sec": pa.array([], pa.int64()),
+        "seq": pa.array([], pa.int64())})
+    return keyed_fold(events.map_batches(add_sec, batch_format="pyarrow"),
+                      "sec", per_second, fallback=fallback,
+                      batch_format="pandas")

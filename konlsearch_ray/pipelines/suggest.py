@@ -256,12 +256,13 @@ def topk_per_jamo_prefix(
         return g.append_column(
             "rk", pa.array(np.arange(1, g.num_rows + 1), pa.int64()))
 
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import keyed_fold
 
-    out = (frequency.map_batches(explode, batch_format="pyarrow")
-           .groupby("prefix").map_groups(topk, batch_format="pyarrow"))
-    # Bypassed empty group partitions carry the rk-less upstream schema.
-    return nonempty_blocks(out, ("prefix", "term", "hits", "rk"))
+    return keyed_fold(frequency, "prefix", topk, partial=explode,
+                      fallback=pa.table({"prefix": pa.array([], pa.string()),
+                                         "term": pa.array([], pa.string()),
+                                         "hits": pa.array([], pa.int64()),
+                                         "rk": pa.array([], pa.int64())}))
 
 
 def topk_per_prefix(
@@ -281,11 +282,13 @@ def topk_per_prefix(
         return g.append_column(
             "rk", pa.array(np.arange(1, g.num_rows + 1), pa.int64()))
 
-    from konlsearch_ray.functions.blocks import nonempty_blocks
+    from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
 
-    out = (
-        dictionary.map_batches(add_prefix, batch_format="pyarrow")
-        .groupby("prefix")
-        .map_groups(topk, batch_format="pyarrow")
-    )
-    return nonempty_blocks(out, ("prefix", "term", count_col, "rk"))
+    sch = arrow_schema(dictionary)
+    ttyp = sch.field("term").type
+    fallback = pa.table({"prefix": pa.array([], ttyp),
+                         "term": pa.array([], ttyp),
+                         count_col: pa.array([], sch.field(count_col).type),
+                         "rk": pa.array([], pa.int64())})
+    return keyed_fold(dictionary, "prefix", topk, partial=add_prefix,
+                      fallback=fallback)

@@ -1213,9 +1213,9 @@ class IndexReader:
         ``FACET_SCAN_MIN_HITS`` the sorted hit ids are broadcast ONCE
         (``ray.put``) and the docstore streams as a Dataset whose
         per-block partial is a searchsorted membership test +
-        ``count_all`` group — the only rows that ever reach the driver
-        are ``(facet, partial_count)`` pairs, bounded by facet
-        cardinality × blocks, never the hit set itself.
+        ``count_all`` group; a ``keyed_fold`` routed by the facet's
+        ``key_bucket`` sums the partials inside the Dataset, so only
+        the folded rows — one per distinct facet — reach the driver.
         """
         ids = self.search(tokens, mode)
         store = getattr(self, "_docstore", None)
@@ -1231,10 +1231,15 @@ class IndexReader:
         else:
             import ray
 
+            from konlsearch_ray.functions.blocks import (default_nbuckets,
+                                                         key_bucket,
+                                                         keyed_fold)
+
             # The stored column's own type — the fold must return it
             # whatever the hit-set size (footer-only read).
             ftype = store.schema().field(facet_col).type
             ids_ref = ray.put(np.asarray(ids, dtype=np.int64))
+            nbuckets = default_nbuckets()
 
             def _facet_partial(t: pa.Table) -> pa.Table:
                 hit_ids = ray.get(ids_ref)  # zero-copy shared-memory read
@@ -1242,17 +1247,19 @@ class IndexReader:
                 pos = np.searchsorted(hit_ids, col)
                 pos[pos >= len(hit_ids)] = 0
                 mask = hit_ids[pos] == col
-                return _fold_facet_counts(t[facet_col].filter(pa.array(mask)))
+                f = _fold_facet_counts(t[facet_col].filter(pa.array(mask)))
+                return f.append_column(
+                    "bucket", pa.array(key_bucket(f["facet"], nbuckets)))
 
-            parts = store.scan(columns=[facet_col]).map_batches(
-                _facet_partial, batch_format="pyarrow").take_all()
-            if not parts:
-                return _empty_facets(ftype)
-            out = _named_facet_n(
-                pa.Table.from_pylist(
-                    parts, schema=pa.schema([("facet", ftype),
-                                             ("n", pa.int64())]))
-                .group_by("facet").aggregate([("n", "sum")]))
+            def _facet_merge(g: pa.Table) -> pa.Table:
+                return _named_facet_n(g.select(["facet", "n"])
+                                      .group_by("facet")
+                                      .aggregate([("n", "sum")]))
+
+            folded = keyed_fold(store.scan(columns=[facet_col]), "bucket",
+                                _facet_merge, partial=_facet_partial,
+                                fallback=_empty_facets(ftype))
+            out = pa.concat_tables(ray.get(folded.to_arrow_refs()))
         return _sort_facets(out, k)
 
 

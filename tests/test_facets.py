@@ -135,3 +135,56 @@ def test_facets_null_group_counted(facet_built):
     assert None in facets  # the null group survives
     want = _brute(reader, store, ["class", "def", "import"], "OR")
     assert list(zip(facets, got["n"].to_pylist())) == want
+
+
+@pytest.fixture(scope="module")
+def wide_facets(ray_session, tmp_path_factory):
+    """An index whose facet columns have thousands of distinct values
+    plus nulls, in a string, an int64 and a float64 column."""
+    import pyarrow.parquet as pq
+
+    from konlsearch_ray.corpus import generate_corpus
+
+    root = tmp_path_factory.mktemp("konl_wide_facets")
+    table = generate_corpus(3000, seed=29)
+    n = table.num_rows
+    table = table.append_column("tag", pa.array(
+        [None if i % 13 == 0 else f"t{i % 2500:04d}" for i in range(n)]))
+    table = table.append_column("num", pa.array(
+        [None if i % 11 == 0 else (i * 7) % 2200 for i in range(n)],
+        pa.int64()))
+    table = table.append_column("score", pa.array(
+        [None if i % 7 == 0 else (i % 1500) / 4 for i in range(n)],
+        pa.float64()))
+    src = str(root / "corpus.parquet")
+    pq.write_table(table, src)
+    index_dir = str(root / "index")
+    build_index(src, index_dir,
+                IndexConfig(shard_size=512,
+                            store_cols=["tag", "num", "score"], dedup=False))
+    return IndexReader(index_dir), DocStore(index_dir)
+
+
+@pytest.mark.parametrize("col,ftype", [("tag", pa.string()),
+                                       ("num", pa.int64()),
+                                       ("score", pa.float64())])
+def test_facets_scan_fold_high_cardinality(wide_facets, monkeypatch,
+                                           col, ftype):
+    # The scan path folds (facet, n) partials inside the Dataset,
+    # routed by the facet's key bucket; it must equal the id-pushdown
+    # path and brute force, null group included, on thousands of facets.
+    reader, store = wide_facets
+    tokens = ["class", "def", "import"]
+    ids = reader.search(tokens, "OR")
+    meta = store.get_multi(ids, columns=["doc_id", col])
+    cnt = Counter(meta[col].to_pylist())
+    assert len(cnt) >= 1000 and None in cnt
+    want = sorted(cnt.items(),
+                  key=lambda kv: (-kv[1], kv[0] is None,
+                                  kv[0] if kv[0] is not None else 0))
+    small = reader.facet_counts(tokens, col, mode="OR")
+    monkeypatch.setattr(qmod, "FACET_SCAN_MIN_HITS", 0)
+    big = reader.facet_counts(tokens, col, mode="OR")
+    assert big.schema.field("facet").type == ftype
+    assert big.to_pylist() == small.to_pylist()
+    assert list(zip(big["facet"].to_pylist(), big["n"].to_pylist())) == want
