@@ -26,6 +26,14 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 
+def _unique_ids(doc_ids) -> np.ndarray:
+    """Any iterable of doc ids (list, array, set, ...) → its distinct ids
+    as an ascending int64 array."""
+    if not isinstance(doc_ids, np.ndarray):
+        doc_ids = np.fromiter(doc_ids, dtype=np.int64)
+    return np.unique(doc_ids.astype(np.int64, copy=False))
+
+
 class DocStore:
     def __init__(self, index_dir: str, *, _meta: dict | None = None,
                  _dead: np.ndarray | None = None):
@@ -73,15 +81,15 @@ class DocStore:
             t = t.filter(pa.array(keep))
         return t.sort_by("doc_id")
 
-    def _shard_of(self, doc_id: int) -> int:
-        """Shard of one id, with TRUNCATING (toward-zero) division —
-        the id_col build path partitions with Arrow ``pc.divide``
-        (build.py add_shard), which truncates, so doc_id 0 lives in
-        ``shard=0``; Python floor division would look in shard -1 and
-        silently miss a live document."""
-        n = int(doc_id) - 1
-        q = abs(n) // self.shard_size
-        return q if n >= 0 else -q
+    def _shard_of(self, doc_id):
+        """Shard of one id (an int) or of each id of an int64 array (an
+        array), with TRUNCATING (toward-zero) division — the id_col build
+        path partitions with Arrow ``pc.divide`` (build.py add_shard),
+        which truncates, so doc_id 0 lives in ``shard=0``; floor division
+        would look in shard -1 and silently miss a live document."""
+        n = np.asarray(doc_id, dtype=np.int64) - 1
+        q = np.sign(n) * (np.abs(n) // self.shard_size)
+        return q if q.ndim else int(q)
 
     def get(self, doc_id: int) -> dict | None:
         """Point lookup; None when absent or deleted (reference raises
@@ -125,11 +133,11 @@ class DocStore:
         exist, ascending doc_id. ``columns`` projects the read — only
         the named columns leave storage (the proximity recheck fetches
         just (doc_id, content))."""
-        ids = sorted(set(int(x) for x in doc_ids))
-        if not ids:
+        ids = _unique_ids(doc_ids)
+        if not len(ids):
             return pa.table({})
-        shards = {self._shard_of(i) for i in ids}
-        return self._read(shards, pads.field("doc_id").isin(ids),
+        shards = set(np.unique(self._shard_of(ids)).tolist())
+        return self._read(shards, pads.field("doc_id").isin(pa.array(ids)),
                           columns=columns)
 
     def get_multi_status(self, doc_ids: list[int]) -> pa.Table:
@@ -138,19 +146,15 @@ class DocStore:
         ``doc_id, status`` where status ∈ {FOUND, NOT_FOUND} — so callers
         can tell a miss from a deleted/never-ingested id instead of
         silently losing it. Pair with ``get_multi`` for the payloads."""
-        ids = sorted(set(int(x) for x in doc_ids))
-        if not ids:
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "status": pa.array([], pa.string())})
+        ids = _unique_ids(doc_ids)
         found_t = self.get_multi(ids, columns=["doc_id"])  # ids only —
         # statuses never need the payload columns decompressed
-        found = (set(found_t["doc_id"].to_pylist())
-                 if found_t.num_rows else set())
+        found = (np.isin(ids, found_t["doc_id"].to_numpy())
+                 if found_t.num_rows else np.zeros(len(ids), dtype=bool))
         return pa.table({
             "doc_id": pa.array(ids, pa.int64()),
-            "status": pa.array(
-                ["FOUND" if i in found else "NOT_FOUND" for i in ids],
-                pa.string()),
+            "status": pa.array(np.where(found, "FOUND", "NOT_FOUND"),
+                               pa.string()),
         })
 
     def get_range(self, start: int, end: int) -> pa.Table:

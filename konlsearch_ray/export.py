@@ -192,7 +192,7 @@ class _SnippetStage:
             return _SNIPPET_SCHEMA.empty_table()
         req_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         req_fp = batch["first_pos"].to_numpy(zero_copy_only=False)
-        rows = self.store.get_multi(req_ids.tolist(),
+        rows = self.store.get_multi(req_ids,
                                     columns=["doc_id", self.content_col])
         if not rows.num_rows:
             return _SNIPPET_SCHEMA.empty_table()

@@ -4,10 +4,11 @@ Read-only engine over the segment layout written by build.py — the
 Ray-native replacement for the reference's query path (reference
 inverted_index.py:98-116, index.py:413-444 — SURVEY.md §3.2):
 
-- ``search(tokens, AND|OR)`` — union / seed-then-intersect over decoded
+- ``search(tokens, AND|OR)`` — union / intersection over decoded
   posting lists, ascending doc-ID result (reference semantics, including
   "empty first posting ⇒ empty AND result", which plain intersection
-  reproduces).
+  reproduces). AND probes the shorter sorted list into the longer with
+  ``searchsorted``; nothing is re-sorted.
 - ``search(tokens, PHRASE)`` — AND result filtered by the reference's
   first-occurrence monotonicity quirk (reference index.py:443-444,
   utility.py:25-26 — SURVEY.md Q5) using the stored first-occurrence
@@ -26,7 +27,12 @@ the globally sorted posting list — the distributed layout costs no merge
 logic. On a real cluster each actor would own a subset of shards and a
 scatter-gather layer would merge per-shard top-k; in this single-node
 build an actor loads all (test-scale) segments once in ``__init__`` and
-serves batches of queries via ``map_batches`` (SURVEY.md ST5).
+serves batches of queries via ``map_batches`` (SURVEY.md ST5). Hit ids
+stay sorted unique int64 arrays inside the reader — each id-returning
+public method is one ``.tolist()`` over a private array method
+(``_search_ids``, ``_eval``, ``_min_should_ids``, ``_near_ids``) — and
+the scatter-gather actors serve those array methods, so ids become
+Python ints only at the public edge.
 """
 
 from __future__ import annotations
@@ -109,6 +115,29 @@ def _prefix_upper(pb: bytes) -> bytes | None:
     return None
 
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``a`` present in the sorted array ``b``: one
+    binary-search probe per entry of ``a``. Probing ``b[:-1]`` lands
+    past-the-end probes on b's last entry, so the position needs no
+    clamp."""
+    if not len(b):
+        return np.zeros(len(a), dtype=bool)
+    return b[b[:-1].searchsorted(a)] == a
+
+
+def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection of two sorted unique id arrays, sorted: the shorter
+    probes the longer, so the cost is short·log(long) with no sort
+    (``np.intersect1d`` sorts the concatenation of both)."""
+    if len(a) > len(b):
+        a, b = b, a
+    return a[_in_sorted(a, b)]
+
+
 # Fan the NEAR positional recheck out as Ray tasks once the AND
 # candidate set is this large; below it, driver-inline numpy wins on
 # task round-trips. Chunks adapt between a floor (don't slice a small
@@ -164,7 +193,7 @@ def _sort_facets(t: pa.Table, k: int) -> pa.Table:
 
 def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
                   tset: list[str], slop: int, ordered: bool,
-                  analyzer) -> list[int]:
+                  analyzer) -> np.ndarray:
     """Positional recheck over a batch of candidate docs: re-tokenize
     ``contents`` (tokenization is a pure function of content, so the
     streams equal what was indexed) and keep the docs where some window
@@ -172,7 +201,7 @@ def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
     ``ordered``, where ``seq`` appears in order within span ≤ slop).
     Pure function of its arguments — each candidate chunk rechecks
     independently, which is what lets search_near fan out. Ascending
-    doc ids (input doc_ids are ascending and only filtered here)."""
+    int64 doc ids (input doc_ids are ascending and only filtered here)."""
     # Occurrences come back INTEGER-CODED (Arrow dictionary_encode in
     # C) and filter by an int isin against the few query-term codes —
     # the object-dtype term filtering this replaces dominated NEAR
@@ -190,11 +219,11 @@ def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
                             value_set=dictionary)
     qcodes = {t: c for t, c in zip(tset, qcode_arr.to_pylist())}
     if any(c is None for c in qcodes.values()):
-        return []  # some query term has no occurrence in candidates
+        return doc_ids[:0]  # some query term has no occurrence in candidates
     keep = np.isin(codes, np.fromiter(qcodes.values(), dtype=np.int64))
     doc_idx, codes, pos = doc_idx[keep], codes[keep], pos[keep]
     if not len(doc_idx):
-        return []
+        return doc_ids[:0]
     # Doc-scoped positions → one global coordinate so the whole
     # candidate set checks in k·O(n log n) flat-array passes; the
     # stride keeps windows from crossing doc boundaries.
@@ -216,22 +245,20 @@ def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
             nxt = np.append(pos_t, sentinel)
             cur = nxt[np.minimum(idx, len(pos_t))]
         ok = (cur - anchors) <= slop
-        hit_idx = np.unique(anchor_docs[ok])
-        return [int(x) for x in doc_ids[hit_idx]]
+        return doc_ids[np.unique(anchor_docs[ok])]
     ok = np.ones(len(g), dtype=bool)
     for t in tset:
         pos_t = g[codes == qcodes[t]]  # sorted (slice of a sorted array)
         lo = np.searchsorted(pos_t, g, side="left")
         hi = np.searchsorted(pos_t, g + slop, side="right")
         ok &= lo < hi
-    hit_idx = np.unique(doc_idx[ok])
-    return [int(x) for x in doc_ids[hit_idx]]
+    return doc_ids[np.unique(doc_idx[ok])]
 
 
-def _near_recheck_chunk(index_dir: str, cand: list[int], seq: list[str],
+def _near_recheck_chunk(index_dir: str, cand: np.ndarray, seq: list[str],
                         tset: list[str], slop: int, ordered: bool,
                         analyzer, store=None, meta=None,
-                        dead=None) -> list[int]:
+                        dead=None) -> np.ndarray:
     """One fan-out unit of the NEAR recheck: shard-pruned column-pruned
     multi-get of this chunk's candidates, then the pure recheck. The
     inline path calls it too (with its cached ``store``) so the fetch
@@ -593,30 +620,42 @@ class IndexReader:
         return self._dl_vals[pos]
 
     # --- Boolean search -------------------------------------------------
+    # Every id-returning method is a ``.tolist()`` over a private method
+    # that returns a sorted unique int64 array; internal callers and the
+    # scatter-gather actors use the array methods directly.
     def search(self, tokens: list[str], mode: SearchMode | str = SearchMode.AND) -> list[int]:
+        return self._search_ids(tokens, mode).tolist()
+
+    def _search_ids(self, tokens: list[str],
+                    mode: SearchMode | str = SearchMode.AND) -> np.ndarray:
+        """Boolean/PHRASE hits as a sorted int64 array (may be a cached
+        posting array: read-only by contract)."""
         mode = SearchMode(mode)
         toks = normalize_query_tokens(tokens)
         if mode is SearchMode.PHRASE:
             return self._phrase(toks)
-        result: np.ndarray | None = None
+        parts = []
         for t in toks:
             ids = self.postings_scores(t)[0]
             if self.search_log is not None and len(ids):
                 self.search_log.log(t, len(ids))
-            if result is None:
-                result = ids
-            elif mode is SearchMode.OR:
-                result = np.union1d(result, ids)
-            else:
-                result = np.intersect1d(result, ids, assume_unique=True)
-        if result is None:
-            return []
-        return [int(x) for x in np.sort(result)]
+            parts.append(ids)
+        if not parts:
+            return _NO_IDS
+        if mode is SearchMode.OR and len(parts) > 1:
+            return np.unique(np.concatenate(parts))
+        # AND: intersect from the shortest list up, so every probe set
+        # is at most the running result.
+        parts.sort(key=len)
+        result = parts[0]
+        for ids in parts[1:]:
+            result = _intersect(result, ids)
+        return result
 
-    def _phrase(self, toks: list[str]) -> list[int]:
-        cand = np.asarray(self.search(toks, SearchMode.AND), dtype=np.int64)
+    def _phrase(self, toks: list[str]) -> np.ndarray:
+        cand = self._search_ids(toks, SearchMode.AND)
         if len(cand) == 0 or not toks:
-            return [int(x) for x in cand]
+            return cand
         # Gather each term's first-occurrence position for the candidates
         # and keep docs where positions are non-decreasing in query order.
         ok = np.ones(len(cand), dtype=bool)
@@ -627,7 +666,7 @@ class IndexReader:
             if prev is not None:
                 ok &= prev <= cur
             prev = cur
-        return [int(x) for x in cand[ok]]
+        return cand[ok]
 
     def search_min_should(self, tokens: list[str], m: int) -> list[int]:
         """Docs matching at least ``m`` DISTINCT query terms (Lucene
@@ -640,22 +679,23 @@ class IndexReader:
         match count per doc is one ``np.unique(return_counts=True)``
         over the concatenated postings — no per-doc Python.
         """
+        return self._min_should_ids(tokens, m).tolist()
+
+    def _min_should_ids(self, tokens: list[str], m: int) -> np.ndarray:
+        """Array form of :meth:`search_min_should`."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         toks = sorted(set(normalize_query_tokens(tokens)))
         if not toks or m > len(toks):
-            return []
+            return _NO_IDS
         parts = []
         for t in toks:
             ids = self.postings_scores(t)[0]
             if self.search_log is not None and len(ids):
                 self.search_log.log(t, len(ids))
             parts.append(ids)
-        allids = np.concatenate(parts)
-        if not len(allids):
-            return []
-        vals, counts = np.unique(allids, return_counts=True)
-        return [int(x) for x in vals[counts >= m]]
+        vals, counts = np.unique(np.concatenate(parts), return_counts=True)
+        return vals[counts >= m]
 
     def expand_prefix(self, prefix: str, limit: int = 64) -> list[str]:
         """Distinct stored terms starting with ``prefix``, bytewise
@@ -694,10 +734,8 @@ class IndexReader:
         """Docs containing ANY term that starts with ``prefix`` —
         wildcard search as expansion + OR over the expanded terms.
         Ascending doc ids, same contract as :meth:`search`."""
-        terms = self.expand_prefix(prefix, limit=limit)
-        if not terms:
-            return []
-        return self.search(terms, SearchMode.OR)
+        return self._search_ids(self.expand_prefix(prefix, limit=limit),
+                                SearchMode.OR).tolist()
 
     def expand_match(self, pattern: str, *, regex: bool = False,
                      limit: int = 64) -> list[str]:
@@ -743,19 +781,17 @@ class IndexReader:
     def search_contains(self, substring: str, limit: int = 64) -> list[int]:
         """Docs containing ANY term with ``substring`` anywhere in it
         (``*sub*`` wildcard) — vocabulary scan + OR. Ascending doc ids."""
-        terms = self.expand_match(substring, regex=False, limit=limit)
-        if not terms:
-            return []
-        return self.search(terms, SearchMode.OR)
+        return self._search_ids(
+            self.expand_match(substring, regex=False, limit=limit),
+            SearchMode.OR).tolist()
 
     def search_regex(self, pattern: str, limit: int = 64) -> list[int]:
         """Docs containing ANY term matching the RE2 ``pattern``
         (unanchored, same partial-match semantics as DuckDB's
         ``regexp_matches``) — vocabulary scan + OR. Ascending doc ids."""
-        terms = self.expand_match(pattern, regex=True, limit=limit)
-        if not terms:
-            return []
-        return self.search(terms, SearchMode.OR)
+        return self._search_ids(
+            self.expand_match(pattern, regex=True, limit=limit),
+            SearchMode.OR).tolist()
 
     def search_near(self, tokens: list[str], slop: int = 2,
                     analyzer=None, ordered: bool = False) -> list[int]:
@@ -791,19 +827,18 @@ class IndexReader:
         chain from every first-term anchor — greedy takes the earliest
         legal next occurrence, which only loosens the constraint on the
         terms after it, so existence is decided exactly."""
+        return self._near_ids(tokens, slop, analyzer, ordered).tolist()
+
+    def _near_ids(self, tokens: list[str], slop: int = 2,
+                  analyzer=None, ordered: bool = False) -> np.ndarray:
+        """Array form of :meth:`search_near`."""
         if slop < 0:
             raise ValueError(f"slop must be >= 0, got {slop}")
-        from konlsearch_ray.analyzer import normalize_query_tokens
-
         seq = normalize_query_tokens(tokens)
         tset = sorted(set(seq))
-        if not tset:
-            return []
-        if len(seq) == 1:
-            return self.search(tset, SearchMode.AND)
-        cand = self.search(tset, SearchMode.AND)
-        if not cand:
-            return []
+        cand = self._search_ids(tset, SearchMode.AND)
+        if len(seq) <= 1 or not len(cand):
+            return cand
         # ray stays a LAZY dependency of this module: only consult it if
         # something else already imported it (never initialized == never
         # imported == inline), so ray-free installs and small queries
@@ -826,7 +861,7 @@ class IndexReader:
                                    ordered, analyzer, store=store)
 
     def _near_fanout(self, _ray, cand, seq, tset, slop, ordered,
-                     analyzer) -> list[int] | None:
+                     analyzer) -> np.ndarray | None:
         """Fan the NEAR recheck out as Ray tasks over contiguous
         candidate-id chunks (cand is ascending, so each task's
         shard-pruned multi-get touches few shard files and the
@@ -873,26 +908,26 @@ class IndexReader:
                         ordered, an, None, store.meta,
                         self._near_dead_ref)
             for i in range(0, len(cand), chunk)]
-        return [d for part in _ray.get(refs) for d in part]
+        return np.concatenate(_ray.get(refs))
 
     def search_complex(self, tree) -> list[int]:
         """tree = (left, right, 'AND'|'OR'|'ANDNOT'); leaves are
         (tokens, mode)."""
-        return [int(x) for x in np.sort(self._eval(tree))]
+        return self._eval(tree).tolist()
 
     def _eval(self, node) -> np.ndarray:
         if len(node) == 2:
-            return np.asarray(self.search(node[0], node[1]), dtype=np.int64)
+            return self._search_ids(node[0], node[1])
         left, right, op = node
         lres, rres = self._eval(left), self._eval(right)
         if op == "AND":
-            return np.intersect1d(lres, rres, assume_unique=True)
+            return _intersect(lres, rres)
         if op == "ANDNOT":
             # Set difference (SQL EXCEPT / Lucene MUST_NOT). Distributes
             # over the sharded engine unchanged: every doc lives in
             # exactly one shard, so per-shard differences union to the
             # global difference.
-            return np.setdiff1d(lres, rres, assume_unique=True)
+            return lres[~_in_sorted(lres, rres)]
         return np.union1d(lres, rres)
 
     # --- BM25 -----------------------------------------------------------
@@ -1217,14 +1252,14 @@ class IndexReader:
         ``key_bucket`` sums the partials inside the Dataset, so only
         the folded rows — one per distinct facet — reach the driver.
         """
-        ids = self.search(tokens, mode)
+        ids = self._search_ids(tokens, mode)
         store = getattr(self, "_docstore", None)
         if store is None:
             from konlsearch_ray.docstore import DocStore
 
             store = self._docstore = DocStore(self.index_dir)
         if len(ids) <= FACET_SCAN_MIN_HITS:
-            if not ids:
+            if not len(ids):
                 return _empty_facets()
             meta = store.get_multi(ids, columns=["doc_id", facet_col])
             out = _fold_facet_counts(meta[facet_col])
@@ -1238,7 +1273,7 @@ class IndexReader:
             # The stored column's own type — the fold must return it
             # whatever the hit-set size (footer-only read).
             ftype = store.schema().field(facet_col).type
-            ids_ref = ray.put(np.asarray(ids, dtype=np.int64))
+            ids_ref = ray.put(ids)
             nbuckets = default_nbuckets()
 
             def _facet_partial(t: pa.Table) -> pa.Table:
@@ -1295,7 +1330,8 @@ _TOPK_MODES = pa.array([m for m, (_, kind) in _STAGE_MODES.items()
 
 
 def _merge_ids(parts) -> list[int]:
-    """Disjoint per-subset ascending id lists → one ascending list."""
+    """Disjoint per-subset ascending id arrays (or lists) → one
+    ascending list."""
     return np.sort(np.concatenate(
         [np.asarray(p, dtype=np.int64) for p in parts])).tolist()
 
@@ -1534,8 +1570,8 @@ class ShardQueryActor:
         pairs cross the wire, plus the stored column's Arrow type so
         the merged table keeps it even when every facet is null."""
         ftype = self._docstore.schema().field(facet_col).type
-        ids = self.reader.search(tokens, mode)
-        if not ids:
+        ids = self.reader._search_ids(tokens, mode)
+        if not len(ids):
             return ftype, []
         meta = self._docstore.get_multi(ids, columns=["doc_id", facet_col])
         folded = _fold_facet_counts(meta[facet_col])
@@ -1548,7 +1584,9 @@ class ShardedQueryEngine:
 
     Each doc lives in exactly one shard, so id results (Boolean, complex,
     NEAR, MSM, prefix/contains/regex) concatenate and sort
-    (``_merge_ids``); BM25 per-doc scores are complete within one actor
+    (``_merge_ids``) — the actors serve the reader's int64 array methods
+    for all but the three term-expanding searches;
+    BM25 per-doc scores are complete within one actor
     (global N/avgdl from stats.json, global df from dictionary/), so the
     merge is a top-k over the per-actor partial top-k lists
     (``_merge_topk``) — rank-identical to the single-reader path. This is
@@ -1579,10 +1617,10 @@ class ShardedQueryEngine:
                          for a in self._actors])
 
     def search(self, tokens, mode="AND"):
-        return _merge_ids(self._gather("search", tokens, mode))
+        return _merge_ids(self._gather("_search_ids", tokens, mode))
 
     def search_complex(self, tree):
-        return _merge_ids(self._gather("search_complex", tree))
+        return _merge_ids(self._gather("_eval", tree))
 
     def search_prefix(self, prefix, limit=64):
         return _merge_ids(self._gather("search_prefix", prefix, limit=limit))
@@ -1595,11 +1633,11 @@ class ShardedQueryEngine:
         return _merge_ids(self._gather("search_regex", pattern, limit=limit))
 
     def search_near(self, tokens, slop=2, ordered=False):
-        return _merge_ids(self._gather("search_near", tokens, slop=slop,
+        return _merge_ids(self._gather("_near_ids", tokens, slop=slop,
                                        ordered=ordered))
 
     def search_min_should(self, tokens, m):
-        return _merge_ids(self._gather("search_min_should", tokens, m))
+        return _merge_ids(self._gather("_min_should_ids", tokens, m))
 
     def bm25_topk(self, tokens, k=10, boosts=None):
         return _merge_topk(

@@ -272,3 +272,46 @@ def test_doc_id_zero_addressable(ray_session, tmp_path):
     assert store.get_range(0, 2)["doc_id"].to_pylist() == [0, 1]
     assert store.get_multi_status([0, 9])["status"].to_pylist() == [
         "FOUND", "NOT_FOUND"]
+
+
+def test_multi_get_id_inputs(ray_session, tmp_path):
+    """get_multi / get_multi_status take ids as a list, a tuple, a set or
+    an int64 array, unsorted and with duplicates: the result is the
+    distinct ids ascending, doc id 0 included (truncating shard map),
+    missing ids dropped (statuses: NOT_FOUND), empty input empty."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    docs = pa.table({
+        "doc_id": pa.array([0, 1, 2, 3, 7, 8], pa.int64()),
+        "text": pa.array([f"doc {w}" for w in "abcdef"], pa.large_string()),
+    })
+    src = str(tmp_path / "d.parquet")
+    pq.write_table(docs, src)
+    idx = str(tmp_path / "i")
+    build_index(src, idx, IndexConfig(content_col="text", id_col="doc_id",
+                                      dedup=False, shard_size=2))
+    store = DocStore(idx)
+    ask = [8, 0, 3, 0, 8, 99, 3]
+    for ids in (ask, tuple(ask), set(ask), np.array(ask, np.int64)):
+        t = store.get_multi(ids, columns=["doc_id", "text"])
+        assert t["doc_id"].to_pylist() == [0, 3, 8]
+        assert t["text"].to_pylist() == ["doc a", "doc d", "doc f"]
+        st = store.get_multi_status(ids)
+        assert st["doc_id"].to_pylist() == [0, 3, 8, 99]
+        assert st["status"].to_pylist() == [
+            "FOUND", "FOUND", "FOUND", "NOT_FOUND"]
+    for empty in ([], np.zeros(0, np.int64)):
+        assert store.get_multi(empty).num_rows == 0
+        st = store.get_multi_status(empty)
+        assert st.num_rows == 0
+        assert st.schema == pa.schema([("doc_id", pa.int64()),
+                                       ("status", pa.string())])
+    assert store.get_multi([99, 100]).num_rows == 0
+    # The array shard map truncates like the scalar one: doc id 0 and
+    # negative ids map toward zero.
+    ids = np.array([-3, -2, -1, 0, 1, 2, 3, 4, 5], np.int64)
+    assert store._shard_of(ids).tolist() == [-2, -1, -1, 0, 0, 0, 1, 1, 2]
+    assert [store._shard_of(int(i)) for i in ids] == \
+        store._shard_of(ids).tolist()
