@@ -50,20 +50,10 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Sum
 
-from konlsearch_ray.codec import encode_postings_grouped
-
-SEGMENT_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("df", pa.int64()),
-        ("cf", pa.int64()),
-        ("doc_ids_bin", pa.large_binary()),
-        ("tfs_bin", pa.large_binary()),
-        ("pos_bin", pa.large_binary()),
-        ("block_last_doc", pa.list_(pa.int64())),
-        ("block_max_tf", pa.list_(pa.int32())),
-    ]
-)
+from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
+                                    binary_view, encode_segment,
+                                    manifest_path, read_manifests,
+                                    segment_path, shard_nums, write_shard)
 
 
 @dataclass
@@ -100,19 +90,13 @@ def hash_hex_column(col, algo: str = "sha256") -> pa.Array:
     Python string materialization (hashlib accepts memoryview slices)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    bin_col = col.cast(pa.large_binary())
-    # buffers(): [validity, offsets(int64), data]
-    bufs = bin_col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64,
-                         count=len(bin_col) + 1 + bin_col.offset)
-    offs = offs[bin_col.offset:]
-    data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-    valid = (np.ones(len(bin_col), dtype=bool) if bin_col.null_count == 0
-             else pc.is_valid(bin_col).to_numpy(zero_copy_only=False))
+    offs, data = binary_view(col)
+    valid = (np.ones(len(col), dtype=bool) if col.null_count == 0
+             else pc.is_valid(col).to_numpy(zero_copy_only=False))
     ctor = getattr(hashlib, algo)
     hashes = [
         ctor(data[offs[i]:offs[i + 1]]).hexdigest() if valid[i] else None
-        for i in range(len(bin_col))
+        for i in range(len(col))
     ]
     return pa.array(hashes, pa.string())
 
@@ -285,71 +269,14 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
         new[1:] = rank_s[1:] != rank_s[:-1]
     starts = np.flatnonzero(new)
 
-    enc = encode_postings_grouped(starts, doc_s, tf_s, pos_s)
     sorted_terms = dict_np[dict_order]
     out_terms = sorted_terms[rank_s[starts]] if n else np.array([], dtype=object)
-    bl_off = pa.array(
-        np.concatenate(([0], np.cumsum(enc["nblocks"]))), pa.int32())
-    seg_table = pa.table(
-        {
-            "term": pa.array(out_terms, pa.string()),
-            "df": pa.array(enc["df"], pa.int64()),
-            "cf": pa.array(enc["cf"], pa.int64()),
-            "doc_ids_bin": pa.array(enc["doc_ids_bin"], pa.large_binary()),
-            "tfs_bin": pa.array(enc["tfs_bin"], pa.large_binary()),
-            "pos_bin": pa.array(enc["pos_bin"], pa.large_binary()),
-            "block_last_doc": pa.ListArray.from_arrays(
-                bl_off, pa.array(enc["block_last_flat"], pa.int64())),
-            "block_max_tf": pa.ListArray.from_arrays(
-                bl_off, pa.array(enc["block_max_flat"], pa.int32())),
-        },
-        schema=SEGMENT_SCHEMA,
-    )
-
-    seg_dir = os.path.join(index_dir, "segments")
-    dl_dir = os.path.join(index_dir, "doclens")
-    mf_dir = os.path.join(index_dir, "manifests")
-    for d in (seg_dir, dl_dir, mf_dir):
-        os.makedirs(d, exist_ok=True)
-
-    seg_path = os.path.join(seg_dir, f"shard-{shard:06d}.parquet")
-    dl_path = os.path.join(dl_dir, f"shard-{shard:06d}.parquet")
-    _atomic_write_parquet(seg_table, seg_path)
-    dl_table = pa.table(
-        {"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
-    _atomic_write_parquet(dl_table, dl_path)
-
-    manifest = {
-        "shard": shard,
-        "n_docs": int(len(dl_docs)),
-        "n_terms": int(len(starts)),
-        "total_tokens": int(dl_vals.sum()),
-        "segment_sha256": _file_sha(seg_path),
-        "doclens_sha256": _file_sha(dl_path),
-        "version": 1,
-    }
-    tmp = os.path.join(mf_dir, f".shard-{shard:06d}.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    os.replace(tmp, os.path.join(mf_dir, f"shard-{shard:06d}.json"))
-    return pa.table({k: [v] for k, v in manifest.items()
-                     if k in ("shard", "n_docs", "n_terms", "total_tokens")})
-
-
-def _atomic_write_parquet(
-    table: pa.Table, path: str, compression: str = "zstd"
-) -> None:
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp, compression=compression, use_dictionary=False)
-    os.replace(tmp, path)
-
-
-def _file_sha(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    seg = encode_segment(pa.array(out_terms, pa.string()),
+                         starts, doc_s, tf_s, pos_s)
+    dl = pa.table({"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
+    manifest = write_shard(index_dir, shard, seg, dl)
+    return pa.table({k: [manifest[k]]
+                     for k in ("shard", "n_docs", "n_terms", "total_tokens")})
 
 
 # --------------------------------------------------------------------------
@@ -929,7 +856,7 @@ def _write_index_meta(index_dir: str, cfg: IndexConfig) -> None:
         "sort_keys": [] if cfg.id_col is not None else cfg.sort_keys,
         "store_cols": cfg.store_cols,
         "dedup": cfg.dedup,
-        "version": 1,
+        "version": FORMAT_VERSION,
     }
     tmp = os.path.join(index_dir, ".index_meta.json.tmp")
     with open(tmp, "w") as f:
@@ -1255,26 +1182,14 @@ def _append_tie_winners(tie_tmp: str, docs_dir: str, cfg: IndexConfig,
     shutil.rmtree(tie_tmp, ignore_errors=True)
 
 
-def _completed_shards(index_dir: str) -> set[int]:
-    mf_dir = os.path.join(index_dir, "manifests")
-    if not os.path.isdir(mf_dir):
-        return set()
-    done = set()
-    for name in os.listdir(mf_dir):
-        if name.startswith("shard-") and name.endswith(".json"):
-            done.add(int(name[len("shard-"):-len(".json")]))
-    return done
-
-
 def _postings_phase(index_dir: str, cfg: IndexConfig) -> None:
     docs_dir = os.path.join(index_dir, "docs")
-    done = _completed_shards(index_dir)
     shard_files: dict[int, list[str]] = {}
     for name in sorted(os.listdir(docs_dir)):
         if not name.startswith("shard="):
             continue
         shard = int(name.split("=", 1)[1])
-        if shard not in done:
+        if not os.path.exists(manifest_path(index_dir, shard)):
             sub = os.path.join(docs_dir, name)
             shard_files[shard] = [
                 os.path.join(sub, f) for f in sorted(os.listdir(sub))
@@ -1316,12 +1231,7 @@ def _postings_phase(index_dir: str, cfg: IndexConfig) -> None:
 
 
 def _finalize(index_dir: str) -> dict:
-    mf_dir = os.path.join(index_dir, "manifests")
-    manifests = []
-    for name in sorted(os.listdir(mf_dir)) if os.path.isdir(mf_dir) else []:
-        if name.startswith("shard-") and name.endswith(".json"):
-            with open(os.path.join(mf_dir, name)) as f:
-                manifests.append(json.load(f))
+    manifests = read_manifests(index_dir)
     n_docs = sum(m["n_docs"] for m in manifests)
     total_tokens = sum(m["total_tokens"] for m in manifests)
     stats = {
@@ -1329,14 +1239,10 @@ def _finalize(index_dir: str) -> dict:
         "total_tokens": total_tokens,
         "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
         "num_shards": len(manifests),
-        "version": 1,
+        "version": FORMAT_VERSION,
     }
     # Global dictionary: column-pruned groupby over segment stats.
-    seg_dir = os.path.join(index_dir, "segments")
-    seg_files = [os.path.join(seg_dir, n)
-                 for n in (sorted(os.listdir(seg_dir))
-                           if os.path.isdir(seg_dir) else [])
-                 if n.endswith(".parquet")]
+    seg_files = [segment_path(index_dir, s) for s in shard_nums(index_dir)]
     dict_dir = os.path.join(index_dir, "dictionary")
     if seg_files:
         tmp_dir = dict_dir + ".tmp"
@@ -1665,9 +1571,8 @@ def append_documents(
     # and nothing is marked stale.
     new_ids = ids_sorted[keep_sorted]
     touched = sorted(set(((new_ids - 1) // cfg.shard_size).tolist()))
-    mf_dir = os.path.join(index_dir, "manifests")
     for s in touched:
-        mf = os.path.join(mf_dir, f"shard-{int(s):06d}.json")
+        mf = manifest_path(index_dir, int(s))
         if os.path.exists(mf):
             os.remove(mf)
 

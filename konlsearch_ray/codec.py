@@ -19,7 +19,9 @@ at query time.
 The per-term encoder and decoders (``encode_posting``, ``decode_doc_ids``,
 ``decode_tfs``, ``decode_positions``) live in ``tests/test_codec.py`` as
 the reference the grouped encoder and the fused decoder are checked
-against; the library writes and reads whole segments only.
+against; the library writes and reads whole segments only, and reaches
+``encode_postings_grouped`` and ``decode_postings`` through
+``segment.py``, the one module that knows the segment format.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ def decode_postings(doc_blob, tf_blob, df) -> tuple[np.ndarray, np.ndarray]:
     is a full cumsum minus the running total just before each sub-list
     start (segmented cumsum, inline). This is the codec's most
     invariant-sensitive trick — the ONE shared implementation behind
-    the reader's fused cross-shard decode, tombstone compaction's shard
-    rewrite, and the postings export. Zero-length sub-lists are allowed.
+    every segment decode (``segment.py``: the reader's fused cross-shard
+    decode and ``decode_segment``). Zero-length sub-lists are allowed.
     """
     df = np.asarray(df, dtype=np.int64)
     ends = np.add.accumulate(df)

@@ -33,20 +33,12 @@ shard- and row-group-pruned by the compacted layout.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 __all__ = ["export_postings", "snippet_table"]
-
-
-def _segment_files(index_dir: str) -> list[str]:
-    seg_dir = os.path.join(index_dir, "segments")
-    return [os.path.join(seg_dir, n) for n in sorted(os.listdir(seg_dir))
-            if n.endswith(".parquet")]
 
 
 def export_postings(
@@ -68,20 +60,22 @@ def export_postings(
     Tombstoned docs are excluded: the (bounded) dead set rides ONE
     ``ray.put`` ObjectRef into every decode task, never per batch.
 
-    Decode is the reader's fused shape, batch-wide: all gap blobs in a
-    batch concatenate into one varint stream, one vectorized decode
-    runs, and per-row absolute doc ids come back with a segmented
-    cumsum (each row's first gap is absolute — codec
-    ``encode_postings_grouped``). A batch of 10k terms costs one decode
+    Each batch decodes in one fused varint pass over all its rows
+    (``segment.decode_segment``). A batch of 10k terms costs one decode
     pass, not 10k.
     """
     import pyarrow.dataset as pads
 
+    from konlsearch_ray.segment import (decode_columns, segment_path,
+                                        shard_nums)
     from konlsearch_ray.tombstone import load_tombstones
 
-    cols = ["term", "df", "doc_ids_bin", "tfs_bin"]
-    if include_positions:
-        cols.append("pos_bin")
+    out_schema = pa.schema(
+        [("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int64())]
+        + ([("first_pos", pa.int64())] if include_positions else []))
+    files = [segment_path(index_dir, s) for s in shard_nums(index_dir)]
+    if not files:  # a zero-document index has no segments
+        return ray.data.from_arrow(out_schema.empty_table())
     flt = None
     if term_start is not None:
         flt = pads.field("term") >= term_start
@@ -92,34 +86,10 @@ def export_postings(
     dead = load_tombstones(index_dir)
     dead_ref = ray.put(dead) if len(dead) else None
 
-    out_schema = pa.schema(
-        [("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int64())]
-        + ([("first_pos", pa.int64())] if include_positions else []))
-
-    def _blob(batch: pa.Table, name: str) -> memoryview:
-        """All rows of a binary column as ONE zero-copy buffer slice —
-        the shared tombstone helper, not an O(rows) ``b"".join``."""
-        from konlsearch_ray.tombstone import _binary_col_data
-
-        return _binary_col_data(batch[name])
-
     def decode(batch: pa.Table) -> pa.Table:
-        from konlsearch_ray.codec import decode_postings, varint_decode
+        from konlsearch_ray.segment import decode_segment
 
-        if not batch.num_rows:
-            return out_schema.empty_table()
-        df = batch["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if np.any(df <= 0):  # never written (encode drops empty terms);
-            # guard so a hypothetical zero-df row can't skew the cumsum
-            batch = batch.filter(pa.array(df > 0))
-            df = df[df > 0]
-        total = int(df.sum())
-        if not total:
-            return out_schema.empty_table()
-        # Shared fused decode with segmented-cumsum re-absolutization
-        # (first gap per segment row is the absolute doc id).
-        docs, tfs = decode_postings(_blob(batch, "doc_ids_bin"),
-                                    _blob(batch, "tfs_bin"), df)
+        df, docs, tfs, pos = decode_segment(batch)
         term_col = (batch["term"].combine_chunks()
                     if isinstance(batch["term"], pa.ChunkedArray)
                     else batch["term"])
@@ -129,9 +99,7 @@ def export_postings(
                     "doc_id": pa.array(docs, pa.int64()),
                     "tf": pa.array(tfs, pa.int64())}
         if include_positions:
-            cols_out["first_pos"] = pa.array(
-                varint_decode(_blob(batch, "pos_bin"),
-                              total).astype(np.int64), pa.int64())
+            cols_out["first_pos"] = pa.array(pos, pa.int64())
         t = pa.table(cols_out, schema=out_schema)
         if dead_ref is not None:
             dead_np = ray.get(dead_ref)
@@ -139,8 +107,8 @@ def export_postings(
             t = t.filter(pa.array(keep))
         return t
 
-    files = _segment_files(index_dir)
-    ds = ray.data.read_parquet(files, columns=cols, filter=flt)
+    ds = ray.data.read_parquet(
+        files, columns=decode_columns(include_positions), filter=flt)
     # No nonempty_blocks wrapper: it would iterate the internal ref
     # bundles and pin the whole decoded matrix — the export must stay a
     # stream. decode already emits schema-correct (possibly empty)

@@ -25,6 +25,7 @@ from konlsearch_ray.functions.blocks import (default_join_partitions,
                                              nonempty_blocks,
                                              pinned_nonempty)
 from konlsearch_ray.functions.text import FP_MOD, _token_hashes
+from konlsearch_ray.segment import binary_view
 
 
 def _empty_pairs(*extra: tuple[str, pa.DataType]) -> pa.Table:
@@ -205,7 +206,7 @@ def _string_bucket_hash(col) -> np.ndarray:
     """Vectorized 64-bit string hash (byte-column FNV-style polynomial
     over the fixed-width bytes matrix) — used only for BUCKETING, never
     for identity (grouping inside a bucket compares exact values)."""
-    from konlsearch_ray.query import _string_col_to_S
+    from konlsearch_ray.segment import _string_col_to_S
 
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
@@ -417,13 +418,7 @@ def minhash_lsh_pairs(
             {"doc_id": pa.array([], pa.int64()),
              "band": pa.array([], pa.int32()),
              **{f"k{j}": pa.array([], pa.int64()) for j in range(r)}})
-        col = batch["hs"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        col = col.cast(pa.large_binary())
-        bufs = col.buffers()
-        offs = np.frombuffer(bufs[1], dtype=np.int64,
-                             count=len(col) + 1 + col.offset)[col.offset:]
+        offs, data = binary_view(batch["hs"])
         lens = np.diff(offs) // 8  # whole uint64s per row
         docs_all = batch["doc_id"].to_numpy(
             zero_copy_only=False).astype(np.int64)
@@ -433,9 +428,7 @@ def minhash_lsh_pairs(
             return empty
         # Rows concatenate contiguously in the data buffer; every offset
         # is 8-byte aligned (each value is whole uint64s).
-        hs_all = np.frombuffer(
-            bufs[2], dtype="<u8", count=int((offs[-1] - offs[0]) // 8),
-            offset=int(offs[0]))
+        hs_all = np.frombuffer(data[offs[0]:offs[-1]], dtype="<u8")
         lens_nz = lens[nz]
         starts = np.concatenate(([0], np.cumsum(lens_nz)[:-1]))
         ndocs = len(docs)
@@ -501,7 +494,9 @@ def minhash_lsh_pairs(
         — within a pair each side's hashes are unique and sorted, so an
         intersection element is exactly an adjacent duplicate (hash equal,
         side differing). No per-pair Python loop."""
-        from konlsearch_ray.tombstone import _binary_col_data
+        def flat(col) -> np.ndarray:
+            offs, data = binary_view(col)
+            return np.frombuffer(data[offs[0]:offs[-1]], dtype="<u8")
 
         npairs = batch.num_rows
         empty = pa.table({"a": pa.array([], pa.int64()),
@@ -516,8 +511,7 @@ def minhash_lsh_pairs(
         blen_b = pc.binary_length(batch["hs_b"]).to_numpy(
             zero_copy_only=False).astype(np.int64)
         len_a, len_b = blen_a // 8, blen_b // 8
-        flat_a = np.frombuffer(_binary_col_data(batch["hs_a"]), dtype="<u8")
-        flat_b = np.frombuffer(_binary_col_data(batch["hs_b"]), dtype="<u8")
+        flat_a, flat_b = flat(batch["hs_a"]), flat(batch["hs_b"])
         pair_of = np.concatenate([np.repeat(np.arange(npairs), len_a),
                                   np.repeat(np.arange(npairs), len_b)])
         hashes = np.concatenate([flat_a, flat_b]).astype(np.uint64)

@@ -35,7 +35,7 @@ def _hash32_of(ids: pa.ChunkedArray | pa.Array, salt: str) -> np.ndarray:
     hx = hash_hex_column(s, "md5")
     # first 8 hex chars -> uint32; vectorized via the fixed-width bytes
     # view (digests are constant-width, so the "S" cast is exact)
-    from konlsearch_ray.query import _string_col_to_S
+    from konlsearch_ray.segment import _string_col_to_S
 
     if not len(hx):  # the empty S-matrix is 1 byte wide, not 32
         return np.zeros(0, dtype=np.uint64)

@@ -20,11 +20,10 @@ the shards by ``build._finalize``. So a merge is:
 2. **Remap path** (``remap_ids=True``): shift each subsequent index's
    doc ids by a multiple of ``shard_size`` chosen to clear everything
    before it. A shard_size-multiple shift leaves every intra-shard
-   structure byte-identical EXCEPT three id-bearing spots, each
-   rewritten vectorized per shard: the FIRST delta-gap of every term's
-   posting list (the absolute doc id — later gaps are shift-invariant),
-   the ``block_last_doc`` skip metadata, and the doclens / docstore
-   ``doc_id`` columns. Tombstones shift the same way.
+   structure byte-identical EXCEPT the id-bearing spots, each rewritten
+   vectorized per shard: the segment's absolute doc ids
+   (``segment.shift_segment``) and the doclens / docstore ``doc_id``
+   columns. Tombstones shift the same way.
 
 Per-shard rewrites run as raw Ray tasks — a file-manifest-driven job
 (N independent file→file rewrites) that the Dataset API has no useful
@@ -49,19 +48,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from konlsearch_ray.build import (_atomic_write_parquet, _file_sha,
-                                  _finalize, _write_id_counter)
-from konlsearch_ray.codec import varint_decode, varint_encode_with_sizes
-from konlsearch_ray.tombstone import (TOMBSTONE_DIR, _binary_col_data,
-                                      load_tombstones)
-
-
-def _shard_nums(index_dir: str) -> list[int]:
-    seg_dir = os.path.join(index_dir, "segments")
-    return sorted(
-        int(n[len("shard-"):-len(".parquet")])
-        for n in (os.listdir(seg_dir) if os.path.isdir(seg_dir) else [])
-        if n.endswith(".parquet"))
+from konlsearch_ray.build import _finalize, _write_id_counter
+from konlsearch_ray.segment import (_atomic_write_parquet, doclens_path,
+                                    manifest_path, segment_path, shard_nums,
+                                    shift_segment, write_shard)
+from konlsearch_ray.tombstone import TOMBSTONE_DIR, load_tombstones
 
 
 def _load_meta(index_dir: str) -> dict:
@@ -69,95 +60,38 @@ def _load_meta(index_dir: str) -> dict:
         return json.load(f)
 
 
-def _shift_binary_firsts(col: pa.ChunkedArray, dfs: np.ndarray,
-                         id_off: int) -> pa.Array:
-    """Add ``id_off`` to the FIRST delta-gap of every term's varint blob
-    (the absolute doc id; later gaps are shift-invariant), in ONE fused
-    decode→shift→encode pass over the whole column: the per-term blobs
-    concatenate into a single gap stream (the same trick the query
-    path's fused posting decode uses), the firsts sit at the df-prefix
-    offsets, and the re-encoded stream slices back into per-term blobs
-    by the per-value byte sizes."""
-    blobs = _binary_col_data(col)  # zero-copy contiguous blob stream
-    total = int(dfs.sum())
-    gaps = varint_decode(blobs, total)
-    first_idx = np.concatenate(([0], np.cumsum(dfs)[:-1])).astype(np.int64)
-    first_idx = first_idx[dfs > 0]
-    gaps = gaps.astype(np.uint64)
-    gaps[first_idx] += np.uint64(id_off)
-    buf, sizes = varint_encode_with_sizes(gaps)
-    # Per-term byte lengths: sum of its values' sizes.
-    ends = np.cumsum(dfs)
-    csizes = np.concatenate(([0], np.cumsum(sizes)))
-    term_bytes = csizes[ends] - csizes[ends - dfs]
-    offsets = np.ascontiguousarray(
-        np.concatenate(([0], np.cumsum(term_bytes))), dtype=np.int64)
-    return pa.Array.from_buffers(
-        pa.large_binary(), len(dfs),
-        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
-
-
 def _rewrite_shard(src_dir: str, out_dir: str, shard: int,
-                   shard_off: int, shard_size: int) -> dict:
+                   shard_off: int, shard_size: int) -> None:
     """Rewrite ONE shard's segment + doclens + docstore partition +
     manifest under a doc-id shift of ``shard_off * shard_size``.
     ``shard_off == 0`` degrades to plain file copies."""
     id_off = shard_off * shard_size
     new_shard = shard + shard_off
-    seg_src = os.path.join(src_dir, "segments", f"shard-{shard:06d}.parquet")
-    dl_src = os.path.join(src_dir, "doclens", f"shard-{shard:06d}.parquet")
-    mf_src = os.path.join(src_dir, "manifests", f"shard-{shard:06d}.json")
-    seg_dst = os.path.join(
-        out_dir, "segments", f"shard-{new_shard:06d}.parquet")
-    dl_dst = os.path.join(out_dir, "doclens", f"shard-{new_shard:06d}.parquet")
     docs_src = os.path.join(src_dir, "docs", f"shard={shard}")
     docs_dst = os.path.join(out_dir, "docs", f"shard={new_shard}")
 
-    with open(mf_src) as f:
-        manifest = json.load(f)
-
     if id_off == 0:
-        shutil.copy2(seg_src, seg_dst)
-        shutil.copy2(dl_src, dl_dst)
+        for path in (segment_path, doclens_path, manifest_path):
+            os.makedirs(os.path.dirname(path(out_dir, shard)), exist_ok=True)
+            shutil.copy2(path(src_dir, shard), path(out_dir, shard))
         if os.path.isdir(docs_src):
             shutil.copytree(docs_src, docs_dst, dirs_exist_ok=True)
-    else:
-        seg = pq.read_table(seg_src)
-        dfs = seg["df"].to_numpy().astype(np.int64)
-        seg = seg.set_column(
-            seg.schema.get_field_index("doc_ids_bin"), "doc_ids_bin",
-            _shift_binary_firsts(seg["doc_ids_bin"], dfs, id_off))
-        bld = seg["block_last_doc"].combine_chunks()
-        shifted = pa.ListArray.from_arrays(
-            bld.offsets, pc.add(bld.values, id_off))
-        seg = seg.set_column(
-            seg.schema.get_field_index("block_last_doc"), "block_last_doc",
-            shifted)
-        _atomic_write_parquet(seg, seg_dst)
-        dl = pq.read_table(dl_src)
-        dl = dl.set_column(dl.schema.get_field_index("doc_id"), "doc_id",
-                           pc.add(dl["doc_id"], id_off))
-        _atomic_write_parquet(dl, dl_dst)
-        if os.path.isdir(docs_src):
-            os.makedirs(docs_dst, exist_ok=True)
-            for name in sorted(os.listdir(docs_src)):
-                if not name.endswith(".parquet"):
-                    continue
-                t = pq.read_table(os.path.join(docs_src, name))
-                t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                                 pc.add(t["doc_id"], id_off))
-                _atomic_write_parquet(t, os.path.join(docs_dst, name))
-        manifest = dict(manifest,
-                        segment_sha256=_file_sha(seg_dst),
-                        doclens_sha256=_file_sha(dl_dst))
-
-    manifest["shard"] = new_shard
-    mf_dst = os.path.join(out_dir, "manifests", f"shard-{new_shard:06d}.json")
-    tmp = mf_dst + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, sort_keys=True)
-    os.replace(tmp, mf_dst)
-    return manifest
+        return
+    if os.path.isdir(docs_src):
+        os.makedirs(docs_dst, exist_ok=True)
+        for name in sorted(os.listdir(docs_src)):
+            if not name.endswith(".parquet"):
+                continue
+            t = pq.read_table(os.path.join(docs_src, name))
+            t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
+                             pc.add(t["doc_id"], id_off))
+            _atomic_write_parquet(t, os.path.join(docs_dst, name))
+    dl = pq.read_table(doclens_path(src_dir, shard))
+    dl = dl.set_column(dl.schema.get_field_index("doc_id"), "doc_id",
+                       pc.add(dl["doc_id"], id_off))
+    write_shard(out_dir, new_shard,
+                shift_segment(pq.read_table(segment_path(src_dir, shard)),
+                              id_off), dl)
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str,
@@ -178,7 +112,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
             raise ValueError(
                 f"indexes disagree on index_meta[{key!r}]: {sorted(vals)}")
     shard_size = int(metas[0]["shard_size"])
-    shard_sets = [_shard_nums(d) for d in index_dirs]
+    shard_sets = [shard_nums(d) for d in index_dirs]
     for i, (d, s) in enumerate(zip(index_dirs, shard_sets)):
         if not s:
             raise ValueError(f"index {d} has no segments")
@@ -205,8 +139,8 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
             # guard (nothing shifts into an unaddressable id).
             min_id = None
             for num in s:
-                dl = os.path.join(d, "doclens", f"shard-{num:06d}.parquet")
-                col = pq.read_table(dl, columns=["doc_id"])["doc_id"]
+                col = pq.read_table(doclens_path(d, num),
+                                    columns=["doc_id"])["doc_id"]
                 if len(col):
                     min_id = int(pc.min(col).as_py())
                     break
@@ -226,8 +160,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
                     "doc-id ranges overlap; pass remap_ids=True")
             seen |= set(s)
 
-    for sub in ("segments", "doclens", "manifests", "docs"):
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
 
     import ray
 
@@ -266,9 +199,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
                 max_id = max(max_id, int(json.load(f)["max_id"])
                              + off * shard_size)
     top = max(s[-1] + off for s, off in zip(shard_sets, offsets))
-    dl_top = pq.read_table(
-        os.path.join(out_dir, "doclens", f"shard-{top:06d}.parquet"),
-        columns=["doc_id"])
+    dl_top = pq.read_table(doclens_path(out_dir, top), columns=["doc_id"])
     max_id = max(max_id, int(pc.max(dl_top["doc_id"]).as_py() or 0))
     _write_id_counter(out_dir, max_id)
     with open(os.path.join(out_dir, "_DOCS_DONE"), "w") as f:

@@ -49,41 +49,11 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from konlsearch_ray.analyzer import normalize_query_tokens
-from konlsearch_ray.codec import BLOCK_SIZE, decode_postings, varint_decode
+from konlsearch_ray.segment import (PostingStore, _string_col_to_S,
+                                    read_doclens, shard_nums)
 
 K1 = 1.2
 B = 0.75
-
-
-def _string_col_to_S(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    """Arrow string column → numpy fixed-width bytes (``"S"``) array
-    WITHOUT materializing Python strings: the bytes scatter straight from
-    the Arrow data buffer with numpy fancy indexing. memcmp over UTF-8
-    equals code-point order, so searchsorted over the result agrees with
-    the segment writer's term sort."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    arr = col.cast(pa.large_binary())
-    n = len(arr)
-    if n == 0:
-        return np.zeros(0, dtype="S1")
-    bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64,
-                         count=n + 1 + arr.offset)[arr.offset:]
-    start, end = int(offs[0]), int(offs[-1])
-    data = (np.frombuffer(bufs[2], dtype=np.uint8, count=end)[start:]
-            if bufs[2] is not None and end > start
-            else np.zeros(0, np.uint8))
-    offs = (offs - start).astype(np.int64)
-    lens = np.diff(offs)
-    width = max(int(lens.max()) if n else 1, 1)
-    out = np.zeros((n, width), dtype=np.uint8)
-    total = int(offs[-1])
-    if total:
-        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-        cols_idx = np.arange(total, dtype=np.int64) - np.repeat(offs[:-1], lens)
-        out[rows, cols_idx] = data
-    return out.ravel().view(f"S{width}")
 
 
 def _read_dictionary(index_dir: str) -> pa.Table:
@@ -291,26 +261,6 @@ def _near_chunk_remote():
     return _NEAR_CHUNK_REMOTE
 
 
-class _TermEntry:
-    """Everything a reader keeps for one queried term, in one place.
-
-    ``locs`` are the term's (segment, row) cells; ``ids``/``tfs`` its live
-    postings and ``live`` the mask that removed tombstoned entries from
-    the stored ones (None when none was removed). Positions (``pos``) and
-    the block-max bounds (``bmax``/``bcount``/``maxtf``) decode on first
-    use. Bounds stay per stored block: ``bmax[b]`` is block b's max tf and
-    ``bcount[b]`` its stored entry count, so ``np.repeat(x, bcount)``
-    followed by ``[live]`` aligns a per-block value with the postings.
-    """
-
-    __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
-                 "maxtf")
-
-    def __init__(self, locs, ids, tfs, live):
-        self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
-        self.pos = self.bmax = self.bcount = self.maxtf = None
-
-
 class SearchMode(str, Enum):
     AND = "AND"
     OR = "OR"
@@ -344,36 +294,17 @@ class IndexReader:
         self.n_docs = int(self.stats["N"])
         self.avgdl = float(self.stats["avgdl"]) or 1.0
 
-        def _want(fname: str) -> bool:
-            if self.shards is None:
-                return True
-            return int(fname[len("shard-"):-len(".parquet")]) in self.shards
+        # Tombstones: deleted docs are masked out of every posting list at
+        # decode time; collection stats are recomputed over live docs so
+        # BM25 reflects deletions immediately (segment rewrite happens
+        # lazily via tombstone.compact_index — SURVEY.md SO5).
+        from konlsearch_ray.tombstone import load_tombstones
 
-        # Shard files load through a thread pool (parquet reads release
-        # the GIL) — reader/actor startup is dominated by this IO, and a
-        # serial loop over hundreds of shard files made every query actor
-        # pay seconds of init.
-        from concurrent.futures import ThreadPoolExecutor
-
-        dl_dir = os.path.join(index_dir, "doclens")
-        dl_files = [
-            os.path.join(dl_dir, n)
-            for n in (sorted(os.listdir(dl_dir))
-                      if os.path.isdir(dl_dir) else [])
-            if n.endswith(".parquet") and _want(n)
-        ]
-        seg_dir = os.path.join(index_dir, "segments")
-        seg_files = [
-            os.path.join(seg_dir, n)
-            for n in (sorted(os.listdir(seg_dir))
-                      if os.path.isdir(seg_dir) else [])
-            if n.endswith(".parquet") and _want(n)
-        ]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            dl_tables = list(pool.map(pq.read_table, dl_files))
-            seg_tables = list(pool.map(pq.read_table, seg_files))
-        dl = pa.concat_tables(dl_tables) if dl_tables else pa.table(
-            {"doc_id": pa.array([], pa.int64()), "doc_len": pa.array([], pa.int64())})
+        self._dead = load_tombstones(index_dir)
+        nums = [s for s in shard_nums(index_dir)
+                if self.shards is None or s in self.shards]
+        self._store = PostingStore(index_dir, nums, self._dead)
+        dl = read_doclens(index_dir, nums)
         self._dl_docs = dl["doc_id"].to_numpy()  # ascending across shards
         self._dl_vals = dl["doc_len"].to_numpy().astype(np.float64)
         # Dense fast path: build-assigned ids are 1-based consecutive, so
@@ -385,34 +316,8 @@ class IndexReader:
             n_dl and int(self._dl_docs[-1]) - int(self._dl_docs[0]) == n_dl - 1)
         self._dl_first = int(self._dl_docs[0]) if n_dl else 0
 
-        # Per-shard segment tables (term-sorted), loaded once. Term
-        # resolution goes through ONE global sorted (term bytes, segment,
-        # row) index: a cold term costs two binary searches TOTAL instead
-        # of one numpy searchsorted call per segment (~25 us of dispatch
-        # overhead each — 95 segments made every cold term pay ~2.4 ms,
-        # the dominant serving cost for rare terms). Total bytes equal
-        # the per-segment sorted arrays this replaces (zero Python
-        # objects per term, same as before); the sort is the parallel
-        # chunked argsort, so init stays IO-dominated.
-        self._segments = [(t,) for t in seg_tables]
-        nz = [(i, p) for i, p in
-              ((i, _string_col_to_S(t["term"]))
-               for i, t in enumerate(seg_tables)) if len(p)]
-        if nz:
-            from konlsearch_ray.build import _parallel_argsort_s_parts
-
-            keys, order = _parallel_argsort_s_parts([p for _, p in nz])
-            seg_i = np.concatenate(
-                [np.full(len(p), i, np.int32) for i, p in nz])
-            row_i = np.concatenate(
-                [np.arange(len(p), dtype=np.int32) for _, p in nz])
-            self._vocab = (keys[order], seg_i[order], row_i[order])
-        else:
-            self._vocab = (np.zeros(0, "S1"), np.zeros(0, np.int32),
-                           np.zeros(0, np.int32))
-
         # Global df: sorted term bytes + aligned df values (probed with
-        # searchsorted, memoized) — same no-Python-dict rationale.
+        # searchsorted, memoized) — no Python dict over the vocabulary.
         self._global_df: tuple[np.ndarray, np.ndarray] | None = None
         self._gdf_memo: dict[str, int] = {}
         if use_global_df:
@@ -422,22 +327,7 @@ class IndexReader:
                 order = np.argsort(terms_s, kind="stable")
                 dfs = dt["df"].to_numpy(zero_copy_only=False).astype(np.int64)
                 self._global_df = (terms_s[order], dfs[order])
-        self._terms: dict[str, _TermEntry] = {}  # one entry per term
-        # Per-(segment, column) zero-copy views (offsets + data buffer /
-        # flat values), built lazily once per segment: per-term cell
-        # access is then a pure buffer slice — no per-cell .as_py()
-        # Python-object materialization on the serving path.
-        self._segbin_cache: dict[tuple[int, str], tuple] = {}
-        self._seglist_cache: dict[tuple[int, str], tuple] = {}
-        self._segdf_cache: dict[int, np.ndarray] = {}
 
-        # Tombstones: deleted docs are masked out of every posting list at
-        # decode time; collection stats are recomputed over live docs so
-        # BM25 reflects deletions immediately (segment rewrite happens
-        # lazily via tombstone.compact_index — SURVEY.md SO5).
-        from konlsearch_ray.tombstone import load_tombstones
-
-        self._dead = load_tombstones(index_dir)
         if len(self._dead):
             if self.shards is None:
                 g_docs, g_vals = self._dl_docs, self._dl_vals
@@ -445,12 +335,7 @@ class IndexReader:
                 # Shard-subset reader: collection stats must stay GLOBAL
                 # for idf/avgdl to match the whole-index reader; read every
                 # shard's (small) doclens just for the stats.
-                tables = [
-                    pq.read_table(os.path.join(dl_dir, n))
-                    for n in sorted(os.listdir(dl_dir))
-                    if n.endswith(".parquet")
-                ]
-                g = pa.concat_tables(tables)
+                g = read_doclens(index_dir, shard_nums(index_dir))
                 g_docs = g["doc_id"].to_numpy()
                 g_vals = g["doc_len"].to_numpy().astype(np.float64)
             live = ~np.isin(g_docs, self._dead, assume_unique=True)
@@ -463,8 +348,7 @@ class IndexReader:
         """First ``n`` stored terms in segment order — bench/test helper
         (term enumeration is not a serving-path operation)."""
         out: list[str] = []
-        for (tab,) in self._segments:
-            col = tab["term"]
+        for col in self._store.term_columns():
             take = min(n - len(out), len(col))
             out.extend(col.slice(0, take).to_pylist())
             if len(out) >= n:
@@ -472,144 +356,28 @@ class IndexReader:
         return out
 
     # --- posting access -------------------------------------------------
-    def _seg_bin(self, si: int, name: str) -> tuple[np.ndarray, memoryview]:
-        """(absolute offsets, data buffer) of a binary segment column —
-        cell ``i`` is ``data[offs[i]:offs[i+1]]``, a zero-copy slice."""
-        hit = self._segbin_cache.get((si, name))
-        if hit is None:
-            col = self._segments[si][0][name]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            col = col.cast(pa.large_binary())
-            bufs = col.buffers()
-            offs = np.frombuffer(bufs[1], np.int64,
-                                 count=len(col) + 1 + col.offset)[col.offset:]
-            data = (memoryview(bufs[2]) if bufs[2] is not None
-                    else memoryview(b""))
-            hit = (offs, data)
-            self._segbin_cache[(si, name)] = hit
-        return hit
-
-    def _seg_list(self, si: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, flat values) of a list-typed segment column — cell
-        ``i`` is ``vals[offs[i]:offs[i+1]]``, a numpy view."""
-        hit = self._seglist_cache.get((si, name))
-        if hit is None:
-            col = self._segments[si][0][name]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            offs = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-            vals = col.values.to_numpy(zero_copy_only=False)
-            hit = (offs, vals)
-            self._seglist_cache[(si, name)] = hit
-        return hit
-
-    def _seg_df(self, si: int) -> np.ndarray:
-        hit = self._segdf_cache.get(si)
-        if hit is None:
-            hit = self._segments[si][0]["df"].to_numpy(zero_copy_only=False)
-            self._segdf_cache[si] = hit
-        return hit
-
-    def _locate(self, term: str) -> list[tuple[int, int]]:
-        """term → [(segment_idx, row), ...] ascending by segment, via TWO
-        binary searches over the global sorted (term, segment, row) index
-        (the result is kept in the term's entry — the queried vocabulary
-        is tiny next to the stored one, while init never touches Python
-        objects). The previous one-searchsorted-per-segment probe paid
-        ~25 us of numpy dispatch per segment: ~2.4 ms per cold term on a
-        95-shard index — the dominant rare-term serving cost."""
-        tb = term.encode("utf-8")
-        keys, seg_i, row_i = self._vocab
-        if not len(keys) or len(tb) > keys.dtype.itemsize:
-            return []  # longer than the longest stored term
-        i0 = int(np.searchsorted(keys, tb, side="left"))
-        i1 = int(np.searchsorted(keys, tb, side="right"))
-        # stable sort preserved concat order -> ascending segment
-        return list(zip(seg_i[i0:i1].tolist(), row_i[i0:i1].tolist()))
-
-    def _entry(self, term: str) -> _TermEntry:
-        """The term's cached entry; a cold term decodes here.
-
-        A term's per-shard sub-lists decode in ONE fused pass
-        (``codec.decode_postings``): the doc-gap and tf blobs concatenate
-        into one varint stream, and the delta-gap cumsum resets at each
-        shard boundary (each sub-list's first gap is its absolute doc
-        id). A head term spanning hundreds of shards costs one decode,
-        not one per shard. Positions are left for ``postings``."""
-        e = self._terms.get(term)
-        if e is not None:
-            return e
-        locs = self._locate(term)
-        docs, tfs, dfs = [], [], []
-        for si, i in locs:
-            dfs.append(self._seg_df(si)[i])
-            offs, data = self._seg_bin(si, "doc_ids_bin")
-            docs.append(data[offs[i]:offs[i + 1]])
-            offs, data = self._seg_bin(si, "tfs_bin")
-            tfs.append(data[offs[i]:offs[i + 1]])
-        ids, tf = decode_postings(b"".join(docs), b"".join(tfs), dfs)
-        live = None
-        if len(self._dead) and len(ids):
-            keep = ~np.isin(ids, self._dead, assume_unique=True)
-            if not keep.all():
-                live = keep
-                ids, tf = ids[keep], tf[keep]
-        e = self._terms[term] = _TermEntry(locs, ids, tf, live)
-        return e
-
-    def _bounds(self, e: _TermEntry) -> _TermEntry:
-        """Fill the entry's per-block bounds from the segments'
-        ``block_max_tf`` lists (block b of a sub-list holds BLOCK_SIZE
-        entries, its last block the rest)."""
-        if e.bmax is None:
-            maxes, counts = [], []
-            for si, i in e.locs:
-                offs, vals = self._seg_list(si, "block_max_tf")
-                m = vals[offs[i]:offs[i + 1]]
-                if not len(m):
-                    continue  # an empty sub-list has no blocks
-                maxes.append(m)
-                counts += [BLOCK_SIZE] * (len(m) - 1)
-                counts.append(int(self._seg_df(si)[i])
-                              - BLOCK_SIZE * (len(m) - 1))
-            e.bmax = (np.concatenate(maxes, dtype=np.int64) if maxes
-                      else np.zeros(0, dtype=np.int64))
-            e.bcount = np.array(counts, dtype=np.int64)
-            e.maxtf = int(e.bmax.max()) if len(e.bmax) else 0
-        return e
-
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """term → (doc_ids asc, tfs, first_positions)."""
-        e = self._entry(term)
-        if e.pos is None:
-            blobs, n = [], 0
-            for si, i in e.locs:
-                n += int(self._seg_df(si)[i])
-                offs, data = self._seg_bin(si, "pos_bin")
-                blobs.append(data[offs[i]:offs[i + 1]])
-            pos = varint_decode(b"".join(blobs), n).astype(np.int32)
-            e.pos = pos if e.live is None else pos[e.live]
-        return e.ids, e.tfs, e.pos
+        return self._store.postings(term)
 
     def postings_scores(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         """term → (doc_ids asc, tfs) WITHOUT the position stream —
         Boolean and BM25 paths never touch positions, so their decode is
         deferred until a PHRASE query asks (``postings``)."""
-        e = self._entry(term)
+        e = self._store.entry(term)
         return e.ids, e.tfs
 
     def df(self, term: str) -> int:
-        return len(self._entry(term).ids)
+        return len(self._store.entry(term).ids)
 
     def block_upper_tf(self, term: str) -> np.ndarray:
         """Per-posting-entry block-max tf, aligned with ``postings_scores``.
 
         Entry ``i`` of term's posting list gets the max tf of the
         BLOCK_SIZE-entry block it belongs to (within its shard segment).
-        The reader keeps one value per block; this expands it on demand.
+        The store keeps one value per block; this expands it on demand.
         """
-        e = self._bounds(self._entry(term))
+        e = self._store.bounds(self._store.entry(term))
         out = np.repeat(e.bmax, e.bcount)
         return out if e.live is None else out[e.live]
 
@@ -716,7 +484,7 @@ class IndexReader:
         if not norm:
             return []
         pb = norm[0].encode("utf-8")
-        keys = self._vocab[0]
+        keys = self._store.keys
         if not len(keys) or len(pb) > keys.dtype.itemsize:
             return []
         i0 = int(np.searchsorted(keys, pb, side="left"))
@@ -767,8 +535,7 @@ class IndexReader:
                 return []
             pat = norm[0]
         matched: set[str] = set()
-        for (t,) in self._segments:
-            col = t["term"]
+        for col in self._store.term_columns():
             if not len(col):
                 continue
             mask = (pc.match_substring_regex(col, pat) if regex
@@ -963,7 +730,7 @@ class IndexReader:
         """BM25 top-k, rank-identical to the exact path.
 
         ``prune=True`` (default) runs term-at-a-time MaxScore with
-        block-max upper bounds from the segments' ``block_max_tf``
+        block-max upper bounds from the segments' per-block max tf
         metadata (the block-max-WAND family — north-star requirement):
         terms are processed in descending max-impact order; a posting
         entry is skipped when its block's score upper bound plus the
@@ -1047,12 +814,12 @@ class IndexReader:
         """
         terms = []  # (weight, entry) of terms with postings, sorted-token order
         for t in toks:
-            e = self._entry(t)
+            e = self._store.entry(t)
             if len(e.ids):
                 w = self.idf(t)
                 if boosts is not None:
                     w *= boosts.get(t, 1.0)
-                terms.append((w, self._bounds(e)))
+                terms.append((w, self._store.bounds(e)))
         # Term upper bound: its max block-max tf at the shortest doc.
         ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e in terms]
         order = sorted(range(len(terms)), key=lambda j: -ubs[j])
@@ -1481,22 +1248,21 @@ def sharded_query_pipeline(
 def _sharded_groups(index_dir: str, k: int, caller: str) -> list[list[int]]:
     """Validated round-robin shard groups for the sharded serving paths
     (``sharded_query_pipeline`` and ``ShardedQueryEngine`` share this so
-    the compaction precondition and shard naming live in one place).
-    Requires a compacted index: dictionary/ df is physical (pre-delete)
-    and a subset reader cannot recompute live df for terms outside its
-    subset, so scores would drift from the whole-index reader."""
+    the compaction precondition lives in one place). A zero-document
+    index gets one empty group, so it serves empty results as the
+    whole-index reader does. Requires a compacted index: dictionary/ df
+    is physical (pre-delete) and a subset reader cannot recompute live df
+    for terms outside its subset, so scores would drift from the
+    whole-index reader."""
     from konlsearch_ray.tombstone import load_tombstones
 
     if len(load_tombstones(index_dir)):
         raise ValueError(
             f"{caller} requires a compacted index — run "
             "konlsearch_ray.tombstone.compact_index() first")
-    seg_dir = os.path.join(index_dir, "segments")
-    shard_ids = sorted(
-        int(n[len("shard-"):-len(".parquet")])
-        for n in os.listdir(seg_dir) if n.endswith(".parquet"))
+    shard_ids = shard_nums(index_dir)
     k = max(1, min(k, len(shard_ids)))
-    return [g for g in (shard_ids[i::k] for i in range(k)) if g]
+    return [shard_ids[i::k] for i in range(k)]
 
 
 class ShardQueryActor:

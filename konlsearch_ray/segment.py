@@ -1,0 +1,461 @@
+"""The shard segment format: the one module that writes, rewrites and reads it.
+
+An index keeps one immutable segment per shard (``segments/``), beside
+that shard's doc lengths (``doclens/``) and a manifest (``manifests/``)
+holding both files' sha256. A segment is one Parquet table with one row
+per term, in term order (``SEGMENT_SCHEMA``):
+
+- ``df``/``cf``: the term's posting count and tf sum within the shard;
+- ``doc_ids_bin``: LEB128 doc-id gaps, the first gap the absolute id;
+- ``tfs_bin``/``pos_bin``: LEB128 tfs and first positions, in doc order;
+- ``block_last_doc``/``block_max_tf``: each ``BLOCK_SIZE``-entry block's
+  last doc id and max tf.
+
+Every other module reaches the format through this one:
+
+- layout: ``FORMAT_VERSION``, the shard paths, ``shard_nums``,
+  ``read_doclens`` and ``read_manifests``;
+- write: ``encode_segment`` and ``write_shard`` (build, compaction, merge);
+- rewrite: ``decode_segment``/``decode_columns`` (compaction, export)
+  and ``shift_segment`` (merge);
+- read: ``PostingStore``, the reader's posting lists and their cache.
+
+Nothing here imports ray at module scope: ``query`` imports this module
+and stays importable without ray.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
+from konlsearch_ray.codec import (BLOCK_SIZE, decode_postings,
+                                  encode_postings_grouped, varint_decode,
+                                  varint_encode_with_sizes)
+
+# The layout version in stats.json, index_meta.json and every manifest.
+FORMAT_VERSION = 1
+
+SEGMENT_SCHEMA = pa.schema(
+    [
+        ("term", pa.string()),
+        ("df", pa.int64()),
+        ("cf", pa.int64()),
+        ("doc_ids_bin", pa.large_binary()),
+        ("tfs_bin", pa.large_binary()),
+        ("pos_bin", pa.large_binary()),
+        ("block_last_doc", pa.list_(pa.int64())),
+        ("block_max_tf", pa.list_(pa.int32())),
+    ]
+)
+
+
+# --- layout ---------------------------------------------------------------
+
+def segment_path(index_dir: str, shard: int) -> str:
+    return os.path.join(index_dir, "segments", f"shard-{shard:06d}.parquet")
+
+
+def doclens_path(index_dir: str, shard: int) -> str:
+    return os.path.join(index_dir, "doclens", f"shard-{shard:06d}.parquet")
+
+
+def manifest_path(index_dir: str, shard: int) -> str:
+    return os.path.join(index_dir, "manifests", f"shard-{shard:06d}.json")
+
+
+def shard_nums(index_dir: str) -> list[int]:
+    """Ascending numbers of the shards that have a segment; empty when
+    there is no ``segments/`` (a zero-document index writes none)."""
+    d = os.path.join(index_dir, "segments")
+    if not os.path.isdir(d):
+        return []
+    return sorted(int(n[len("shard-"):-len(".parquet")])
+                  for n in os.listdir(d)
+                  if n.startswith("shard-") and n.endswith(".parquet"))
+
+
+def _read_tables(paths: list[str]) -> list[pa.Table]:
+    # Parquet reads release the GIL: a thread pool keeps reader and
+    # actor start-up from paying one serial read per shard file.
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        return list(pool.map(pq.read_table, paths))
+
+
+def read_doclens(index_dir: str, shards: list[int]) -> pa.Table:
+    """The shards' ``(doc_id, doc_len)`` rows, ascending by doc_id when
+    ``shards`` ascend."""
+    tables = _read_tables([doclens_path(index_dir, s) for s in shards])
+    return pa.concat_tables(tables) if tables else pa.table(
+        {"doc_id": pa.array([], pa.int64()),
+         "doc_len": pa.array([], pa.int64())})
+
+
+def read_manifests(index_dir: str) -> list[dict]:
+    """Every committed shard manifest, in shard order."""
+    d = os.path.join(index_dir, "manifests")
+    out = []
+    for name in sorted(os.listdir(d)) if os.path.isdir(d) else []:
+        if name.startswith("shard-") and name.endswith(".json"):
+            with open(os.path.join(d, name)) as f:
+                out.append(json.load(f))
+    return out
+
+
+def binary_view(col) -> tuple[np.ndarray, memoryview]:
+    """Zero-copy ``(offsets, data)`` view of a binary or string column:
+    row ``i`` is ``data[offsets[i]:offsets[i + 1]]``. Rows lie back to
+    back in row order, so ``data[offsets[0]:offsets[-1]]`` is their
+    concatenation — no per-row Python bytes objects."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    col = col.cast(pa.large_binary())
+    bufs = col.buffers()  # [validity, offsets (int64), data]
+    offs = np.frombuffer(bufs[1], dtype=np.int64,
+                         count=len(col) + 1 + col.offset)[col.offset:]
+    data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
+    return offs, data
+
+
+def _concat(col) -> memoryview:
+    offs, data = binary_view(col)
+    return data[offs[0]:offs[-1]]
+
+
+def _string_col_to_S(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Arrow string column → numpy fixed-width bytes (``"S"``) array
+    WITHOUT materializing Python strings: the bytes scatter straight from
+    the Arrow data buffer with numpy fancy indexing. memcmp over UTF-8
+    equals code-point order, so searchsorted over the result agrees with
+    the segment writer's term sort."""
+    n = len(col)
+    if n == 0:
+        return np.zeros(0, dtype="S1")
+    offs, data = binary_view(col)
+    data = np.frombuffer(data[offs[0]:offs[-1]], dtype=np.uint8)
+    offs = offs - offs[0]
+    lens = np.diff(offs)
+    width = max(int(lens.max()), 1)
+    out = np.zeros((n, width), dtype=np.uint8)
+    total = int(offs[-1])
+    if total:
+        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+        cols_idx = np.arange(total, dtype=np.int64) - np.repeat(offs[:-1], lens)
+        out[rows, cols_idx] = data
+    return out.ravel().view(f"S{width}")
+
+
+# --- write ----------------------------------------------------------------
+
+def _atomic_write_parquet(
+    table: pa.Table, path: str, compression: str = "zstd"
+) -> None:
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp, compression=compression, use_dictionary=False)
+    os.replace(tmp, path)
+
+
+def _file_sha(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def encode_segment(terms: pa.Array, starts: np.ndarray, doc_s: np.ndarray,
+                   tf_s: np.ndarray, pos_s: np.ndarray) -> pa.Table:
+    """A shard's posting entries, sorted by (term, doc_id), as one
+    segment table. ``starts`` marks each term's first entry and ``terms``
+    holds one string per term."""
+    enc = encode_postings_grouped(starts, doc_s, tf_s, pos_s)
+    bl_off = pa.array(
+        np.concatenate(([0], np.cumsum(enc["nblocks"]))), pa.int32())
+    return pa.table(
+        {
+            "term": terms,
+            "df": pa.array(enc["df"], pa.int64()),
+            "cf": pa.array(enc["cf"], pa.int64()),
+            "doc_ids_bin": pa.array(enc["doc_ids_bin"], pa.large_binary()),
+            "tfs_bin": pa.array(enc["tfs_bin"], pa.large_binary()),
+            "pos_bin": pa.array(enc["pos_bin"], pa.large_binary()),
+            "block_last_doc": pa.ListArray.from_arrays(
+                bl_off, pa.array(enc["block_last_flat"], pa.int64())),
+            "block_max_tf": pa.ListArray.from_arrays(
+                bl_off, pa.array(enc["block_max_flat"], pa.int32())),
+        },
+        schema=SEGMENT_SCHEMA,
+    )
+
+
+def write_shard(index_dir: str, shard: int, seg: pa.Table,
+                doclens: pa.Table) -> dict:
+    """Atomically write one shard's segment and ``(doc_id, doc_len)``
+    table, then its manifest — the shard's commit point: a shard without
+    one is rebuilt on resume. Returns the manifest."""
+    seg_path = segment_path(index_dir, shard)
+    dl_path = doclens_path(index_dir, shard)
+    mf_path = manifest_path(index_dir, shard)
+    for p in (seg_path, dl_path, mf_path):
+        os.makedirs(os.path.dirname(p), exist_ok=True)
+    _atomic_write_parquet(seg, seg_path)
+    _atomic_write_parquet(doclens, dl_path)
+    manifest = {
+        "shard": int(shard),
+        "n_docs": doclens.num_rows,
+        "n_terms": seg.num_rows,
+        "total_tokens": int(pc.sum(doclens["doc_len"]).as_py() or 0),
+        "segment_sha256": _file_sha(seg_path),
+        "doclens_sha256": _file_sha(dl_path),
+        "version": FORMAT_VERSION,
+    }
+    tmp = os.path.join(os.path.dirname(mf_path), f".shard-{shard:06d}.json.tmp")
+    with open(tmp, "w") as f:
+        json.dump(manifest, f, sort_keys=True)
+    os.replace(tmp, mf_path)
+    return manifest
+
+
+# --- rewrite --------------------------------------------------------------
+
+def decode_columns(positions: bool) -> list[str]:
+    """The columns ``decode_segment`` reads; the position stream only
+    when ``positions``."""
+    return ["term", "df", "doc_ids_bin", "tfs_bin"] + (
+        ["pos_bin"] if positions else [])
+
+
+def decode_segment(seg: pa.Table):
+    """Whole-table decode → ``(df, doc_ids, tfs, first_pos)``: each row's
+    df, then every row's postings concatenated in row order (int64 ids,
+    int32 tfs, int64 positions). ``first_pos`` is None when the table has
+    no ``pos_bin`` column. One fused varint pass covers all the rows'
+    doc-gap and tf streams (``codec.decode_postings``)."""
+    df = seg["df"].to_numpy(zero_copy_only=False).astype(np.int64)
+    ids, tfs = decode_postings(_concat(seg["doc_ids_bin"]),
+                               _concat(seg["tfs_bin"]), df)
+    pos = None
+    if "pos_bin" in seg.column_names:
+        pos = varint_decode(_concat(seg["pos_bin"]), len(ids)).view(np.int64)
+    return df, ids, tfs, pos
+
+
+def _shift_binary_firsts(col: pa.ChunkedArray, dfs: np.ndarray,
+                         id_off: int) -> pa.Array:
+    """Add ``id_off`` to the FIRST delta-gap of every term's varint blob
+    (the absolute doc id; later gaps are shift-invariant), in ONE fused
+    decode→shift→encode pass over the whole column: the per-term blobs
+    concatenate into a single gap stream, the firsts sit at the
+    df-prefix offsets, and the re-encoded stream slices back into
+    per-term blobs by the per-value byte sizes."""
+    total = int(dfs.sum())
+    gaps = varint_decode(_concat(col), total)
+    first_idx = np.concatenate(([0], np.cumsum(dfs)[:-1])).astype(np.int64)
+    first_idx = first_idx[dfs > 0]
+    gaps = gaps.astype(np.uint64)
+    gaps[first_idx] += np.uint64(id_off)
+    buf, sizes = varint_encode_with_sizes(gaps)
+    # Per-term byte lengths: sum of its values' sizes.
+    ends = np.cumsum(dfs)
+    csizes = np.concatenate(([0], np.cumsum(sizes)))
+    term_bytes = csizes[ends] - csizes[ends - dfs]
+    offsets = np.ascontiguousarray(
+        np.concatenate(([0], np.cumsum(term_bytes))), dtype=np.int64)
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(dfs),
+        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
+
+
+def shift_segment(seg: pa.Table, id_off: int) -> pa.Table:
+    """``seg`` with every doc id raised by ``id_off``. Only two spots hold
+    absolute ids: each term's first ``doc_ids_bin`` gap and the
+    ``block_last_doc`` lists; every other byte is shift-invariant."""
+    dfs = seg["df"].to_numpy().astype(np.int64)
+    seg = seg.set_column(
+        seg.schema.get_field_index("doc_ids_bin"), "doc_ids_bin",
+        _shift_binary_firsts(seg["doc_ids_bin"], dfs, id_off))
+    bld = seg["block_last_doc"].combine_chunks()
+    return seg.set_column(
+        seg.schema.get_field_index("block_last_doc"), "block_last_doc",
+        pa.ListArray.from_arrays(bld.offsets, pc.add(bld.values, id_off)))
+
+
+# --- read -----------------------------------------------------------------
+
+class _TermEntry:
+    """Everything a store keeps for one queried term, in one place.
+
+    ``locs`` are the term's (segment, row) cells; ``ids``/``tfs`` its live
+    postings and ``live`` the mask that removed tombstoned entries from
+    the stored ones (None when none was removed). Positions (``pos``) and
+    the block-max bounds (``bmax``/``bcount``/``maxtf``) decode on first
+    use. Bounds stay per stored block: ``bmax[b]`` is block b's max tf and
+    ``bcount[b]`` its stored entry count, so ``np.repeat(x, bcount)``
+    followed by ``[live]`` aligns a per-block value with the postings.
+    """
+
+    __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
+                 "maxtf")
+
+    def __init__(self, locs, ids, tfs, live):
+        self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
+        self.pos = self.bmax = self.bcount = self.maxtf = None
+
+
+class _Segment:
+    """One loaded segment table and its zero-copy column views, each built
+    on first use (a BM25 query never builds the ``pos_bin`` view). A
+    term's cell is then a pure buffer slice — no per-cell ``.as_py()``."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table
+
+    @cached_property
+    def df(self) -> np.ndarray:
+        return self.table["df"].to_numpy(zero_copy_only=False)
+
+    @cached_property
+    def docs(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self.table["doc_ids_bin"])
+
+    @cached_property
+    def tfs(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self.table["tfs_bin"])
+
+    @cached_property
+    def pos(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self.table["pos_bin"])
+
+    @cached_property
+    def bmax(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, flat values) of ``block_max_tf``: cell ``i`` is
+        ``vals[offs[i]:offs[i+1]]``, a numpy view."""
+        col = self.table["block_max_tf"]
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        return (col.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
+                col.values.to_numpy(zero_copy_only=False))
+
+
+class PostingStore:
+    """The posting lists of a set of shard segments, decoded on demand and
+    cached as one entry per queried term.
+
+    Segments load once, in full. Term resolution goes through ONE global
+    sorted (term bytes, segment, row) index: a cold term costs two binary
+    searches in total, not one numpy ``searchsorted`` per segment (~25 us
+    of dispatch each — 95 segments made every cold term pay ~2.4 ms).
+    ``dead`` holds tombstoned doc ids, masked out of every entry.
+    """
+
+    def __init__(self, index_dir: str, shards: list[int], dead: np.ndarray):
+        tables = _read_tables([segment_path(index_dir, s) for s in shards])
+        self._segs = [_Segment(t) for t in tables]
+        self._dead = dead
+        self._terms: dict[str, _TermEntry] = {}
+        nz = [(i, p) for i, p in
+              ((i, _string_col_to_S(t["term"])) for i, t in enumerate(tables))
+              if len(p)]
+        if nz:
+            from konlsearch_ray.build import _parallel_argsort_s_parts
+
+            keys, order = _parallel_argsort_s_parts([p for _, p in nz])
+            seg_i = np.concatenate(
+                [np.full(len(p), i, np.int32) for i, p in nz])
+            row_i = np.concatenate(
+                [np.arange(len(p), dtype=np.int32) for _, p in nz])
+            # The stable sort keeps segment order within a term.
+            self.keys, self._seg_i, self._row_i = (
+                keys[order], seg_i[order], row_i[order])
+        else:
+            self.keys = np.zeros(0, "S1")
+            self._seg_i = self._row_i = np.zeros(0, np.int32)
+
+    def term_columns(self) -> list:
+        """Each segment's ``term`` column, in segment order."""
+        return [s.table["term"] for s in self._segs]
+
+    def _locate(self, term: str) -> list[tuple[int, int]]:
+        """term → [(segment, row), ...] ascending by segment."""
+        tb = term.encode("utf-8")
+        keys = self.keys
+        if not len(keys) or len(tb) > keys.dtype.itemsize:
+            return []  # longer than the longest stored term
+        i0 = int(np.searchsorted(keys, tb, side="left"))
+        i1 = int(np.searchsorted(keys, tb, side="right"))
+        return list(zip(self._seg_i[i0:i1].tolist(),
+                        self._row_i[i0:i1].tolist()))
+
+    def entry(self, term: str) -> _TermEntry:
+        """The term's cached entry; a cold term decodes here.
+
+        A term's per-shard sub-lists decode in ONE fused pass
+        (``codec.decode_postings``): the doc-gap and tf blobs concatenate
+        into one varint stream, and the delta-gap cumsum resets at each
+        shard boundary (each sub-list's first gap is its absolute doc
+        id). A head term spanning hundreds of shards costs one decode,
+        not one per shard. Positions are left for ``postings``."""
+        e = self._terms.get(term)
+        if e is not None:
+            return e
+        locs = self._locate(term)
+        docs, tfs, dfs = [], [], []
+        for si, i in locs:
+            seg = self._segs[si]
+            dfs.append(seg.df[i])
+            offs, data = seg.docs
+            docs.append(data[offs[i]:offs[i + 1]])
+            offs, data = seg.tfs
+            tfs.append(data[offs[i]:offs[i + 1]])
+        ids, tf = decode_postings(b"".join(docs), b"".join(tfs), dfs)
+        live = None
+        if len(self._dead) and len(ids):
+            keep = ~np.isin(ids, self._dead, assume_unique=True)
+            if not keep.all():
+                live = keep
+                ids, tf = ids[keep], tf[keep]
+        e = self._terms[term] = _TermEntry(locs, ids, tf, live)
+        return e
+
+    def bounds(self, e: _TermEntry) -> _TermEntry:
+        """Fill the entry's per-block bounds from the segments'
+        ``block_max_tf`` lists (block b of a sub-list holds BLOCK_SIZE
+        entries, its last block the rest)."""
+        if e.bmax is None:
+            maxes, counts = [], []
+            for si, i in e.locs:
+                seg = self._segs[si]
+                offs, vals = seg.bmax
+                m = vals[offs[i]:offs[i + 1]]
+                if not len(m):
+                    continue  # an empty sub-list has no blocks
+                maxes.append(m)
+                counts += [BLOCK_SIZE] * (len(m) - 1)
+                counts.append(int(seg.df[i]) - BLOCK_SIZE * (len(m) - 1))
+            e.bmax = (np.concatenate(maxes, dtype=np.int64) if maxes
+                      else np.zeros(0, dtype=np.int64))
+            e.bcount = np.array(counts, dtype=np.int64)
+            e.maxtf = int(e.bmax.max()) if len(e.bmax) else 0
+        return e
+
+    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """term → (doc_ids asc, tfs, first_positions)."""
+        e = self.entry(term)
+        if e.pos is None:
+            blobs, n = [], 0
+            for si, i in e.locs:
+                seg = self._segs[si]
+                n += int(seg.df[i])
+                offs, data = seg.pos
+                blobs.append(data[offs[i]:offs[i + 1]])
+            pos = varint_decode(b"".join(blobs), n).astype(np.int32)
+            e.pos = pos if e.live is None else pos[e.live]
+        return e.ids, e.tfs, e.pos

@@ -23,7 +23,6 @@ test_konlsearch.py:345-356).
 
 from __future__ import annotations
 
-import json
 import os
 import uuid
 
@@ -64,96 +63,32 @@ def load_tombstones(index_dir: str) -> np.ndarray:
     return np.unique(np.concatenate(parts)).astype(np.int64)
 
 
-def _binary_col_data(col) -> memoryview:
-    """Binary column → its rows' concatenation. The Arrow data buffer
-    already stores the per-row blobs contiguously in row order, so this
-    is a zero-copy buffer slice — no per-row Python bytes objects."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    col = col.cast(pa.large_binary())
-    bufs = col.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64,
-                         count=len(col) + 1 + col.offset)[col.offset:]
-    if bufs[2] is None or offs[-1] == offs[0]:
-        return memoryview(b"")
-    return memoryview(bufs[2])[int(offs[0]):int(offs[-1])]
-
-
 def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Table:
     """Task body: rewrite one shard's segment + doclens without dead docs.
 
-    Whole-segment vectorized: ONE fused (doc-gap, tf) decode plus one
-    position decode (doc-id gaps re-absolutize via cumsum with per-term
-    reset — ``codec.decode_postings``, the reader's cross-shard decode),
-    one mask, one grouped re-encode
-    (``encode_postings_grouped``, byte-identical to the per-term
-    encoder). The per-term decode/encode Python loop this replaces would
-    crawl on a 100-TB compaction."""
-    from konlsearch_ray.build import SEGMENT_SCHEMA, _atomic_write_parquet, _file_sha
-    from konlsearch_ray.codec import (decode_postings,
-                                      encode_postings_grouped, varint_decode)
+    Whole-segment vectorized: one decode, one mask, one re-encode (the
+    grouped encoder, byte-identical to the per-term one). A per-term
+    decode/encode Python loop would crawl on a 100-TB compaction."""
+    from konlsearch_ray.segment import (decode_segment, doclens_path,
+                                        encode_segment, segment_path,
+                                        write_shard)
 
     out_rows = []
     for shard in batch["shard"].to_pylist():
-        seg_path = os.path.join(index_dir, "segments", f"shard-{shard:06d}.parquet")
-        dl_path = os.path.join(index_dir, "doclens", f"shard-{shard:06d}.parquet")
-        seg = pq.read_table(seg_path)
-        nterms = seg.num_rows
-        df = (seg["df"].to_numpy().astype(np.int64)
-              if nterms else np.zeros(0, np.int64))
-        ids, tfs = decode_postings(_binary_col_data(seg["doc_ids_bin"]),
-                                   _binary_col_data(seg["tfs_bin"]), df)
-        poss = varint_decode(_binary_col_data(seg["pos_bin"]), len(ids))
+        seg = pq.read_table(segment_path(index_dir, shard))
+        df, ids, tfs, pos = decode_segment(seg)
         keep = ~np.isin(ids, dead)
-        term_of = np.repeat(np.arange(nterms, dtype=np.int64), df)
-        new_df = np.bincount(term_of[keep], minlength=nterms)
+        term_of = np.repeat(np.arange(len(df), dtype=np.int64), df)
+        new_df = np.bincount(term_of[keep], minlength=len(df))
         live = new_df > 0
         live_df = new_df[live]
-        starts = (np.concatenate(([0], np.cumsum(live_df)[:-1]))
-                  if len(live_df) else np.zeros(0, np.int64))
-        enc = encode_postings_grouped(
-            starts.astype(np.int64), ids[keep], tfs[keep], poss[keep])
-        terms_out = (pc.filter(seg["term"], pa.array(live)).combine_chunks()
-                     if nterms else pa.array([], pa.string()))
-        bl_off = pa.array(
-            np.concatenate(([0], np.cumsum(enc["nblocks"]))), pa.int32())
-        new_seg = pa.table(
-            {
-                "term": terms_out.cast(pa.string()),
-                "df": pa.array(enc["df"], pa.int64()),
-                "cf": pa.array(enc["cf"], pa.int64()),
-                "doc_ids_bin": pa.array(list(enc["doc_ids_bin"]), pa.large_binary()),
-                "tfs_bin": pa.array(list(enc["tfs_bin"]), pa.large_binary()),
-                "pos_bin": pa.array(list(enc["pos_bin"]), pa.large_binary()),
-                "block_last_doc": pa.ListArray.from_arrays(
-                    bl_off, pa.array(enc["block_last_flat"], pa.int64())),
-                "block_max_tf": pa.ListArray.from_arrays(
-                    bl_off, pa.array(enc["block_max_flat"], pa.int32())),
-            },
-            schema=SEGMENT_SCHEMA,
-        )
-        _atomic_write_parquet(new_seg, seg_path)
-
-        dl = pq.read_table(dl_path)
-        dl_ids = dl["doc_id"].to_numpy()
-        dl_keep = ~np.isin(dl_ids, dead, assume_unique=True)
-        new_dl = dl.filter(pa.array(dl_keep))
-        _atomic_write_parquet(new_dl, dl_path)
-
-        manifest = {
-            "shard": int(shard),
-            "n_docs": int(new_dl.num_rows),
-            "n_terms": int(new_seg.num_rows),
-            "total_tokens": int(pc.sum(new_dl["doc_len"]).as_py() or 0),
-            "segment_sha256": _file_sha(seg_path),
-            "doclens_sha256": _file_sha(dl_path),
-            "version": 1,
-        }
-        mf_dir = os.path.join(index_dir, "manifests")
-        tmp = os.path.join(mf_dir, f".shard-{shard:06d}.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, sort_keys=True)
-        os.replace(tmp, os.path.join(mf_dir, f"shard-{shard:06d}.json"))
+        terms = pc.filter(seg["term"], pa.array(live)).combine_chunks()
+        dl = pq.read_table(doclens_path(index_dir, shard))
+        dl_keep = ~np.isin(dl["doc_id"].to_numpy(), dead, assume_unique=True)
+        write_shard(index_dir, shard,
+                    encode_segment(terms, np.cumsum(live_df) - live_df,
+                                   ids[keep], tfs[keep], pos[keep]),
+                    dl.filter(pa.array(dl_keep)))
         out_rows.append(int(shard))
     return pa.table({"shard": pa.array(out_rows, pa.int64())})
 
@@ -162,7 +97,7 @@ def _rewrite_docs_file_body(path: str, dead: np.ndarray) -> int:
     """Drop dead rows from one docstore file. The doc_id column probes
     first (columnar, cheap) so untouched files skip the full
     decompress/re-compress entirely."""
-    from konlsearch_ray.build import _atomic_write_parquet
+    from konlsearch_ray.segment import _atomic_write_parquet
 
     ids = pq.read_table(path, columns=["doc_id"],
                         use_threads=False)["doc_id"].to_numpy()
@@ -217,6 +152,7 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
     import ray.data
 
     from konlsearch_ray.build import _finalize, _max_doc_id, _write_id_counter
+    from konlsearch_ray.segment import shard_nums
 
     # Snapshot the tombstone FILES, not just the id set: batches written
     # while the rewrite runs (a concurrent delete_docs) are not reflected
@@ -240,10 +176,7 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
     # (the reference's counter is monotone, index.py:20-23).
     _write_id_counter(index_dir, _max_doc_id(
         index_dir, os.path.join(index_dir, "docs")))
-    seg_dir = os.path.join(index_dir, "segments")
-    shards = sorted(
-        int(n[len("shard-"):-len(".parquet")])
-        for n in os.listdir(seg_dir) if n.endswith(".parquet"))
+    shards = shard_nums(index_dir)
     dead_ref = ray.put(dead)
 
     def task(batch: pa.Table) -> pa.Table:
@@ -251,10 +184,11 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
 
     # One BLOCK per shard: map_batches parallelism follows blocks, so a
     # single from_arrow block would rewrite every shard inside one task.
-    (ray.data.from_items([{"shard": int(s)} for s in shards],
-                         override_num_blocks=len(shards))
-     .map_batches(task, batch_format="pyarrow", batch_size=1)
-     .materialize())
+    if shards:  # a zero-document index has none
+        (ray.data.from_items([{"shard": int(s)} for s in shards],
+                             override_num_blocks=len(shards))
+         .map_batches(task, batch_format="pyarrow", batch_size=1)
+         .materialize())
 
     # Also drop tombstoned rows from the docstore partitions — one task
     # per file (the driver-serial loop this replaces decompressed and

@@ -214,14 +214,14 @@ def test_block_bounds_per_block_and_aligned(tombstoned):
         ub = r.block_upper_tf(t)
         assert len(ub) == len(ids), t
         assert np.all(ub >= tfs), t
-        e = r._terms[t]
+        e = r._store.entry(t)
         masked += e.live is not None
         stored = int(e.bcount.sum())
         assert stored == (len(ids) if e.live is None else len(e.live)), t
         assert len(e.bmax) == len(e.bcount) <= (
             -(-stored // BLOCK_SIZE) + len(e.locs)), t
     assert masked  # the live mask really cuts these posting lists
-    e = r._terms["def"]
+    e = r._store.entry("def")
     assert len(e.bmax) > len(e.locs)  # several blocks in one segment
 
 

@@ -115,3 +115,20 @@ def test_empty_corpus_build_and_query(ray_session, tmp_path):
     r = IndexReader(idx)
     assert r.search(["anything"], "OR") == []
     assert r.bm25_topk(["anything"], 5) == []
+
+    # The paths that list the shard segments handle it too.
+    from konlsearch_ray.export import export_postings
+    from konlsearch_ray.query import ShardedQueryEngine
+    from konlsearch_ray.tombstone import compact_index, delete_docs
+
+    ds = export_postings(idx)
+    assert ds.count() == 0
+    assert ds.schema().names == ["term", "doc_id", "tf"]
+    eng = ShardedQueryEngine(idx, 2)
+    try:
+        assert eng.search(["anything"], "OR") == []
+        assert eng.bm25_topk(["anything"], 5) == []
+    finally:
+        eng.shutdown()
+    delete_docs(idx, [5])
+    assert compact_index(idx)["N"] == 0

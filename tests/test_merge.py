@@ -121,6 +121,13 @@ def test_remap_equals_single_build_over_shifted_union(
     from konlsearch_ray.docstore import DocStore
 
     assert DocStore(out).get(off + 7) == DocStore(full_dir).get(off + 7)
+    for sub in ("segments", "doclens"):
+        names = sorted(os.listdir(os.path.join(out, sub)))
+        assert names == sorted(os.listdir(os.path.join(full_dir, sub)))
+        for n in names:
+            # Table equality covers the encoded varint blobs byte-for-byte.
+            assert pq.read_table(os.path.join(out, sub, n)).equals(
+                pq.read_table(os.path.join(full_dir, sub, n))), f"{sub}/{n}"
 
 
 def test_merge_carries_tombstones(ray_session, tmp_path_factory):
@@ -150,7 +157,7 @@ def test_shift_binary_firsts_property():
     import pyarrow as pa
 
     from konlsearch_ray.codec import varint_decode, varint_encode
-    from konlsearch_ray.merge import _shift_binary_firsts
+    from konlsearch_ray.segment import _shift_binary_firsts
 
     rng = np.random.default_rng(3)
     for trial in range(20):
