@@ -402,12 +402,7 @@ class IndexReader:
         toks = normalize_query_tokens(tokens)
         if mode is SearchMode.PHRASE:
             return self._phrase(toks)
-        parts = []
-        for t in toks:
-            ids = self.postings_scores(t)[0]
-            if self.search_log is not None and len(ids):
-                self.search_log.log(t, len(ids))
-            parts.append(ids)
+        parts = self._posting_ids(toks)
         if not parts:
             return _NO_IDS
         if mode is SearchMode.OR and len(parts) > 1:
@@ -419,6 +414,16 @@ class IndexReader:
         for ids in parts[1:]:
             result = _intersect(result, ids)
         return result
+
+    def _posting_ids(self, toks: list[str]) -> list[np.ndarray]:
+        """Each token's live posting ids, the cold ones decoded in one
+        batch; logs every token with postings to the search log."""
+        parts = [e.ids for e in self._store.entries(toks)]
+        if self.search_log is not None:
+            for t, ids in zip(toks, parts):
+                if len(ids):
+                    self.search_log.log(t, len(ids))
+        return parts
 
     def _phrase(self, toks: list[str]) -> np.ndarray:
         cand = self._search_ids(toks, SearchMode.AND)
@@ -456,12 +461,7 @@ class IndexReader:
         toks = sorted(set(normalize_query_tokens(tokens)))
         if not toks or m > len(toks):
             return _NO_IDS
-        parts = []
-        for t in toks:
-            ids = self.postings_scores(t)[0]
-            if self.search_log is not None and len(ids):
-                self.search_log.log(t, len(ids))
-            parts.append(ids)
+        parts = self._posting_ids(toks)
         vals, counts = np.unique(np.concatenate(parts), return_counts=True)
         return vals[counts >= m]
 
@@ -770,8 +770,8 @@ class IndexReader:
         elif prune and len(toks) > 1:
             return self._bm25_maxscore(toks, k, boosts=boosts)
         id_parts, score_parts = [], []
-        for t in toks:
-            ids, tfs = self.postings_scores(t)
+        for t, e in zip(toks, self._store.entries(toks)):
+            ids, tfs = e.ids, e.tfs
             if allowed is not None and len(ids):
                 pos = np.searchsorted(allowed, ids)
                 posc = np.minimum(pos, max(len(allowed) - 1, 0))
@@ -813,14 +813,15 @@ class IndexReader:
           (broken by ascending doc_id) are never lost.
         """
         terms = []  # (weight, entry) of terms with postings, sorted-token order
-        for t in toks:
-            e = self._store.entry(t)
+        for t, e in zip(toks, self._store.entries(toks)):
             if len(e.ids):
                 w = self.idf(t)
                 if boosts is not None:
                     w *= boosts.get(t, 1.0)
-                terms.append((w, self._store.bounds(e)))
-        # Term upper bound: its max block-max tf at the shortest doc.
+                terms.append((w, e))
+        # Term upper bound: its max live tf at the shortest doc. Block
+        # bounds are built at the term's first block skip, once θ is
+        # finite; a query whose candidates never reach k builds none.
         ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e in terms]
         order = sorted(range(len(terms)), key=lambda j: -ubs[j])
         suffix = [0.0] * (len(order) + 1)
@@ -836,6 +837,7 @@ class IndexReader:
             ids, tfs = e.ids, e.tfs
             done[j] = True
             if theta > -math.inf:
+                self._store.bounds(e)
                 keep = (self._kernel(w, e.bmax, self._min_dl)
                         + suffix[r + 1] >= theta)
                 if not keep.all():

@@ -295,11 +295,14 @@ class _TermEntry:
 
     ``locs`` are the term's (segment, row) cells; ``ids``/``tfs`` its live
     postings and ``live`` the mask that removed tombstoned entries from
-    the stored ones (None when none was removed). Positions (``pos``) and
-    the block-max bounds (``bmax``/``bcount``/``maxtf``) decode on first
-    use. Bounds stay per stored block: ``bmax[b]`` is block b's max tf and
-    ``bcount[b]`` its stored entry count, so ``np.repeat(x, bcount)``
-    followed by ``[live]`` aligns a per-block value with the postings.
+    the stored ones (None when none was removed). ``maxtf``, the max of
+    the live tfs (0 when there are none), is set at decode: it bounds
+    every posting and is never looser than the stored block maxima.
+    Positions (``pos``) and the per-block bounds (``bmax``/``bcount``)
+    decode on first use. Bounds stay per stored block: ``bmax[b]`` is
+    block b's max tf and ``bcount[b]`` its stored entry count, so
+    ``np.repeat(x, bcount)`` followed by ``[live]`` aligns a per-block
+    value with the postings.
     """
 
     __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
@@ -307,7 +310,8 @@ class _TermEntry:
 
     def __init__(self, locs, ids, tfs, live):
         self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
-        self.pos = self.bmax = self.bcount = self.maxtf = None
+        self.maxtf = int(tfs.max()) if len(tfs) else 0
+        self.pos = self.bmax = self.bcount = None
 
 
 class _Segment:
@@ -350,10 +354,12 @@ class PostingStore:
     cached as one entry per queried term.
 
     Segments load once, in full. Term resolution goes through ONE global
-    sorted (term bytes, segment, row) index: a cold term costs two binary
-    searches in total, not one numpy ``searchsorted`` per segment (~25 us
-    of dispatch each — 95 segments made every cold term pay ~2.4 ms).
-    ``dead`` holds tombstoned doc ids, masked out of every entry.
+    sorted (term bytes, segment, row) index: a query's cold terms cost
+    one ``searchsorted`` pair in total, not one per term or per segment
+    (~25 us of dispatch each — 95 segments made every cold term pay
+    ~2.4 ms), and decode together in one fused pass (``entries``).
+    ``dead`` holds tombstoned doc ids (sorted, unique), masked out of
+    every entry. Block bounds are built only when asked (``bounds``).
     """
 
     def __init__(self, index_dir: str, shards: list[int], dead: np.ndarray):
@@ -383,47 +389,84 @@ class PostingStore:
         """Each segment's ``term`` column, in segment order."""
         return [s.table["term"] for s in self._segs]
 
-    def _locate(self, term: str) -> list[tuple[int, int]]:
-        """term → [(segment, row), ...] ascending by segment."""
-        tb = term.encode("utf-8")
-        keys = self.keys
-        if not len(keys) or len(tb) > keys.dtype.itemsize:
-            return []  # longer than the longest stored term
-        i0 = int(np.searchsorted(keys, tb, side="left"))
-        i1 = int(np.searchsorted(keys, tb, side="right"))
-        return list(zip(self._seg_i[i0:i1].tolist(),
-                        self._row_i[i0:i1].tolist()))
-
     def entry(self, term: str) -> _TermEntry:
-        """The term's cached entry; a cold term decodes here.
-
-        A term's per-shard sub-lists decode in ONE fused pass
-        (``codec.decode_postings``): the doc-gap and tf blobs concatenate
-        into one varint stream, and the delta-gap cumsum resets at each
-        shard boundary (each sub-list's first gap is its absolute doc
-        id). A head term spanning hundreds of shards costs one decode,
-        not one per shard. Positions are left for ``postings``."""
+        """The term's cached entry; a cold term decodes here. (The warm
+        lookup comes first: BM25's idf reaches here once per term.)"""
         e = self._terms.get(term)
-        if e is not None:
-            return e
-        locs = self._locate(term)
-        docs, tfs, dfs = [], [], []
-        for si, i in locs:
-            seg = self._segs[si]
-            dfs.append(seg.df[i])
-            offs, data = seg.docs
-            docs.append(data[offs[i]:offs[i + 1]])
-            offs, data = seg.tfs
-            tfs.append(data[offs[i]:offs[i + 1]])
+        return e if e is not None else self.entries([term])[0]
+
+    def entries(self, terms: list[str]) -> list[_TermEntry]:
+        """The terms' cached entries, in ``terms`` order; the cold ones
+        (repeats allowed) decode together here, in one batch:
+
+        - ONE ``searchsorted`` pair over ``keys`` locates every cold
+          term (an empty term, or one longer than the longest stored
+          term, gets no cells);
+        - their (segment, row) cells' doc-gap and tf blobs concatenate
+          into ONE fused varint pass (``codec.decode_postings``): each
+          cell's first gap is its absolute doc id, so the segmented
+          cumsum resets at every cell, across shards and terms alike;
+        - the decoded streams split back per term by the terms' df sums.
+
+        A query's first touch of its terms, head terms spanning hundreds
+        of shards included, costs one decode, not one per term or per
+        shard. Positions are left for ``postings``."""
+        cache = self._terms
+        try:
+            return [cache[t] for t in terms]
+        except KeyError:  # a cold term
+            pass
+        self._decode([t for t in dict.fromkeys(terms) if t not in cache])
+        return [cache[t] for t in terms]
+
+    def _decode(self, cold: list[str]) -> None:
+        """Decode and cache the entries of ``cold``: distinct, uncached."""
+        keys = self.keys
+        width = keys.dtype.itemsize
+        tbs = [t.encode("utf-8") for t in cold]
+        q = np.array(tbs, dtype=keys.dtype)  # an over-long term truncates
+        lo = keys.searchsorted(q, side="left").tolist()
+        hi = keys.searchsorted(q, side="right").tolist()
+        # dfs: one per cell, so the cumsum resets per cell; ns: per term.
+        docs, tfs, dfs, ns, spans = [], [], [], [], []
+        for tb, i0, i1 in zip(tbs, lo, hi):
+            if not 0 < len(tb) <= width:
+                i1 = i0
+            locs = list(zip(self._seg_i[i0:i1].tolist(),
+                            self._row_i[i0:i1].tolist()))
+            n = 0
+            for si, i in locs:
+                seg = self._segs[si]
+                df = int(seg.df[i])
+                dfs.append(df)
+                n += df
+                offs, data = seg.docs
+                docs.append(data[offs[i]:offs[i + 1]])
+                offs, data = seg.tfs
+                tfs.append(data[offs[i]:offs[i + 1]])
+            ns.append(n)
+            spans.append(locs)
         ids, tf = decode_postings(b"".join(docs), b"".join(tfs), dfs)
-        live = None
-        if len(self._dead) and len(ids):
-            keep = ~np.isin(ids, self._dead, assume_unique=True)
-            if not keep.all():
-                live = keep
-                ids, tf = ids[keep], tf[keep]
-        e = self._terms[term] = _TermEntry(locs, ids, tf, live)
-        return e
+        keep = None
+        d = self._dead
+        if len(d) and len(ids):
+            # One probe per posting: ids repeat across the batch's terms,
+            # which ``np.isin(..., assume_unique=True)`` would get wrong.
+            # Probing d[:-1] lands past-the-end ids on d's last entry.
+            keep = d[d[:-1].searchsorted(ids)] != ids
+            if keep.all():
+                keep = None
+        end = 0
+        for t, n, locs in zip(cold, ns, spans):
+            start, end = end, end + n
+            e_ids, e_tf, live = ids[start:end], tf[start:end], None
+            if keep is not None:
+                live = keep[start:end]
+                if live.all():
+                    live = None
+                else:
+                    e_ids, e_tf = e_ids[live], e_tf[live]
+            self._terms[t] = _TermEntry(locs, e_ids, e_tf, live)
 
     def bounds(self, e: _TermEntry) -> _TermEntry:
         """Fill the entry's per-block bounds from the segments'
@@ -443,7 +486,6 @@ class PostingStore:
             e.bmax = (np.concatenate(maxes, dtype=np.int64) if maxes
                       else np.zeros(0, dtype=np.int64))
             e.bcount = np.array(counts, dtype=np.int64)
-            e.maxtf = int(e.bmax.max()) if len(e.bmax) else 0
         return e
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

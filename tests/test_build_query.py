@@ -164,6 +164,31 @@ def test_bm25_pruned_rank_identical(built):
             reader, [tokens], boosts={tokens[0]: 2.0, tokens[1]: 0.5})
 
 
+def test_block_bounds_built_only_when_theta_prunes(built):
+    """MaxScore bounds a term by its max live tf and builds block bounds
+    only at a block skip, once θ is finite. Head + tail at k=10, with
+    fewer than 10 tail postings: the tail goes first and leaves θ at
+    -inf, so neither term builds bounds. Two mid terms (df 10..60) at
+    k=10: the first sets θ and the second builds its bounds for the
+    skip. (Two head terms share ~90% of their docs, so θ after the first
+    already exceeds the second's whole bound and the loop stops before
+    any skip.) Both stay bit-identical to the exact scorer, and bounds
+    built afterwards still cover every posting."""
+    _, _, oracle, index_dir, _ = built
+    df = {t: len(p) for t, p in oracle.postings.items()}
+    tail = min((t for t in df if df[t] < 10), key=lambda t: (-df[t], t))
+    mids = sorted(t for t in df if 10 <= df[t] <= 60)[:2]
+    for tokens, n_built in (["def", tail], 0), (mids, 1):
+        r = IndexReader(index_dir)
+        pruned = r.bm25_topk(tokens, 10)
+        entries = [r._store.entry(t) for t in tokens]
+        assert sum(e.bmax is not None for e in entries) == n_built, tokens
+        assert pruned == r.bm25_topk(tokens, 10, prune=False), tokens
+        for t, e in zip(tokens, entries):
+            assert e.maxtf == int(e.tfs.max()), t
+            assert e.maxtf <= int(r.block_upper_tf(t).max()), t
+
+
 @pytest.fixture(scope="module")
 def tombstoned(ray_session, tmp_path_factory):
     """The test corpus in 256-doc shards — a head term spans two

@@ -8,6 +8,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -170,6 +171,52 @@ def test_seeded_sweep_matches_oracle(indexes, which):
                 assert _check(reader.search_complex(tree)) == want, tree
     for case in ("empty", "single", "past_end", "repeat", "missing"):
         assert seen.get(case, 0) >= 20, (case, seen)
+
+
+def test_batched_entries_equal_one_term_entries(indexes):
+    """``PostingStore.entries`` decodes a batch of cold terms in one pass;
+    every term must get the entry a one-term decode on a fresh reader
+    gives it, and the oracle's postings. On the tombstoned index a
+    batch's terms share doc ids, so the tombstone mask must probe the
+    dead ids once per posting: an ``isin`` that assumes unique ids
+    silently drops shared live postings (on small batches, where numpy
+    sorts instead of building a lookup table). Batches: two small terms
+    that share docs, with a repeated, a missing, an empty and an
+    over-long term (the longest stored term plus one byte, which a
+    fixed-width key array truncates back to a stored term); then three
+    head terms whose lists the tombstones cut."""
+    idx = indexes[1]
+    batch, solo, oracle = IndexReader(idx), IndexReader(idx), _oracle(idx)
+    post = oracle.postings
+    small = sorted(t for t in post if 5 <= len(post[t]) <= 40)
+    pair = next([a, b] for i, a in enumerate(small) for b in small[i + 1:]
+                if set(post[a]) & set(post[b]))
+    keys = batch._store.keys
+    longest = keys[np.char.str_len(keys).argmax()].decode("utf-8")
+    assert len(longest.encode("utf-8")) == keys.dtype.itemsize
+    masked = 0
+    for terms in (pair + [pair[0], MISSING[0], "", longest + "z", longest],
+                  ["def", "return", "import"]):
+        got = batch._store.entries(terms)
+        for t, e in zip(terms, got):
+            assert e is batch._store.entries([t])[0], t
+            want = solo._store.entry(t)
+            assert e.locs == want.locs, t
+            assert np.array_equal(e.ids, want.ids), t
+            assert np.array_equal(e.tfs, want.tfs), t
+            assert (e.live is None) == (want.live is None), t
+            if e.live is not None:
+                masked += 1
+                assert np.array_equal(e.live, want.live), t
+            assert e.maxtf == want.maxtf, t
+            exp = post.get(t, {})
+            assert dict(zip(e.ids.tolist(), e.tfs.tolist())) == exp, t
+            for a, b in zip(batch.postings(t), solo.postings(t)):
+                assert np.array_equal(a, b), t
+    assert masked >= 3  # the tombstones really cut the head terms
+    no_cells = [batch._store.entry(t).locs
+                for t in (MISSING[0], "", longest + "z")]
+    assert no_cells == [[], [], []] and batch._store.entry(longest).locs
 
 
 def _batch():

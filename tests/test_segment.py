@@ -1,9 +1,12 @@
 """konlsearch_ray/segment.py is the only module that knows the shard
 segment format: the guards below keep its column names, directory,
-codec calls and layout version from leaking back into other modules."""
+codec calls and layout version from leaking back into other modules,
+and keep a query's cold posting decode to one codec call."""
 
 import re
 from pathlib import Path
+
+import pytest
 
 PKG = Path(__file__).resolve().parent.parent / "konlsearch_ray"
 
@@ -44,3 +47,43 @@ def test_segment_imports_no_ray_at_module_scope():
     # query.py imports segment.py and must stay importable without ray.
     hits = _hits(r"^(import|from) ray\b")
     assert "segment.py" not in {f for f, _ in hits}, hits
+
+
+@pytest.fixture(scope="module")
+def index_dir(ray_session, tmp_path_factory):
+    from konlsearch_ray.build import IndexConfig, build_index
+    from konlsearch_ray.corpus import write_corpus
+
+    root = tmp_path_factory.mktemp("segment")
+    corpus = write_corpus(str(root / "corpus"), 600, seed=42)
+    build_index(corpus, str(root / "index"), IndexConfig(shard_size=128))
+    return str(root / "index")
+
+
+def test_one_posting_decode_per_cold_query(index_dir, monkeypatch):
+    """A query's cold terms decode in ONE ``decode_postings`` call across
+    all their shards; a warm repeat decodes nothing."""
+    from konlsearch_ray import segment
+    from konlsearch_ray.query import IndexReader
+
+    calls = []
+    real = segment.decode_postings
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(segment, "decode_postings", counted)
+    queries = {
+        "bm25": lambda r: r.bm25_topk(["def", "마법"], 10),
+        "and": lambda r: r.search(["def", "return", "import"], "AND"),
+    }
+    for name, query in queries.items():
+        r = IndexReader(index_dir)
+        calls.clear()
+        assert query(r), name
+        assert len(calls) == 1, name
+        assert len(r._store.entry("def").locs) > 1  # cells in several shards
+        calls.clear()
+        query(r)
+        assert calls == [], name
