@@ -719,8 +719,24 @@ class IndexReader:
         pruned path, its bounds and ``explain``, so their scores are
         bit-identical (ranking ties included). Takes numpy arrays or
         Python scalars alike (an integer tf converts exactly in the first
-        multiply)."""
+        multiply). The cached impacts (``_impacts``) are its output over
+        a term's whole posting list; both BM25 paths add slices of them."""
         return w * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / self.avgdl))
+
+    def _impacts(self, t: str, e, boost: "float | None" = None,
+                 at: "np.ndarray | None" = None) -> np.ndarray:
+        """The BM25 contribution of term ``t``'s live postings at
+        positions ``at`` of ``e.ids`` (an index array or mask; None =
+        all). Unboosted (``boost`` None or 1.0) the whole list is computed
+        once per reader and kept on the entry (``e.imp``): idf, tf, dl and
+        avgdl never change during a reader's life. A boosted term's
+        impacts are computed per call, only at ``at``, and never cached."""
+        if boost is None or boost == 1.0:
+            if e.imp is None:
+                e.imp = self._kernel(self.idf(t), e.tfs, self.doc_len(e.ids))
+            return e.imp if at is None else e.imp[at]
+        ids, tfs = (e.ids, e.tfs) if at is None else (e.ids[at], e.tfs[at])
+        return self._kernel(self.idf(t) * boost, tfs, self.doc_len(ids))
 
     def bm25_topk(
         self, tokens: list[str], k: int = 10, prune: bool = True,
@@ -756,6 +772,13 @@ class IndexReader:
         cached per-block max tf with the boosted weight, the same weight
         the scores use, keeping pruned results bit-identical to the
         exact path.
+
+        Both paths add each term's per-posting impacts (``_impacts``).
+        An unboosted term's impacts are computed once per reader, the
+        first time BM25 scores it, and cached on its posting entry; a
+        boosted term (boost other than 1.0) computes them on every query,
+        uncached, for only the postings the query scores or probes.
+        ``boosts={}`` is no boosts.
         """
         toks = sorted(set(normalize_query_tokens(tokens)))
         if boosts is not None:
@@ -771,20 +794,13 @@ class IndexReader:
             return self._bm25_maxscore(toks, k, boosts=boosts)
         id_parts, score_parts = [], []
         for t, e in zip(toks, self._store.entries(toks)):
-            ids, tfs = e.ids, e.tfs
-            if allowed is not None and len(ids):
-                pos = np.searchsorted(allowed, ids)
-                posc = np.minimum(pos, max(len(allowed) - 1, 0))
-                m = ((pos < len(allowed)) & (allowed[posc] == ids)
-                     if len(allowed) else np.zeros(len(ids), dtype=bool))
-                ids, tfs = ids[m], tfs[m]
+            m = None if allowed is None else _in_sorted(e.ids, allowed)
+            ids = e.ids if m is None else e.ids[m]
             if len(ids) == 0:
                 continue
-            w = self.idf(t)
-            if boosts is not None:
-                w *= boosts.get(t, 1.0)
             id_parts.append(ids)
-            score_parts.append(self._kernel(w, tfs, self.doc_len(ids)))
+            score_parts.append(
+                self._impacts(t, e, boosts.get(t) if boosts else None, m))
         if not id_parts:
             return []
         uniq, inv = np.unique(np.concatenate(id_parts), return_inverse=True)
@@ -812,29 +828,27 @@ class IndexReader:
           k-th best; pruning uses strict ``< θ`` so boundary ties
           (broken by ascending doc_id) are never lost.
         """
-        terms = []  # (weight, entry) of terms with postings, sorted-token order
+        terms = []  # (weight, entry, token, boost), sorted-token order
         for t, e in zip(toks, self._store.entries(toks)):
             if len(e.ids):
-                w = self.idf(t)
-                if boosts is not None:
-                    w *= boosts.get(t, 1.0)
-                terms.append((w, e))
+                boost = boosts.get(t) if boosts else None
+                terms.append((self.idf(t) * (boost or 1.0), e, t, boost))
         # Term upper bound: its max live tf at the shortest doc. Block
         # bounds are built at the term's first block skip, once θ is
         # finite; a query whose candidates never reach k builds none.
-        ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e in terms]
+        ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e, *_ in terms]
         order = sorted(range(len(terms)), key=lambda j: -ubs[j])
         suffix = [0.0] * (len(order) + 1)
         for r in range(len(order) - 1, -1, -1):
             suffix[r] = suffix[r + 1] + ubs[order[r]]
         done = [False] * len(terms)
         cand_ids = cand_scores = None
-        theta = -math.inf
+        theta, theta_n = -math.inf, -1  # θ and the candidate count it saw
         for r, j in enumerate(order):
             if suffix[r] < theta:
                 break  # no unseen doc can reach the top-k
-            w, e = terms[j]
-            ids, tfs = e.ids, e.tfs
+            w, e, t, boost = terms[j]
+            at = None  # positions in e.ids still to score; None = all
             done[j] = True
             if theta > -math.inf:
                 self._store.bounds(e)
@@ -844,25 +858,26 @@ class IndexReader:
                     keep = np.repeat(keep, e.bcount)
                     if e.live is not None:
                         keep = keep[e.live]
-                    ids, tfs = ids[keep], tfs[keep]
+                    at = np.flatnonzero(keep)
+            ids = e.ids if at is None else e.ids[at]
             if cand_ids is not None:
                 # Probing a[:-1] lands past-the-end queries on a's last
                 # entry, so the position needs no clamp.
-                new = cand_ids[cand_ids[:-1].searchsorted(ids)] != ids
-                ids, tfs = ids[new], tfs[new]
+                new = np.flatnonzero(
+                    cand_ids[cand_ids[:-1].searchsorted(ids)] != ids)
+                at = new if at is None else at[new]
+                ids = ids[new]
             if not len(ids):
                 continue
-            dl = self.doc_len(ids)
             scores = np.zeros(len(ids))
-            for jj, (wj, ej) in enumerate(terms):
+            for jj, (_, ej, tj, bj) in enumerate(terms):
                 if jj == j:
-                    scores += self._kernel(w, tfs, dl)
+                    scores += self._impacts(t, e, boost, at)
                 elif not done[jj]:
                     p = ej.ids[:-1].searchsorted(ids)
                     hit = ej.ids[p] == ids
                     if hit.any():
-                        scores[hit] += self._kernel(wj, ej.tfs[p[hit]],
-                                                    dl[hit])
+                        scores[hit] += self._impacts(tj, ej, bj, p[hit])
             if cand_ids is None:
                 cand_ids, cand_scores = ids, scores
             else:
@@ -875,9 +890,12 @@ class IndexReader:
                 n = len(cand_ids)
                 if 0 < k <= n:
                     theta = np.partition(cand_scores, n - k)[n - k]
+                    theta_n = n
         if cand_ids is None:
             return []
-        return _topk(cand_ids, cand_scores, k)
+        # θ is still the k-th best score when no candidate came after it.
+        return _topk(cand_ids, cand_scores, k,
+                     kth=theta if theta_n == len(cand_ids) else None)
 
     def explain(self, tokens: list[str], doc_id: int) -> list[dict]:
         """Per-term BM25 score breakdown for ONE document — the
@@ -1105,15 +1123,18 @@ def _merge_ids(parts) -> list[int]:
         [np.asarray(p, dtype=np.int64) for p in parts])).tolist()
 
 
-def _topk(ids: np.ndarray, scores: np.ndarray,
-          k: int) -> list[tuple[int, float]]:
+def _topk(ids: np.ndarray, scores: np.ndarray, k: int,
+          kth: "float | None" = None) -> list[tuple[int, float]]:
     """The ``k`` best (doc_id, score) pairs by (score desc, doc_id asc) —
     the ONE ranking every BM25 path returns. Only the entries tied with
     or above the k-th best score are sorted, so ties at the cut keep
-    the lowest doc ids."""
+    the lowest doc ids. ``kth``: that k-th best score when the caller
+    already knows it (MaxScore's θ), saving the partition."""
     n = len(ids)
     if 0 < k < n:
-        sel = scores >= np.partition(scores, n - k)[n - k]
+        if kth is None:
+            kth = np.partition(scores, n - k)[n - k]
+        sel = scores >= kth
         ids, scores = ids[sel], scores[sel]
     order = np.lexsort((ids, -scores))[:k]
     return list(zip(ids[order].tolist(), scores[order].tolist()))

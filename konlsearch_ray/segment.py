@@ -303,15 +303,20 @@ class _TermEntry:
     block b's max tf and ``bcount[b]`` its stored entry count, so
     ``np.repeat(x, bcount)`` followed by ``[live]`` aligns a per-block
     value with the postings.
+
+    ``imp`` is reader state kept on the store's entry: the term's
+    unboosted BM25 impact of each live posting (float64, aligned with
+    ``ids``). The store never reads it; ``IndexReader._impacts`` fills it
+    the first time BM25 scores the term, as the store fills ``bmax``.
     """
 
     __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
-                 "maxtf")
+                 "maxtf", "imp")
 
     def __init__(self, locs, ids, tfs, live):
         self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
         self.maxtf = int(tfs.max()) if len(tfs) else 0
-        self.pos = self.bmax = self.bcount = None
+        self.pos = self.bmax = self.bcount = self.imp = None
 
 
 class _Segment:

@@ -225,6 +225,116 @@ def test_bm25_pruned_identical_tombstoned(built, tombstoned):
             tombstoned, [tokens], boosts={tokens[0]: 2.0, tokens[1]: 0.5})
 
 
+def test_warm_bm25_reuses_cached_impacts(built, monkeypatch):
+    """Once a term's impacts are cached, a repeated unboosted query makes
+    no ``doc_len`` call: pruned, ``prune=False`` and filtered alike. A
+    boosted query still works; it computes its boosted term's impacts
+    per query, only for the postings it scores or probes."""
+    import random
+
+    _, _, oracle, index_dir, _ = built
+    # Head pairs, a single term, and tail + mid pairs that reach a block
+    # skip at k=1.
+    queries = [HEADS[:2], HEADS[2:5], ["def"]]
+    queries += _regime_queries(oracle, random.Random(3), 10)
+    allowed = np.arange(1, N_DOCS, 2, dtype=np.int64)
+    calls = [{}, {"prune": False}, {"allowed": allowed}]
+    r = IndexReader(index_dir)
+    expect = {(i, j, k): r.bm25_topk(q, k, **kw)
+              for i, q in enumerate(queries) for j, kw in enumerate(calls)
+              for k in (1, 10)}
+    n_calls = []
+    real = IndexReader.doc_len
+
+    def counting(self, doc_ids):
+        n_calls.append(len(doc_ids))
+        return real(self, doc_ids)
+
+    monkeypatch.setattr(IndexReader, "doc_len", counting)
+    for (i, j, k), exp in expect.items():
+        assert r.bm25_topk(queries[i], k, **calls[j]) == exp, (i, j, k)
+    assert n_calls == []
+    boosted = r.bm25_topk(HEADS[:2], 10, boosts={"def": 2.0})
+    assert boosted == r.bm25_topk(HEADS[:2], 10, prune=False,
+                                  boosts={"def": 2.0})
+    assert boosted != expect[(0, 0, 10)]
+    # A boosted term is computed only where the query scores or probes
+    # it: never more than its whole list, and less once blocks are skipped.
+    partial = 0
+    for q in _regime_queries(oracle, random.Random(3)):
+        r.bm25_topk(q, 1)  # caches the unboosted tail term
+        n = len(r._store.entry(q[1]).ids)
+        n_calls.clear()
+        r.bm25_topk(q, 1, boosts={q[1]: 1.1})
+        assert sum(n_calls) <= n, q
+        partial += any(0 < c < n for c in n_calls)
+    assert partial
+
+
+def _assert_impact_cache_contract(index_dir, queries):
+    """Boosted calls never fill or change a term's cached impacts; every
+    cached entry holds the kernel's output over its postings; a warmed
+    reader prunes exactly as a fresh one."""
+    fresh = IndexReader(index_dir)
+    t = "def"
+    for boosts in ({t: 2.0}, {t: 0.5}):
+        for kw in ({}, {"prune": False}, {"allowed": np.arange(1, N_DOCS)}):
+            fresh.bm25_topk(HEADS[:2], 3, boosts=boosts, **kw)
+    e = fresh._store.entry(t)
+    assert e.imp is None  # a boosted term never fills the cache
+    fresh.bm25_topk([t, "return"], 3, boosts={})
+    imp = e.imp
+    exp = fresh._kernel(fresh.idf(t), e.tfs, fresh.doc_len(e.ids))
+    assert imp is not None and imp.tobytes() == exp.tobytes()
+    for boosts in ({t: 2.0}, {t: 0.5}, {}, {t: 1.0}):
+        fresh.bm25_topk(HEADS[:2], 3, boosts=boosts)
+        fresh.bm25_topk(HEADS[:2], 3, prune=False, boosts=boosts)
+        assert e.imp is imp and imp.tobytes() == exp.tobytes(), boosts
+    for q in queries:
+        fresh.bm25_topk(q, 10, boosts={q[0]: 2.0})
+        fresh.bm25_topk(q, 10, prune=False)
+        fresh.bm25_topk(q, 10, allowed=np.arange(1, N_DOCS, 3))
+    cached = 0
+    for term, e in fresh._store._terms.items():
+        if e.imp is not None:
+            cached += 1
+            assert len(e.imp) == len(e.ids), term
+            assert e.imp.tobytes() == fresh._kernel(
+                fresh.idf(term), e.tfs, fresh.doc_len(e.ids)).tobytes(), term
+    assert cached
+    cold = IndexReader(index_dir)
+    for q in queries:
+        for k in (1, 3, 10, 50):
+            assert fresh.bm25_topk(q, k) == cold.bm25_topk(q, k), (q, k)
+
+
+def test_impact_cache_contract(built, tombstoned):
+    import random
+
+    _, _, oracle, index_dir, _ = built
+    queries = _regime_queries(oracle, random.Random(13))
+    queries += [HEADS[:2], HEADS[1:4]]
+    for d in (index_dir, tombstoned.index_dir):
+        _assert_impact_cache_contract(d, queries)
+
+
+def test_topk_known_kth_equals_partition():
+    """``_topk(..., kth=θ)`` with θ the k-th best score selects exactly
+    what the partition selects; ``kth`` is ignored when k ≥ n or k = 0."""
+    from konlsearch_ray.query import _topk
+
+    ids = np.arange(10, 20, dtype=np.int64)
+    scores = np.array([1.5, 3.0, 2.0, 3.0, 2.0, 2.0, 0.5, 3.0, 2.0, 1.0])
+    for k in range(1, len(ids)):
+        kth = np.partition(scores, len(ids) - k)[len(ids) - k]
+        assert _topk(ids, scores, k, kth=kth) == _topk(ids, scores, k), k
+    assert _topk(ids, scores, 4)[-1] == (12, 2.0)  # tie at the cut: lowest id
+    for k in (len(ids), len(ids) + 5, 0):
+        assert (_topk(ids, scores, k, kth=scores.max())
+                == _topk(ids, scores, k)), k
+    assert _topk(ids, scores, 0) == []
+
+
 def test_block_bounds_per_block_and_aligned(tombstoned):
     """``block_upper_tf`` stays aligned with the live postings on a
     tombstoned reader, while the reader keeps one bound per stored block
