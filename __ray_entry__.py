@@ -70,17 +70,25 @@ def _src_fp(sf_dir: str) -> str:
         return "absent"
 
 
+def _cache_dir(sf_dir: str, kind: str) -> str:
+    """The /tmp cache directory of one entry index over ``sf_dir``. The
+    tag holds the source fingerprint and the segment layout version, so
+    neither regenerated testdata nor an index of an older layout (which
+    ``build_index`` refuses to resume) is ever picked up."""
+    from konlsearch_ray.segment import FORMAT_VERSION
+
+    tag = hashlib.md5(f"{sf_dir}:{_src_fp(sf_dir)}:{kind}:"
+                      f"format-{FORMAT_VERSION}".encode()).hexdigest()[:10]
+    return f"/tmp/konl_entry_index/{tag}"
+
+
 def _index_dir(sf_dir: str) -> str:
     """Build (or reuse) the index over ``{sf_dir}/documents.parquet``."""
     if sf_dir in _INDEX_CACHE:
         return _INDEX_CACHE[sf_dir]
     from konlsearch_ray.build import IndexConfig, build_index
 
-    # Version salt: bump when the on-disk index layout changes so a stale
-    # /tmp cache from an older build can never be picked up.
-    tag = hashlib.md5(
-        f"{sf_dir}:{_src_fp(sf_dir)}:layout-v3".encode()).hexdigest()[:10]
-    out = f"/tmp/konl_entry_index/{tag}"
+    out = _cache_dir(sf_dir, "layout-v3")
     cfg = IndexConfig(
         content_col="text", id_col="doc_id", dedup=False, sort_keys=[],
         store_cols=["lang", "source"], shard_size=4096,
@@ -114,9 +122,7 @@ def _morph_index_dir(sf_dir: str) -> str:
     from konlsearch_ray.analyzer import KoreanLexiconAnalyzer
     from konlsearch_ray.build import IndexConfig, build_index
 
-    tag = hashlib.md5(
-        f"{sf_dir}:{_src_fp(sf_dir)}:morph-v1".encode()).hexdigest()[:10]
-    out = f"/tmp/konl_entry_index/{tag}"
+    out = _cache_dir(sf_dir, "morph-v1")
     cfg = IndexConfig(
         content_col="text", id_col="doc_id", dedup=False, sort_keys=[],
         shard_size=4096, analyzer_factory=KoreanLexiconAnalyzer,
@@ -139,9 +145,7 @@ def _merged_index_dir(sf_dir: str) -> str:
     from konlsearch_ray.build import IndexConfig, build_index
     from konlsearch_ray.merge import merge_indexes
 
-    tag = hashlib.md5(
-        f"{sf_dir}:{_src_fp(sf_dir)}:merged-v1".encode()).hexdigest()[:10]
-    root = f"/tmp/konl_entry_index/{tag}"
+    root = _cache_dir(sf_dir, "merged-v1")
     out = os.path.join(root, "merged")
     if not os.path.exists(os.path.join(out, "stats.json")):
         os.makedirs(root, exist_ok=True)

@@ -51,9 +51,10 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
-                                    binary_view, encode_segment,
-                                    manifest_path, read_manifests,
-                                    segment_path, shard_nums, write_shard)
+                                    binary_view, check_version,
+                                    encode_segment, manifest_path,
+                                    read_manifests, segment_path,
+                                    shard_nums, write_shard)
 
 
 @dataclass
@@ -226,10 +227,10 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
     doc) — plus doc_id-sorted doclens. One stable combined-key sort by
     (term rank, doc) orders occurrences; a run-length pass then yields
     per-(term, doc) tf + first_pos (stability keeps pos ascending within
-    each group, so the group head IS the first occurrence) and the
-    term-level group starts for the varint encoder. Deterministic:
-    output depends only on the shard's (doc, term) content — batch
-    layout is erased by the sort.
+    each group, so the group head IS the first occurrence), the gaps of
+    every later position in the group, and the term-level group starts
+    for the varint encoder. Deterministic: output depends only on the
+    shard's (doc, term) content — batch layout is erased by the sort.
     """
     row_code = (denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
                 if len(denc) else np.zeros(0, dtype=np.int64))
@@ -261,6 +262,8 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
     # Per-(term, doc) entries: tf = run length, first_pos = run head.
     tf_s = np.diff(np.append(e_starts, m)).astype(np.int64)
     pos_s = p_s[e_starts].astype(np.int64)
+    # Every non-head occurrence, as a gap from the one before it.
+    pos_rest = np.diff(p_s)[~occ_new[1:]]
     rank_s = r_s[e_starts]
     doc_s = d_s[e_starts]
     n = len(rank_s)
@@ -272,7 +275,7 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
     sorted_terms = dict_np[dict_order]
     out_terms = sorted_terms[rank_s[starts]] if n else np.array([], dtype=object)
     seg = encode_segment(pa.array(out_terms, pa.string()),
-                         starts, doc_s, tf_s, pos_s)
+                         starts, doc_s, tf_s, pos_s, pos_rest)
     dl = pa.table({"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
     manifest = write_shard(index_dir, shard, seg, dl)
     return pa.table({k: [manifest[k]]
@@ -1003,9 +1006,9 @@ def _compact_docstore(docs_dir: str) -> None:
     """One file per docstore shard. The fused block writers emit one
     file per (input block × shard) — O(blocks × shards) tiny files when
     canonical order is uncorrelated with input order — and every point/
-    multi/range read (and the proximity recheck) then pays thousands of
-    parquet footer opens per call (measured: 2.2 s of a 2.8 s NEAR query
-    on a 147k-doc index with ~7k block files). Compacting to one
+    multi/range read then pays thousands of parquet footer opens per
+    call (measured: 2.2 s of a 2.8 s docstore-bound query on a 147k-doc
+    index with ~7k block files). Compacting to one
     doc_id-SORTED file per shard restores O(shards) opens and gives
     range/isin filters real row-group pruning. Runs BEFORE the
     _DOCS_DONE marker: a crash mid-compaction (merged file + stale
@@ -1310,6 +1313,7 @@ def build_index(source, index_dir: str, cfg: IndexConfig | None = None) -> dict:
         # persisted meta, not the caller's (possibly default) cfg — a
         # mismatched shard_size would rebuild postings misaligned with
         # the docstore partitions.
+        check_version(index_dir)
         _restore_cfg_from_meta(index_dir, cfg)
     t0 = time.perf_counter()
     docs_sub = _docs_phase(source, index_dir, cfg)
@@ -1425,6 +1429,7 @@ def append_documents(
 
     import copy
 
+    check_version(index_dir)
     cfg = copy.copy(cfg) if cfg is not None else IndexConfig()
     # Layout + canonical-order parameters are properties of the INDEX,
     # not the call — read them from the persisted meta (into the local

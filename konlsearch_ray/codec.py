@@ -46,17 +46,13 @@ def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b"", np.zeros(0, dtype=np.int64)
-    # Bytes needed per value: ceil(bitlen/7), min 1.
-    nbits = np.zeros(v.shape, dtype=np.int64)
-    # bit_length via log2 on float is unsafe near 2^53; use a loop over shifts.
-    tmp = v.copy()
-    while True:
-        live = tmp > 0
-        if not live.any():
-            break
-        nbits[live] += 1
-        tmp = tmp >> np.uint64(1)
-    nbytes = np.maximum((nbits + 6) // 7, 1)
+    # Bytes needed per value: ceil(bitlen/7), min 1 — one pass per 7-bit
+    # group (bit_length via log2 on float is unsafe near 2^53).
+    nbytes = np.ones(v.shape, dtype=np.int64)
+    tmp = v >> np.uint64(7)
+    while tmp.any():
+        nbytes += tmp > 0
+        tmp >>= np.uint64(7)
     offsets = np.concatenate(([0], np.cumsum(nbytes)))
     total = int(offsets[-1])
     out = np.zeros(total, dtype=np.uint8)

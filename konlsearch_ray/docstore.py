@@ -35,25 +35,15 @@ def _unique_ids(doc_ids) -> np.ndarray:
 
 
 class DocStore:
-    def __init__(self, index_dir: str, *, _meta: dict | None = None,
-                 _dead: np.ndarray | None = None):
-        """``_meta`` / ``_dead`` inject pre-loaded state (the NEAR
-        fan-out ships them from the driver so each task skips the
-        index_meta.json read and the tombstone load)."""
+    def __init__(self, index_dir: str):
+        from konlsearch_ray.tombstone import load_tombstones
+
         self.index_dir = index_dir
         self.docs_dir = os.path.join(index_dir, "docs")
-        if _meta is not None:
-            self.meta = _meta
-        else:
-            with open(os.path.join(index_dir, "index_meta.json")) as f:
-                self.meta = json.load(f)
+        with open(os.path.join(index_dir, "index_meta.json")) as f:
+            self.meta = json.load(f)
         self.shard_size = int(self.meta["shard_size"])
-        if _dead is not None:
-            self._dead = _dead
-        else:
-            from konlsearch_ray.tombstone import load_tombstones
-
-            self._dead = load_tombstones(index_dir)
+        self._dead = load_tombstones(index_dir)
         self._n_dead_live: int | None = None  # memoized live-dead count
 
     def _shard_dirs(self, shards: set[int] | None) -> list[str]:
@@ -131,8 +121,8 @@ class DocStore:
                   columns: list[str] | None = None) -> pa.Table:
         """Multi-get (reference RocksDB multiget): rows for the IDs that
         exist, ascending doc_id. ``columns`` projects the read — only
-        the named columns leave storage (the proximity recheck fetches
-        just (doc_id, content))."""
+        the named columns leave storage (facet counts fetch just
+        (doc_id, facet column))."""
         ids = _unique_ids(doc_ids)
         if not len(ids):
             return pa.table({})

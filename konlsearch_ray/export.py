@@ -16,7 +16,7 @@ Two surfaces a search engine owes its downstream consumers:
 - :func:`snippet_table` — first-occurrence highlight windows for a
   term's matching docs (the classic search-result snippet), served from
   the index's stored first positions + a docstore actor stage. The
-  position stream already exists for phrase/NEAR support (build.py
+  position stream already exists for PHRASE support (build.py
   ``_encode_shard``: per-(term, doc) ``first_pos``); snippets are its
   natural user-facing read.
 
@@ -89,7 +89,7 @@ def export_postings(
     def decode(batch: pa.Table) -> pa.Table:
         from konlsearch_ray.segment import decode_segment
 
-        df, docs, tfs, pos = decode_segment(batch)
+        df, docs, tfs, pos, _ = decode_segment(batch)
         term_col = (batch["term"].combine_chunks()
                     if isinstance(batch["term"], pa.ChunkedArray)
                     else batch["term"])

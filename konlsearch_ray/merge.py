@@ -30,11 +30,12 @@ Per-shard rewrites run as raw Ray tasks — a file-manifest-driven job
 expression for. At cluster scale each task touches one shard's files;
 nothing is ever all-to-all.
 
-Preconditions (validated): identical ``shard_size``, ``id_col``,
-``content_col`` and layout version across inputs. NOT validated (the
-meta does not record it): the indexes must have been built with the
-same analyzer — merging indexes of different analyzers silently mixes
-vocabularies, exactly as it would in any segment-merging engine.
+Preconditions (validated): identical ``shard_size``, ``id_col`` and
+``content_col`` across inputs, each at layout version
+``segment.FORMAT_VERSION``. NOT validated (the meta does not record
+it): the indexes must have been built with the same analyzer — merging
+indexes of different analyzers silently mixes vocabularies, exactly as
+it would in any segment-merging engine.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ import pyarrow.parquet as pq
 
 from konlsearch_ray.build import _finalize, _write_id_counter
 from konlsearch_ray.segment import (_atomic_write_parquet, doclens_path,
-                                    manifest_path, segment_path, shard_nums,
-                                    shift_segment, write_shard)
+                                    check_version, manifest_path,
+                                    segment_path, shard_nums, shift_segment,
+                                    write_shard)
 from konlsearch_ray.tombstone import TOMBSTONE_DIR, load_tombstones
 
 
@@ -104,6 +106,8 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
         raise ValueError("merge_indexes needs at least two indexes")
     if os.path.exists(os.path.join(out_dir, "stats.json")):
         raise ValueError(f"output {out_dir} already holds an index")
+    for d in index_dirs:
+        check_version(d)
     metas = [_load_meta(d) for d in index_dirs]
     for key in ("shard_size", "id_col", "content_col", "store_cols",
                 "version", "dedup", "sort_keys"):

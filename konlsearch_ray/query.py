@@ -13,6 +13,10 @@ inverted_index.py:98-116, index.py:413-444 — SURVEY.md §3.2):
   first-occurrence monotonicity quirk (reference index.py:443-444,
   utility.py:25-26 — SURVEY.md Q5) using the stored first-occurrence
   positions; no re-tokenization needed.
+- ``search_near(tokens, slop)`` — proximity: AND candidates, then one
+  window check over the query terms' stored positions in them (every
+  occurrence, ``PostingStore.positions``). One phase inside the index:
+  no docstore read, no re-tokenization, no task fan-out.
 - ``search_complex(tree)`` — recursive binary AND/OR evaluation
   (reference index.py:72-77, 413-429).
 - ``bm25_topk(tokens, k)`` — extension spec'd in oracle.py (k1=1.2,
@@ -40,8 +44,8 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import pyarrow as pa
@@ -50,7 +54,7 @@ import pyarrow.parquet as pq
 
 from konlsearch_ray.analyzer import normalize_query_tokens
 from konlsearch_ray.segment import (PostingStore, _string_col_to_S,
-                                    read_doclens, shard_nums)
+                                    check_version, read_doclens, shard_nums)
 
 K1 = 1.2
 B = 0.75
@@ -108,19 +112,6 @@ def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[_in_sorted(a, b)]
 
 
-# Fan the NEAR positional recheck out as Ray tasks once the AND
-# candidate set is this large; below it, driver-inline numpy wins on
-# task round-trips. Chunks adapt between a floor (don't slice a small
-# set into sub-batches smaller than one task's overhead amortizes —
-# measured: 128-id chunks run a 2.5k-candidate head query 7.3× faster
-# than inline, 0.11 s vs 0.79 s on a 147k-doc code corpus) and a task
-# cap (a 100 TB-scale candidate set must not explode into unbounded
-# task counts; 256 tasks saturate any single node and stay cheap to
-# schedule on a cluster).
-NEAR_FANOUT_MIN_CANDIDATES = 512
-NEAR_FANOUT_CHUNK_MIN = 128
-NEAR_FANOUT_MAX_TASKS = 256
-
 # Facet counts above this hit-set size stop pushing an `isin(ids)`
 # predicate into the Parquet read (the filter expression itself scales
 # with the hit set) and instead stream the docstore as a Dataset with
@@ -161,39 +152,19 @@ def _sort_facets(t: pa.Table, k: int) -> pa.Table:
     return t.combine_chunks()
 
 
-def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
-                  tset: list[str], slop: int, ordered: bool,
-                  analyzer) -> np.ndarray:
-    """Positional recheck over a batch of candidate docs: re-tokenize
-    ``contents`` (tokenization is a pure function of content, so the
-    streams equal what was indexed) and keep the docs where some window
-    of ``slop + 1`` positions holds every term of ``tset`` (or, with
-    ``ordered``, where ``seq`` appears in order within span ≤ slop).
-    Pure function of its arguments — each candidate chunk rechecks
-    independently, which is what lets search_near fan out. Ascending
-    int64 doc ids (input doc_ids are ascending and only filtered here)."""
-    # Occurrences come back INTEGER-CODED (Arrow dictionary_encode in
-    # C) and filter by an int isin against the few query-term codes —
-    # the object-dtype term filtering this replaces dominated NEAR
-    # latency at head-term candidate counts.
-    if analyzer is None:
-        from konlsearch_ray.analyzer import analyze_strings_coded
-
-        doc_idx, codes, pos, dictionary = analyze_strings_coded(contents)
-    else:
-        from konlsearch_ray.analyzer import _coded_from_token_lists
-
-        doc_idx, codes, pos, dictionary = _coded_from_token_lists(
-            analyzer.tokenize_many(contents.to_pylist()))
-    qcode_arr = pc.index_in(pa.array(tset, pa.string()),
-                            value_set=dictionary)
-    qcodes = {t: c for t, c in zip(tset, qcode_arr.to_pylist())}
-    if any(c is None for c in qcodes.values()):
-        return doc_ids[:0]  # some query term has no occurrence in candidates
-    keep = np.isin(codes, np.fromiter(qcodes.values(), dtype=np.int64))
-    doc_idx, codes, pos = doc_idx[keep], codes[keep], pos[keep]
-    if not len(doc_idx):
-        return doc_ids[:0]
+def _near_windows(doc_ids: np.ndarray, doc_idx: np.ndarray,
+                  codes: np.ndarray, pos: np.ndarray, seq: list[str],
+                  slop: int, ordered: bool) -> np.ndarray:
+    """The NEAR window checks over candidate docs ``doc_ids`` (ascending
+    int64): keep the docs where some window of ``slop + 1`` positions
+    holds every distinct term of ``seq`` (or, with ``ordered``, where
+    ``seq`` appears in order within span ≤ slop). The query terms'
+    occurrences in the candidates come as flat arrays: candidate index
+    ``doc_idx``, term code ``codes`` (the term's index in
+    ``sorted(set(seq))``) and position ``pos``. Ascending int64 doc ids
+    (``doc_ids`` are only filtered here)."""
+    tset = sorted(set(seq))
+    qcodes = {t: c for c, t in enumerate(tset)}
     # Doc-scoped positions → one global coordinate so the whole
     # candidate set checks in k·O(n log n) flat-array passes; the
     # stride keeps windows from crossing doc boundaries.
@@ -225,42 +196,6 @@ def _near_recheck(doc_ids: np.ndarray, contents, seq: list[str],
     return doc_ids[np.unique(doc_idx[ok])]
 
 
-def _near_recheck_chunk(index_dir: str, cand: np.ndarray, seq: list[str],
-                        tset: list[str], slop: int, ordered: bool,
-                        analyzer, store=None, meta=None,
-                        dead=None) -> np.ndarray:
-    """One fan-out unit of the NEAR recheck: shard-pruned column-pruned
-    multi-get of this chunk's candidates, then the pure recheck. The
-    inline path calls it too (with its cached ``store``) so the fetch
-    contract lives in exactly one place; fan-out tasks get the small
-    ``meta`` dict and the tombstone array shipped from the driver
-    (``dead`` rides an ObjectRef put once per reader) instead of
-    re-reading both from disk per task."""
-    if store is None:
-        from konlsearch_ray.docstore import DocStore
-
-        store = DocStore(index_dir, _meta=meta, _dead=dead)
-    content_col = store.meta.get("content_col", "content")
-    tbl = store.get_multi(cand, columns=["doc_id", content_col])
-    return _near_recheck(tbl["doc_id"].to_numpy(), tbl[content_col],
-                         seq, tset, slop, ordered, analyzer)
-
-
-_NEAR_CHUNK_REMOTE = None
-
-
-def _near_chunk_remote():
-    """Lazy ``ray.remote`` wrapper around ``_near_recheck_chunk`` —
-    query.py stays importable without ray (module-scope imports here
-    are stdlib + arrow + numpy only, by design)."""
-    global _NEAR_CHUNK_REMOTE
-    if _NEAR_CHUNK_REMOTE is None:
-        import ray
-
-        _NEAR_CHUNK_REMOTE = ray.remote(_near_recheck_chunk)
-    return _NEAR_CHUNK_REMOTE
-
-
 class SearchMode(str, Enum):
     AND = "AND"
     OR = "OR"
@@ -289,6 +224,7 @@ class IndexReader:
             self.search_log = SearchLog(log_dir)
         else:
             self.search_log = None
+        check_version(index_dir)
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
         self.n_docs = int(self.stats["N"])
@@ -343,6 +279,14 @@ class IndexReader:
             live_tokens = float(g_vals[live].sum())
             self.avgdl = (live_tokens / self.n_docs) if self.n_docs else 1.0
         self._min_dl = float(self._dl_vals.min()) if len(self._dl_vals) else 1.0
+
+    @cached_property
+    def _docstore(self):
+        """The index's docstore, opened on first use: more-like-this and
+        facets read stored rows, no other query does."""
+        from konlsearch_ray.docstore import DocStore
+
+        return DocStore(self.index_dir)
 
     def sample_terms(self, n: int) -> list[str]:
         """First ``n`` stored terms in segment order — bench/test helper
@@ -569,23 +513,19 @@ class IndexReader:
         ``slop``. With k distinct terms a match therefore needs
         ``slop >= k - 1`` (distinct terms cannot share a position).
 
-        Two-phase, the standard positional-recheck design: (1) the AND
-        intersection over postings yields the candidate set; (2) the
-        candidates' contents are fetched from the docstore (shard-pruned
-        multi-get) and re-tokenized in ONE vectorized pass
-        (analyzer.analyze_strings — tokenization is a pure function of
-        content, so the streams equal what was indexed), then a single
-        flat-array window check runs over every occurrence: an anchor
-        occurrence ``a`` matches iff every term has an occurrence in
-        ``[a, a + slop]``; the minimal window starts at an occurrence of
-        one of the terms, so anchoring at every occurrence is exact.
-        Cost is ∝ query-term occurrences in the CANDIDATE docs only,
-        never the corpus; at cluster scale phase (2) is shard-local (see
-        ShardedQueryEngine.search_near), and on the driver it fans out
-        as Ray tasks over adaptive candidate-id chunks once the AND set
-        passes ``NEAR_FANOUT_MIN_CANDIDATES``. ``analyzer``: pass the index's
-        analyzer for indexes built with a custom analyzer_factory; None →
-        the normative vectorized path. Ascending doc ids.
+        Filter then verify, both from the index: (1) the AND
+        intersection over postings yields the candidate set; (2) each
+        query term's stored positions (``PostingStore.positions``, every
+        occurrence the build tokenized) are cut to the candidates, and a
+        single flat-array window check runs over those occurrences: an
+        anchor occurrence ``a`` matches iff every term has an occurrence
+        in ``[a, a + slop]``; the minimal window starts at an occurrence
+        of one of the terms, so anchoring at every occurrence is exact.
+        No docstore read and no re-tokenization: cost is ∝ query-term
+        occurrences in the CANDIDATE docs, and in the sharded engine
+        each actor verifies its own shards. ``analyzer`` is accepted for
+        compatibility and ignored: positions come from the index's own
+        analyzer at build time. Ascending doc ids.
 
         ``ordered=True`` is the ordered-span (sloppy-phrase) variant:
         occurrences must appear in QUERY order (strictly increasing
@@ -594,10 +534,10 @@ class IndexReader:
         chain from every first-term anchor — greedy takes the earliest
         legal next occurrence, which only loosens the constraint on the
         terms after it, so existence is decided exactly."""
-        return self._near_ids(tokens, slop, analyzer, ordered).tolist()
+        return self._near_ids(tokens, slop, ordered).tolist()
 
     def _near_ids(self, tokens: list[str], slop: int = 2,
-                  analyzer=None, ordered: bool = False) -> np.ndarray:
+                  ordered: bool = False) -> np.ndarray:
         """Array form of :meth:`search_near`."""
         if slop < 0:
             raise ValueError(f"slop must be >= 0, got {slop}")
@@ -606,76 +546,21 @@ class IndexReader:
         cand = self._search_ids(tset, SearchMode.AND)
         if len(seq) <= 1 or not len(cand):
             return cand
-        # ray stays a LAZY dependency of this module: only consult it if
-        # something else already imported it (never initialized == never
-        # imported == inline), so ray-free installs and small queries
-        # pay nothing.
-        _ray = sys.modules.get("ray")
-        if (len(cand) >= NEAR_FANOUT_MIN_CANDIDATES
-                and _ray is not None and _ray.is_initialized()
-                and _ray.get_runtime_context().get_task_id() is None
-                and _ray.get_runtime_context().get_actor_id() is None):
-            hits = self._near_fanout(_ray, cand, seq, tset, slop, ordered,
-                                     analyzer)
-            if hits is not None:
-                return hits
-        store = getattr(self, "_docstore", None)
-        if store is None:
-            from konlsearch_ray.docstore import DocStore
-
-            store = self._docstore = DocStore(self.index_dir)
-        return _near_recheck_chunk(self.index_dir, cand, seq, tset, slop,
-                                   ordered, analyzer, store=store)
-
-    def _near_fanout(self, _ray, cand, seq, tset, slop, ordered,
-                     analyzer) -> np.ndarray | None:
-        """Fan the NEAR recheck out as Ray tasks over contiguous
-        candidate-id chunks (cand is ascending, so each task's
-        shard-pruned multi-get touches few shard files and the
-        concatenated results stay sorted). Driver-only — a nested-task
-        wave launched from a saturated actor pool (QueryStage /
-        ShardedQueryEngine, whose shards already parallelize the
-        recheck) would deadlock waiting for CPUs its parents hold.
-        Assumes ``index_dir`` is on storage the workers can read — the
-        same contract every actor-pool serving path already has.
-        Returns None when the analyzer won't serialize (C-extension
-        backends like mecab/Kiwi): the caller falls back inline."""
-        store = getattr(self, "_docstore", None)
-        if store is None:
-            from konlsearch_ray.docstore import DocStore
-
-            store = self._docstore = DocStore(self.index_dir)
-        an = None
-        if analyzer is not None:
-            # Ship the analyzer to the object store ONCE per reader (a
-            # lexicon analyzer can carry MBs of state), re-shipping only
-            # if the caller passes a different instance.
-            if getattr(self, "_near_an_src", None) is not analyzer:
-                try:
-                    ref = _ray.put(analyzer)
-                except Exception:
-                    ref = None
-                self._near_an_src = analyzer
-                self._near_an_ref = ref
-            an = self._near_an_ref
-            if an is None:
-                return None
-        if getattr(self, "_near_dead_ref", None) is None:
-            # Tombstones ride one ObjectRef per reader — NOT re-read
-            # from disk by each task. Staleness matches the reader's
-            # own cached docstore.
-            self._near_dead_ref = _ray.put(store._dead)
-        chunk = max(NEAR_FANOUT_CHUNK_MIN,
-                    -(-len(cand) // NEAR_FANOUT_MAX_TASKS))
-        task = _near_chunk_remote()
-        # Workers resolve relative paths against their own cwd.
-        index_dir = os.path.abspath(self.index_dir)
-        refs = [
-            task.remote(index_dir, cand[i:i + chunk], seq, tset, slop,
-                        ordered, an, None, store.meta,
-                        self._near_dead_ref)
-            for i in range(0, len(cand), chunk)]
-        return np.concatenate(_ray.get(refs))
+        # Each term's occurrences in the candidates. cand is a subset of
+        # every term's postings, so searchsorted finds its postings.
+        doc_idx, codes, pos = [], [], []
+        store = self._store
+        for c, (e, allpos) in enumerate(zip(store.entries(tset),
+                                            store.positions(tset))):
+            m = np.zeros(len(e.ids), dtype=bool)
+            m[e.ids.searchsorted(cand)] = True
+            tf = e.tfs[m]
+            doc_idx.append(np.repeat(np.arange(len(cand)), tf))
+            codes.append(np.full(len(doc_idx[-1]), c))
+            pos.append(allpos[np.repeat(m, e.tfs)])
+        return _near_windows(cand, np.concatenate(doc_idx),
+                             np.concatenate(codes), np.concatenate(pos),
+                             seq, slop, ordered)
 
     def search_complex(self, tree) -> list[int]:
         """tree = (left, right, 'AND'|'OR'|'ANDNOT'); leaves are
@@ -1003,12 +888,7 @@ class IndexReader:
         the tf counts won't match the indexed stream. An absent/deleted
         ``doc_id`` returns [].
         """
-        store = getattr(self, "_docstore", None)
-        if store is None:
-            from konlsearch_ray.docstore import DocStore
-
-            store = self._docstore = DocStore(self.index_dir)
-        toks = store.get_ordered_tokens(doc_id, analyzer=analyzer)
+        toks = self._docstore.get_ordered_tokens(doc_id, analyzer=analyzer)
         if not toks:
             return []
         sel_terms = _mlt_select(toks, self.idf, n_terms)
@@ -1040,11 +920,7 @@ class IndexReader:
         the folded rows — one per distinct facet — reach the driver.
         """
         ids = self._search_ids(tokens, mode)
-        store = getattr(self, "_docstore", None)
-        if store is None:
-            from konlsearch_ray.docstore import DocStore
-
-            store = self._docstore = DocStore(self.index_dir)
+        store = self._docstore
         if len(ids) <= FACET_SCAN_MIN_HITS:
             if not len(ids):
                 return _empty_facets()

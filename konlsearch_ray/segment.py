@@ -8,17 +8,22 @@ per term, in term order (``SEGMENT_SCHEMA``):
 - ``df``/``cf``: the term's posting count and tf sum within the shard;
 - ``doc_ids_bin``: LEB128 doc-id gaps, the first gap the absolute id;
 - ``tfs_bin``/``pos_bin``: LEB128 tfs and first positions, in doc order;
+- ``pos_rest_bin``: every posting's positions 2..tf, in doc order, each a
+  LEB128 gap from the posting's previous position (``cf - df`` values,
+  so the tfs split it and no count stream is needed);
 - ``block_last_doc``/``block_max_tf``: each ``BLOCK_SIZE``-entry block's
   last doc id and max tf.
 
 Every other module reaches the format through this one:
 
-- layout: ``FORMAT_VERSION``, the shard paths, ``shard_nums``,
-  ``read_doclens`` and ``read_manifests``;
+- layout: ``FORMAT_VERSION`` (2: ``pos_rest_bin`` added), its guard
+  ``check_version``, the shard paths, ``shard_nums``, ``read_doclens``
+  and ``read_manifests``;
 - write: ``encode_segment`` and ``write_shard`` (build, compaction, merge);
 - rewrite: ``decode_segment``/``decode_columns`` (compaction, export)
   and ``shift_segment`` (merge);
-- read: ``PostingStore``, the reader's posting lists and their cache.
+- read: ``PostingStore``, the reader's posting lists, their positions
+  and their cache.
 
 Nothing here imports ray at module scope: ``query`` imports this module
 and stays importable without ray.
@@ -42,7 +47,7 @@ from konlsearch_ray.codec import (BLOCK_SIZE, decode_postings,
                                   varint_encode_with_sizes)
 
 # The layout version in stats.json, index_meta.json and every manifest.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -52,6 +57,7 @@ SEGMENT_SCHEMA = pa.schema(
         ("doc_ids_bin", pa.large_binary()),
         ("tfs_bin", pa.large_binary()),
         ("pos_bin", pa.large_binary()),
+        ("pos_rest_bin", pa.large_binary()),
         ("block_last_doc", pa.list_(pa.int64())),
         ("block_max_tf", pa.list_(pa.int32())),
     ]
@@ -59,6 +65,22 @@ SEGMENT_SCHEMA = pa.schema(
 
 
 # --- layout ---------------------------------------------------------------
+
+def check_version(index_dir: str) -> None:
+    """Raise ``ValueError`` unless every layout file of the index at
+    ``index_dir`` (``index_meta.json``, ``stats.json``; either may be
+    missing) records ``FORMAT_VERSION``: a reader must not open, and a
+    writer must not add shards to, an index of another layout."""
+    for name in ("index_meta.json", "stats.json"):
+        path = os.path.join(index_dir, name)
+        if os.path.exists(path):
+            with open(path) as f:
+                found = json.load(f).get("version")
+            if found != FORMAT_VERSION:
+                raise ValueError(
+                    f"{path} records index layout version {found}, "
+                    f"expected {FORMAT_VERSION}: rebuild the index")
+
 
 def segment_path(index_dir: str, shard: int) -> str:
     return os.path.join(index_dir, "segments", f"shard-{shard:06d}.parquet")
@@ -171,12 +193,36 @@ def _file_sha(path: str) -> str:
     return h.hexdigest()
 
 
+def _blob_column(buf: bytes, sizes: np.ndarray,
+                 counts: np.ndarray) -> pa.Array:
+    """A large_binary column over one varint buffer, without copying it:
+    row ``i`` holds the next ``counts[i]`` values, and ``sizes`` are the
+    values' encoded byte lengths."""
+    csizes = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    offsets = np.ascontiguousarray(
+        csizes[np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))],
+        dtype=np.int64)
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(counts),
+        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
+
+
 def encode_segment(terms: pa.Array, starts: np.ndarray, doc_s: np.ndarray,
-                   tf_s: np.ndarray, pos_s: np.ndarray) -> pa.Table:
+                   tf_s: np.ndarray, pos_s: np.ndarray,
+                   pos_rest: np.ndarray) -> pa.Table:
     """A shard's posting entries, sorted by (term, doc_id), as one
     segment table. ``starts`` marks each term's first entry and ``terms``
-    holds one string per term."""
+    holds one string per term. ``pos_s`` is each entry's first position;
+    ``pos_rest`` holds, entry after entry, its other ``tf - 1`` positions
+    as gaps from the position before."""
     enc = encode_postings_grouped(starts, doc_s, tf_s, pos_s)
+    n_rest = enc["cf"] - enc["df"]
+    if len(pos_rest) != int(n_rest.sum()):
+        raise ValueError(
+            f"encode_segment: {len(pos_rest)} rest positions for "
+            f"{int(n_rest.sum())} non-first occurrences")
+    rest_buf, rest_nb = varint_encode_with_sizes(
+        np.asarray(pos_rest, dtype=np.uint64))
     bl_off = pa.array(
         np.concatenate(([0], np.cumsum(enc["nblocks"]))), pa.int32())
     return pa.table(
@@ -187,6 +233,7 @@ def encode_segment(terms: pa.Array, starts: np.ndarray, doc_s: np.ndarray,
             "doc_ids_bin": pa.array(enc["doc_ids_bin"], pa.large_binary()),
             "tfs_bin": pa.array(enc["tfs_bin"], pa.large_binary()),
             "pos_bin": pa.array(enc["pos_bin"], pa.large_binary()),
+            "pos_rest_bin": _blob_column(rest_buf, rest_nb, n_rest),
             "block_last_doc": pa.ListArray.from_arrays(
                 bl_off, pa.array(enc["block_last_flat"], pa.int64())),
             "block_max_tf": pa.ListArray.from_arrays(
@@ -234,18 +281,23 @@ def decode_columns(positions: bool) -> list[str]:
 
 
 def decode_segment(seg: pa.Table):
-    """Whole-table decode → ``(df, doc_ids, tfs, first_pos)``: each row's
-    df, then every row's postings concatenated in row order (int64 ids,
-    int32 tfs, int64 positions). ``first_pos`` is None when the table has
-    no ``pos_bin`` column. One fused varint pass covers all the rows'
-    doc-gap and tf streams (``codec.decode_postings``)."""
+    """Whole-table decode → ``(df, doc_ids, tfs, first_pos, rest_gaps)``:
+    each row's df, then every row's postings concatenated in row order
+    (int64 ids, int32 tfs, int64 first positions and rest gaps, the
+    latter ``tf - 1`` per posting). ``first_pos``/``rest_gaps`` are None
+    when the table has no ``pos_bin``/``pos_rest_bin`` column. One fused
+    varint pass covers all the rows' doc-gap and tf streams
+    (``codec.decode_postings``)."""
     df = seg["df"].to_numpy(zero_copy_only=False).astype(np.int64)
     ids, tfs = decode_postings(_concat(seg["doc_ids_bin"]),
                                _concat(seg["tfs_bin"]), df)
-    pos = None
+    pos = rest = None
     if "pos_bin" in seg.column_names:
         pos = varint_decode(_concat(seg["pos_bin"]), len(ids)).view(np.int64)
-    return df, ids, tfs, pos
+    if "pos_rest_bin" in seg.column_names:
+        rest = varint_decode(_concat(seg["pos_rest_bin"]),
+                             int(tfs.sum()) - len(ids)).view(np.int64)
+    return df, ids, tfs, pos, rest
 
 
 def _shift_binary_firsts(col: pa.ChunkedArray, dfs: np.ndarray,
@@ -262,16 +314,7 @@ def _shift_binary_firsts(col: pa.ChunkedArray, dfs: np.ndarray,
     first_idx = first_idx[dfs > 0]
     gaps = gaps.astype(np.uint64)
     gaps[first_idx] += np.uint64(id_off)
-    buf, sizes = varint_encode_with_sizes(gaps)
-    # Per-term byte lengths: sum of its values' sizes.
-    ends = np.cumsum(dfs)
-    csizes = np.concatenate(([0], np.cumsum(sizes)))
-    term_bytes = csizes[ends] - csizes[ends - dfs]
-    offsets = np.ascontiguousarray(
-        np.concatenate(([0], np.cumsum(term_bytes))), dtype=np.int64)
-    return pa.Array.from_buffers(
-        pa.large_binary(), len(dfs),
-        [None, pa.py_buffer(offsets.tobytes()), pa.py_buffer(buf)])
+    return _blob_column(*varint_encode_with_sizes(gaps), dfs)
 
 
 def shift_segment(seg: pa.Table, id_off: int) -> pa.Table:
@@ -298,8 +341,8 @@ class _TermEntry:
     the stored ones (None when none was removed). ``maxtf``, the max of
     the live tfs (0 when there are none), is set at decode: it bounds
     every posting and is never looser than the stored block maxima.
-    Positions (``pos``) and the per-block bounds (``bmax``/``bcount``)
-    decode on first use. Bounds stay per stored block: ``bmax[b]`` is
+    First positions (``pos``, PHRASE), every position (``allpos``, NEAR)
+    and the per-block bounds (``bmax``/``bcount``) decode on first use. Bounds stay per stored block: ``bmax[b]`` is
     block b's max tf and ``bcount[b]`` its stored entry count, so
     ``np.repeat(x, bcount)`` followed by ``[live]`` aligns a per-block
     value with the postings.
@@ -310,19 +353,19 @@ class _TermEntry:
     the first time BM25 scores the term, as the store fills ``bmax``.
     """
 
-    __slots__ = ("locs", "ids", "tfs", "live", "pos", "bmax", "bcount",
-                 "maxtf", "imp")
+    __slots__ = ("locs", "ids", "tfs", "live", "pos", "allpos", "bmax",
+                 "bcount", "maxtf", "imp")
 
     def __init__(self, locs, ids, tfs, live):
         self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
         self.maxtf = int(tfs.max()) if len(tfs) else 0
-        self.pos = self.bmax = self.bcount = self.imp = None
+        self.pos = self.allpos = self.bmax = self.bcount = self.imp = None
 
 
 class _Segment:
     """One loaded segment table and its zero-copy column views, each built
-    on first use (a BM25 query never builds the ``pos_bin`` view). A
-    term's cell is then a pure buffer slice — no per-cell ``.as_py()``."""
+    on first use (a BM25 query never builds a position view). A term's
+    cell is then a pure buffer slice — no per-cell ``.as_py()``."""
 
     def __init__(self, table: pa.Table):
         self.table = table
@@ -342,6 +385,10 @@ class _Segment:
     @cached_property
     def pos(self) -> tuple[np.ndarray, memoryview]:
         return binary_view(self.table["pos_bin"])
+
+    @cached_property
+    def rest(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self.table["pos_rest_bin"])
 
     @cached_property
     def bmax(self) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +462,8 @@ class PostingStore:
 
         A query's first touch of its terms, head terms spanning hundreds
         of shards included, costs one decode, not one per term or per
-        shard. Positions are left for ``postings``."""
+        shard. Positions are left for ``postings`` (first ones) and
+        ``positions`` (all of them)."""
         cache = self._terms
         try:
             return [cache[t] for t in terms]
@@ -506,3 +554,49 @@ class PostingStore:
             pos = varint_decode(b"".join(blobs), n).astype(np.int32)
             e.pos = pos if e.live is None else pos[e.live]
         return e.ids, e.tfs, e.pos
+
+    def positions(self, terms: list[str]) -> list[np.ndarray]:
+        """Every position of each term's live postings, in ``terms``
+        order: posting ``i`` of the term's entry (``ids[i]``) owns the
+        next ``tfs[i]`` values, ascending. Decoded on first use, all the
+        cold terms together: one varint pass over their cells' first
+        positions and stored tfs, one over their rest gaps; a segmented
+        cumsum, reset at each posting's first position, turns the gaps
+        into positions.
+        The stored tfs split the rest stream: an entry's own tfs hold
+        only the live postings when ``live`` is set."""
+        es = self.entries(terms)
+        cold = list({id(e): e for e in es if e.allpos is None}.values())
+        if cold:
+            firsts, tfs, rests, ns = [], [], [], []
+            n = 0
+            for e in cold:
+                start = n
+                for si, i in e.locs:
+                    seg = self._segs[si]
+                    n += int(seg.df[i])
+                    for blobs, (offs, data) in ((firsts, seg.pos),
+                                                (tfs, seg.tfs),
+                                                (rests, seg.rest)):
+                        blobs.append(data[offs[i]:offs[i + 1]])
+                ns.append(n - start)
+            vals = varint_decode(b"".join(firsts + tfs), 2 * n).view(np.int64)
+            first, tf = vals[:n], vals[n:]
+            # Posting i's occurrences are occ[i]:occ[i + 1].
+            occ = np.concatenate(([0], np.cumsum(tf)))
+            heads = occ[:-1]
+            gaps = np.empty(occ[-1], dtype=np.int64)
+            rest = np.ones(occ[-1], dtype=bool)
+            rest[heads] = False
+            gaps[heads] = first
+            gaps[rest] = varint_decode(b"".join(rests), occ[-1] - n)
+            pos = np.cumsum(gaps)
+            pos -= np.repeat(pos[heads] - first, tf)
+            end = 0
+            for e, k in zip(cold, ns):
+                start, end = end, end + k
+                p = pos[occ[start]:occ[end]]
+                if e.live is not None:
+                    p = p[np.repeat(e.live, tf[start:end])]
+                e.allpos = p.astype(np.int32)
+        return [e.allpos for e in es]

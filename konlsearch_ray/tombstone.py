@@ -76,7 +76,7 @@ def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Tabl
     out_rows = []
     for shard in batch["shard"].to_pylist():
         seg = pq.read_table(segment_path(index_dir, shard))
-        df, ids, tfs, pos = decode_segment(seg)
+        df, ids, tfs, pos, rest = decode_segment(seg)
         keep = ~np.isin(ids, dead)
         term_of = np.repeat(np.arange(len(df), dtype=np.int64), df)
         new_df = np.bincount(term_of[keep], minlength=len(df))
@@ -87,7 +87,8 @@ def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Tabl
         dl_keep = ~np.isin(dl["doc_id"].to_numpy(), dead, assume_unique=True)
         write_shard(index_dir, shard,
                     encode_segment(terms, np.cumsum(live_df) - live_df,
-                                   ids[keep], tfs[keep], pos[keep]),
+                                   ids[keep], tfs[keep], pos[keep],
+                                   rest[np.repeat(keep, tfs - 1)]),
                     dl.filter(pa.array(dl_keep)))
         out_rows.append(int(shard))
     return pa.table({"shard": pa.array(out_rows, pa.int64())})
@@ -152,8 +153,9 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
     import ray.data
 
     from konlsearch_ray.build import _finalize, _max_doc_id, _write_id_counter
-    from konlsearch_ray.segment import shard_nums
+    from konlsearch_ray.segment import check_version, shard_nums
 
+    check_version(index_dir)
     # Snapshot the tombstone FILES, not just the id set: batches written
     # while the rewrite runs (a concurrent delete_docs) are not reflected
     # in this compaction and must survive it — clearing the whole

@@ -127,13 +127,10 @@ def test_mecab_adapter_import_error_without_libs():
         MecabMorphemeAnalyzer()
 
 
-def test_search_near_custom_analyzer_fanout(ray_session, tmp_path,
-                                            monkeypatch):
-    """search_near with a custom analyzer: the fan-out path ships the
-    analyzer to the object store once and matches the inline path."""
+def test_search_near_custom_analyzer(ray_session, tmp_path):
+    """search_near with a custom analyzer: repeated calls return the
+    same lists."""
     import pyarrow.parquet as pq
-
-    import konlsearch_ray.query as qmod
 
     docs = pa.table({
         "repo": pa.array(["r"] * 6),
@@ -162,24 +159,18 @@ def test_search_near_custom_analyzer_fanout(ray_session, tmp_path,
                             ordered=True)
     assert golden2 == [1, 3] and golden4 == [1, 2, 3, 4]
     assert ordered == [1, 3]
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_MIN_CANDIDATES", 1)
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_CHUNK_MIN", 2)
     assert r.search_near(["마법", "소녀"], slop=2, analyzer=an) == golden2
     assert r.search_near(["마법", "소녀"], slop=4, analyzer=an) == golden4
     assert r.search_near(["마법", "소녀"], slop=3, analyzer=an,
                          ordered=True) == ordered
 
 
-def test_search_near_unserializable_analyzer_falls_back_inline(
-        ray_session, tmp_path, monkeypatch):
+def test_search_near_unserializable_analyzer(ray_session, tmp_path):
     """An analyzer holding a C-extension-like unpicklable resource (the
-    mecab/Kiwi shape) cannot ship to fan-out tasks: search_near must
-    fall back to the inline recheck, not crash."""
+    mecab/Kiwi shape): search_near must accept it, not crash."""
     import threading
 
     import pyarrow.parquet as pq
-
-    import konlsearch_ray.query as qmod
 
     class LockedAnalyzer:
         """Greedy lexicon analyzer with an unpicklable member."""
@@ -207,8 +198,6 @@ def test_search_near_unserializable_analyzer_falls_back_inline(
         shard_size=2, analyzer_factory=_analyzer_factory))
     r = IndexReader(idx)
     an = LockedAnalyzer()
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_MIN_CANDIDATES", 1)
     assert r.search_near(["마법", "소녀"], slop=2, analyzer=an) == [1, 3]
-    # The failed put is cached: the second query reuses the verdict
-    # (slop=1 keeps only the adjacent pair in doc 3).
+    # slop=1 keeps only the adjacent pair in doc 3.
     assert r.search_near(["마법", "소녀"], slop=1, analyzer=an) == [3]

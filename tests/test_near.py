@@ -210,12 +210,10 @@ def test_querystage_near_modes(near_built):
     assert sharded[sharded["qid"] == 2]["doc_id"].tolist() == onear
 
 
-def test_near_fanout_parity(near_built, monkeypatch):
-    """The driver-side Ray-task fan-out (large candidate sets) returns
-    exactly the inline path's results, for both unordered and ordered
-    variants and for slops at both extremes."""
-    import konlsearch_ray.query as qmod
-
+def test_near_repeat_parity(near_built):
+    """A repeated query returns exactly the first call's results, for
+    both unordered and ordered variants and for slops at both
+    extremes."""
     import collections
 
     reader, docs, _ = near_built
@@ -227,22 +225,14 @@ def test_near_fanout_parity(near_built, monkeypatch):
                ([t3, t1, t2], 4, False)]
     golden = [reader.search_near(t, slop=s, ordered=o)
               for t, s, o in queries]
-    # Force fan-out: every candidate set passes the threshold and splits
-    # into multiple chunks.
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_MIN_CANDIDATES", 1)
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_CHUNK_MIN", 7)
-    fanned = [reader.search_near(t, slop=s, ordered=o)
-              for t, s, o in queries]
-    assert fanned == golden
-    # At least one query's AND candidate set truly splits into chunks.
+    again = [reader.search_near(t, slop=s, ordered=o)
+             for t, s, o in queries]
+    assert again == golden
     assert any(len(reader.search(t, "AND")) > 7 for t, _, _ in queries)
 
 
-def test_near_fanout_respects_tombstones(ray_session, tmp_path,
-                                         monkeypatch):
-    """Deleted docs must not resurface through the fan-out path (the
-    driver ships its tombstone array to the chunk tasks by ObjectRef)."""
-    import konlsearch_ray.query as qmod
+def test_near_respects_tombstones(ray_session, tmp_path):
+    """Deleted docs must not resurface through NEAR."""
     from konlsearch_ray.tombstone import delete_docs
 
     corpus_dir = write_corpus(str(tmp_path / "c"), 120, seed=11)
@@ -262,7 +252,80 @@ def test_near_fanout_respects_tombstones(ray_session, tmp_path,
     victims = baseline[:2]
     delete_docs(idx, victims)
     fresh = IndexReader(idx)  # reader + docstore reload the tombstones
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_MIN_CANDIDATES", 1)
-    monkeypatch.setattr(qmod, "NEAR_FANOUT_CHUNK_MIN", 8)
     got = fresh.search_near([t1, t2], slop=4)
     assert got == [d for d in baseline if d not in victims]
+
+
+def _live_docs(index_dir: str) -> dict:
+    rows = DocStore(index_dir).get_all()
+    return dict(zip(rows["doc_id"].to_pylist(), rows["content"].to_pylist()))
+
+
+def _check_positions(index_dir: str) -> None:
+    """NEAR, unordered and ordered, equals the brute force over the
+    index's live docs, and PHRASE equals the oracle."""
+    from konlsearch_ray.oracle import build_oracle
+
+    docs = _live_docs(index_dir)
+    reader = IndexReader(index_dir)
+    oracle = build_oracle(docs)
+    terms = pick_terms(docs, 3)
+    for q in (terms[:2], terms[::-1]):
+        assert reader.search(q, "PHRASE") == oracle.search(q, "PHRASE"), q
+        for slop in (1, 4, 9):
+            assert reader.search_near(q, slop=slop) == \
+                brute_near(docs, q, slop), (q, slop)
+            assert reader.search_near(q, slop=slop, ordered=True) == \
+                brute_near_ordered(docs, q, slop), (q, slop)
+
+
+def test_near_positions_survive_rewrites(ray_session, tmp_path):
+    """Every stored position survives each rewrite of the segments:
+    append, delete + compaction, and an id-remapping merge."""
+    from konlsearch_ray.build import append_documents
+    from konlsearch_ray.merge import merge_indexes
+    from konlsearch_ray.tombstone import compact_index, delete_docs
+
+    cfg = IndexConfig(shard_size=32)
+    idx, other = str(tmp_path / "i"), str(tmp_path / "o")
+    build_index(write_corpus(str(tmp_path / "c"), 120, seed=5), idx, cfg)
+    build_index(write_corpus(str(tmp_path / "d"), 70, seed=8), other, cfg)
+
+    n0 = IndexReader(idx).n_docs
+    append_documents(idx, write_corpus(str(tmp_path / "e"), 50, seed=6))
+    assert IndexReader(idx).n_docs > n0
+    _check_positions(idx)
+
+    terms = pick_terms(_live_docs(idx), 2)
+    victims = IndexReader(idx).search_near(terms, slop=4)[::3]
+    assert victims
+    delete_docs(idx, victims)
+    compact_index(idx)
+    assert not set(victims) & set(_live_docs(idx))
+    _check_positions(idx)
+
+    merged = str(tmp_path / "m")
+    merge_indexes([idx, other], merged, remap_ids=True)
+    assert len(_live_docs(merged)) == (len(_live_docs(idx))
+                                       + len(_live_docs(other)))
+    _check_positions(merged)
+
+
+def test_near_reads_no_docstore(near_built, monkeypatch):
+    """NEAR answers from the index alone: with the docstore unusable, a
+    warm and a fresh reader return the lists they returned before."""
+    reader, docs, index_dir = near_built
+    terms = pick_terms(docs, 3)
+    queries = [(q, slop, ordered) for q in (terms[:2], terms)
+               for slop in (2, 6) for ordered in (False, True)]
+    want = [reader.search_near(q, slop=s, ordered=o) for q, s, o in queries]
+    assert any(want)
+
+    def no_docstore(*args, **kwargs):
+        raise AssertionError("NEAR read the docstore")
+
+    monkeypatch.setattr(DocStore, "__init__", no_docstore)
+    monkeypatch.setattr(DocStore, "get_multi", no_docstore)
+    for r in (reader, IndexReader(index_dir)):
+        assert [r.search_near(q, slop=s, ordered=o)
+                for q, s, o in queries] == want

@@ -20,8 +20,8 @@ def _hits(pattern: str) -> list[tuple[str, int]]:
 
 
 def test_segment_columns_only_in_segment_and_codec():
-    hits = _hits(r"doc_ids_bin|tfs_bin|pos_bin|block_max_tf|block_last_doc"
-                 r"|SEGMENT_SCHEMA")
+    hits = _hits(r"doc_ids_bin|tfs_bin|pos_bin|pos_rest_bin|block_max_tf"
+                 r"|block_last_doc|SEGMENT_SCHEMA")
     assert {f for f, _ in hits} == {"segment.py", "codec.py"}, hits
 
 
@@ -87,3 +87,47 @@ def test_one_posting_decode_per_cold_query(index_dir, monkeypatch):
         calls.clear()
         query(r)
         assert calls == [], name
+
+
+@pytest.mark.parametrize("layout_file", ["stats.json", "index_meta.json"])
+def test_layout_version_guard(index_dir, tmp_path, layout_file):
+    """An index whose stats.json or index_meta.json records another
+    layout version is refused, naming both versions, by every reader
+    open and every writer — before any of them touches a file."""
+    import json
+    import shutil
+
+    from konlsearch_ray.build import append_documents, build_index
+    from konlsearch_ray.corpus import write_corpus
+    from konlsearch_ray.merge import merge_indexes
+    from konlsearch_ray.query import IndexReader
+    from konlsearch_ray.segment import FORMAT_VERSION
+    from konlsearch_ray.tombstone import compact_index
+
+    assert FORMAT_VERSION == 2
+    with open(f"{index_dir}/stats.json") as f:
+        assert json.load(f)["version"] == 2
+    old = str(tmp_path / "old")
+    shutil.copytree(index_dir, old)
+    path = f"{old}/{layout_file}"
+    with open(path) as f:
+        doc = json.load(f)
+    doc["version"] = 1
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    before = {n: Path(old, n).read_text()
+              for n in ("stats.json", "index_meta.json")}
+    more = write_corpus(str(tmp_path / "more"), 5, seed=3)
+    calls = {
+        "open": lambda: IndexReader(old),
+        "append": lambda: append_documents(old, more),
+        "resume": lambda: build_index(more, old),
+        "compact": lambda: compact_index(old),
+        "merge": lambda: merge_indexes([index_dir, old],
+                                       str(tmp_path / "m"), remap_ids=True),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="version 1, expected 2"):
+            call()
+        assert {n: Path(old, n).read_text() for n in before} == before, name
+    assert not (tmp_path / "m").exists()
