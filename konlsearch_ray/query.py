@@ -7,8 +7,9 @@ inverted_index.py:98-116, index.py:413-444 — SURVEY.md §3.2):
 - ``search(tokens, AND|OR)`` — union / intersection over decoded
   posting lists, ascending doc-ID result (reference semantics, including
   "empty first posting ⇒ empty AND result", which plain intersection
-  reproduces). AND probes the shorter sorted list into the longer with
-  ``searchsorted``; nothing is re-sorted.
+  reproduces). AND probes the shorter sorted list into the longer
+  (``_probe``: a table gather when their ids are dense, else
+  ``searchsorted``); nothing is re-sorted.
 - ``search(tokens, PHRASE)`` — AND result filtered by the reference's
   first-occurrence monotonicity quirk (reference index.py:443-444,
   utility.py:25-26 — SURVEY.md Q5) using the stored first-occurrence
@@ -53,6 +54,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from konlsearch_ray.analyzer import normalize_query_tokens
+from konlsearch_ray.codec import BLOCK_SIZE
 from konlsearch_ray.segment import (PostingStore, _string_col_to_S,
                                     check_version, read_doclens, shard_nums)
 
@@ -93,19 +95,55 @@ _NO_IDS = np.zeros(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
 
 
+# A probe whose two id arrays span at most this many times the shorter
+# one's length gathers through a dense doc-id table (``_probe``).
+_DENSE = 8
+
+
+def _probe(hay: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Positions ``p`` into the sorted unique id array ``hay`` (non-empty)
+    with ``hay[p] == needles`` wherever a needle is in ``hay``; at a miss
+    ``p`` is still a valid position, and ``hay[p]`` differs from the
+    needle. ``needles`` is sorted too. The ONE id-into-id probe of the
+    reader.
+
+    Dense window: when the ids of both arrays lie in a window of at most
+    ``_DENSE`` × the shorter array's length, ``hay``'s positions scatter
+    into a transient table over the window and the needles gather from
+    it, linear in the window. Otherwise one binary search per needle;
+    probing ``hay[:-1]`` lands past-the-end probes on hay's last entry,
+    so the position needs no clamp. The lengths alone rule the table out
+    first, before any id is read."""
+    n, m = len(hay), len(needles)
+    if n <= _DENSE * m and m <= _DENSE * n:
+        lo = min(int(hay[0]), int(needles[0]))
+        hi = max(int(hay[-1]), int(needles[-1]))
+        if hi - lo < _DENSE * min(n, m):
+            table = np.zeros(hi - lo + 1, dtype=np.intp)
+            table[hay - lo] = np.arange(n)
+            return table[needles - lo]
+    return hay[:-1].searchsorted(needles)
+
+
 def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``a`` present in the sorted array ``b``: one
-    binary-search probe per entry of ``a``. Probing ``b[:-1]`` lands
-    past-the-end probes on b's last entry, so the position needs no
-    clamp."""
+    """Mask of the entries of the sorted array ``a`` present in the sorted
+    array ``b``: one ``_probe`` (a table gather when their ids are dense,
+    else a binary search per probing entry) of the shorter array into the
+    longer; when ``b`` is the shorter, its hits scatter onto the mask."""
     if not len(b):
         return np.zeros(len(a), dtype=bool)
-    return b[b[:-1].searchsorted(a)] == a
+    if len(b) < len(a):
+        p = _probe(a, b)
+        m = np.zeros(len(a), dtype=bool)
+        m[p[a[p] == b]] = True
+        return m
+    return b[_probe(b, a)] == a
 
 
 def _intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection of two sorted unique id arrays, sorted: the shorter
-    probes the longer, so the cost is short·log(long) with no sort
+    probes the longer (``_probe``), so the cost is short·log(long) — or
+    linear in their joint id window when it is dense — with no sort
     (``np.intersect1d`` sorts the concatenation of both)."""
     if len(a) > len(b):
         a, b = b, a
@@ -379,7 +417,7 @@ class IndexReader:
         prev = None
         for t in toks:
             ids, _, pos = self.postings(t)
-            cur = pos[np.searchsorted(ids, cand)].astype(np.int64)
+            cur = pos[_probe(ids, cand)].astype(np.int64)
             if prev is not None:
                 ok &= prev <= cur
             prev = cur
@@ -547,13 +585,13 @@ class IndexReader:
         if len(seq) <= 1 or not len(cand):
             return cand
         # Each term's occurrences in the candidates. cand is a subset of
-        # every term's postings, so searchsorted finds its postings.
+        # every term's postings, so the probe finds its postings.
         doc_idx, codes, pos = [], [], []
         store = self._store
         for c, (e, allpos) in enumerate(zip(store.entries(tset),
                                             store.positions(tset))):
             m = np.zeros(len(e.ids), dtype=bool)
-            m[e.ids.searchsorted(cand)] = True
+            m[_probe(e.ids, cand)] = True
             tf = e.tfs[m]
             doc_idx.append(np.repeat(np.arange(len(cand)), tf))
             codes.append(np.full(len(doc_idx[-1]), c))
@@ -639,6 +677,13 @@ class IndexReader:
         top-k threshold. Pruning is *safe*: only docs provably below
         the k-th best score are skipped, so results (ids AND scores)
         equal ``prune=False`` exactly (ties broken by ascending doc_id).
+        MaxScore skips whole ``BLOCK_SIZE``-entry blocks, so a query
+        whose terms hold at most ``BLOCK_SIZE`` live postings in all
+        gives it nothing to skip: it takes the exact scorer instead
+        (same sums, same order). A candidate's probes into the other
+        terms' lists go through ``_probe``: a table gather where the
+        ids are dense, a binary search elsewhere. ``k`` must be ≥ 0
+        (``ValueError`` otherwise); ``k = 0`` returns ``[]``.
 
         ``allowed``: optional SORTED int64 array of doc ids — filtered
         search (e.g. a metadata predicate resolved through
@@ -665,6 +710,7 @@ class IndexReader:
         uncached, for only the postings the query scores or probes.
         ``boosts={}`` is no boosts.
         """
+        _check_k(k)
         toks = sorted(set(normalize_query_tokens(tokens)))
         if boosts is not None:
             boosts = {
@@ -673,12 +719,14 @@ class IndexReader:
                 for nt in normalize_query_tokens([t])}
             if any(w <= 0 for w in boosts.values()):
                 raise ValueError("boosts must be positive")
+        entries = self._store.entries(toks)
         if allowed is not None:
             allowed = np.asarray(allowed, dtype=np.int64)
-        elif prune and len(toks) > 1:
-            return self._bm25_maxscore(toks, k, boosts=boosts)
+        elif (prune and len(toks) > 1
+              and sum([len(e.ids) for e in entries]) > BLOCK_SIZE):
+            return self._bm25_maxscore(toks, k, entries, boosts)
         id_parts, score_parts = [], []
-        for t, e in zip(toks, self._store.entries(toks)):
+        for t, e in zip(toks, entries):
             m = None if allowed is None else _in_sorted(e.ids, allowed)
             ids = e.ids if m is None else e.ids[m]
             if len(ids) == 0:
@@ -692,10 +740,11 @@ class IndexReader:
         return _topk(uniq, np.bincount(inv, weights=np.concatenate(score_parts)),
                      k)
 
-    def _bm25_maxscore(self, toks: list[str], k: int,
+    def _bm25_maxscore(self, toks: list[str], k: int, entries: list,
                        boosts: "dict[str, float] | None" = None,
                        ) -> list[tuple[int, float]]:
-        """Term-at-a-time MaxScore with block-max skip (see bm25_topk).
+        """Term-at-a-time MaxScore with block-max skip (see bm25_topk)
+        over ``entries``, the store's entries of ``toks`` in their order.
 
         Invariants that make this exact:
         - A doc added at the first of its terms in bound order has no
@@ -714,7 +763,7 @@ class IndexReader:
           (broken by ascending doc_id) are never lost.
         """
         terms = []  # (weight, entry, token, boost), sorted-token order
-        for t, e in zip(toks, self._store.entries(toks)):
+        for t, e in zip(toks, entries):
             if len(e.ids):
                 boost = boosts.get(t) if boosts else None
                 terms.append((self.idf(t) * (boost or 1.0), e, t, boost))
@@ -746,10 +795,7 @@ class IndexReader:
                     at = np.flatnonzero(keep)
             ids = e.ids if at is None else e.ids[at]
             if cand_ids is not None:
-                # Probing a[:-1] lands past-the-end queries on a's last
-                # entry, so the position needs no clamp.
-                new = np.flatnonzero(
-                    cand_ids[cand_ids[:-1].searchsorted(ids)] != ids)
+                new = np.flatnonzero(~_in_sorted(ids, cand_ids))
                 at = new if at is None else at[new]
                 ids = ids[new]
             if not len(ids):
@@ -759,7 +805,7 @@ class IndexReader:
                 if jj == j:
                     scores += self._impacts(t, e, boost, at)
                 elif not done[jj]:
-                    p = ej.ids[:-1].searchsorted(ids)
+                    p = _probe(ej.ids, ids)
                     hit = ej.ids[p] == ids
                     if hit.any():
                         scores[hit] += self._impacts(tj, ej, bj, p[hit])
@@ -888,6 +934,7 @@ class IndexReader:
         the tf counts won't match the indexed stream. An absent/deleted
         ``doc_id`` returns [].
         """
+        _check_k(k)
         toks = self._docstore.get_ordered_tokens(doc_id, analyzer=analyzer)
         if not toks:
             return []
@@ -990,6 +1037,13 @@ _STAGE_MODES = {
 }
 _TOPK_MODES = pa.array([m for m, (_, kind) in _STAGE_MODES.items()
                         if kind == "topk"])
+
+
+def _check_k(k: int) -> None:
+    """Reject a negative top-k size: ``[:k]`` would keep all but the
+    last ``-k`` hits. ``k = 0`` is an empty result."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
 
 
 def _merge_ids(parts) -> list[int]:
@@ -1305,6 +1359,7 @@ class ShardedQueryEngine:
         return _merge_ids(self._gather("_min_should_ids", tokens, m))
 
     def bm25_topk(self, tokens, k=10, boosts=None):
+        _check_k(k)
         return _merge_topk(
             self._gather("bm25_topk", tokens, k, boosts=boosts), k)
 
@@ -1312,6 +1367,7 @@ class ShardedQueryEngine:
         """Filtered BM25 (pyarrow dataset expression ``flt``, e.g.
         ``pads.field("lang") == "ko"``): each actor resolves the
         predicate over its own shards; scores keep corpus-level stats."""
+        _check_k(k)
         return _merge_topk(
             self._gather("bm25_topk_filtered", tokens, k, flt), k)
 
@@ -1325,6 +1381,7 @@ class ShardedQueryEngine:
         the exact k+1 source-exclusion argument. Custom-analyzer indexes
         pass the FACTORY (actors build + cache it; same contract as the
         single reader's ``analyzer`` arg)."""
+        _check_k(k)
         parts = self._gather("mlt_terms", int(doc_id), n_terms,
                              analyzer_factory)
         sel = next((p for p in parts if p is not None), None)

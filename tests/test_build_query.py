@@ -12,7 +12,9 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from konlsearch_ray.analyzer import normalize_query_tokens
 from konlsearch_ray.build import IndexConfig, build_index
+from konlsearch_ray.codec import BLOCK_SIZE
 from konlsearch_ray.corpus import generate_corpus, write_corpus
 from konlsearch_ray.oracle import build_oracle
 from konlsearch_ray.query import IndexReader
@@ -123,23 +125,35 @@ HEADS = ["def", "return", "import", "self", "class"]
 
 
 def _regime_queries(oracle, rng, n=40) -> list[list[str]]:
-    """Tail + mid term pairs (df ≤ 3 and 10..60) for each branch of the
-    MaxScore loop: the tail term has the higher bound and goes first; at
-    k=10/50 (df < k) it sets no θ, at k=1 (df ≥ k) it does, and the mid
-    term's blocks are then partly skipped."""
+    """Tail + mid term pairs (df ≤ 3 and BLOCK_SIZE..400) for each branch
+    of the MaxScore loop: the tail term has the higher bound and goes
+    first; at k=10/50 (df < k) it sets no θ, at k=1 (df ≥ k) it does, and
+    the mid term's blocks are then partly skipped. Every pair holds more
+    than BLOCK_SIZE postings, so ``bm25_topk`` runs MaxScore on it, not
+    the exact scorer."""
     df = {t: len(p) for t, p in oracle.postings.items()}
     vocab = sorted(df)
     tail = [t for t in vocab if df[t] <= 3]
-    mid = [t for t in vocab if 10 <= df[t] <= 60]
-    return [list(p) for p in zip(rng.sample(tail, n), rng.sample(mid, n))]
+    mid = [t for t in vocab if BLOCK_SIZE <= df[t] <= 400]
+    pairs = [list(p) for p in zip(rng.sample(tail, n), rng.sample(mid, n))]
+    assert all(df[a] + df[b] > BLOCK_SIZE for a, b in pairs)
+    return pairs
 
 
 def _assert_pruned_equals_exact(reader, queries, boosts=None):
+    """The routed ``bm25_topk`` and MaxScore itself both equal the exact
+    scorer: a query with at most BLOCK_SIZE postings is routed to the
+    exact scorer, so MaxScore is also called directly."""
     for tokens in queries:
+        toks = sorted(set(normalize_query_tokens(tokens)))
         for k in (1, 3, 10, 50):
             exact = reader.bm25_topk(tokens, k, prune=False, boosts=boosts)
             assert reader.bm25_topk(tokens, k, boosts=boosts) == exact, \
                 (tokens, k, boosts)
+            if len(toks) > 1:
+                assert reader._bm25_maxscore(
+                    toks, k, reader._store.entries(toks), boosts) == exact, \
+                    (tokens, k, boosts)
 
 
 def test_bm25_pruned_rank_identical(built):
@@ -168,16 +182,19 @@ def test_block_bounds_built_only_when_theta_prunes(built):
     """MaxScore bounds a term by its max live tf and builds block bounds
     only at a block skip, once θ is finite. Head + tail at k=10, with
     fewer than 10 tail postings: the tail goes first and leaves θ at
-    -inf, so neither term builds bounds. Two mid terms (df 10..60) at
+    -inf, so neither term builds bounds. Two mid terms (df 65..100) at
     k=10: the first sets θ and the second builds its bounds for the
     skip. (Two head terms share ~90% of their docs, so θ after the first
     already exceeds the second's whole bound and the loop stops before
-    any skip.) Both stay bit-identical to the exact scorer, and bounds
-    built afterwards still cover every posting."""
+    any skip.) Both pairs hold more than BLOCK_SIZE postings, so they run
+    MaxScore, not the exact scorer. Both stay bit-identical to the exact
+    scorer, and bounds built afterwards still cover every posting."""
     _, _, oracle, index_dir, _ = built
     df = {t: len(p) for t, p in oracle.postings.items()}
     tail = min((t for t in df if df[t] < 10), key=lambda t: (-df[t], t))
-    mids = sorted(t for t in df if 10 <= df[t] <= 60)[:2]
+    mids = sorted(t for t in df if 65 <= df[t] <= 100)[:2]
+    assert df["def"] + df[tail] > BLOCK_SIZE
+    assert sum(df[t] for t in mids) > BLOCK_SIZE
     for tokens, n_built in (["def", tail], 0), (mids, 1):
         r = IndexReader(index_dir)
         pruned = r.bm25_topk(tokens, 10)
@@ -187,6 +204,60 @@ def test_block_bounds_built_only_when_theta_prunes(built):
         for t, e in zip(tokens, entries):
             assert e.maxtf == int(e.tfs.max()), t
             assert e.maxtf <= int(r.block_upper_tf(t).max()), t
+
+
+def test_small_queries_route_to_exact_scorer(built, monkeypatch):
+    """A pruned query whose terms hold at most BLOCK_SIZE live postings
+    in all takes the exact scorer, and returns bit for bit what MaxScore
+    returns on it, boosted and unboosted; a larger one runs MaxScore."""
+    import random
+
+    _, _, oracle, index_dir, _ = built
+    df = {t: len(p) for t, p in oracle.postings.items()}
+    vocab = sorted(df)
+    rng = random.Random(5)
+    # Tail + mid pairs (df ≤ 3 and 10..60) reach a block skip at k=1, and
+    # small triples add a third term to probe.
+    tail = [t for t in vocab if df[t] <= 3]
+    mid = [t for t in vocab if 10 <= df[t] <= 60]
+    small = [[a, b] for a, b in zip(rng.sample(tail, 30), rng.sample(mid, 30))]
+    small += [rng.sample(tail, 2) + rng.sample(mid, 1) for _ in range(10)]
+    assert all(sum(df[t] for t in q) <= BLOCK_SIZE for q in small)
+    r = IndexReader(index_dir)
+    ran = []
+    real = IndexReader._bm25_maxscore
+
+    def counting(self, *args, **kw):
+        ran.append(args[0])
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(IndexReader, "_bm25_maxscore", counting)
+    for q in small:
+        toks = sorted(q)
+        for boosts in (None, {q[0]: 2.0, q[1]: 0.5}):
+            for k in (1, 3, 10, 50):
+                routed = r.bm25_topk(q, k, boosts=boosts)
+                assert not ran, (q, k)
+                assert routed == real(r, toks, k, r._store.entries(toks),
+                                      boosts), (q, k, boosts)
+    r.bm25_topk(["def", "return"], 10)
+    assert ran == [["def", "return"]]
+
+
+def test_negative_k_rejected(built):
+    """k < 0 raises instead of slicing all but the last hits; k = 0 is an
+    empty result."""
+    _, reader, _, _, _ = built
+    for prune in (True, False):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            reader.bm25_topk(["def", "return"], -1, prune=prune)
+        assert reader.bm25_topk(["def", "return"], 0, prune=prune) == []
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        reader.bm25_topk(["def"], -1, allowed=np.arange(1, 10))
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        reader.more_like_this(1, k=-1)
+    assert reader.more_like_this(1, k=0) == []
+    assert reader.more_like_this(1, k=3)
 
 
 @pytest.fixture(scope="module")

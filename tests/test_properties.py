@@ -250,3 +250,90 @@ def test_segmented_order_matches_lexsort_reference(keys, data):
         while j > 0 and ks[j - 1] == ks[j]:
             j -= 1
         assert seg_start[i] == j
+
+
+# --- the reader's id probe ----------------------------------------------
+
+_widths = st.sampled_from([0, 3, 40, 300, 10**9])
+
+
+@given(st.integers(0, 2**40), _widths, _widths,
+       st.one_of(st.integers(-50, 50), st.sampled_from([-10**6, 10**6])),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_probe_matches_binary_search(base, w_hay, w_needles, offset, data):
+    """``_probe`` finds every needle present in ``hay`` at the position a
+    binary search finds, and lands every absent one on a valid position
+    holding another id — over dense and sparse windows, disjoint and
+    offset ranges, one-element arrays and needles outside hay's range.
+    ``_in_sorted``, which probes with the shorter side, agrees with
+    ``np.isin`` both ways round."""
+    from konlsearch_ray.query import _in_sorted, _probe
+
+    ints = lambda lo, w, n: st.lists(st.integers(lo, lo + w), min_size=n,
+                                     max_size=80)
+    hay = np.unique(np.array(data.draw(ints(base, w_hay, 1)), np.int64))
+    needles = np.unique(np.array(
+        data.draw(ints(base + offset, w_needles, 0)), np.int64))
+    p = _probe(hay, needles)
+    assert p.dtype.kind == "i" and len(p) == len(needles)
+    assert np.all((p >= 0) & (p < len(hay)))
+    hit = np.isin(needles, hay)
+    assert np.array_equal(hay[p] == needles, hit)
+    assert np.array_equal(p[hit], np.searchsorted(hay, needles[hit]))
+    assert np.array_equal(_in_sorted(needles, hay), hit)
+    assert np.array_equal(_in_sorted(hay, needles), np.isin(hay, needles))
+
+
+def test_probe_table_only_for_dense_windows(monkeypatch):
+    """The table path runs exactly when the joint id window is at most
+    8 × the shorter array (and its table never exceeds that); every
+    other probe is a binary search, whatever the ids."""
+    import konlsearch_ray.query as q
+
+    tables = []
+    real = np.zeros
+
+    def zeros(n, *args, **kw):
+        tables.append(n)
+        return real(n, *args, **kw)
+
+    monkeypatch.setattr(q.np, "zeros", zeros)
+    a = np.arange(100, 400, dtype=np.int64)
+    cases = [  # (hay, needles, table expected)
+        (a, a[::2], True),                      # one list, half the ids
+        (a[::3], a[1::3], True),                # interleaved, no hit
+        (a, np.array([99, 400], np.int64), False),   # 2 needles: lengths
+        (a, a * 10**6, False),                  # sparse needles
+        (a[:1], a[:1], True),                   # one element each
+        (a[:1], a[8:9], False),                 # window 9 > 8 × 1
+        (a[:1], a[7:8], True),                  # window 8
+        (a[:40], a[-40:], True),                # disjoint, window 300 ≤ 320
+        (a[:30], a[-30:], False),               # disjoint, window 300 > 240
+    ]
+    for hay, needles, dense in cases:
+        tables.clear()
+        p = q._probe(hay, needles)
+        assert bool(tables) == dense, (hay[:3], needles[:3])
+        assert all(t <= 8 * min(len(hay), len(needles)) for t in tables)
+        hit = np.isin(needles, hay)
+        assert np.array_equal(hay[p] == needles, hit)
+        assert np.array_equal(p[hit], np.searchsorted(hay, needles[hit]))
+
+
+def test_searchsorted_probe_only_in_probe():
+    """Every id-into-id probe of the reader goes through ``_probe``: the
+    binary search ``x[:-1].searchsorted(`` appears in query.py only inside
+    it, so there is one probe primitive."""
+    import ast
+    import pathlib
+
+    import konlsearch_ray.query as q
+
+    path = pathlib.Path(q.__file__)
+    src = path.read_text()
+    fn = next(n for n in ast.parse(src).body
+              if isinstance(n, ast.FunctionDef) and n.name == "_probe")
+    hits = [i for i, line in enumerate(src.splitlines(), 1)
+            if "[:-1].searchsorted(" in line]
+    assert hits and all(fn.lineno <= i <= fn.end_lineno for i in hits), hits

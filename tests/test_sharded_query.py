@@ -78,6 +78,31 @@ def test_bm25_rank_and_score_identical(built):
                 assert math.isclose(sa, sb, rel_tol=1e-12), tokens
 
 
+def test_negative_k_rejected_before_fan_out(built, monkeypatch):
+    """Every sharded top-k entry rejects k < 0 before any actor call;
+    k = 0 is an empty result."""
+    import pyarrow.dataset as pads
+
+    engine, _ = built
+    calls = []
+    real = engine._gather
+
+    def gather(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "_gather", gather)
+    flt = pads.field("doc_id") > 0
+    for call in (lambda k: engine.bm25_topk(["def", "return"], k),
+                 lambda k: engine.bm25_topk_filtered(["def"], k, flt),
+                 lambda k: engine.more_like_this(1, k=k)):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            call(-1)
+        assert calls == []
+        assert call(0) == []
+        calls.clear()
+
+
 def test_requires_compacted_index(ray_session, tmp_path):
     from konlsearch_ray.tombstone import compact_index, delete_docs
 
