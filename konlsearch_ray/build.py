@@ -9,8 +9,9 @@ with two phases over ``ray.data.Dataset``:
   ``content_sha256``) → exact dedup = ``groupby(content_sha256)`` keep the
   first row in canonical order (first-wins, reference index.py:299-305) →
   deterministic dense 1-based ``doc_id`` (sort + metadata prefix-sum, see
-  ids.py) → ``shard = (doc_id - 1) // shard_size`` → write the docstore
-  ``docs/`` partitioned by shard.
+  ids.py) → ``shard = (doc_id - 1) // shard_size`` → each block splits
+  into one piece per shard it touches, and one task per shard writes
+  ``docs/shard=K/`` once: one doc_id-sorted file under a fixed name.
 
 **Phase B — posting segments** (resumable per shard):
   The docstore write in phase A already hash-partitioned docs by shard on
@@ -546,41 +547,124 @@ def _block_light(ref: pa.Table, key_cols: list[str]) -> dict:
     }
 
 
-@ray.remote
-def _finish_docs_block(
-    block: pa.Table, keep: np.ndarray | None, ids: np.ndarray,
-    shard_size: int, keep_cols: list[str], docs_dir: str, block_idx: int,
-    name_prefix: str = "block",
-) -> int:
-    """Filter losers, attach doc_id + shard, and write this block's rows
-    into ``docs/shard=K/`` — one fused task, no follow-up write pipeline.
+# Every build writes one docstore file per shard under this name; each
+# append adds one ``append-{run_id}.parquet`` per shard it touches.
+DOCS_FILE = "docs.parquet"
 
-    Rows within a shard file are NOT doc_id-sorted (blocks are in input
-    order); phase B sorts per (term, doc_id) anyway and the docstore is
-    accessed by filter, so only the partitioning matters.
-    """
-    if keep is not None and not keep.all():
+
+def _stored_cols(cfg: IndexConfig) -> list[str]:
+    """The columns the docstore keeps (canonical sort keys only when the
+    index has a canonical order, i.e. no caller-owned id column)."""
+    cols = {"doc_id", "content_sha256", cfg.content_col}
+    cols |= set(cfg.store_cols or [])
+    if cfg.id_col is None:
+        cols |= set(cfg.sort_keys)
+    return sorted(cols)
+
+
+def _block_refs(ds: ray.data.Dataset) -> list[tuple]:
+    """Stream ``ds`` and keep its non-empty blocks as ``(ref, num_rows)``
+    (empty split blocks may carry empty schemas)."""
+    return [(ref, meta.num_rows)
+            for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
+def _shard_of(doc_id, shard_size: int) -> np.ndarray:
+    """``(doc_id - 1) / shard_size`` with Arrow's TRUNCATING divide, so
+    doc_id 0 lands in shard 0 — the reader's shard arithmetic."""
+    shard = pc.divide(pc.subtract(doc_id, 1), shard_size)
+    return pc.cast(shard, pa.int64()).to_numpy(zero_copy_only=False)
+
+
+@ray.remote
+def _block_shards(block: pa.Table, shard_size: int) -> np.ndarray:
+    """The sorted shards one doc_id-carrying block touches (light: only
+    its doc_id column is read)."""
+    return np.unique(_shard_of(block["doc_id"], shard_size))
+
+
+@ray.remote
+def _split_docs_block(
+    block: pa.Table, keep: np.ndarray | None, ids: np.ndarray | None,
+    shard_size: int, keep_cols: list[str],
+):
+    """Drop the losing rows, attach doc_id (``ids``; None = the block's
+    own doc_id column), keep the stored columns, and cut the block into
+    one piece per shard it touches, in shard order. The caller sets
+    ``num_returns`` to that count, so each shard writer fetches only its
+    own pieces, never a whole block."""
+    if keep is not None:
         block = block.filter(pa.array(keep))
-    # The incoming block may already carry doc_id/shard columns (e.g. a
-    # CLI append using the same file format the build ingested) — the
-    # ASSIGNED ids are authoritative, so drop them before attaching.
-    stale = [c for c in ("doc_id", "shard") if c in block.schema.names]
-    if stale:
-        block = block.drop_columns(stale)
-    block = block.append_column("doc_id", pa.array(ids, pa.int64()))
-    shard = (ids - 1) // shard_size
-    block = block.append_column("shard", pa.array(shard, pa.int64()))
-    cols = [c for c in block.schema.names if c in set(keep_cols) | {"shard"}]
-    block = block.select(cols)
-    n = 0
-    for s in np.unique(shard):
-        sub = block.filter(pa.array(shard == s)).drop_columns(["shard"])
-        d = os.path.join(docs_dir, f"shard={int(s)}")
-        os.makedirs(d, exist_ok=True)
-        _atomic_write_parquet(
-            sub, os.path.join(d, f"{name_prefix}-{block_idx:05d}.parquet"))
-        n += sub.num_rows
-    return n
+    if ids is not None:
+        # The incoming block may already carry doc_id/shard columns (e.g.
+        # a CLI append using the same file format the build ingested) —
+        # the ASSIGNED ids are authoritative, so drop them before
+        # attaching.
+        stale = [c for c in ("doc_id", "shard") if c in block.schema.names]
+        block = block.drop_columns(stale).append_column(
+            "doc_id", pa.array(ids, pa.int64()))
+    shard = _shard_of(block["doc_id"], shard_size)
+    block = block.select([c for c in block.schema.names if c in keep_cols])
+    shards = np.unique(shard)
+    if len(shards) == 1:
+        return block
+    return tuple(block.filter(pa.array(shard == s)) for s in shards)
+
+
+@ray.remote
+def _write_docs_shard(path: str, *pieces: pa.Table) -> int:
+    """Write one shard's pieces as ONE doc_id-sorted file, atomically.
+    Small row groups: point/multi/range reads prune to the few groups
+    whose doc_id [min, max] intersect. The output depends only on the
+    rows, so a retried task rewrites the same bytes under the same
+    name."""
+    t = pa.concat_tables(pieces).sort_by("doc_id").combine_chunks()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _atomic_write_parquet(t, path, row_group_size=1024)
+    return t.num_rows
+
+
+def _ranked_blocks(block_refs: list[tuple], keep: np.ndarray,
+                   ids: np.ndarray, shard_size: int) -> list[tuple]:
+    """Writer input for blocks whose ids the driver assigned: per block
+    with a kept row, ``(ref, keep mask or None, kept ids, shards)``."""
+    out, off = [], 0
+    for ref, n in block_refs:
+        k = keep[off:off + n]
+        b_ids = ids[off:off + n][k]
+        off += n
+        if len(b_ids):
+            out.append((ref, None if k.all() else k, b_ids,
+                        np.unique(_shard_of(b_ids, shard_size))))
+    return out
+
+
+def _id_blocks(refs: list, shard_size: int) -> list[tuple]:
+    """Writer input for blocks that already carry doc_id: each block's
+    shards come from one light task over its doc_id column."""
+    shards = ray.get([_block_shards.remote(r, shard_size) for r in refs])
+    return [(r, None, None, s) for r, s in zip(refs, shards) if len(s)]
+
+
+def _write_docstore(docs_dir: str, blocks: list[tuple], shard_size: int,
+                    keep_cols: list[str], name: str = DOCS_FILE) -> None:
+    """Write ``blocks`` (``(ref, keep, ids, shards)``, see
+    ``_ranked_blocks``/``_id_blocks``) into the docstore: one split task
+    per block, then one writer per touched shard that writes
+    ``docs/shard=K/{name}`` exactly once. The only data movement is each
+    row going from its block to its shard — no shuffle, no rewrite."""
+    os.makedirs(docs_dir, exist_ok=True)
+    pieces: dict[int, list] = {}
+    for ref, keep, ids, shards in blocks:
+        outs = _split_docs_block.options(num_returns=len(shards)).remote(
+            ref, keep, ids, shard_size, keep_cols)
+        for s, piece in zip(shards, outs if len(shards) > 1 else [outs]):
+            pieces.setdefault(int(s), []).append(piece)
+    ray.get([
+        _write_docs_shard.remote(
+            os.path.join(docs_dir, f"shard={s}", name), *ps)
+        for s, ps in sorted(pieces.items())])
 
 
 def _concat_s(parts: list[np.ndarray], wmax: int | None = None) -> np.ndarray:
@@ -709,9 +793,9 @@ def _driver_rank_docs(
     a driver argsort over the keys as fixed-width *UTF-8 bytes* (numpy "S"
     memcmp == code-point order, 1/4 the memory of a "U" cast; the
     ``DEDUP_DRIVER_MAX_ROWS`` guard bounds the footprint) gives each row
-    its dense rank (= doc_id) with first-wins dedup, and a fused task wave
-    filters, attaches IDs, and writes each block's rows into the
-    shard-partitioned docstore. Full rows never shuffle at all — the
+    its dense rank (= doc_id) with first-wins dedup, and the docstore
+    writer (``_write_docstore``) routes each kept row to its shard and
+    writes every shard once. Full rows never shuffle at all — the
     partitioned write is the only data movement. Returns sub-phase timings.
     """
     import time
@@ -753,17 +837,9 @@ def _driver_rank_docs(
     ids[order] = ids_sorted  # meaningful only where keep is True
 
     t2 = time.perf_counter()
-    keep_cols = {"doc_id", "content_sha256", cfg.content_col}
-    keep_cols |= set(cfg.store_cols or [])
-    keep_cols |= set(cfg.sort_keys)
-    waves, off = [], 0
-    for i, (ref, n) in enumerate(block_refs):
-        k = keep[off:off + n]
-        waves.append(_finish_docs_block.remote(
-            ref, None if k.all() else k, ids[off:off + n][k],
-            cfg.shard_size, sorted(keep_cols), docs_dir, i))
-        off += n
-    ray.get(waves)
+    _write_docstore(docs_dir,
+                    _ranked_blocks(block_refs, keep, ids, cfg.shard_size),
+                    cfg.shard_size, _stored_cols(cfg))
     return {
         "read_sha_light": round(t1 - t0, 3),
         "rank": round(t2 - t1, 3),
@@ -810,7 +886,7 @@ def _filter_and_id_block(
 
 def _sorted_dedup_ids(
     ds: ray.data.Dataset, sort_keys: list[str], start: int, tie_shas=None,
-) -> ray.data.Dataset:
+) -> list:
     """Canonical sort → dense 1-based doc IDs, in ONE full-data pass:
     a single task wave applies ``doc_id = offset + arange`` per sorted
     block (offsets from a driver prefix-sum over post-filter counts —
@@ -821,17 +897,11 @@ def _sorted_dedup_ids(
     resolved on the already-pinned sorted blocks — a light fingerprint
     wave plus in-task keep masks (``_resolve_tie_owners``) — so the
     corpus is pinned exactly once, by this sort, and the driver holds
-    only dup-sha metadata.
+    only dup-sha metadata. Returns the id-carrying block refs.
     """
-    mat = ds.sort(sort_keys).materialize()
-    block_refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows:  # skip empty split blocks (empty schemas)
-                block_refs.append((ref, meta.num_rows))
+    block_refs = _block_refs(ds.sort(sort_keys).materialize())
     if not block_refs:
-        empty = pa.table({"doc_id": pa.array([], pa.int64())})
-        return ray.data.from_arrow(empty)
+        return []
 
     counts = [n for _, n in block_refs]
     tie = tie_shas is not None and len(tie_shas) > 0
@@ -839,13 +909,12 @@ def _sorted_dedup_ids(
     per_block = (_resolve_tie_owners(block_refs, shas_ref, counts)
                  if tie else {})
     offsets = start + np.concatenate(([0], np.cumsum(counts)[:-1]))
-    out_refs = [
+    return [
         _filter_and_id_block.remote(
             ref, int(offsets[i]), dup_shas=shas_ref if tie else None,
             owned=per_block.get(i))
         for i, (ref, _) in enumerate(block_refs)
     ]
-    return ray.data.from_arrow_refs(out_refs)
 
 
 def _write_index_meta(index_dir: str, cfg: IndexConfig) -> None:
@@ -893,139 +962,9 @@ def _restore_cfg_from_meta(index_dir: str, cfg: IndexConfig) -> bool:
     return True
 
 
-# Per-merge-run heap bound for docstore compaction: a shard of huge
-# docs (shard_size × doc bytes) must never concat into one task's
-# memory whole; runs above the cap merge into multiple sorted files
-# (reads already handle several files per shard — the win is dropping
-# O(blocks) files to O(shard_bytes / cap), not reaching exactly one).
-COMPACT_RUN_MAX_BYTES = 512 << 20
-
-
-_COMPACT_SWAP = "_COMPACT_SWAP.json"
-
-
-def _compact_recover(d: str) -> None:
-    """Make a shard dir consistent after a torn compaction attempt.
-
-    Ray RETRIES a compaction task whose worker died (OOM mid-concat is
-    the realistic case), so the task must be idempotent: without
-    recovery, a retry that lands after remove-inputs/before
-    rename-outputs would see no ``.parquet`` files, 'succeed', and the
-    shard's rows would be silently gone even though the resume rmtree
-    never ran (the build as a whole did not crash). Protocol: outputs
-    are fully written under unique names as ``.tmpnew`` first, then a
-    swap marker records (condemned inputs, output names), then inputs
-    are removed and outputs renamed, then the marker is removed. Every
-    step re-runs safely: marker present → the outputs are complete, so
-    finish the swap; no marker → discard stray ``.tmpnew`` (inputs are
-    still intact). Output names never collide with input names (uuid
-    component), so recovery cannot delete a renamed output."""
-    swap = os.path.join(d, _COMPACT_SWAP)
-    if os.path.exists(swap):
-        with open(swap) as f:
-            plan = json.load(f)
-        for name in plan["condemned"]:
-            p = os.path.join(d, name)
-            if os.path.exists(p):
-                os.remove(p)
-        for name in plan["outputs"]:
-            tmp = os.path.join(d, name + ".tmpnew")
-            if os.path.exists(tmp):
-                os.replace(tmp, os.path.join(d, name))
-        os.remove(swap)
-    for n in os.listdir(d):
-        if n.endswith(".tmpnew") or n == _COMPACT_SWAP + ".tmp":
-            os.remove(os.path.join(d, n))
-
-
-@ray.remote
-def _compact_shard_dir(d: str, max_bytes: int = COMPACT_RUN_MAX_BYTES) -> int:
-    """Merge one docstore shard dir's block files into few (usually one)
-    doc_id-sorted files; returns the number of files replaced.
-    Idempotent under task retry (see ``_compact_recover``)."""
-    import uuid as _uuid
-
-    _compact_recover(d)
-    files = [os.path.join(d, n) for n in sorted(os.listdir(d))
-             if n.endswith(".parquet")]
-    if len(files) <= 1:
-        return 0
-    # Greedy size-bounded runs over the on-disk (compressed) sizes; the
-    # in-heap table is larger than compressed bytes, but the cap is a
-    # coarse guard, not an accountant.
-    runs: list[list[str]] = [[]]
-    run_bytes = 0
-    for f in files:
-        sz = os.path.getsize(f)
-        if runs[-1] and run_bytes + sz > max_bytes:
-            runs.append([])
-            run_bytes = 0
-        runs[-1].append(f)
-        run_bytes += sz
-    if len(runs) == len(files):
-        return 0  # every file already at/above the cap — nothing to gain
-    attempt = _uuid.uuid4().hex[:8]
-    outputs = []
-    for j, run in enumerate(runs):
-        t = pa.concat_tables(pq.read_table(f) for f in run)
-        t = t.sort_by("doc_id")
-        # Small row groups: files are doc_id-sorted, so point/multi/
-        # range filters prune to the few groups whose [min,max]
-        # intersect — the whole point of compacting is selective reads.
-        out = f"docs-{attempt}-{j:05d}.parquet"
-        pq.write_table(t, os.path.join(d, out + ".tmpnew"),
-                       compression="zstd", use_dictionary=False,
-                       row_group_size=1024)
-        # The marker is fsynced below; a durable marker over
-        # page-cache-only outputs would let a power loss commit the
-        # input removal against truncated outputs — sync data first.
-        with open(os.path.join(d, out + ".tmpnew"), "rb") as f:
-            os.fsync(f.fileno())
-        outputs.append(out)
-    dfd = os.open(d, os.O_RDONLY)
-    try:
-        os.fsync(dfd)  # directory entries for the .tmpnew files
-    finally:
-        os.close(dfd)
-    swap = os.path.join(d, _COMPACT_SWAP)
-    with open(swap + ".tmp", "w") as f:
-        json.dump({"condemned": [os.path.basename(p) for p in files],
-                   "outputs": outputs}, f)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(swap + ".tmp", swap)
-    for f in files:
-        os.remove(f)
-    for out in outputs:
-        os.replace(os.path.join(d, out + ".tmpnew"), os.path.join(d, out))
-    os.remove(swap)
-    return len(files)
-
-
-def _compact_docstore(docs_dir: str) -> None:
-    """One file per docstore shard. The fused block writers emit one
-    file per (input block × shard) — O(blocks × shards) tiny files when
-    canonical order is uncorrelated with input order — and every point/
-    multi/range read then pays thousands of parquet footer opens per
-    call (measured: 2.2 s of a 2.8 s docstore-bound query on a 147k-doc
-    index with ~7k block files). Compacting to one
-    doc_id-SORTED file per shard restores O(shards) opens and gives
-    range/isin filters real row-group pruning. Runs BEFORE the
-    _DOCS_DONE marker: a crash mid-compaction (merged file + stale
-    blocks would double rows) is cleaned by the resume rmtree. The
-    APPEND path deliberately does NOT compact: post-marker there is no
-    rmtree to clean a torn remove/rename window, and each append adds
-    only O(touched shards) small files, which reads tolerate."""
-    dirs = [os.path.join(docs_dir, n)
-            for n in (sorted(os.listdir(docs_dir))
-                      if os.path.isdir(docs_dir) else [])
-            if n.startswith("shard=")]
-    refs = [_compact_shard_dir.remote(d) for d in dirs]
-    if refs:
-        ray.get(refs)
-
-
 def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
+    import time
+
     docs_dir = os.path.join(index_dir, "docs")
     marker = os.path.join(index_dir, "_DOCS_DONE")
     if os.path.exists(marker):
@@ -1036,9 +975,8 @@ def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
     _write_index_meta(index_dir, cfg)
     if os.path.isdir(docs_dir):
         # A prior run died after writing part of docs/ but before the
-        # marker. Block names are not stable across runs (UUIDs on the
-        # write_parquet path, block splits on the driver-rank path), so a
-        # rewrite over stale files would duplicate the corpus — clear it.
+        # marker. Its shard files may hold rows (or whole shards) this
+        # run would not overwrite — clear it.
         import shutil
 
         shutil.rmtree(docs_dir)
@@ -1052,85 +990,76 @@ def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
                        "drop_null_content": True})
 
     ds = read()
-    tie_tmp = None
-    if cfg.id_col is None:
-        small = _estimate_rows(source) <= DEDUP_DRIVER_MAX_ROWS
-        if small:
-            # Driver-rank path: one streamed full-data pipeline with
-            # overlapped light key wave, then a fused
-            # filter+ids+partitioned-write task wave. No shuffle.
-            sub = _driver_rank_docs(ds, cfg, docs_dir)
-            _compact_docstore(docs_dir)
-            with open(marker, "w") as f:
-                f.write("ok")
-            return sub
-        # Huge-scale path: shuffle dedup pre-pass + canonical sort + ids.
-        # Winner-key ties resolve INSIDE the sort's materialization
-        # (tie_shas) — the corpus is pinned exactly once.
-        tie_shas = None
-        if cfg.dedup:
-            dup_shas, winner_keys = _dedup_winners(read(), cfg.sort_keys)
-            ds = ds.map_batches(
-                _winner_filter, batch_format="pyarrow",
-                fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
-                           "key_cols": cfg.sort_keys})
-            tie_shas = dup_shas if len(dup_shas) else None
-        ds = _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start,
-                               tie_shas=tie_shas)
+    if cfg.id_col is None and _estimate_rows(source) <= DEDUP_DRIVER_MAX_ROWS:
+        # Driver-rank path: one streamed full-data pipeline with an
+        # overlapped light key wave, then the docstore writer. No shuffle.
+        sub = _driver_rank_docs(ds, cfg, docs_dir)
     else:
-        if cfg.dedup:
-            dup_shas, winner_keys = _dedup_winners(read(), [cfg.id_col])
-            ds = ds.map_batches(
-                _winner_filter, batch_format="pyarrow",
-                fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
-                           "key_cols": [cfg.id_col]})
-            if len(dup_shas):
-                # No sort barrier on this path — divert the (bounded)
-                # duplicate-sha rows to a temp dir during the single
-                # consuming pass; the group pass after the main write
-                # appends one winner per sha. Never pins the corpus.
-                tie_tmp = os.path.join(index_dir, ".tie_tmp")
-                import shutil
-
-                shutil.rmtree(tie_tmp, ignore_errors=True)
-                os.makedirs(tie_tmp)
+        if cfg.id_col is None:
+            # Huge-scale path: shuffle dedup pre-pass + canonical sort +
+            # ids. Winner-key ties resolve INSIDE the sort's
+            # materialization (tie_shas) — the corpus is pinned once.
+            tie_shas = None
+            if cfg.dedup:
+                dup_shas, winner_keys = _dedup_winners(read(), cfg.sort_keys)
                 ds = ds.map_batches(
-                    _divert_tie_rows, batch_format="pyarrow",
-                    fn_kwargs={"dup_shas": dup_shas, "tmp_dir": tie_tmp})
-        if cfg.id_col != "doc_id":
-            ds = ds.rename_columns({cfg.id_col: "doc_id"})
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        shard = pc.divide(pc.subtract(batch["doc_id"], 1), cfg.shard_size)
-        return batch.append_column("shard", pc.cast(shard, pa.int64()))
-
-    ds = ds.map_batches(add_shard, batch_format="pyarrow")
-    keep = {"doc_id", "shard", "content_sha256", cfg.content_col}
-    keep |= set(cfg.store_cols or [])
-    if cfg.id_col is None:
-        keep |= set(cfg.sort_keys)
-    sch = ds.schema()
-    # sch is None iff every row was a tie and got diverted (the main
-    # stream is empty); the winner append below writes the whole corpus.
-    cols = None if sch is None else [c for c in sch.names if c in keep]
-    if cols is not None:
-        ds.select_columns(cols).write_parquet(
-            docs_dir, partition_cols=["shard"])
-    if tie_tmp is not None:
-        # The write above is the barrier: every divert task has finished,
-        # so the temp dir is complete. One winner per duplicate sha joins
-        # the docstore via the same shard-partitioned layout.
-        _append_tie_winners(tie_tmp, docs_dir, cfg, cols, keep, add_shard)
-    _compact_docstore(docs_dir)
+                    _winner_filter, batch_format="pyarrow",
+                    fn_kwargs={"dup_shas": dup_shas,
+                               "winner_keys": winner_keys,
+                               "key_cols": cfg.sort_keys})
+                tie_shas = dup_shas if len(dup_shas) else None
+            refs = _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start,
+                                     tie_shas=tie_shas)
+        else:
+            refs = _id_col_docs(ds, read, index_dir, cfg)
+        t0 = time.perf_counter()
+        _write_docstore(docs_dir, _id_blocks(refs, cfg.shard_size),
+                        cfg.shard_size, _stored_cols(cfg))
+        sub = {"write": round(time.perf_counter() - t0, 3)}
     with open(marker, "w") as f:
         f.write("ok")
-    return {}
+    return sub
+
+
+def _id_col_docs(ds: ray.data.Dataset, read, index_dir: str,
+                 cfg: IndexConfig) -> list:
+    """id_col path: stream the (winner-filtered) corpus once and return
+    its doc_id-carrying block refs, plus the blocks holding the
+    deterministic winner of each duplicate-content tie."""
+    tie_tmp = None
+    if cfg.dedup:
+        dup_shas, winner_keys = _dedup_winners(read(), [cfg.id_col])
+        ds = ds.map_batches(
+            _winner_filter, batch_format="pyarrow",
+            fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
+                       "key_cols": [cfg.id_col]})
+        if len(dup_shas):
+            # No sort barrier on this path — divert the (bounded)
+            # duplicate-sha rows to a temp dir during the single
+            # consuming pass; the group pass after it adds one winner
+            # per sha. Never pins the corpus twice.
+            tie_tmp = os.path.join(index_dir, ".tie_tmp")
+            import shutil
+
+            shutil.rmtree(tie_tmp, ignore_errors=True)
+            os.makedirs(tie_tmp)
+            ds = ds.map_batches(
+                _divert_tie_rows, batch_format="pyarrow",
+                fn_kwargs={"dup_shas": dup_shas, "tmp_dir": tie_tmp})
+    if cfg.id_col != "doc_id":
+        ds = ds.rename_columns({cfg.id_col: "doc_id"})
+    refs = [ref for ref, _ in _block_refs(ds)]
+    if tie_tmp is not None:
+        # The stream above is the barrier: every divert task has
+        # finished, so the temp dir is complete.
+        refs += _tie_winner_refs(tie_tmp, cfg)
+    return refs
 
 
 def _divert_tie_rows(t: pa.Table, dup_shas, tmp_dir: str) -> pa.Table:
     """Single-consume tie-break, pass 1 (id_col mode): stream unique-sha
     rows onward; side-write duplicate-sha rows (duplicate volume, never
-    corpus volume) for the post-write group pass. Replaces a
+    corpus volume) for the group pass after the stream. Replaces a
     whole-corpus ``materialize()`` that pinned/spilled the full stream
     just so two branches could read it. Atomic per-file writes plus the
     per-sha group downstream make task retries / speculative
@@ -1159,30 +1088,28 @@ def _first_tie_row(g: pa.Table) -> pa.Table:
     return g.slice(0, 1)
 
 
-def _append_tie_winners(tie_tmp: str, docs_dir: str, cfg: IndexConfig,
-                        cols: list[str] | None, keep: set, add_shard) -> None:
+def _tie_winner_refs(tie_tmp: str, cfg: IndexConfig) -> list:
     """Single-consume tie-break, pass 2 (id_col mode): group the
-    diverted duplicate-sha rows per sha, keep each group's deterministic
-    first row, and append the winners to the shard-partitioned docstore
-    (UUID file names — no collision with the main write)."""
+    diverted duplicate-sha rows per sha and keep each group's
+    deterministic first row; returns the winners' doc_id-carrying block
+    refs, which join the main blocks before any docstore file is
+    written."""
     import shutil
 
     from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
 
     files = [os.path.join(tie_tmp, n) for n in sorted(os.listdir(tie_tmp))
              if n.endswith(".parquet")]
+    refs = []
     if files:
         ties = ray.data.read_parquet(files)
         grouped = keyed_fold(ties, "content_sha256", _first_tie_row,
                              fallback=arrow_schema(ties).empty_table())
         if cfg.id_col != "doc_id":
             grouped = grouped.rename_columns({cfg.id_col: "doc_id"})
-        grouped = grouped.map_batches(add_shard, batch_format="pyarrow")
-        if cols is None:  # main stream was empty — derive from winners
-            cols = [c for c in grouped.schema().names if c in keep]
-        grouped.select_columns(cols).write_parquet(
-            docs_dir, partition_cols=["shard"])
+        refs = [ref for ref, _ in _block_refs(grouped)]
     shutil.rmtree(tie_tmp, ignore_errors=True)
+    return refs
 
 
 def _postings_phase(index_dir: str, cfg: IndexConfig) -> None:
@@ -1407,8 +1334,9 @@ def append_documents(
     semi-join — the NEW batch's distinct shas broadcast once via
     ``ray.put``, the docstore scanned distributed and column-pruned, and
     only matching (sha, doc_id) pairs return to the driver (bounded by
-    the append size, not the index size); appended rows write into shard
-    partitions in a parallel fused task wave. For appends so large their
+    the append size, not the index size); appended rows go through the
+    build's docstore writer, one ``append-{run_id}.parquet`` per touched
+    shard. For appends so large their
     sha set cannot broadcast, run a fresh ``build_index`` over the union
     instead — the hash-partitioned-join variant buys nothing over it.
 
@@ -1417,7 +1345,7 @@ def append_documents(
     under ``append_log/``.
 
     Crash semantics: docstore files write atomically, so a run that dies
-    mid-wave leaves whole rows only; re-running the same append skips the
+    mid-write leaves whole shard files only; re-running the same append skips the
     rows that landed (their shas now conflict) and ingests the rest under
     fresh ids — no duplication, though ids can differ from an
     uninterrupted run. Touched shards' manifests are invalidated BEFORE
@@ -1581,23 +1509,15 @@ def append_documents(
         if os.path.exists(mf):
             os.remove(mf)
 
-    # --- parallel fused write wave (same shape as the build docs phase) -
+    # --- one file per touched shard (the build's docstore writer) -------
     keep = np.empty(n_in, dtype=bool)
     keep[order] = keep_sorted
     ids = np.empty(n_in, dtype=np.int64)
     ids[order] = ids_sorted
-    keep_cols = {"doc_id", "content_sha256", cfg.content_col}
-    keep_cols |= set(cfg.store_cols or []) | set(cfg.sort_keys)
-    waves, off = [], 0
-    for i, (ref, n) in enumerate(block_refs):
-        k = keep[off:off + n]
-        if k.any():
-            waves.append(_finish_docs_block.remote(
-                ref, None if k.all() else k, ids[off:off + n][k],
-                cfg.shard_size, sorted(keep_cols), docs_dir, i,
-                name_prefix=f"append-{run_id}"))
-        off += n
-    ray.get(waves)
+    _write_docstore(docs_dir,
+                    _ranked_blocks(block_refs, keep, ids, cfg.shard_size),
+                    cfg.shard_size, _stored_cols(cfg),
+                    name=f"append-{run_id}.parquet")
     _write_id_counter(index_dir, max_id + n_new)
     _postings_phase(index_dir, cfg)
     stats = _finalize(index_dir)

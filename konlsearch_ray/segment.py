@@ -178,10 +178,12 @@ def _string_col_to_S(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
 # --- write ----------------------------------------------------------------
 
 def _atomic_write_parquet(
-    table: pa.Table, path: str, compression: str = "zstd"
+    table: pa.Table, path: str, compression: str = "zstd",
+    row_group_size: int | None = None,
 ) -> None:
     tmp = path + ".tmp"
-    pq.write_table(table, tmp, compression=compression, use_dictionary=False)
+    pq.write_table(table, tmp, compression=compression, use_dictionary=False,
+                   row_group_size=row_group_size)
     os.replace(tmp, path)
 
 

@@ -203,3 +203,51 @@ def test_append_to_id_col_index_uses_arrival_order(ray_session, tmp_path):
     r = IndexReader(idx)
     assert r.search(["zz"], "OR") == [4]
     assert r.search(["aa"], "OR") == [5]
+
+
+def test_append_writes_one_sorted_file_per_touched_shard(base):
+    """A multi-block append adds exactly ONE doc_id-sorted
+    ``append-*.parquet`` to each shard it touches; reads and search see
+    every appended row under its assigned id."""
+    import hashlib
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from konlsearch_ray.docstore import DocStore
+
+    idx, stats = base
+    n0 = stats["N"]
+    docs_dir = os.path.join(idx, "docs")
+
+    def listing():
+        return {sd: set(os.listdir(os.path.join(docs_dir, sd)))
+                for sd in os.listdir(docs_dir)}
+
+    before = listing()
+    contents = [f"zzmulti block doc {i} omega" for i in range(150)]
+    src = ray.data.from_arrow(_mini_corpus(contents)).repartition(5)
+    out = append_documents(idx, src)
+    assert out["appended"] == 150 and out["N"] == n0 + 150
+    after = listing()
+    touched = sorted(out["touched_shards"])
+    assert touched == sorted(set((n0 + i) // 64 for i in range(150)))
+    for s in touched:
+        new = after[f"shard={s}"] - before.get(f"shard={s}", set())
+        assert len(new) == 1 and next(iter(new)).startswith("append-")
+        ids = pq.read_table(os.path.join(docs_dir, f"shard={s}",
+                                         next(iter(new))))["doc_id"]
+        assert ids.to_pylist() == sorted(ids.to_pylist())
+    for sd in set(before) - {f"shard={s}" for s in touched}:
+        assert after[sd] == before[sd]
+
+    st = out["statuses"].to_pandas()
+    sha_of = {hashlib.sha256(c.encode()).hexdigest(): c for c in contents}
+    store = DocStore(idx)
+    new_ids = list(range(n0 + 1, n0 + 151))
+    assert store.get_range(n0 + 1, n0 + 151)["doc_id"].to_pylist() == new_ids
+    for _, row in st.iterrows():
+        assert store.get(int(row["doc_id"]))["content"] == \
+            sha_of[row["content_sha256"]]
+    assert IndexReader(idx).search(["zzmulti"], "OR") == new_ids

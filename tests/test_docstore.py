@@ -96,14 +96,11 @@ def test_get_tokens_custom_analyzer(store):
 
 def test_docstore_compacted_layout(store):
     """Every shard dir holds exactly ONE doc_id-sorted parquet file after
-    build (the post-docs compaction wave), and compaction is idempotent +
-    content-preserving when a shard has been split into block files."""
+    build: the docstore writer routes rows to their shard before any
+    file is written."""
     import os
 
-    import pyarrow as pa
     import pyarrow.parquet as pq
-
-    from konlsearch_ray.build import _compact_docstore
 
     ds, stats, idx = store
     docs_dir = os.path.join(idx, "docs")
@@ -116,134 +113,111 @@ def test_docstore_compacted_layout(store):
         ids = pq.read_table(os.path.join(d, files[0]))["doc_id"].to_pylist()
         assert ids == sorted(ids)
 
-    # Split one compacted shard back into interleaved block files and
-    # re-compact: same rows, one sorted file again.
-    d = shard_dirs[0]
-    f0 = os.path.join(d, [f for f in os.listdir(d)
-                          if f.endswith(".parquet")][0])
-    t = pq.read_table(f0)
-    golden = t.sort_by("doc_id")
-    even = t.filter(pa.array([i % 2 == 0 for i in range(t.num_rows)]))
-    odd = t.filter(pa.array([i % 2 == 1 for i in range(t.num_rows)]))
-    os.remove(f0)
-    pq.write_table(even, os.path.join(d, "block-a.parquet"))
-    pq.write_table(odd, os.path.join(d, "block-b.parquet"))
-    _compact_docstore(docs_dir)
-    files = [f for f in os.listdir(d) if f.endswith(".parquet")]
-    assert len(files) == 1
-    merged = pq.read_table(os.path.join(d, files[0]))
-    assert merged.sort_by("doc_id").equals(golden)
-    # Idempotent: a second pass leaves the single file untouched.
-    _compact_docstore(docs_dir)
-    assert [f for f in os.listdir(d) if f.endswith(".parquet")] == files
+
+def _docs_files(idx):
+    """{relative path: bytes} of every docstore file."""
+    import os
+
+    docs_dir = os.path.join(idx, "docs")
+    out = {}
+    for sd in sorted(os.listdir(docs_dir)):
+        for n in sorted(os.listdir(os.path.join(docs_dir, sd))):
+            with open(os.path.join(docs_dir, sd, n), "rb") as f:
+                out[f"{sd}/{n}"] = f.read()
+    return out
 
 
-def test_compaction_size_bounded_runs(store, tmp_path):
-    """A shard whose files exceed the per-run byte cap merges into
-    MULTIPLE sorted files (bounded heap per task), not one; when every
-    file is already at the cap, compaction is a no-op."""
+def test_docstore_bytes_independent_of_block_split(ray_session, tmp_path):
+    """The same corpus read as 1 and as 7 blocks writes docstore files
+    with identical bytes under identical names."""
+    import ray.data
+
+    corpus = write_corpus(str(tmp_path / "c"), 300, seed=5)
+    files = []
+    for nblocks in (1, 7):
+        idx = str(tmp_path / f"i{nblocks}")
+        src = ray.data.read_parquet(corpus, override_num_blocks=nblocks)
+        build_index(src, idx, IndexConfig(shard_size=64))
+        files.append(_docs_files(idx))
+    assert len(files[0]) == 5  # 300 docs minus dups over 64-doc shards
+    assert files[0] == files[1]
+
+
+def test_id_col_ties_one_sorted_file_per_shard(ray_session, tmp_path):
+    """id_col mode with duplicate-content ties spread over blocks: the
+    tie winners (min over every column) join the main rows before the
+    writers run, so each shard is still ONE doc_id-sorted file."""
     import os
 
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray
+    import ray.data
 
-    from konlsearch_ray.build import _compact_shard_dir
-
-    d = str(tmp_path / "shard=0")
-    os.makedirs(d)
-    t = pa.table({"doc_id": list(range(1, 91)),
-                  "content": [f"row {i}" for i in range(90)]})
-    for j, lo in enumerate((0, 30, 60)):
-        pq.write_table(t.slice(lo, 30), os.path.join(d, f"b{j}.parquet"))
-    sizes = [os.path.getsize(os.path.join(d, n)) for n in os.listdir(d)]
-
-    # Cap below any single file: every file is its own run -> no-op.
-    assert ray.get(_compact_shard_dir.remote(d, max_bytes=1)) == 0
-    assert sorted(os.listdir(d)) == ["b0.parquet", "b1.parquet",
-                                     "b2.parquet"]
-
-    # Cap fitting two files: 3 inputs -> 2 sorted run files, same rows.
-    assert ray.get(_compact_shard_dir.remote(
-        d, max_bytes=max(sizes) * 2 + 1)) == 3
-    out = sorted(n for n in os.listdir(d) if n.endswith(".parquet"))
-    assert len(out) == 2 and all(n.startswith("docs-") for n in out)
-    merged = pa.concat_tables(
-        pq.read_table(os.path.join(d, n)) for n in out)
-    assert merged.sort_by("doc_id").equals(t)
-    for n in out:
-        ids = pq.read_table(os.path.join(d, n))["doc_id"].to_pylist()
+    n = 40
+    base = pa.table({
+        "id": pa.array(range(1, n + 1), pa.int64()),
+        "text": pa.array([f"doc {i} words" for i in range(n)]),
+        "origin": pa.array(["bb"] * n),
+    })
+    # every fifth row repeats twice more with other origins: ties in
+    # (id, content) the winner filter cannot break
+    ties = base.filter(pa.array([i % 5 == 0 for i in range(n)]))
+    extra = [ties.set_column(2, "origin", pa.array([o] * ties.num_rows))
+             for o in ("cc", "aa")]
+    t = pa.concat_tables([base] + extra)
+    idx = str(tmp_path / "i")
+    stats = build_index(
+        ray.data.from_arrow(t).repartition(4), idx,
+        IndexConfig(content_col="text", id_col="id", sort_keys=[],
+                    store_cols=["origin"], shard_size=16))
+    assert stats["N"] == n
+    docs_dir = os.path.join(idx, "docs")
+    got = []
+    for sd in sorted(os.listdir(docs_dir), key=lambda s: int(s[6:])):
+        names = os.listdir(os.path.join(docs_dir, sd))
+        assert names == ["docs.parquet"], (sd, names)
+        part = pq.read_table(os.path.join(docs_dir, sd, names[0]))
+        ids = part["doc_id"].to_pylist()
         assert ids == sorted(ids)
+        got.append(part)
+    docs = pa.concat_tables(got)
+    assert docs["doc_id"].to_pylist() == list(range(1, n + 1))
+    assert docs["origin"].to_pylist() == [
+        "aa" if i % 5 == 0 else "bb" for i in range(n)]
+    assert not os.path.exists(os.path.join(idx, ".tie_tmp"))
 
 
-def test_compaction_retry_idempotent(store, tmp_path):
-    """A retried compaction task must not lose rows, whatever point the
-    previous attempt died at (Ray retries worker-crashed tasks):
-    before the swap marker -> stray .tmpnew discarded, inputs intact;
-    after the marker -> recovery finishes the swap from the outputs."""
-    import json
+def test_write_docs_shard_retry_idempotent(ray_session, tmp_path):
+    """A retried shard writer (same pieces) leaves one identical,
+    doc_id-sorted file and no temp file."""
     import os
 
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
-    from konlsearch_ray.build import _COMPACT_SWAP, _compact_shard_dir
+    from konlsearch_ray.build import _write_docs_shard
 
-    t = pa.table({"doc_id": list(range(1, 41)),
+    t = pa.table({"doc_id": pa.array(range(1, 41), pa.int64()),
                   "content": [f"row {i}" for i in range(40)]})
+    pieces = [t.slice(20, 20), t.slice(0, 20)]
+    path = str(tmp_path / "shard=0" / "docs.parquet")
+    assert ray.get(_write_docs_shard.remote(path, *pieces)) == 40
+    with open(path, "rb") as f:
+        first = f.read()
+    assert ray.get(_write_docs_shard.remote(path, *pieces)) == 40
+    assert os.listdir(tmp_path / "shard=0") == ["docs.parquet"]
+    with open(path, "rb") as f:
+        assert f.read() == first
+    assert pq.read_table(path).equals(t)
 
-    def fresh(name):
-        d = str(tmp_path / name)
-        os.makedirs(d)
-        pq.write_table(t.slice(0, 20), os.path.join(d, "b0.parquet"))
-        pq.write_table(t.slice(20, 20), os.path.join(d, "b1.parquet"))
-        return d
 
-    def rows(d):
-        return pa.concat_tables(
-            pq.read_table(os.path.join(d, n)) for n in sorted(os.listdir(d))
-            if n.endswith(".parquet")).sort_by("doc_id")
-
-    # Crash BEFORE the marker: a half-written output is discarded and
-    # the retry recompacts from the intact inputs.
-    d = fresh("s0")
-    pq.write_table(t.slice(0, 5),
-                   os.path.join(d, "docs-dead-00000.parquet.tmpnew"))
-    assert ray.get(_compact_shard_dir.remote(d)) == 2
-    assert rows(d).equals(t)
-    assert not any(n.endswith(".tmpnew") for n in os.listdir(d))
-
-    # Crash AFTER the marker, inputs partially removed, outputs not yet
-    # renamed: the retry must finish the swap — the old code's retry
-    # would have seen one .parquet file and "succeeded" with half the
-    # rows gone.
-    d = fresh("s1")
-    pq.write_table(t.sort_by("doc_id"),
-                   os.path.join(d, "docs-cafe-00000.parquet.tmpnew"))
-    with open(os.path.join(d, _COMPACT_SWAP), "w") as f:
-        json.dump({"condemned": ["b0.parquet", "b1.parquet"],
-                   "outputs": ["docs-cafe-00000.parquet"]}, f)
-    os.remove(os.path.join(d, "b0.parquet"))  # torn input removal
-    assert ray.get(_compact_shard_dir.remote(d)) == 0  # recovered, 1 file
-    assert rows(d).equals(t)
-    assert sorted(os.listdir(d)) == ["docs-cafe-00000.parquet"]
-
-    # Crash AFTER some renames: condemned inputs still present must go,
-    # already-renamed outputs must survive recovery (unique names).
-    d = fresh("s2")
-    pq.write_table(t.slice(0, 20).sort_by("doc_id"),
-                   os.path.join(d, "docs-beef-00000.parquet"))  # renamed
-    pq.write_table(t.slice(20, 20).sort_by("doc_id"),
-                   os.path.join(d, "docs-beef-00001.parquet.tmpnew"))
-    with open(os.path.join(d, _COMPACT_SWAP), "w") as f:
-        json.dump({"condemned": ["b0.parquet", "b1.parquet"],
-                   "outputs": ["docs-beef-00000.parquet",
-                               "docs-beef-00001.parquet"]}, f)
-    ray.get(_compact_shard_dir.remote(d))
-    assert rows(d).equals(t)
-    assert not os.path.exists(os.path.join(d, "b0.parquet"))
-    assert not os.path.exists(os.path.join(d, "b1.parquet"))
+def test_docs_write_time_reported(store):
+    """``phase_sec.docs_sub["write"]`` times the whole docstore write
+    (split + shard writers) inside the docs phase."""
+    _, stats, _ = store
+    ph = stats["phase_sec"]
+    assert 0 <= ph["docs_sub"]["write"] <= ph["docs"]
 
 
 def test_doc_id_zero_addressable(ray_session, tmp_path):

@@ -227,7 +227,8 @@ def test_huge_path_tie_break_is_deterministic_on_store_col_variants(
 def test_id_col_path_collapses_content_ties(ray_session, tmp_path):
     """id_col mode: rows identical in (id, content) are ties the winner
     filter cannot break — exactly one must land, via the divert +
-    post-write group pass (no whole-corpus materialize)."""
+    group pass before the docstore write (no whole-corpus
+    materialize)."""
     t = pa.table({
         "id": pa.array([1, 1, 2, 3, 3, 3], pa.int64()),
         "text": pa.array(["same one", "same one", "uniq two",
@@ -253,8 +254,8 @@ def test_id_col_path_collapses_content_ties(ray_session, tmp_path):
 
 
 def test_id_col_path_all_rows_duplicated(ray_session, tmp_path):
-    """Every sha duplicated: the main stream writes zero rows and the
-    ENTIRE docstore comes from the tie-winner append pass."""
+    """Every sha duplicated: the main stream carries zero rows and the
+    ENTIRE docstore comes from the tie-winner pass."""
     t = pa.table({
         "id": pa.array([1, 2], pa.int64()),
         "text": pa.array(["alpha beta", "gamma delta"]),
