@@ -114,8 +114,8 @@ def _dict_files(sf_dir: str) -> list[str]:
 
 def _morph_index_dir(sf_dir: str) -> str:
     """Index built END-TO-END through the bundled-lexicon morpheme
-    analyzer (reference's mecab-union semantics, index.py:98-102): the
-    actor-pool tokenizer loads the lexicon once per actor."""
+    analyzer (reference's mecab-union semantics, index.py:98-102): each
+    postings task loads the lexicon once."""
     key = f"morph:{sf_dir}"
     if key in _INDEX_CACHE:
         return _INDEX_CACHE[key]

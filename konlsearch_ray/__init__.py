@@ -4,11 +4,12 @@ Re-expresses the capabilities of the reference engine (handrake/KonlSearch,
 an embedded RocksDB per-document posting store — see SURVEY.md) as streaming
 ``ray.data.Dataset`` pipelines:
 
-- tokenization as ``map_batches`` over zero-copy Arrow batches (tasks by
-  default; actor pool for stateful analyzers),
+- docs ingest (content hash, dedup, dense doc ids) as a streamed read
+  of Arrow blocks, each block routed straight to its doc-range shard,
 - posting-list construction with NO shuffle: the docstore is physically
   partitioned by doc-range shard, and each shard tokenizes + delta-gap /
-  varint-encodes independently,
+  varint-encodes independently, in plain Ray tasks (one per CPU, each
+  building a pluggable analyzer once),
 - query serving (AND/OR/PHRASE/complex boolean + BM25 top-k with block-max
   MaxScore pruning) from immutable Parquet segment files via a read-only
   actor pool,

@@ -14,18 +14,19 @@ with two phases over ``ray.data.Dataset``:
   ``docs/shard=K/`` once: one doc_id-sorted file under a fixed name.
 
 **Phase B — posting segments** (resumable per shard):
-  The docstore write in phase A already hash-partitioned docs by shard on
-  disk (``docs/shard=K/``), so phase B needs NO exchange at all: one task
-  per incomplete shard reads its own partition (column-pruned to doc_id +
-  content), tokenizes in bounded sub-batches, sorts (term, doc_id),
-  delta-gap + varint encodes with block-max metadata, and atomically
-  writes segment + doclens + manifest. Shards are equal doc-ID ranges, so
-  head-term postings are split across shards into disjoint ordered
-  sub-lists that concatenate back into a globally sorted posting list with
-  no merge logic — the "salt by doc-range" skew strategy of SURVEY.md
-  §7(b), realized as physical partitioning instead of a shuffle. (An
-  earlier design shuffled exploded (term, doc, tf, pos) rows through
-  ``groupby("shard")``; the sort-exchange cost ~3x the useful compute.)
+  The docstore write in phase A already partitioned docs by doc-range
+  shard on disk (``docs/shard=K/``), so phase B needs NO exchange: every
+  shard without a manifest goes to ``segment.run_per_shard``, one plain
+  Ray task per CPU over a strided chunk of shards. A task builds one
+  analyzer, then for each of its shards reads the shard's own files
+  (column-pruned to doc_id + content), tokenizes in bounded sub-batches,
+  sorts (term, doc_id), delta-gap + varint encodes with block-max
+  metadata, and atomically writes segment + doclens + manifest. Shards
+  are equal doc-ID ranges, so head-term postings are split across shards
+  into disjoint ordered sub-lists that concatenate back into a globally
+  sorted posting list with no merge logic — the "salt by doc-range" skew
+  strategy of SURVEY.md §7(b), realized as physical partitioning instead
+  of a shuffle.
 
 **Finalize**: global ``stats.json`` (N, avgdl, total_tokens) from shard
 manifests; ``dictionary/`` = groupby(term) over the segments' (term, df,
@@ -52,10 +53,11 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
-                                    binary_view, check_version,
+                                    binary_view, check_version, docs_files,
                                     encode_segment, manifest_path,
-                                    read_manifests, segment_path,
-                                    shard_nums, write_shard)
+                                    read_manifests, run_per_shard,
+                                    segment_path, shard_nums,
+                                    write_docs_file, write_shard)
 
 
 @dataclass
@@ -67,17 +69,11 @@ class IndexConfig:
     dedup: bool = True
     store_cols: list[str] | None = None  # extra columns persisted in docs/
     tokenize_batch_size: int = 512
-    tokenize_concurrency: int | tuple[int, int] | None = None
-    # Actor-pool tokenizer (SURVEY.md ST1): required when the pluggable
-    # analyzer holds real per-worker state (a morpheme model / dictionary,
-    # loaded once per actor in __init__). The normative default analyzer is
-    # a stateless vectorized regex pass, so plain tasks — which reuse warm
-    # workers and skip actor-pool spin-up — are the default.
-    tokenizer_actors: bool = False
     # Pluggable analyzer (SURVEY.md ST1 / §2.10): a zero-arg factory whose
-    # product exposes tokenize_many(texts) -> list[list[str]]. Loaded once
-    # per worker; setting it implies the actor-pool tokenizer so the state
-    # loads once per actor, not once per batch.
+    # product exposes tokenize_many(texts) -> list[list[str]]. Built once
+    # per postings task, and a build runs at most one task per CPU, so
+    # its state (a morpheme model, a dictionary) loads once per worker,
+    # never once per shard or batch. None = the normative analyzer.
     analyzer_factory: object | None = None
     id_start: int = 1
 
@@ -118,47 +114,22 @@ def _sha256_batch(batch: pa.Table, content_col: str,
         "content_sha256", hash_hex_column(batch[content_col], "sha256"))
 
 
-class ShardBuildStage:
-    """Actor-pool shard builder for stateful analyzers (SURVEY.md ST1):
-    the analyzer state loads once per actor in ``__init__``; each call
-    builds one shard end-to-end (tokenize sub-batches + encode + write)."""
-
-    def __init__(self, cfg: IndexConfig, index_dir: str,
-                 shard_files: dict[int, list[str]]):
-        self.cfg = cfg
-        self.index_dir = index_dir
-        self.shard_files = shard_files
-        self.analyzer = (cfg.analyzer_factory()
-                         if cfg.analyzer_factory else None)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        outs = [
-            _build_shard(int(s), self.shard_files[int(s)], self.cfg,
-                         self.index_dir, analyzer=self.analyzer)
-            for s in batch["shard"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
-
 def _build_shard(shard: int, shard_files: list[str], cfg: IndexConfig,
-                 index_dir: str, analyzer=None) -> pa.Table:
-    """Tokenize + encode + write ONE shard end-to-end inside a single task.
+                 index_dir: str, analyzer=None) -> None:
+    """Tokenize + encode + write ONE shard's segment, doclens and manifest.
 
-    The docstore write already hash-partitioned docs by shard on disk
-    (``docs/shard=K/``), so the posting build needs NO exchange: each task
-    reads its own partition (column-pruned), tokenizes in bounded
-    sub-batches, and encodes. This replaces an earlier groupby("shard")
-    design whose sort-shuffle of the exploded (term, doc, tf, pos) stream
-    cost ~3x the useful tokenize+encode compute.
+    The docs phase already wrote each shard's rows into its own doc-range
+    partition (``docs/shard=K/``), so the postings build needs NO
+    exchange: it reads that partition's files (column-pruned to doc_id +
+    content), tokenizes in bounded sub-batches with ``analyzer`` (None =
+    the normative analyzer), and encodes.
 
     Per-batch occurrence rows stay FLAT and UNGROUPED: term codes are
     carried as Arrow dictionary chunks whose dictionaries unify in C on
     ``combine_chunks``, and the shard pays exactly ONE stable sort over
     its raw occurrence stream — (doc, term) grouping (tf / first_pos)
     falls out of the same sorted run-length pass that orders the
-    postings. (Earlier versions grouped+sorted every batch and then
-    re-sorted the grouped rows — roughly double the memory traffic of
-    the postings phase, the limiting factor for on-node scaling.)
+    postings.
     """
     from konlsearch_ray.analyzer import (
         _coded_from_token_lists,
@@ -213,14 +184,14 @@ def _build_shard(shard: int, shard_files: list[str], cfg: IndexConfig,
                 f"duplicate doc_id {dup} in shard {shard}: ids must be "
                 "unique (id_col mode passes caller ids through unchecked "
                 "until here)")
-    return _encode_shard(shard, denc, flat_doc, flat_pos,
-                         dl_sorted, dl_vals[o], index_dir)
+    _encode_shard(shard, denc, flat_doc, flat_pos,
+                  dl_sorted, dl_vals[o], index_dir)
 
 
 def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
                   flat_pos: np.ndarray,
                   dl_docs: np.ndarray, dl_vals: np.ndarray,
-                  index_dir: str) -> pa.Table:
+                  index_dir: str) -> None:
     """Encode + atomically write one shard's segment, doclens and manifest.
 
     Input: the RAW occurrence stream — one row per kept token occurrence
@@ -278,9 +249,7 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
     seg = encode_segment(pa.array(out_terms, pa.string()),
                          starts, doc_s, tf_s, pos_s, pos_rest)
     dl = pa.table({"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
-    manifest = write_shard(index_dir, shard, seg, dl)
-    return pa.table({k: [manifest[k]]
-                     for k in ("shard", "n_docs", "n_terms", "total_tokens")})
+    write_shard(index_dir, shard, seg, dl)
 
 
 # --------------------------------------------------------------------------
@@ -614,15 +583,9 @@ def _split_docs_block(
 
 @ray.remote
 def _write_docs_shard(path: str, *pieces: pa.Table) -> int:
-    """Write one shard's pieces as ONE doc_id-sorted file, atomically.
-    Small row groups: point/multi/range reads prune to the few groups
-    whose doc_id [min, max] intersect. The output depends only on the
-    rows, so a retried task rewrites the same bytes under the same
-    name."""
-    t = pa.concat_tables(pieces).sort_by("doc_id").combine_chunks()
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    _atomic_write_parquet(t, path, row_group_size=1024)
-    return t.num_rows
+    """Write one shard's pieces as ONE docstore file
+    (``segment.write_docs_file``); returns its row count."""
+    return write_docs_file(pa.concat_tables(pieces), path)
 
 
 def _ranked_blocks(block_refs: list[tuple], keep: np.ndarray,
@@ -1112,52 +1075,20 @@ def _tie_winner_refs(tie_tmp: str, cfg: IndexConfig) -> list:
     return refs
 
 
+def _build_shards(shards: list[tuple[int, list[str]]], cfg: IndexConfig,
+                  index_dir: str) -> None:
+    """Postings task: build each ``(shard, docstore files)`` of one
+    ``run_per_shard`` chunk with one analyzer built here."""
+    analyzer = cfg.analyzer_factory() if cfg.analyzer_factory else None
+    for shard, files in shards:
+        _build_shard(shard, files, cfg, index_dir, analyzer=analyzer)
+
+
 def _postings_phase(index_dir: str, cfg: IndexConfig) -> None:
-    docs_dir = os.path.join(index_dir, "docs")
-    shard_files: dict[int, list[str]] = {}
-    for name in sorted(os.listdir(docs_dir)):
-        if not name.startswith("shard="):
-            continue
-        shard = int(name.split("=", 1)[1])
-        if not os.path.exists(manifest_path(index_dir, shard)):
-            sub = os.path.join(docs_dir, name)
-            shard_files[shard] = [
-                os.path.join(sub, f) for f in sorted(os.listdir(sub))
-                if f.endswith(".parquet")]
-    if not shard_files:
-        return
-    def build_batch(batch: pa.Table) -> pa.Table:
-        outs = [
-            _build_shard(int(s), shard_files[int(s)], cfg, index_dir)
-            for s in batch["shard"].to_pylist()
-        ]
-        return pa.concat_tables(outs)
-
-    # One block per shard — map_batches parallelism follows blocks, so a
-    # single-block from_arrow would serialize every shard into one task.
-    shard_ids = sorted(shard_files)
-    shards_ds = ray.data.from_items(
-        [{"shard": s} for s in shard_ids],
-        override_num_blocks=len(shard_ids))
-    if cfg.tokenizer_actors or cfg.analyzer_factory is not None:
-        # Stateful-analyzer path (SURVEY.md ST1): shard tasks run on an
-        # actor pool that loads the analyzer once per worker.
-        concurrency = cfg.tokenize_concurrency
-        if concurrency is None:
-            import ray as _ray
-
-            ncpu = int(_ray.cluster_resources().get("CPU", 4))
-            concurrency = (1, max(2, ncpu - 2))
-        shards_ds.map_batches(
-            ShardBuildStage, fn_constructor_kwargs={
-                "cfg": cfg, "index_dir": index_dir,
-                "shard_files": shard_files},
-            batch_format="pyarrow", batch_size=1, concurrency=concurrency,
-        ).materialize()
-    else:
-        shards_ds.map_batches(
-            build_batch, batch_format="pyarrow", batch_size=1,
-        ).materialize()
+    """Build every docstore shard that has no manifest yet."""
+    todo = [(s, f) for s, f in docs_files(index_dir).items()
+            if not os.path.exists(manifest_path(index_dir, s))]
+    run_per_shard(_build_shards, todo, cfg, index_dir)
 
 
 def _finalize(index_dir: str) -> dict:
@@ -1257,17 +1188,7 @@ def build_index(source, index_dir: str, cfg: IndexConfig | None = None) -> dict:
     return stats
 
 
-def _docstore_files(docs_dir: str) -> list[str]:
-    files = []
-    for name in sorted(os.listdir(docs_dir)) if os.path.isdir(docs_dir) else []:
-        sub = os.path.join(docs_dir, name)
-        if os.path.isdir(sub) and name.startswith("shard="):
-            files += [os.path.join(sub, f) for f in sorted(os.listdir(sub))
-                      if f.endswith(".parquet")]
-    return files
-
-
-def _max_doc_id(index_dir: str, docs_dir: str) -> int:
+def _max_doc_id(index_dir: str) -> int:
     """Highest ever-assigned doc id: the persisted monotone counter
     (reference's id counter, index.py:20-23 — survives compaction of the
     top shard so deleted ids are never reused), falling back to the top
@@ -1277,17 +1198,12 @@ def _max_doc_id(index_dir: str, docs_dir: str) -> int:
     if os.path.exists(counter_path):
         with open(counter_path) as f:
             persisted = int(json.load(f)["max_id"])
-    shard_dirs = [n for n in os.listdir(docs_dir)
-                  if n.startswith("shard=")] if os.path.isdir(docs_dir) else []
+    files = docs_files(index_dir)
     scanned = 0
-    if shard_dirs:
-        top = max(shard_dirs, key=lambda n: int(n.split("=", 1)[1]))
-        sub = os.path.join(docs_dir, top)
-        parts = [
-            pq.read_table(os.path.join(sub, f), columns=["doc_id"])
-            for f in sorted(os.listdir(sub)) if f.endswith(".parquet")]
-        if parts:
-            scanned = int(pc.max(pa.concat_tables(parts)["doc_id"]).as_py() or 0)
+    if files and files[max(files)]:
+        top = pa.concat_tables(pq.read_table(f, columns=["doc_id"])
+                               for f in files[max(files)])
+        scanned = int(pc.max(top["doc_id"]).as_py() or 0)
     return max(persisted, scanned)
 
 
@@ -1367,7 +1283,7 @@ def append_documents(
     # repo/path/commit).
     _restore_cfg_from_meta(index_dir, cfg)
     docs_dir = os.path.join(index_dir, "docs")
-    max_id = _max_doc_id(index_dir, docs_dir)
+    max_id = _max_doc_id(index_dir)
 
     # --- stream the new batch; light (sha, key) wave overlapped ---------
     ds = (source if isinstance(source, ray.data.Dataset)
@@ -1410,7 +1326,7 @@ def append_documents(
         m = pc.is_in(t["content_sha256"], value_set=ray.get(cand_ref))
         return t.filter(pc.fill_null(m, False))
 
-    files = _docstore_files(docs_dir)
+    files = [f for fs in docs_files(index_dir).values() for f in fs]
     conflict_of: dict[bytes, int] = {}
     if files and cfg.dedup:
         hits = (ray.data.read_parquet(

@@ -73,8 +73,8 @@ class DocStore:
 
     def _shard_of(self, doc_id):
         """Shard of one id (an int) or of each id of an int64 array (an
-        array), with TRUNCATING (toward-zero) division — the id_col build
-        path partitions with Arrow ``pc.divide`` (build.py add_shard),
+        array), with TRUNCATING (toward-zero) division — the build routes
+        rows to shards with Arrow ``pc.divide`` (``build._shard_of``),
         which truncates, so doc_id 0 lives in ``shard=0``; floor division
         would look in shard -1 and silently miss a live document."""
         n = np.asarray(doc_id, dtype=np.int64) - 1

@@ -25,10 +25,11 @@ the shards by ``build._finalize``. So a merge is:
    (``segment.shift_segment``) and the doclens / docstore ``doc_id``
    columns. Tombstones shift the same way.
 
-Per-shard rewrites run as raw Ray tasks — a file-manifest-driven job
-(N independent file→file rewrites) that the Dataset API has no useful
-expression for. At cluster scale each task touches one shard's files;
-nothing is ever all-to-all.
+Per-shard rewrites run through ``segment.run_per_shard`` — plain Ray
+tasks over strided chunks of shards, for a file-manifest-driven job (N
+independent file→file rewrites) that the Dataset API has no useful
+expression for. Each rewrite touches one shard's files; nothing is ever
+all-to-all.
 
 Preconditions (validated): identical ``shard_size``, ``id_col`` and
 ``content_col`` across inputs, each at layout version
@@ -50,9 +51,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from konlsearch_ray.build import _finalize, _write_id_counter
-from konlsearch_ray.segment import (_atomic_write_parquet, doclens_path,
-                                    check_version, manifest_path,
-                                    segment_path, shard_nums, shift_segment,
+from konlsearch_ray.segment import (_atomic_write_parquet, check_version,
+                                    docs_files, doclens_path, manifest_path,
+                                    run_per_shard, segment_path, shard_nums,
+                                    shift_segment, write_docs_file,
                                     write_shard)
 from konlsearch_ray.tombstone import TOMBSTONE_DIR, load_tombstones
 
@@ -62,38 +64,39 @@ def _load_meta(index_dir: str) -> dict:
         return json.load(f)
 
 
-def _rewrite_shard(src_dir: str, out_dir: str, shard: int,
-                   shard_off: int, shard_size: int) -> None:
-    """Rewrite ONE shard's segment + doclens + docstore partition +
-    manifest under a doc-id shift of ``shard_off * shard_size``.
-    ``shard_off == 0`` degrades to plain file copies."""
-    id_off = shard_off * shard_size
-    new_shard = shard + shard_off
-    docs_src = os.path.join(src_dir, "docs", f"shard={shard}")
-    docs_dst = os.path.join(out_dir, "docs", f"shard={new_shard}")
-
-    if id_off == 0:
-        for path in (segment_path, doclens_path, manifest_path):
-            os.makedirs(os.path.dirname(path(out_dir, shard)), exist_ok=True)
-            shutil.copy2(path(src_dir, shard), path(out_dir, shard))
-        if os.path.isdir(docs_src):
-            shutil.copytree(docs_src, docs_dst, dirs_exist_ok=True)
-        return
-    if os.path.isdir(docs_src):
-        os.makedirs(docs_dst, exist_ok=True)
-        for name in sorted(os.listdir(docs_src)):
-            if not name.endswith(".parquet"):
+def _rewrite_shards(items: list[tuple], out_dir: str,
+                    shard_size: int) -> None:
+    """Merge task: for each ``(src_dir, shard, shard_off, docstore
+    files)`` of one ``run_per_shard`` chunk, write the shard's segment +
+    doclens + docstore files + manifest into ``out_dir`` under a doc-id
+    shift of ``shard_off * shard_size``. ``shard_off == 0`` degrades to
+    plain file copies."""
+    for src_dir, shard, shard_off, files in items:
+        id_off = shard_off * shard_size
+        new_shard = shard + shard_off
+        for f in files:
+            dst = os.path.join(out_dir, "docs", f"shard={new_shard}",
+                               os.path.basename(f))
+            if id_off == 0:
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                shutil.copy2(f, dst)
                 continue
-            t = pq.read_table(os.path.join(docs_src, name))
-            t = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                             pc.add(t["doc_id"], id_off))
-            _atomic_write_parquet(t, os.path.join(docs_dst, name))
-    dl = pq.read_table(doclens_path(src_dir, shard))
-    dl = dl.set_column(dl.schema.get_field_index("doc_id"), "doc_id",
-                       pc.add(dl["doc_id"], id_off))
-    write_shard(out_dir, new_shard,
-                shift_segment(pq.read_table(segment_path(src_dir, shard)),
-                              id_off), dl)
+            t = pq.read_table(f)
+            write_docs_file(t.set_column(
+                t.schema.get_field_index("doc_id"), "doc_id",
+                pc.add(t["doc_id"], id_off)), dst)
+        if id_off == 0:
+            for path in (segment_path, doclens_path, manifest_path):
+                os.makedirs(os.path.dirname(path(out_dir, shard)),
+                            exist_ok=True)
+                shutil.copy2(path(src_dir, shard), path(out_dir, shard))
+            continue
+        dl = pq.read_table(doclens_path(src_dir, shard))
+        dl = dl.set_column(dl.schema.get_field_index("doc_id"), "doc_id",
+                           pc.add(dl["doc_id"], id_off))
+        write_shard(out_dir, new_shard,
+                    shift_segment(pq.read_table(segment_path(src_dir, shard)),
+                                  id_off), dl)
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str,
@@ -165,16 +168,11 @@ def merge_indexes(index_dirs: list[str], out_dir: str,
             seen |= set(s)
 
     os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
-
-    import ray
-
-    rewrite = ray.remote(num_cpus=1)(_rewrite_shard)
-    refs = [
-        rewrite.remote(d, out_dir, shard, off, shard_size)
-        for d, s, off in zip(index_dirs, shard_sets, offsets)
-        for shard in s
-    ]
-    ray.get(refs)
+    files = [docs_files(d) for d in index_dirs]
+    run_per_shard(_rewrite_shards, [
+        (d, shard, off, f.get(shard, []))
+        for d, s, off, f in zip(index_dirs, shard_sets, offsets, files)
+        for shard in s], out_dir, shard_size)
 
     # Tombstones: union, shifted per source index.
     dead_parts = []

@@ -17,9 +17,12 @@ per term, in term order (``SEGMENT_SCHEMA``):
 Every other module reaches the format through this one:
 
 - layout: ``FORMAT_VERSION`` (2: ``pos_rest_bin`` added), its guard
-  ``check_version``, the shard paths, ``shard_nums``, ``read_doclens``
-  and ``read_manifests``;
-- write: ``encode_segment`` and ``write_shard`` (build, compaction, merge);
+  ``check_version``, the shard paths, ``shard_nums``, ``docs_files``
+  (each shard's docstore files), ``read_doclens`` and ``read_manifests``;
+- per-shard jobs: ``run_per_shard``, the one task fan-out of the build's
+  postings phase, compaction and merge;
+- write: ``encode_segment`` and ``write_shard`` (build, compaction,
+  merge), and ``write_docs_file``, the one docstore-file writer;
 - rewrite: ``decode_segment``/``decode_columns`` (compaction, export)
   and ``shift_segment`` (merge);
 - read: ``PostingStore``, the reader's posting lists, their positions
@@ -105,6 +108,36 @@ def shard_nums(index_dir: str) -> list[int]:
                   if n.startswith("shard-") and n.endswith(".parquet"))
 
 
+def docs_files(index_dir: str) -> dict[int, list[str]]:
+    """Each docstore shard's files (``docs/shard=K/*.parquet``, in name
+    order), by ascending shard number; a shard directory may hold none.
+    Empty when there is no ``docs/``."""
+    d = os.path.join(index_dir, "docs")
+    out = {}
+    for name in os.listdir(d) if os.path.isdir(d) else []:
+        sub = os.path.join(d, name)
+        if name.startswith("shard=") and os.path.isdir(sub):
+            out[int(name[len("shard="):])] = [
+                os.path.join(sub, f) for f in sorted(os.listdir(sub))
+                if f.endswith(".parquet")]
+    return dict(sorted(out.items()))
+
+
+def run_per_shard(fn, items: list, *args) -> None:
+    """Run ``fn(chunk, *args)`` over per-shard work ``items`` as plain
+    Ray tasks and wait for them: ``P = min(len(items), cluster CPUs)``
+    tasks, task ``i`` taking the strided chunk ``items[i::P]``. A chunk
+    is the unit of per-task set-up (one analyzer per build task). An
+    ObjectRef in ``args`` reaches each task resolved."""
+    if not items:
+        return
+    import ray
+
+    p = max(1, min(len(items), int(ray.cluster_resources().get("CPU", 1))))
+    task = ray.remote(fn)
+    ray.get([task.remote(items[i::p], *args) for i in range(p)])
+
+
 def _read_tables(paths: list[str]) -> list[pa.Table]:
     # Parquet reads release the GIL: a thread pool keeps reader and
     # actor start-up from paying one serial read per shard file.
@@ -185,6 +218,18 @@ def _atomic_write_parquet(
     pq.write_table(table, tmp, compression=compression, use_dictionary=False,
                    row_group_size=row_group_size)
     os.replace(tmp, path)
+
+
+def write_docs_file(t: pa.Table, path: str) -> int:
+    """Write ``t`` as one docstore file at ``path``, atomically: sorted
+    by doc_id, in 1,024-row groups, so point, multi and range reads
+    prune to the groups whose doc_id [min, max] intersect. The bytes
+    depend only on the rows, so a retried task rewrites the same file.
+    Returns the row count."""
+    t = t.sort_by("doc_id").combine_chunks()
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _atomic_write_parquet(t, path, row_group_size=1024)
+    return t.num_rows
 
 
 def _file_sha(path: str) -> str:

@@ -11,10 +11,11 @@ is the standard two-phase one:
    tombstoned docs out of every posting list at decode time, so Boolean,
    PHRASE and BM25 results exclude them immediately; BM25 collection
    stats (N, avgdl) are recomputed over live docs at reader open.
-2. **compact_index** — a Ray job that rewrites each shard's segment and
-   doclens files without the tombstoned entries (one task per shard — the
-   shard is the unit of parallelism and of resume), refreshes manifests,
-   dictionary and stats, then clears the tombstone table.
+2. **compact_index** — a Ray job that rewrites each shard's segment,
+   doclens and docstore files without the tombstoned entries (one task
+   per CPU over strided chunks of shards, ``segment.run_per_shard`` — the
+   shard is the unit of work), refreshes manifests, dictionary and
+   stats, then clears the tombstone table.
 
 Re-indexing content equal to a deleted doc assigns a fresh ID on the next
 build — the reference behaves the same after delete (Q3,
@@ -63,51 +64,45 @@ def load_tombstones(index_dir: str) -> np.ndarray:
     return np.unique(np.concatenate(parts)).astype(np.int64)
 
 
-def _rewrite_shard(batch: pa.Table, index_dir: str, dead: np.ndarray) -> pa.Table:
-    """Task body: rewrite one shard's segment + doclens without dead docs.
+def _compact_shards(shards: list[tuple[int, list[str]]], index_dir: str,
+                    dead: np.ndarray) -> None:
+    """Compaction task: for each ``(shard, docstore files)`` of one
+    ``run_per_shard`` chunk, rewrite the shard's segment + doclens (when
+    it has a segment) and its docstore files without the dead docs.
 
-    Whole-segment vectorized: one decode, one mask, one re-encode (the
-    grouped encoder, byte-identical to the per-term one). A per-term
-    decode/encode Python loop would crawl on a 100-TB compaction."""
+    A segment rewrites whole-segment vectorized: one decode, one mask,
+    one re-encode (the grouped encoder, byte-identical to the per-term
+    one). A docstore file's doc_id column probes first (columnar, cheap)
+    so an untouched file skips the full decompress/re-compress."""
     from konlsearch_ray.segment import (decode_segment, doclens_path,
                                         encode_segment, segment_path,
-                                        write_shard)
+                                        write_docs_file, write_shard)
 
-    out_rows = []
-    for shard in batch["shard"].to_pylist():
-        seg = pq.read_table(segment_path(index_dir, shard))
-        df, ids, tfs, pos, rest = decode_segment(seg)
-        keep = ~np.isin(ids, dead)
-        term_of = np.repeat(np.arange(len(df), dtype=np.int64), df)
-        new_df = np.bincount(term_of[keep], minlength=len(df))
-        live = new_df > 0
-        live_df = new_df[live]
-        terms = pc.filter(seg["term"], pa.array(live)).combine_chunks()
-        dl = pq.read_table(doclens_path(index_dir, shard))
-        dl_keep = ~np.isin(dl["doc_id"].to_numpy(), dead, assume_unique=True)
-        write_shard(index_dir, shard,
-                    encode_segment(terms, np.cumsum(live_df) - live_df,
-                                   ids[keep], tfs[keep], pos[keep],
-                                   rest[np.repeat(keep, tfs - 1)]),
-                    dl.filter(pa.array(dl_keep)))
-        out_rows.append(int(shard))
-    return pa.table({"shard": pa.array(out_rows, pa.int64())})
-
-
-def _rewrite_docs_file_body(path: str, dead: np.ndarray) -> int:
-    """Drop dead rows from one docstore file. The doc_id column probes
-    first (columnar, cheap) so untouched files skip the full
-    decompress/re-compress entirely."""
-    from konlsearch_ray.segment import _atomic_write_parquet
-
-    ids = pq.read_table(path, columns=["doc_id"],
-                        use_threads=False)["doc_id"].to_numpy()
-    keep = ~np.isin(ids, dead)
-    if keep.all():
-        return 0
-    t = pq.read_table(path, use_threads=False)
-    _atomic_write_parquet(t.filter(pa.array(keep)), path)
-    return int(len(keep) - keep.sum())
+    for shard, files in shards:
+        if os.path.exists(segment_path(index_dir, shard)):
+            seg = pq.read_table(segment_path(index_dir, shard))
+            df, ids, tfs, pos, rest = decode_segment(seg)
+            keep = ~np.isin(ids, dead)
+            term_of = np.repeat(np.arange(len(df), dtype=np.int64), df)
+            new_df = np.bincount(term_of[keep], minlength=len(df))
+            live = new_df > 0
+            live_df = new_df[live]
+            terms = pc.filter(seg["term"], pa.array(live)).combine_chunks()
+            dl = pq.read_table(doclens_path(index_dir, shard))
+            dl_keep = ~np.isin(dl["doc_id"].to_numpy(), dead,
+                               assume_unique=True)
+            write_shard(index_dir, shard,
+                        encode_segment(terms, np.cumsum(live_df) - live_df,
+                                       ids[keep], tfs[keep], pos[keep],
+                                       rest[np.repeat(keep, tfs - 1)]),
+                        dl.filter(pa.array(dl_keep)))
+        for path in files:
+            ids = pq.read_table(path, columns=["doc_id"],
+                                use_threads=False)["doc_id"].to_numpy()
+            keep = ~np.isin(ids, dead)
+            if not keep.all():
+                t = pq.read_table(path, use_threads=False)
+                write_docs_file(t.filter(pa.array(keep)), path)
 
 
 def _drop_vanished_frequency_terms(index_dir: str, freq_dir: str) -> int:
@@ -150,10 +145,10 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
     dictionary entirely are dropped from it, mirroring the reference's
     ``trie.delete`` → ``__delete_counter`` on doc delete."""
     import ray
-    import ray.data
 
     from konlsearch_ray.build import _finalize, _max_doc_id, _write_id_counter
-    from konlsearch_ray.segment import check_version, shard_nums
+    from konlsearch_ray.segment import (check_version, docs_files,
+                                        run_per_shard, shard_nums)
 
     check_version(index_dir)
     # Snapshot the tombstone FILES, not just the id set: batches written
@@ -176,35 +171,14 @@ def compact_index(index_dir: str, freq_dir: str | None = None) -> dict:
     # Persist the id high-water mark BEFORE rows leave the docstore, so a
     # compacted-away top shard can never cause doc-id reuse on append
     # (the reference's counter is monotone, index.py:20-23).
-    _write_id_counter(index_dir, _max_doc_id(
-        index_dir, os.path.join(index_dir, "docs")))
-    shards = shard_nums(index_dir)
-    dead_ref = ray.put(dead)
-
-    def task(batch: pa.Table) -> pa.Table:
-        return _rewrite_shard(batch, index_dir, ray.get(dead_ref))
-
-    # One BLOCK per shard: map_batches parallelism follows blocks, so a
-    # single from_arrow block would rewrite every shard inside one task.
-    if shards:  # a zero-document index has none
-        (ray.data.from_items([{"shard": int(s)} for s in shards],
-                             override_num_blocks=len(shards))
-         .map_batches(task, batch_format="pyarrow", batch_size=1)
-         .materialize())
-
-    # Also drop tombstoned rows from the docstore partitions — one task
-    # per file (the driver-serial loop this replaces decompressed and
-    # re-compressed the whole docstore single-threaded; the docstore is
-    # the BULK of the index bytes, so this dominated compaction time).
-    docs_dir = os.path.join(index_dir, "docs")
-    doc_files = []
-    for name in sorted(os.listdir(docs_dir)):
-        sub = os.path.join(docs_dir, name)
-        if os.path.isdir(sub) and name.startswith("shard="):
-            doc_files += [os.path.join(sub, fn) for fn in sorted(os.listdir(sub))
-                          if fn.endswith(".parquet")]
-    rewrite_file = ray.remote(_rewrite_docs_file_body)
-    ray.get([rewrite_file.remote(p, dead_ref) for p in doc_files])
+    _write_id_counter(index_dir, _max_doc_id(index_dir))
+    # Every shard with a segment or a docstore directory: a crashed
+    # append can leave docstore rows in a shard it never segmented, and
+    # the next postings rebuild would index their dead rows.
+    files = docs_files(index_dir)
+    shards = sorted(set(shard_nums(index_dir)) | set(files))
+    run_per_shard(_compact_shards, [(s, files.get(s, [])) for s in shards],
+                  index_dir, ray.put(dead))
 
     stats = _finalize(index_dir)
     if freq_dir is not None:

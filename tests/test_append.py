@@ -251,3 +251,38 @@ def test_append_writes_one_sorted_file_per_touched_shard(base):
         assert store.get(int(row["doc_id"]))["content"] == \
             sha_of[row["content_sha256"]]
     assert IndexReader(idx).search(["zzmulti"], "OR") == new_ids
+
+
+def test_compaction_cleans_docstore_shard_without_segment(ray_session,
+                                                          tmp_path):
+    """A shard that holds docstore rows but no segment (an append that
+    died before its postings rebuild) still loses its tombstoned rows in
+    ``compact_index``; a kept dead row would come back when the next
+    append rebuilds that shard's postings."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from konlsearch_ray.docstore import DocStore
+    from konlsearch_ray.segment import (doclens_path, manifest_path,
+                                        segment_path)
+    from konlsearch_ray.tombstone import compact_index, delete_docs
+
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(_mini_corpus([f"zzbase doc{i}" for i in range(8)],
+                                repo="org/base"), src)
+    idx = str(tmp_path / "i")
+    build_index(src, idx, IndexConfig(shard_size=4))
+    out = append_documents(idx, ray.data.from_arrow(
+        _mini_corpus(["zzorphan one", "zzorphan two"])))
+    assert out["touched_shards"] == [2]
+    for path in (segment_path, doclens_path, manifest_path):
+        os.remove(path(idx, 2))
+    delete_docs(idx, [9])
+    compact_index(idx)
+    ds = DocStore(idx)
+    assert ds.get(9) is None and ds.get(10)["content"] == "zzorphan two"
+    append_documents(idx, ray.data.from_arrow(
+        _mini_corpus(["zzorphan later"], repo="org/later")))
+    assert IndexReader(idx).search(["zzorphan"], "OR") == [10, 11]

@@ -289,3 +289,55 @@ def test_multi_get_id_inputs(ray_session, tmp_path):
     assert store._shard_of(ids).tolist() == [-2, -1, -1, 0, 0, 0, 1, 1, 2]
     assert [store._shard_of(int(i)) for i in ids] == \
         store._shard_of(ids).tolist()
+
+
+@pytest.fixture()
+def two_big_shards(ray_session, tmp_path):
+    """Two identical id_col indexes of one 3,000-doc shard each."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = str(tmp_path / "d.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(1, 3001), pa.int64()),
+        "text": [f"doc w{i % 7} n{i}" for i in range(3000)]}), src)
+    cfg = IndexConfig(content_col="text", id_col="doc_id", dedup=False,
+                      shard_size=4096)
+    out = [str(tmp_path / x) for x in "ab"]
+    for idx in out:
+        build_index(src, idx, cfg)
+    return out
+
+
+def _row_groups(idx, shard):
+    import os
+
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(os.path.join(
+        idx, "docs", f"shard={shard}", "docs.parquet")).metadata.num_row_groups
+
+
+def test_compacted_docstore_file_keeps_row_groups(two_big_shards):
+    """A docstore file that ``compact_index`` rewrites keeps the build's
+    1,024-row groups, so DocStore point and range reads still prune."""
+    from konlsearch_ray.tombstone import compact_index
+
+    a, _ = two_big_shards
+    assert _row_groups(a, 0) == 3
+    delete_docs(a, [7, 2500])
+    compact_index(a)
+    assert _row_groups(a, 0) == 3
+    ds = DocStore(a)
+    assert ds.get(7) is None and ds.get(8)["doc_id"] == 8
+
+
+def test_shifted_docstore_file_keeps_row_groups(two_big_shards, tmp_path):
+    """``merge_indexes(remap_ids=True)`` writes a shifted docstore file
+    in the build's 1,024-row groups too."""
+    from konlsearch_ray.merge import merge_indexes
+
+    m = str(tmp_path / "m")
+    merge_indexes(two_big_shards, m, remap_ids=True)
+    assert _row_groups(m, 1) == 3
+    assert DocStore(m).get(4096 + 2500)["text"] == "doc w0 n2499"

@@ -3,6 +3,7 @@ segment format: the guards below keep its column names, directory,
 codec calls and layout version from leaking back into other modules,
 and keep a query's cold posting decode to one codec call."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -47,6 +48,48 @@ def test_segment_imports_no_ray_at_module_scope():
     # query.py imports segment.py and must stay importable without ray.
     hits = _hits(r"^(import|from) ray\b")
     assert "segment.py" not in {f for f, _ in hits}, hits
+
+
+def _ray_callers(name: str) -> set[str]:
+    """The functions of ``konlsearch_ray/<name>`` that start a Ray task
+    (``….remote(``) or wait on one (``ray.get(``), innermost first."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(f, ast.Attribute) and (
+                    f.attr == "remote" or (
+                        f.attr == "get" and isinstance(f.value, ast.Name)
+                        and f.value.id in ("ray", "_ray"))):
+                found.add(fn)
+            visit(child, fn)
+
+    visit(ast.parse((PKG / name).read_text()), None)
+    return found
+
+
+def test_per_shard_jobs_fan_out_only_through_run_per_shard():
+    # The build's postings phase, compaction and merge reach Ray only
+    # through segment.run_per_shard, never through a Dataset pipeline
+    # over shard numbers or an actor pool of their own.
+    assert not {f for f, _ in _hits(r"from_items")} & {
+        "build.py", "tombstone.py", "merge.py"}
+    assert _hits(r"ShardBuildStage|tokenizer_actors|tokenize_concurrency") \
+        == []
+    assert _ray_callers("segment.py") == {"run_per_shard"}
+    assert _ray_callers("tombstone.py") == set()
+    assert _ray_callers("merge.py") == set()
+    # build.py keeps the docs phase's per-block waves (light keys, tie
+    # fingerprints, block shards, ids, splits) and the docstore writer,
+    # whose per-shard tasks take the split pieces as task arguments.
+    assert _ray_callers("build.py") == {
+        "_resolve_tie_owners", "_id_blocks", "_write_docstore",
+        "_driver_rank_docs", "_sorted_dedup_ids", "append_documents",
+        "_match"}
 
 
 @pytest.fixture(scope="module")
