@@ -206,8 +206,10 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
     """
     row_code = (denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
                 if len(denc) else np.zeros(0, dtype=np.int64))
-    dict_np = denc.dictionary.to_numpy(zero_copy_only=False)
-    dict_order = np.argsort(dict_np, kind="stable")
+    # Arrow sorts strings by UTF-8 bytes, which is code-point order, and
+    # stably: no Python string is made.
+    dict_idx = pc.sort_indices(denc.dictionary)
+    dict_order = dict_idx.to_numpy().astype(np.int64)
     rank_of_code = np.empty(len(dict_order), dtype=np.int64)
     rank_of_code[dict_order] = np.arange(len(dict_order))
     occ_rank = (rank_of_code[row_code]
@@ -244,10 +246,9 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
         new[1:] = rank_s[1:] != rank_s[:-1]
     starts = np.flatnonzero(new)
 
-    sorted_terms = dict_np[dict_order]
-    out_terms = sorted_terms[rank_s[starts]] if n else np.array([], dtype=object)
-    seg = encode_segment(pa.array(out_terms, pa.string()),
-                         starts, doc_s, tf_s, pos_s, pos_rest)
+    out_terms = pc.take(denc.dictionary, dict_idx).take(rank_s[starts])
+    seg = encode_segment(out_terms.cast(pa.string()), starts, doc_s, tf_s,
+                         pos_s, pos_rest)
     dl = pa.table({"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
     write_shard(index_dir, shard, seg, dl)
 

@@ -40,30 +40,36 @@ def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """LEB128-encode a uint64 array, vectorized.
 
     Returns ``(buffer, nbytes)`` where ``nbytes[i]`` is the encoded byte
-    length of ``values[i]`` — the grouped encoder uses the per-value sizes
-    to slice one shared buffer into per-term blobs.
+    length of ``values[i]``: a segment column cuts the shared buffer into
+    per-term cells by the per-value sizes (``segment._blob_column``).
+
+    A value needs byte ``k`` iff it is ``>= 2^(7k)``: one comparison per
+    byte the largest value needs gives the sizes. Byte 0 of every value is
+    written in one pass; byte ``k`` only at the values that have it.
     """
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b"", np.zeros(0, dtype=np.int64)
-    # Bytes needed per value: ceil(bitlen/7), min 1 — one pass per 7-bit
-    # group (bit_length via log2 on float is unsafe near 2^53).
-    nbytes = np.ones(v.shape, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while tmp.any():
-        nbytes += tmp > 0
-        tmp >>= np.uint64(7)
-    offsets = np.concatenate(([0], np.cumsum(nbytes)))
-    total = int(offsets[-1])
-    out = np.zeros(total, dtype=np.uint8)
-    # Lane k writes byte k of every value that has > k bytes.
-    max_lanes = int(nbytes.max())
-    for k in range(max_lanes):
-        mask = nbytes > k
-        idx = offsets[:-1][mask] + k
-        chunk = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        cont = (nbytes[mask] - 1 > k).astype(np.uint8) << 7
-        out[idx] = chunk.astype(np.uint8) | cont
+    lanes = max(1, (int(v.max()).bit_length() + 6) // 7)
+    if lanes == 1:  # every value below 128: one byte each, no continuation
+        return v.astype(np.uint8).tobytes(), np.ones(v.size, dtype=np.int64)
+    nbytes = np.ones(v.size, dtype=np.int64)
+    for k in range(1, lanes):
+        nbytes += v >= np.uint64(1 << (7 * k))
+    starts = np.cumsum(nbytes)
+    total = int(starts[-1])
+    starts -= nbytes
+    out = np.empty(total, dtype=np.uint8)
+    more = nbytes > 1
+    out[starts] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+        more.view(np.uint8) << 7)
+    at = np.flatnonzero(more)  # the values with a byte k, k = 1, 2, ...
+    for k in range(1, lanes):
+        more = nbytes[at] > k + 1
+        out[starts[at] + k] = ((v[at] >> np.uint64(7 * k))
+                               & np.uint64(0x7F)).astype(np.uint8) | (
+            more.view(np.uint8) << 7)
+        at = at[more]
     return out.tobytes(), nbytes
 
 
@@ -144,24 +150,26 @@ def encode_postings_grouped(
 
     Input: the shard's posting entries sorted by (term, doc_id) —
     ``starts`` marks each term's first entry. One varint pass runs over
-    the full concatenated streams; per-term blobs are then zero-copy-ish
-    slices of the shared buffers (a per-term encode loop spent ~50µs of
-    call overhead per df=1 term).
+    each full concatenated stream (a per-term encode loop spent ~50µs of
+    call overhead per df=1 term), and no per-term object is made.
 
-    Returns columns aligned with ``starts``: df, cf, doc_ids_bin, tfs_bin,
-    pos_bin (lists of bytes) and block metadata as flat arrays +
-    per-term block counts (``block_*_flat``, ``nblocks``) ready for
-    ``pa.ListArray.from_arrays``. Output is byte-identical to calling
-    the per-term reference encoder (``tests/test_codec.py``) per term.
+    Returns columns aligned with ``starts``: df, cf, the three varint
+    streams doc_ids_bin, tfs_bin and pos_bin, each ``(buffer, sizes)``
+    with one encoded size per posting entry (term ``i`` owns its next
+    ``df[i]`` values), and block metadata as flat arrays + per-term block
+    counts (``block_*_flat``, ``nblocks``) ready for
+    ``pa.ListArray.from_arrays``. Each term's slice of a stream is
+    byte-identical to the per-term reference encoder's blob
+    (``tests/test_codec.py``).
     """
     n = len(doc_s)
-    nterms = len(starts)
     bounds = np.append(starts, n)
     df = np.diff(bounds)
     if n == 0:
         z = np.zeros(0, dtype=np.int64)
-        return {"df": z, "cf": z, "doc_ids_bin": [], "tfs_bin": [],
-                "pos_bin": [], "block_last_flat": z, "block_max_flat": z,
+        empty = (b"", z)
+        return {"df": z, "cf": z, "doc_ids_bin": empty, "tfs_bin": empty,
+                "pos_bin": empty, "block_last_flat": z, "block_max_flat": z,
                 "nblocks": z}
     doc_s = np.ascontiguousarray(doc_s, dtype=np.int64)
     tf_s = np.ascontiguousarray(tf_s, dtype=np.uint64)
@@ -181,16 +189,6 @@ def encode_postings_grouped(
             "increasing within each term")
     cf = np.add.reduceat(tf_s.astype(np.int64), starts)
 
-    gap_buf, gap_nb = varint_encode_with_sizes(gaps.astype(np.uint64))
-    tf_buf, tf_nb = varint_encode_with_sizes(tf_s)
-    pos_buf, pos_nb = varint_encode_with_sizes(pos_s)
-
-    def slices(buf: bytes, nb: np.ndarray) -> list[bytes]:
-        off = np.concatenate(([0], np.cumsum(nb)))
-        term_beg = off[starts]
-        term_end = off[bounds[1:]]
-        return [buf[int(b):int(e)] for b, e in zip(term_beg, term_end)]
-
     # Block metadata: per term, blocks of BLOCK_SIZE entries.
     local = np.arange(n, dtype=np.int64) - np.repeat(starts, df)
     is_block_start = (local % BLOCK_SIZE) == 0
@@ -204,9 +202,9 @@ def encode_postings_grouped(
     return {
         "df": df.astype(np.int64),
         "cf": cf,
-        "doc_ids_bin": slices(gap_buf, gap_nb),
-        "tfs_bin": slices(tf_buf, tf_nb),
-        "pos_bin": slices(pos_buf, pos_nb),
+        "doc_ids_bin": varint_encode_with_sizes(gaps.astype(np.uint64)),
+        "tfs_bin": varint_encode_with_sizes(tf_s),
+        "pos_bin": varint_encode_with_sizes(pos_s),
         "block_last_flat": block_last,
         "block_max_flat": block_max,
         "nblocks": nblocks.astype(np.int64),

@@ -24,7 +24,9 @@ inverted_index.py:98-116, index.py:413-444 — SURVEY.md §3.2):
   b=0.75, always-positive idf, dedup'd query terms, ties by ascending
   doc_id). Scoring is fully vectorized numpy over decoded postings; the
   stored block-max metadata enables block-skip pruning
-  (``bm25_topk(..., prune=True)``) once a top-k threshold is known.
+  (``bm25_topk(..., prune=True)``) once a top-k threshold is known, and
+  a query whose terms each cover much of the doc-id window adds cached
+  per-term impact vectors over it instead.
 
 Scale model: one ``IndexReader`` per query actor. Shards are doc-ID
 ranges, so per-term shard posting lists concatenate (in shard order) into
@@ -281,14 +283,16 @@ class IndexReader:
         dl = read_doclens(index_dir, nums)
         self._dl_docs = dl["doc_id"].to_numpy()  # ascending across shards
         self._dl_vals = dl["doc_len"].to_numpy().astype(np.float64)
-        # Dense fast path: build-assigned ids are 1-based consecutive, so
-        # doc_len is a direct index (doc_id - first) — no binary search
-        # per scoring batch. Falls back to searchsorted for shard-subset
-        # readers / post-compaction gaps.
+        # The doc-id window [_dl_first, _dl_first + _dl_span) holds every
+        # id of the reader's shards; dense BM25 scores over it. Dense fast
+        # path: build-assigned ids are 1-based consecutive, so doc_len is
+        # a direct index (doc_id - first) — no binary search per scoring
+        # batch. Falls back to searchsorted for shard-subset readers /
+        # post-compaction gaps.
         n_dl = len(self._dl_docs)
-        self._dl_dense = bool(
-            n_dl and int(self._dl_docs[-1]) - int(self._dl_docs[0]) == n_dl - 1)
         self._dl_first = int(self._dl_docs[0]) if n_dl else 0
+        self._dl_span = int(self._dl_docs[-1]) - self._dl_first + 1 if n_dl else 0
+        self._dl_dense = self._dl_span == n_dl
 
         # Global df: sorted term bytes + aligned df values (probed with
         # searchsorted, memoized) — no Python dict over the vocabulary.
@@ -666,7 +670,19 @@ class IndexReader:
         allowed: "np.ndarray | None" = None,
         boosts: "dict[str, float] | None" = None,
     ) -> list[tuple[int, float]]:
-        """BM25 top-k, rank-identical to the exact path.
+        """BM25 top-k, rank-identical to the exact path. Three scorers,
+        whose results (ids AND scores) are the same bit for bit:
+
+        - dense (``_bm25_dense``): an unfiltered, unboosted query whose
+          non-empty terms are all dense on this reader (each in at least
+          1/``_DENSE`` of its doc-id window) with idf > 0, pruned or
+          not. It adds per-term impact vectors over the window, cached
+          per term, and takes one top-k: such terms cover nearly every
+          doc, so MaxScore would skip little;
+        - MaxScore (``_bm25_maxscore``), described below;
+        - exact (``_bm25_exact``): every other query, and any query
+          with a term of idf ≤ 0 (a global-df reader on an uncompacted
+          tombstoned index can see a df above the live N).
 
         ``prune=True`` (default) runs term-at-a-time MaxScore with
         block-max upper bounds from the segments' per-block max tf
@@ -703,7 +719,7 @@ class IndexReader:
         the scores use, keeping pruned results bit-identical to the
         exact path.
 
-        Both paths add each term's per-posting impacts (``_impacts``).
+        All three add each term's per-posting impacts (``_impacts``).
         An unboosted term's impacts are computed once per reader, the
         first time BM25 scores it, and cached on its posting entry; a
         boosted term (boost other than 1.0) computes them on every query,
@@ -721,10 +737,24 @@ class IndexReader:
                 raise ValueError("boosts must be positive")
         entries = self._store.entries(toks)
         if allowed is not None:
-            allowed = np.asarray(allowed, dtype=np.int64)
-        elif (prune and len(toks) > 1
-              and sum([len(e.ids) for e in entries]) > BLOCK_SIZE):
+            return self._bm25_exact(toks, k, entries, boosts,
+                                    np.asarray(allowed, dtype=np.int64))
+        if not boosts and self._all_dense(toks, entries):
+            return self._bm25_dense(toks, k, entries)
+        if (prune and len(toks) > 1
+                and sum([len(e.ids) for e in entries]) > BLOCK_SIZE):
             return self._bm25_maxscore(toks, k, entries, boosts)
+        return self._bm25_exact(toks, k, entries, boosts)
+
+    def _bm25_exact(self, toks: list[str], k: int, entries: list,
+                    boosts: "dict[str, float] | None" = None,
+                    allowed: "np.ndarray | None" = None,
+                    ) -> list[tuple[int, float]]:
+        """The exact scorer over ``entries`` (the store's entries of
+        ``toks``, in their order): every live posting of every term (the
+        ``allowed`` ones only, when given) is scored, and one ``bincount``
+        over their id union adds each doc's impacts in sorted-token
+        order."""
         id_parts, score_parts = [], []
         for t, e in zip(toks, entries):
             m = None if allowed is None else _in_sorted(e.ids, allowed)
@@ -739,6 +769,52 @@ class IndexReader:
         uniq, inv = np.unique(np.concatenate(id_parts), return_inverse=True)
         return _topk(uniq, np.bincount(inv, weights=np.concatenate(score_parts)),
                      k)
+
+    def _all_dense(self, toks: list[str], entries: list) -> bool:
+        """Whether the query's non-empty terms (at least one) are all
+        dense on this reader, ``_DENSE`` × live df ≥ the doc-id window,
+        with idf > 0: a stale global df above the live N makes idf ≤ 0,
+        and a score ≤ 0 cannot be told from the zeros of an absent doc.
+        A term that has an impact vector (``dimp``) passed this check
+        before, and idf never changes during a reader's life."""
+        n = 0
+        for t, e in zip(toks, entries):
+            if e.dimp is not None:
+                n += 1
+            elif len(e.ids):
+                if (_DENSE * len(e.ids) < self._dl_span
+                        or self.idf(t) <= 0):
+                    return False
+                n += 1
+        return n > 0
+
+    def _bm25_dense(self, toks: list[str], k: int,
+                    entries: list) -> list[tuple[int, float]]:
+        """The dense exact scorer over ``entries`` (the store's entries of
+        ``toks``, in their order, see ``_all_dense``): each non-empty
+        term's impacts scatter once into a vector over the doc-id window,
+        cached on its entry (``dimp``); a query adds the vectors in
+        sorted-token order (0.0 + x is x, so each doc's sum is the one
+        ``bincount`` and MaxScore form, bit for bit) and takes one top-k
+        over the window. Every impact is > 0 (idf > 0, tf ≥ 1), so the
+        docs with no query term are the zeros and never rank."""
+        if k == 0:
+            return []
+        acc = None
+        for t, e in zip(toks, entries):
+            if not len(e.ids):
+                continue
+            if e.dimp is None:
+                e.dimp = np.zeros(self._dl_span)
+                e.dimp[e.ids - self._dl_first] = self._impacts(t, e)
+            acc = e.dimp if acc is None else acc + e.dimp
+        n = len(acc)
+        kth = np.partition(acc, n - k)[n - k] if k < n else 0.0
+        if kth > 0:  # at least k docs score: the ones ≥ the k-th best
+            at = np.flatnonzero(acc >= kth)
+            return _topk(at + self._dl_first, acc[at], k, kth=kth)
+        at = np.flatnonzero(acc)  # fewer than k docs hold a query term
+        return _topk(at + self._dl_first, acc[at], k)
 
     def _bm25_maxscore(self, toks: list[str], k: int, entries: list,
                        boosts: "dict[str, float] | None" = None,
@@ -767,6 +843,10 @@ class IndexReader:
             if len(e.ids):
                 boost = boosts.get(t) if boosts else None
                 terms.append((self.idf(t) * (boost or 1.0), e, t, boost))
+        if any(w <= 0 for w, *_ in terms):
+            # A stale global df above the live N gives idf ≤ 0, and the
+            # bounds below are maxima only for a positive weight.
+            return self._bm25_exact(toks, k, entries, boosts)
         # Term upper bound: its max live tf at the shortest doc. Block
         # bounds are built at the term's first block skip, once θ is
         # finite; a query whose candidates never reach k builds none.

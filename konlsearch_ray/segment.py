@@ -277,9 +277,9 @@ def encode_segment(terms: pa.Array, starts: np.ndarray, doc_s: np.ndarray,
             "term": terms,
             "df": pa.array(enc["df"], pa.int64()),
             "cf": pa.array(enc["cf"], pa.int64()),
-            "doc_ids_bin": pa.array(enc["doc_ids_bin"], pa.large_binary()),
-            "tfs_bin": pa.array(enc["tfs_bin"], pa.large_binary()),
-            "pos_bin": pa.array(enc["pos_bin"], pa.large_binary()),
+            "doc_ids_bin": _blob_column(*enc["doc_ids_bin"], enc["df"]),
+            "tfs_bin": _blob_column(*enc["tfs_bin"], enc["df"]),
+            "pos_bin": _blob_column(*enc["pos_bin"], enc["df"]),
             "pos_rest_bin": _blob_column(rest_buf, rest_nb, n_rest),
             "block_last_doc": pa.ListArray.from_arrays(
                 bl_off, pa.array(enc["block_last_flat"], pa.int64())),
@@ -394,19 +394,26 @@ class _TermEntry:
     ``np.repeat(x, bcount)`` followed by ``[live]`` aligns a per-block
     value with the postings.
 
-    ``imp`` is reader state kept on the store's entry: the term's
-    unboosted BM25 impact of each live posting (float64, aligned with
-    ``ids``). The store never reads it; ``IndexReader._impacts`` fills it
-    the first time BM25 scores the term, as the store fills ``bmax``.
+    ``imp`` and ``dimp`` are reader state kept on the store's entry; the
+    store never reads them. ``imp`` is the term's unboosted BM25 impact of
+    each live posting (float64, aligned with ``ids``):
+    ``IndexReader._impacts`` fills it the first time BM25 scores the term,
+    as the store fills ``bmax``. ``dimp`` is the same impacts scattered
+    over the reader's doc-id window of W ids (float64, 0.0 where the term
+    has no live posting), filled the first time the dense BM25 scorer
+    (``IndexReader._bm25_dense``) scores the term. It takes 8·W bytes, and
+    a term is scored densely only when W ≤ 8 × its live df, so at most
+    64 B per live posting.
     """
 
     __slots__ = ("locs", "ids", "tfs", "live", "pos", "allpos", "bmax",
-                 "bcount", "maxtf", "imp")
+                 "bcount", "maxtf", "imp", "dimp")
 
     def __init__(self, locs, ids, tfs, live):
         self.locs, self.ids, self.tfs, self.live = locs, ids, tfs, live
         self.maxtf = int(tfs.max()) if len(tfs) else 0
-        self.pos = self.allpos = self.bmax = self.bcount = self.imp = None
+        self.pos = self.allpos = self.bmax = self.bcount = None
+        self.imp = self.dimp = None
 
 
 class _Segment:

@@ -209,7 +209,8 @@ def test_block_bounds_built_only_when_theta_prunes(built):
 def test_small_queries_route_to_exact_scorer(built, monkeypatch):
     """A pruned query whose terms hold at most BLOCK_SIZE live postings
     in all takes the exact scorer, and returns bit for bit what MaxScore
-    returns on it, boosted and unboosted; a larger one runs MaxScore."""
+    returns on it, boosted and unboosted; a larger one that is not all
+    dense (test_dense_bm25.py) runs MaxScore."""
     import random
 
     _, _, oracle, index_dir, _ = built
@@ -240,8 +241,8 @@ def test_small_queries_route_to_exact_scorer(built, monkeypatch):
                 assert not ran, (q, k)
                 assert routed == real(r, toks, k, r._store.entries(toks),
                                       boosts), (q, k, boosts)
-    r.bm25_topk(["def", "return"], 10)
-    assert ran == [["def", "return"]]
+    r.bm25_topk(["def", mid[0]], 10)
+    assert ran == [sorted(["def", mid[0]])]
 
 
 def test_negative_k_rejected(built):

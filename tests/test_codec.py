@@ -9,7 +9,30 @@ from konlsearch_ray.codec import (
     encode_postings_grouped,
     varint_decode,
     varint_encode,
+    varint_encode_with_sizes,
 )
+
+
+def ref_varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Reference LEB128 encoder the library's must match byte for byte:
+    sizes from a shift loop, then one masked scatter per byte lane."""
+    v = np.ascontiguousarray(values, dtype=np.uint64)
+    if v.size == 0:
+        return b"", np.zeros(0, dtype=np.int64)
+    nbytes = np.ones(v.shape, dtype=np.int64)
+    tmp = v >> np.uint64(7)
+    while tmp.any():
+        nbytes += tmp > 0
+        tmp >>= np.uint64(7)
+    offsets = np.concatenate(([0], np.cumsum(nbytes)))
+    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
+    for k in range(int(nbytes.max())):
+        mask = nbytes > k
+        idx = offsets[:-1][mask] + k
+        chunk = (v[mask] >> np.uint64(7 * k)) & np.uint64(0x7F)
+        cont = (nbytes[mask] - 1 > k).astype(np.uint8) << 7
+        out[idx] = chunk.astype(np.uint8) | cont
+    return out.tobytes(), nbytes
 
 
 # Per-term reference codec: one posting list at a time, the layout the
@@ -75,6 +98,40 @@ def test_varint_roundtrip_property(xs):
     assert np.array_equal(out, vals)
 
 
+# 0, every 2^(7k) ± 1 byte-count boundary that fits uint64, and the top.
+_BOUNDARIES = sorted({0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1}
+                     | {(1 << 7 * k) + d for k in range(1, 10)
+                        for d in (-1, 0, 1)})
+
+
+def _assert_same_encoding(vals: np.ndarray) -> None:
+    buf, sizes = varint_encode_with_sizes(vals)
+    ref_buf, ref_sizes = ref_varint_encode_with_sizes(vals)
+    assert buf == ref_buf
+    assert sizes.dtype == ref_sizes.dtype == np.int64
+    assert np.array_equal(sizes, ref_sizes)
+    assert np.array_equal(varint_decode(buf, len(vals)), vals)
+
+
+def test_varint_encoder_matches_reference_at_boundaries():
+    vals = np.array(_BOUNDARIES, dtype=np.uint64)
+    _assert_same_encoding(vals)
+    for v in vals:  # one value alone sets the byte count of the stream
+        _assert_same_encoding(np.array([v], dtype=np.uint64))
+    _assert_same_encoding(np.zeros(5, dtype=np.uint64))
+    _assert_same_encoding(np.arange(300, dtype=np.uint64))
+    _assert_same_encoding(np.zeros(0, dtype=np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(min_value=0, max_value=2**64 - 1),
+                          st.sampled_from(_BOUNDARIES),
+                          st.integers(min_value=0, max_value=300)),
+                max_size=200))
+def test_varint_encoder_matches_reference_property(xs):
+    _assert_same_encoding(np.array(xs, dtype=np.uint64))
+
+
 def test_encode_posting_roundtrip():
     rng = np.random.default_rng(7)
     doc_ids = np.unique(rng.integers(1, 10**9, size=1000)).astype(np.int64)
@@ -118,19 +175,25 @@ def test_grouped_encode_matches_per_term():
     pos_s = np.concatenate(pos_parts)
     g = encode_postings_grouped(np.asarray(starts), doc_s, tf_s, pos_s)
     bl_off = np.concatenate(([0], np.cumsum(g["nblocks"])))
+
+    def cell(stream: str, s: int, e: int) -> bytes:
+        # Each stream is (buffer, one encoded size per posting entry).
+        buf, sizes = g[stream]
+        off = np.concatenate(([0], np.cumsum(sizes)))
+        return buf[int(off[s]):int(off[e])]
+
     for i, s in enumerate(starts):
         e = starts[i + 1] if i + 1 < len(starts) else n
         ref = encode_posting(doc_s[s:e], tf_s[s:e], pos_s[s:e])
         assert g["df"][i] == ref["df"]
         assert g["cf"][i] == ref["cf"]
-        assert g["doc_ids_bin"][i] == ref["doc_ids_bin"], i
-        assert g["tfs_bin"][i] == ref["tfs_bin"], i
-        assert g["pos_bin"][i] == ref["pos_bin"], i
+        for stream in ("doc_ids_bin", "tfs_bin", "pos_bin"):
+            assert cell(stream, s, e) == ref[stream], (stream, i)
         assert list(g["block_last_flat"][bl_off[i]:bl_off[i + 1]]) == ref["block_last_doc"]
         assert list(g["block_max_flat"][bl_off[i]:bl_off[i + 1]]) == ref["block_max_tf"]
     # The fused decode inverts the grouped encode in one pass, with
     # zero-length sub-lists (first, inner, last) allowed.
-    docs, tfs = b"".join(g["doc_ids_bin"]), b"".join(g["tfs_bin"])
+    docs, tfs = g["doc_ids_bin"][0], g["tfs_bin"][0]
     for df in (g["df"], np.insert(g["df"], [0, 3, len(g["df"])], 0)):
         ids, tf = decode_postings(docs, tfs, df)
         assert ids.dtype == np.int64 and tf.dtype == np.int32
