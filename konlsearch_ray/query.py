@@ -243,7 +243,8 @@ class SearchMode(str, Enum):
 
 
 class IndexReader:
-    """Loads stats + doclens eagerly, posting lists lazily (cached)."""
+    """Loads stats + doclens eagerly, posting lists lazily (cached), and
+    a BM25 length norm per id of its doc-id window W: 8·W bytes."""
 
     def __init__(self, index_dir: str, log_dir: str | None = None,
                  shards: list[int] | None = None,
@@ -253,7 +254,10 @@ class IndexReader:
         doc lives in exactly one shard, so per-doc BM25 scores are
         complete within an actor). ``use_global_df=True`` loads per-term
         global df from ``dictionary/`` so idf matches the whole-index
-        reader exactly (local df would skew scores)."""
+        reader exactly (local df would skew scores). That df is the
+        build's: ``delete_docs`` never lowers it, so on an uncompacted
+        tombstoned index it can exceed the live N and give idf ≤ 0 (such
+        queries take the exact scorer); run ``compact_index`` first."""
         self.index_dir = index_dir
         self.shards = set(shards) if shards is not None else None
         # Optional search-token log (reference log.py; Q7: only tokens
@@ -282,17 +286,12 @@ class IndexReader:
         self._store = PostingStore(index_dir, nums, self._dead)
         dl = read_doclens(index_dir, nums)
         self._dl_docs = dl["doc_id"].to_numpy()  # ascending across shards
-        self._dl_vals = dl["doc_len"].to_numpy().astype(np.float64)
+        dl_vals = dl["doc_len"].to_numpy().astype(np.float64)
         # The doc-id window [_dl_first, _dl_first + _dl_span) holds every
-        # id of the reader's shards; dense BM25 scores over it. Dense fast
-        # path: build-assigned ids are 1-based consecutive, so doc_len is
-        # a direct index (doc_id - first) — no binary search per scoring
-        # batch. Falls back to searchsorted for shard-subset readers /
-        # post-compaction gaps.
+        # id of the reader's shards; dense BM25 and _lnorm index it.
         n_dl = len(self._dl_docs)
         self._dl_first = int(self._dl_docs[0]) if n_dl else 0
         self._dl_span = int(self._dl_docs[-1]) - self._dl_first + 1 if n_dl else 0
-        self._dl_dense = self._dl_span == n_dl
 
         # Global df: sorted term bytes + aligned df values (probed with
         # searchsorted, memoized) — no Python dict over the vocabulary.
@@ -308,7 +307,7 @@ class IndexReader:
 
         if len(self._dead):
             if self.shards is None:
-                g_docs, g_vals = self._dl_docs, self._dl_vals
+                g_docs, g_vals = self._dl_docs, dl_vals
             else:
                 # Shard-subset reader: collection stats must stay GLOBAL
                 # for idf/avgdl to match the whole-index reader; read every
@@ -319,8 +318,15 @@ class IndexReader:
             live = ~np.isin(g_docs, self._dead, assume_unique=True)
             self.n_docs = int(live.sum())
             live_tokens = float(g_vals[live].sum())
-            self.avgdl = (live_tokens / self.n_docs) if self.n_docs else 1.0
-        self._min_dl = float(self._dl_vals.min()) if len(self._dl_vals) else 1.0
+            self.avgdl = live_tokens / self.n_docs if live_tokens else 1.0
+        # BM25's length norm K1·(1 − B + B·dl/avgdl) per window id (NaN
+        # off doclens), set once avgdl is live: scoring gathers it per
+        # posting. MaxScore's bounds take it at the shortest doc.
+        self._lnorm = np.full(self._dl_span, np.nan)
+        self._lnorm[self._dl_docs - self._dl_first] = (
+            K1 * (1 - B + B * dl_vals / self.avgdl))
+        min_dl = float(dl_vals.min()) if n_dl else 1.0
+        self._min_norm = K1 * (1 - B + B * min_dl / self.avgdl)
 
     @cached_property
     def _docstore(self):
@@ -366,12 +372,6 @@ class IndexReader:
         e = self._store.bounds(self._store.entry(term))
         out = np.repeat(e.bmax, e.bcount)
         return out if e.live is None else out[e.live]
-
-    def doc_len(self, doc_ids: np.ndarray) -> np.ndarray:
-        if self._dl_dense:
-            return self._dl_vals[doc_ids - self._dl_first]
-        pos = np.searchsorted(self._dl_docs, doc_ids)
-        return self._dl_vals[pos]
 
     # --- Boolean search -------------------------------------------------
     # Every id-returning method is a ``.tolist()`` over a private method
@@ -641,29 +641,33 @@ class IndexReader:
             df = self.df(term)
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
-    def _kernel(self, w: float, tf, dl):
-        """BM25 term kernel — the ONE formula behind the exact path, the
-        pruned path, its bounds and ``explain``, so their scores are
-        bit-identical (ranking ties included). Takes numpy arrays or
-        Python scalars alike (an integer tf converts exactly in the first
-        multiply). The cached impacts (``_impacts``) are its output over
-        a term's whole posting list; both BM25 paths add slices of them."""
-        return w * tf * (K1 + 1) / (tf + K1 * (1 - B + B * dl / self.avgdl))
+    @staticmethod
+    def _kernel(w: float, tf, norm):
+        """BM25 term kernel over a doc's length norm (``_lnorm``) — the
+        ONE formula behind the exact path, the pruned path, its bounds and
+        ``explain``, so their scores are bit-identical (ranking ties
+        included). Takes numpy arrays or Python scalars alike (an integer
+        tf converts exactly in the first multiply). The cached impacts
+        (``_impacts``) are its output over a term's whole posting list;
+        the BM25 scorers add slices of them."""
+        return w * tf * (K1 + 1) / (tf + norm)
 
     def _impacts(self, t: str, e, boost: "float | None" = None,
                  at: "np.ndarray | None" = None) -> np.ndarray:
         """The BM25 contribution of term ``t``'s live postings at
         positions ``at`` of ``e.ids`` (an index array or mask; None =
         all). Unboosted (``boost`` None or 1.0) the whole list is computed
-        once per reader and kept on the entry (``e.imp``): idf, tf, dl and
-        avgdl never change during a reader's life. A boosted term's
+        once per reader and kept on the entry (``e.imp``): idf, tf and the
+        length norms never change during a reader's life. A boosted term's
         impacts are computed per call, only at ``at``, and never cached."""
         if boost is None or boost == 1.0:
             if e.imp is None:
-                e.imp = self._kernel(self.idf(t), e.tfs, self.doc_len(e.ids))
+                e.imp = self._kernel(self.idf(t), e.tfs,
+                                     self._lnorm[e.ids - self._dl_first])
             return e.imp if at is None else e.imp[at]
         ids, tfs = (e.ids, e.tfs) if at is None else (e.ids[at], e.tfs[at])
-        return self._kernel(self.idf(t) * boost, tfs, self.doc_len(ids))
+        return self._kernel(self.idf(t) * boost, tfs,
+                            self._lnorm[ids - self._dl_first])
 
     def bm25_topk(
         self, tokens: list[str], k: int = 10, prune: bool = True,
@@ -850,7 +854,7 @@ class IndexReader:
         # Term upper bound: its max live tf at the shortest doc. Block
         # bounds are built at the term's first block skip, once θ is
         # finite; a query whose candidates never reach k builds none.
-        ubs = [self._kernel(w, e.maxtf, self._min_dl) for w, e, *_ in terms]
+        ubs = [self._kernel(w, e.maxtf, self._min_norm) for w, e, *_ in terms]
         order = sorted(range(len(terms)), key=lambda j: -ubs[j])
         suffix = [0.0] * (len(order) + 1)
         for r in range(len(order) - 1, -1, -1):
@@ -866,7 +870,7 @@ class IndexReader:
             done[j] = True
             if theta > -math.inf:
                 self._store.bounds(e)
-                keep = (self._kernel(w, e.bmax, self._min_dl)
+                keep = (self._kernel(w, e.bmax, self._min_norm)
                         + suffix[r + 1] >= theta)
                 if not keep.all():
                     keep = np.repeat(keep, e.bcount)
@@ -920,9 +924,6 @@ class IndexReader:
         """
         toks = sorted(set(normalize_query_tokens(tokens)))
         did = int(doc_id)
-        dl = None  # constant per doc — resolved on the FIRST matching
-        # term (doc_len on an id absent from the corpus is undefined,
-        # so it must not run for docs no query term contains)
         out = []
         for t in toks:
             ids, tfs = self.postings_scores(t)
@@ -933,10 +934,9 @@ class IndexReader:
                 continue
             tf = int(tfs[i])
             w = self.idf(t)
-            if dl is None:
-                dl = float(self.doc_len(np.array([did], dtype=np.int64))[0])
+            norm = float(self._lnorm[did - self._dl_first])  # did is live
             out.append({"term": t, "tf": tf, "idf": w,
-                        "contrib": self._kernel(w, tf, dl)})
+                        "contrib": self._kernel(w, tf, norm)})
         return out
 
     def suggest_spelling(self, term: str, k: int = 5) -> list[tuple[int, str]]:

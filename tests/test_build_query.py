@@ -297,12 +297,20 @@ def test_bm25_pruned_identical_tombstoned(built, tombstoned):
             tombstoned, [tokens], boosts={tokens[0]: 2.0, tokens[1]: 0.5})
 
 
-def test_warm_bm25_reuses_cached_impacts(built, monkeypatch):
-    """Once a term's impacts are cached, a repeated unboosted query makes
-    no ``doc_len`` call: pruned, ``prune=False`` and filtered alike. A
-    boosted query still works; it computes its boosted term's impacts
-    per query, only for the postings it scores or probes."""
+def _norms(r: IndexReader, ids: np.ndarray) -> np.ndarray:
+    """The reader's BM25 length norms of docs ``ids``."""
+    return r._lnorm[ids - r._dl_first]
+
+
+def test_warm_bm25_reuses_cached_impacts(built):
+    """Once a term's impacts are cached, a repeated unboosted query
+    gathers no length norm: pruned, ``prune=False`` and filtered alike.
+    A boosted query still works; it computes its boosted term's impacts
+    per query, gathering norms only for the postings it scores or
+    probes."""
     import random
+
+    from norm_counting import GatherCounter
 
     _, _, oracle, index_dir, _ = built
     # Head pairs, a single term, and tail + mid pairs that reach a block
@@ -315,14 +323,8 @@ def test_warm_bm25_reuses_cached_impacts(built, monkeypatch):
     expect = {(i, j, k): r.bm25_topk(q, k, **kw)
               for i, q in enumerate(queries) for j, kw in enumerate(calls)
               for k in (1, 10)}
-    n_calls = []
-    real = IndexReader.doc_len
-
-    def counting(self, doc_ids):
-        n_calls.append(len(doc_ids))
-        return real(self, doc_ids)
-
-    monkeypatch.setattr(IndexReader, "doc_len", counting)
+    r._lnorm = GatherCounter.of(r._lnorm)
+    n_calls = r._lnorm.calls
     for (i, j, k), exp in expect.items():
         assert r.bm25_topk(queries[i], k, **calls[j]) == exp, (i, j, k)
     assert n_calls == []
@@ -356,7 +358,7 @@ def _assert_impact_cache_contract(index_dir, queries):
     assert e.imp is None  # a boosted term never fills the cache
     fresh.bm25_topk([t, "return"], 3, boosts={})
     imp = e.imp
-    exp = fresh._kernel(fresh.idf(t), e.tfs, fresh.doc_len(e.ids))
+    exp = fresh._kernel(fresh.idf(t), e.tfs, _norms(fresh, e.ids))
     assert imp is not None and imp.tobytes() == exp.tobytes()
     for boosts in ({t: 2.0}, {t: 0.5}, {}, {t: 1.0}):
         fresh.bm25_topk(HEADS[:2], 3, boosts=boosts)
@@ -372,7 +374,7 @@ def _assert_impact_cache_contract(index_dir, queries):
             cached += 1
             assert len(e.imp) == len(e.ids), term
             assert e.imp.tobytes() == fresh._kernel(
-                fresh.idf(term), e.tfs, fresh.doc_len(e.ids)).tobytes(), term
+                fresh.idf(term), e.tfs, _norms(fresh, e.ids)).tobytes(), term
     assert cached
     cold = IndexReader(index_dir)
     for q in queries:

@@ -2,21 +2,27 @@
 reader's doc-id window adds cached per-term impact vectors over it
 (``IndexReader._bm25_dense``). Its results must equal MaxScore's and the
 exact scorer's bit for bit, on every reader shape, and every other query
-must keep its old scorer."""
+must keep its old scorer. Every scorer reads the reader's per-doc BM25
+length norms from one table over the same window (``_lnorm``), checked
+here on the same reader shapes."""
 
 import itertools
+import json
+import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from konlsearch_ray.build import IndexConfig, build_index
 from konlsearch_ray.corpus import HEAD_TERMS, write_corpus
-from konlsearch_ray.query import (_DENSE, IndexReader, ShardedQueryEngine,
-                                  _merge_topk)
-from konlsearch_ray.segment import shard_nums
-from konlsearch_ray.tombstone import compact_index, delete_docs
+from konlsearch_ray.query import (_DENSE, B, K1, IndexReader,
+                                  ShardedQueryEngine, _merge_topk)
+from konlsearch_ray.segment import read_doclens, shard_nums
+from konlsearch_ray.tombstone import (compact_index, delete_docs,
+                                      load_tombstones)
 
 N_DOCS = 600
 HEADS = sorted(HEAD_TERMS)
@@ -195,3 +201,69 @@ def test_dense_plus_tail_runs_maxscore(indexes, monkeypatch):
     r.bm25_topk(HEADS[:2], 10, allowed=r._dl_docs[::2])
     assert ran.pop() == "_bm25_exact"
     assert not ran
+
+
+def _live_avgdl(d: str) -> float:
+    """The index's live avgdl, recomputed from every shard's doclens."""
+    dl = read_doclens(d, shard_nums(d))
+    live = ~np.isin(dl["doc_id"].to_numpy(), load_tombstones(d))
+    return float(dl["doc_len"].to_numpy()[live].sum()) / int(live.sum())
+
+
+@pytest.mark.parametrize("name,subset", [
+    ("built", None), ("compacted", None), ("tomb", None),
+    ("built", slice(1, None, 2)), ("compacted", slice(0, None, 3))])
+def test_length_norm_table(indexes, name, subset):
+    """At every id of the reader's doclens, ``_lnorm`` holds
+    K1·(1 − B + B·dl/avgdl) recomputed from ``read_doclens`` bit for bit,
+    over the live avgdl; every other slot of its window is NaN. Readers:
+    a fresh build, a compacted index with id gaps, an uncompacted
+    tombstoned one, and strided shard-subset global-df readers."""
+    d = indexes[name]
+    shards = shard_nums(d) if subset is None else shard_nums(d)[subset]
+    r = (IndexReader(d) if subset is None
+         else IndexReader(d, shards=shards, use_global_df=True))
+    with open(os.path.join(d, "stats.json")) as f:
+        stats_avgdl = float(json.load(f)["avgdl"])
+    if name == "tomb":
+        assert r.avgdl == _live_avgdl(d) != stats_avgdl
+    else:
+        assert r.avgdl == stats_avgdl
+        assert r.avgdl == pytest.approx(_live_avgdl(d), rel=1e-12)
+    dl = read_doclens(d, shards)
+    ids = dl["doc_id"].to_numpy()
+    dls = dl["doc_len"].to_numpy().astype(np.float64)
+    assert len(r._lnorm) == r._dl_span == ids[-1] - ids[0] + 1
+    want = K1 * (1 - B + B * dls / r.avgdl)
+    assert r._lnorm[ids - ids[0]].tobytes() == want.tobytes()
+    assert r._min_norm == K1 * (1 - B + B * float(dls.min()) / r.avgdl)
+    gaps = np.ones(r._dl_span, dtype=bool)
+    gaps[ids - ids[0]] = False
+    assert np.isnan(r._lnorm[gaps]).all()
+    if name == "compacted" or subset is not None:
+        assert gaps.any()  # the window has id gaps
+    else:
+        assert not gaps.any()
+
+
+def test_cold_bm25_gathers_each_norm_once(indexes):
+    """A cold BM25 query on a compacted index (id gaps) gathers each
+    non-empty term's length norms once, over its whole posting list, and
+    never binary-searches the reader's doc ids: MaxScore, dense and
+    exact alike."""
+    from norm_counting import GatherCounter, SearchsortedCounter
+
+    d = indexes["compacted"]
+    vocab = sorted(set(IndexReader(d).sample_terms(10**9)))
+    queries = [[HEADS[0], vocab[7]], HEADS[:2], [vocab[3]],
+               [HEADS[2], "nonexistenttermxyz"]]
+    for q in queries:
+        r = IndexReader(d)
+        assert r._dl_span > r.n_docs
+        r._lnorm = GatherCounter.of(r._lnorm)
+        r._dl_docs = SearchsortedCounter.of(r._dl_docs)
+        got = r.bm25_topk(q, 10)
+        sizes = [len(r._store.entry(t).ids) for t in q]
+        assert sorted(r._lnorm.calls) == sorted(n for n in sizes if n), q
+        assert r._dl_docs.calls == [], q
+        assert got == IndexReader(d).bm25_topk(q, 10, prune=False), q
