@@ -334,8 +334,8 @@ def run_bench() -> dict:
 
     # --- round-5 serving features: proximity + boosted BM25 ---------------
     # Same head+vocab query mix as _latency so candidate sets match the
-    # headline path; NEAR pays its documented positional-recheck cost
-    # (docstore fetch + re-tokenize ∝ AND candidates).
+    # headline path; NEAR verifies the AND candidates from the index's
+    # stored positions (cost ∝ query-term occurrences in the candidates).
     def _features() -> dict:
         out = {}
         lat = []

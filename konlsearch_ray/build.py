@@ -731,19 +731,6 @@ def _parallel_argsort_s_parts(
     return keys, order
 
 
-def _parallel_stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of one fixed-width bytes key array using all
-    driver cores — bit-identical to ``np.argsort(keys, kind="stable")``.
-    Thin wrapper over ``_parallel_argsort_s_parts`` (position-chunk
-    views in, no copies). Measured 0.94 s -> 0.41 s at P=8 on 1.49M
-    S75 keys."""
-    n = len(keys)
-    if n < 200_000:
-        return np.argsort(keys, kind="stable")
-    P = int(min(16, os.cpu_count() or 8, max(2, n // 100_000)))
-    return _parallel_argsort_s_parts(list(np.array_split(keys, P)))[1]
-
-
 def _driver_rank_docs(
     ds: ray.data.Dataset, cfg: IndexConfig, docs_dir: str
 ) -> dict:

@@ -73,11 +73,6 @@ def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     return out.tobytes(), nbytes
 
 
-def varint_encode(values: np.ndarray) -> bytes:
-    """LEB128-encode a uint64 array, vectorized."""
-    return varint_encode_with_sizes(values)[0]
-
-
 def varint_decode(buf: bytes, count: int | None = None) -> np.ndarray:
     """Decode LEB128 buffer → uint64 array, vectorized.
 

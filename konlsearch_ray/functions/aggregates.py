@@ -29,8 +29,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
-                                             key_bucket, keyed_fold,
-                                             nonempty_blocks)
+                                             key_bucket, key_codes,
+                                             keyed_fold, nonempty_blocks,
+                                             runs)
 
 
 def distinct_count(
@@ -133,31 +134,17 @@ def approx_distinct(
         reg = (h >> np.uint64(vbits)).astype(np.int64)
         low = (h & np.uint64((1 << vbits) - 1))
         rho = _rho_of_low(low, vbits)
-        # reduce to per-(key, reg) max rho: one dictionary encode + sort.
-        # dictionary_encode gives null keys a NULL index — route them to
-        # the dedicated code len(dictionary) so the null group reduces
-        # like any other (a raw NaN->int64 cast would mis-attribute its
-        # registers to a garbage key).
-        kd = pc.dictionary_encode(keys.combine_chunks())
-        nkeys = len(kd.dictionary)
-        kidx = (pc.fill_null(kd.indices, nkeys).to_numpy(
-            zero_copy_only=False).astype(np.int64))
-        comb = kidx * m + reg
+        # reduce to per-(key, reg) max rho: one key coding + sort.  Null
+        # keys (code -1) take the code after the last key, so the null
+        # group reduces like any other.
+        codes, first = key_codes(keys)
+        comb = np.where(codes < 0, len(first), codes) * m + reg
         order = np.argsort(comb, kind="stable")
         cs = comb[order]
-        starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
+        starts, _ = runs(cs)
         mx = np.maximum.reduceat(rho[order], starts)
         u = cs[starts]
-        uk = u // m
-        null_key = uk == nkeys
-        if not nkeys:  # every key in the block is null
-            key_vals = pa.nulls(len(u), kd.dictionary.type)
-        else:
-            key_vals = pc.take(
-                kd.dictionary, pa.array(np.where(null_key, 0, uk), pa.int64()))
-            if null_key.any():
-                key_vals = pc.if_else(pa.array(~null_key), key_vals,
-                                      pa.nulls(len(u), kd.dictionary.type))
+        key_vals = keys.take(order[starts])
         return pa.table({
             key_col: key_vals,
             "reg": pa.array(u % m, pa.int64()),
@@ -231,12 +218,8 @@ def _topk_within(t: pa.Table, key_col: str,
         return t
     idx = pc.sort_indices(t, sort_keys=[(key_col, "ascending"), *sort_keys])
     t = t.take(idx)
-    kd = pc.dictionary_encode(t[key_col].combine_chunks())
-    codes = kd.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    change = np.concatenate(([True], codes[1:] != codes[:-1]))
-    starts = np.flatnonzero(change)
-    lens = np.diff(np.append(starts, len(codes)))
-    rank = np.arange(len(codes)) - np.repeat(starts, lens)
+    starts, lens = runs(key_codes(t[key_col])[0])
+    rank = np.arange(t.num_rows) - np.repeat(starts, lens)
     return (t.filter(pa.array(rank < k))
             .replace_schema_metadata(None))
 
@@ -748,19 +731,19 @@ def _rollup_per_key(
         if not t.num_rows:
             return empty
         t = t.combine_chunks()
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
+        codes, first = key_codes(t[key_col])
         vcol = t[value_col]
         v = (pc.fill_null(vcol, 0).to_numpy(zero_copy_only=False)
              .astype(np.int64))
         nn = pc.is_valid(vcol).to_numpy(zero_copy_only=False)
-        k = len(uniq)
+        k = len(first)
         n = np.zeros(k, dtype=np.int64)
         np.add.at(n, codes, 1)
         nv = np.zeros(k, dtype=np.int64)  # non-null values (SQL sum basis)
         np.add.at(nv, codes, nn.astype(np.int64))
         tot = np.zeros(k, dtype=np.int64)
         np.add.at(tot, codes, v)
-        return pa.table({key_col: pa.array(uniq, ktyp),
+        return pa.table({key_col: t[key_col].take(first),
                          "n": pa.array(n), "nv": pa.array(nv),
                          "total": pa.array(tot)})
 

@@ -25,6 +25,17 @@ side contributes zero rows (the aggregator's empty partition loses its
 schema and Acero raises "No match or multiple matches for key field
 reference ... on left side of the join"), so an empty input must never
 reach a join at all.
+
+After an exchange, every in-bucket kernel finds its key runs and key
+codes through the two rules here, so null handling is decided once:
+``runs(*sorted_cols)`` gives the ``(starts, lens)`` of the runs over
+aligned, already-sorted columns (a new run wherever ANY column
+changes), and ``key_codes(col)`` codes a key column with
+``pd.factorize(sort=False)`` semantics — codes in order of first
+appearance, -1 for a null (or float NaN) key — plus the row of each
+code's first appearance, so distinct key values come back as
+``col.take(first)`` in the column's own type.  ``_segmented_order``
+builds the per-key ordered operators' scaffold from the two.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -96,6 +108,64 @@ def key_bucket(col, nbuckets: int) -> np.ndarray:
         hv = _string_bucket_hash(
             col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
     return (hv % np.uint64(nbuckets)).astype(np.int64)
+
+
+def runs(*sorted_cols) -> tuple[np.ndarray, np.ndarray]:
+    """Runs over aligned, already-sorted numpy columns: a run starts at
+    row 0 and wherever ANY column differs from the row before.  Returns
+    ``(starts, lens)``; the last row of each run is ``starts + lens - 1``
+    and the per-row run start is ``np.repeat(starts, lens)``."""
+    n = len(sorted_cols[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for c in sorted_cols:
+        change[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=n)
+
+
+def key_codes(col) -> tuple[np.ndarray, np.ndarray]:
+    """``pd.factorize(sort=False)`` codes of a key column (Arrow, pandas
+    or numpy) as int64: codes in order of first appearance, -1 for a
+    null or float NaN key.  Returns ``(codes, first)``, ``first[c]``
+    being the row where code ``c`` first appears.  Arrow columns other
+    than float and dictionary ones are coded by Arrow's hash kernel,
+    which gives the same codes without a pandas round trip."""
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_floating(col.type) or pa.types.is_dictionary(col.type):
+            col = col.to_pandas()
+        else:
+            col = pc.fill_null(pc.dictionary_encode(col).indices, -1)
+    if isinstance(col, pa.Array):
+        codes = col.to_numpy(zero_copy_only=False).astype(np.int64)
+    else:
+        codes = pd.factorize(col, sort=False)[0].astype(np.int64)
+    # codes rise by one at each first appearance
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+    return codes, first
+
+
+def _segmented_order(
+    g: pa.Table, minor_keys: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shared in-bucket scaffold for the per-key ordered operators
+    (lag, rolling frames, sequences, percent_rank, ntile): one stable
+    lexsort by (key, *minor_keys) plus the key-run segment geometry.
+
+    ``g`` must carry the routed key in column ``"k"``; ``minor_keys``
+    are numpy sort keys HIGHEST significance LAST (np.lexsort order).
+    Returns ``(order, first, starts, seg_start)``: the sort
+    permutation, the key-change mask over sorted rows, the segment
+    start indices, and the per-row segment start (broadcast).
+    """
+    codes, _ = key_codes(g["k"])
+    order = np.lexsort((*minor_keys, codes))
+    starts, lens = runs(codes[order])
+    first = np.zeros(len(order), dtype=bool)
+    first[starts] = True
+    return order, first, starts, np.repeat(starts, lens)
 
 
 def keyed_fold(

@@ -21,9 +21,9 @@ from ray.data.aggregate import Count, Min
 
 from konlsearch_ray.analyzer import analyze_strings
 from konlsearch_ray.functions.blocks import (default_join_partitions,
-                                             default_nbuckets, keyed_fold,
-                                             nonempty_blocks,
-                                             pinned_nonempty)
+                                             default_nbuckets, key_codes,
+                                             keyed_fold, nonempty_blocks,
+                                             pinned_nonempty, runs)
 from konlsearch_ray.functions.text import FP_MOD, _token_hashes
 from konlsearch_ray.segment import binary_view
 
@@ -88,10 +88,7 @@ def _shingle_codes(batch: pa.Table, content_col: str, id_col: str, n: int):
     order = np.lexsort(tuple(reversed(cols)) + (d,))
     d_s = d[order]
     cols_s = [c[order] for c in cols]
-    first = np.ones(len(d_s), dtype=bool)
-    first[1:] = d_s[1:] != d_s[:-1]
-    for c in cols_s:
-        first[1:] |= c[1:] != c[:-1]
+    first, _ = runs(d_s, *cols_s)
     return ids, d_s[first], [c[first] for c in cols_s], dictionary
 
 
@@ -273,25 +270,15 @@ def _emit_pairs_bucketed(
             "bucket", pa.array((h % np.uint64(nbuckets)).astype(np.int64)))
 
     def emit(g: pd.DataFrame) -> pa.Table:
-        codes_list = [
-            pd.factorize(g[c], sort=False)[0].astype(np.int64)
-            for c in group_cols
-        ]
+        codes_list = [key_codes(g[c])[0] for c in group_cols]
         docs = g[id_col].to_numpy().astype(np.int64)
         order = np.lexsort((docs,) + tuple(reversed(codes_list)))
-        d_s = docs[order]
         c_s = [c[order] for c in codes_list]
-        n = len(d_s)
-        new = np.ones(n, dtype=bool)
-        new[1:] = False
-        for c in c_s:
-            new[1:] |= c[1:] != c[:-1]
         # Drop duplicate (group, doc) rows so sizes count distinct docs.
-        keep = new.copy()
-        keep[1:] |= d_s[1:] != d_s[:-1]
-        d_s, new = d_s[keep], new[keep]
-        gstart = np.flatnonzero(new)
-        gsize = np.diff(np.append(gstart, len(d_s)))
+        d_s = docs[order]
+        keep, _ = runs(d_s, *c_s)
+        d_s = d_s[keep]
+        gstart, gsize = runs(*(c[keep] for c in c_s))
         ok = gsize >= 2
         if cap is not None:
             ok &= gsize <= cap
@@ -350,8 +337,7 @@ def _shingle_hash_sets(batch: pa.Table, content_col: str, id_col: str, n: int):
             h = (h * _SHINGLE_BASE + tok_h[c]) % FP_MOD
         order = np.lexsort((h, d))
         d_s, h_s = d[order], h[order]
-        keep = np.ones(len(d_s), dtype=bool)  # collide-equal hashes dedup
-        keep[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
+        keep, _ = runs(d_s, h_s)  # collide-equal hashes dedup
         d_s, h_s = d_s[keep], h_s[keep]
         counts = np.bincount(d_s, minlength=len(ids))
         offsets = np.concatenate(([0], np.cumsum(counts)))

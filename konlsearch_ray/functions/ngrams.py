@@ -27,7 +27,7 @@ from ray.data.aggregate import Count, Sum
 
 from konlsearch_ray.functions.blocks import (default_join_partitions,
                                              nonempty_blocks,
-                                             pinned_nonempty)
+                                             pinned_nonempty, runs)
 from konlsearch_ray.functions.dedup import _shingle_batch
 
 
@@ -53,12 +53,7 @@ def _ngram_count_partial(batch: pa.Table, content_col: str, n: int) -> pa.Table:
     cols = [codes[starts + j] for j in range(n)]
     order = np.lexsort(tuple(reversed(cols)))
     cols_s = [c[order] for c in cols]
-    first = np.zeros(len(order), dtype=bool)
-    first[0] = True
-    for c in cols_s:
-        first[1:] |= c[1:] != c[:-1]
-    idx = np.flatnonzero(first)
-    cnt = np.diff(np.append(idx, len(order)))
+    idx, cnt = runs(*cols_s)
     parts = [pc.take(dictionary,
                      pa.array(cols_s[j][idx].astype(np.int64))).cast(pa.string())
              for j in range(n)]

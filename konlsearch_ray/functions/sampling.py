@@ -20,6 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from konlsearch_ray.functions.blocks import key_codes
+
 BUCKETS = 10_000  # basis points: fractions resolve to 0.01%
 
 
@@ -128,19 +130,12 @@ def stratified_sample(
     cuts = {g: int(round(r * BUCKETS)) for g, r in rates.items()}
 
     def keep(t: pa.Table) -> pa.Table:
-        denc = pc.cast(t[group_col], pa.string()).combine_chunks(
-        ).dictionary_encode()
-        if isinstance(denc, pa.ChunkedArray):
-            denc = denc.combine_chunks()
-        per_value = np.array(
-            [default_cut if v is None else cuts.get(v, default_cut)
-             for v in denc.dictionary.to_pylist()], dtype=np.int64)
-        codes = pc.fill_null(denc.indices, -1).to_numpy(
-            zero_copy_only=False).astype(np.int64)  # null group → default
-        cut = np.full(len(t), default_cut, dtype=np.int64)
-        valid = codes >= 0
-        if per_value.size:
-            cut[valid] = per_value[codes[valid]]
+        groups = pc.cast(t[group_col], pa.string())
+        codes, first = key_codes(groups)
+        per_value = [cuts.get(v, default_cut)
+                     for v in groups.take(first).to_pylist()]
+        # code -1 (the null group) takes the last entry: the default
+        cut = np.array(per_value + [default_cut], dtype=np.int64)[codes]
         return t.filter(pa.array(_bucket_of(t[id_col], salt) < cut))
 
     return ds.map_batches(keep, batch_format="pyarrow")

@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
-                                             keyed_fold)
+                                             key_codes, keyed_fold)
 
 _KEY = "__setop_key"
 
@@ -62,16 +62,7 @@ def _block_distinct(t: pa.Table) -> pa.Table:
     # global exchange moves by distinct rows per block, never rows.
     if not t.num_rows:
         return t
-    import numpy as np
-
-    d = pc.dictionary_encode(t[_KEY].combine_chunks())
-    idx = d.indices.to_numpy(zero_copy_only=False)
-    first = np.zeros(len(d.dictionary), dtype=np.int64)
-    seen = np.zeros(len(d.dictionary), dtype=bool)
-    # first occurrence per code, vectorized: reverse-write wins
-    first[idx[::-1]] = np.arange(len(idx) - 1, -1, -1)
-    seen[idx] = True
-    return t.take(pa.array(np.sort(first[seen]), pa.int64()))
+    return t.take(key_codes(t[_KEY])[1])
 
 
 def _global_distinct(ds: ray.data.Dataset,

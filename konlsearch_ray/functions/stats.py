@@ -21,8 +21,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
-                                             key_bucket, keyed_fold)
+from konlsearch_ray.functions.blocks import (_segmented_order,
+                                             arrow_schema as _arrow_schema,
+                                             key_bucket, key_codes,
+                                             keyed_fold, runs)
 
 DEFAULT_QS = (("p50", 5000), ("p90", 9000), ("p99", 9900))
 
@@ -218,7 +220,7 @@ def _suffstat_partial(key_col: str, ktyp, x_col: str, y_col: str,
         if not t.num_rows:
             return empty
         t = t.combine_chunks()
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
+        codes, first = key_codes(t[key_col])
         x = t[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
         y = t[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # thunks: only the REQUESTED statistics pay their O(rows)
@@ -227,8 +229,8 @@ def _suffstat_partial(key_col: str, ktyp, x_col: str, y_col: str,
                 "sx": lambda: x, "sy": lambda: y,
                 "sxx": lambda: x * x, "syy": lambda: y * y,
                 "sxy": lambda: x * y}
-        k = len(uniq)
-        out = {key_col: pa.array(uniq, ktyp)}
+        k = len(first)
+        out = {key_col: t[key_col].take(first)}
         for name in stats:
             acc = np.zeros(k, dtype=np.int64)
             np.add.at(acc, codes, vecs[name]())
@@ -528,8 +530,7 @@ def grouped_percent_rank(
     every keyed op here); in-bucket it is one lexsort + run-length
     first-occurrence scan — no per-row Python.
     """
-    from konlsearch_ray.functions.temporal import (_required_rows,
-                                                   _segmented_order)
+    from konlsearch_ray.functions.temporal import _required_rows
     from konlsearch_ray.functions.blocks import default_nbuckets
 
     sch = _arrow_schema(ds)
@@ -564,14 +565,11 @@ def grouped_percent_rank(
         order, first_k, starts, seg_start = _segmented_order(g, (ids, v))
         vs = v[order]
         n = len(order)
-        pos = np.arange(n, dtype=np.int64)
         # segment sizes -> per-row n
         seg_n = np.diff(np.append(starts, n))[np.cumsum(first_k) - 1]
-        # RANK with ties: first occurrence of each (key, v) run
-        first_v = first_k.copy()
-        first_v[1:] |= vs[1:] != vs[:-1]
-        rank_pos = np.maximum.accumulate(np.where(first_v, pos, -1))
-        rank = rank_pos - seg_start + 1
+        # RANK with ties: first row of each row's (key, v) run
+        v_starts, v_lens = runs(seg_start, vs)
+        rank = np.repeat(v_starts, v_lens) - seg_start + 1
         denom = seg_n - 1
         # The one float expression — mirror in the oracle exactly.
         pct = np.where(denom > 0,
@@ -615,8 +613,7 @@ def grouped_ntile(
     bucket; in-bucket one lexsort + integer arithmetic.
     """
     from konlsearch_ray.functions.blocks import default_nbuckets
-    from konlsearch_ray.functions.temporal import (_required_rows,
-                                                   _segmented_order)
+    from konlsearch_ray.functions.temporal import _required_rows
 
     if n_tiles < 1:
         raise ValueError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -713,14 +710,14 @@ def grouped_minmax_norm(
         if not t.num_rows:
             return empty
         t = t.combine_chunks()
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
+        codes, first = key_codes(t[key_col])
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        k = len(uniq)
+        k = len(first)
         mn = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
         mx = np.full(k, np.iinfo(np.int64).min, dtype=np.int64)
         np.minimum.at(mn, codes, v)
         np.maximum.at(mx, codes, v)
-        return pa.table({key_col: pa.array(uniq, ktyp),
+        return pa.table({key_col: t[key_col].take(first),
                          "mn": pa.array(mn), "mx": pa.array(mx)})
 
     def merge(g: pa.Table) -> pa.Table:
@@ -853,8 +850,8 @@ def grouped_zscore(
         _check_abs_below(t[value_col], value_col, "grouped_zscore")
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         av = np.abs(v)
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
-        k = len(uniq)
+        codes, first = key_codes(t[key_col])
+        k = len(first)
         # two-limb v² = a²·2³² + 2ab·2¹⁶ + b²: every limb sum fits
         # int64 for any realistic block (see docstring).
         a, b = av >> 16, av & 0xFFFF
@@ -867,7 +864,7 @@ def grouped_zscore(
         np.add.at(sab, codes, a * b)
         sbb = np.zeros(k, dtype=np.int64)
         np.add.at(sbb, codes, b * b)
-        return pa.table({key_col: pa.array(uniq, ktyp),
+        return pa.table({key_col: t[key_col].take(first),
                          "n": pa.array(n), "s": pa.array(s),
                          "saa": pa.array(saa), "sab": pa.array(sab),
                          "sbb": pa.array(sbb)})
@@ -1166,9 +1163,9 @@ def grouped_weighted_mean(
         w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
         wv = w * v  # < 2^62 in magnitude: exact
         hi, lo = wv >> 32, wv & 0xFFFFFFFF  # floor/remainder: exact split
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
-        k = len(uniq)
-        out = {key_col: pa.array(uniq, ktyp)}
+        codes, first = key_codes(t[key_col])
+        k = len(first)
+        out = {key_col: t[key_col].take(first)}
         for name, vec in (("n", np.ones(len(v), dtype=np.int64)),
                           ("sw", w), ("hi", hi), ("lo", lo)):
             acc = np.zeros(k, dtype=np.int64)

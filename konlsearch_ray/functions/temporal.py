@@ -33,12 +33,14 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
-from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
+from konlsearch_ray.functions.blocks import (_segmented_order,
+                                             arrow_schema as _arrow_schema,
                                              cents_np,
                                              default_nbuckets as
                                              _default_nbuckets,
-                                             key_bucket, keyed_fold,
-                                             nonempty_blocks)
+                                             key_bucket, key_codes,
+                                             keyed_fold, nonempty_blocks,
+                                             runs)
 
 US = 1_000_000  # microseconds per second
 
@@ -86,30 +88,6 @@ def _required_rows(t: pa.Table, cols: tuple[str, ...]) -> pa.Table:
     for c in cols[1:]:
         mask = pc.and_kleene(mask, pc.is_valid(t[c]))
     return t.filter(mask)
-
-
-def _segmented_order(
-    g: pa.Table, minor_keys: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared in-bucket scaffold for the per-key ordered operators
-    (lag, rolling frames, sequences, percent_rank): one stable lexsort
-    by (key, *minor_keys) plus the key-run segment geometry.
-
-    ``g`` must carry the routed key in column ``"k"``; ``minor_keys``
-    are numpy sort keys HIGHEST significance LAST (np.lexsort order).
-    Returns ``(order, first, starts, seg_start)``: the sort
-    permutation, the key-change mask over sorted rows, the segment
-    start indices, and the per-row segment start (broadcast).
-    """
-    codes = pd.factorize(g["k"].to_pandas(), sort=False)[0].astype(np.int64)
-    order = np.lexsort((*minor_keys, codes))
-    ks = codes[order]
-    n = len(ks)
-    first = np.ones(n, dtype=bool)
-    first[1:] = ks[1:] != ks[:-1]
-    starts = np.flatnonzero(first)
-    seg_start = starts[np.cumsum(first) - 1]
-    return order, first, starts, seg_start
 
 
 # --------------------------------------------------------------------------
@@ -300,24 +278,20 @@ def sessionize(
         })
 
     def emit(g: pd.DataFrame) -> pd.DataFrame:
-        codes = pd.factorize(g["k"], sort=False)[0].astype(np.int64)
+        codes, _ = key_codes(g["k"])
         t = g["t"].to_numpy().astype(np.int64)
         order = np.lexsort((t, codes))
         ks, ts = codes[order], t[order]
-        n = len(ts)
-        new_key = np.ones(n, dtype=bool)
-        new_key[1:] = ks[1:] != ks[:-1]
-        new_sess = new_key.copy()
+        key_start, key_sizes = runs(ks)
+        new_sess = np.zeros(len(ts), dtype=bool)
+        new_sess[key_start] = True
         new_sess[1:] |= (ts[1:] - ts[:-1]) > gap_us
         sid = np.cumsum(new_sess)  # 1-based global session counter
         # per-key 1-based sequence: subtract the key's base session id
-        key_start = np.flatnonzero(new_key)
-        key_sizes = np.diff(np.append(key_start, n))
-        base = np.repeat(sid[key_start], key_sizes)
-        seq = sid - base + 1
+        seq = sid - np.repeat(sid[key_start], key_sizes) + 1
         s_start = np.flatnonzero(new_sess)
-        s_sizes = np.diff(np.append(s_start, n))
-        s_end = np.append(s_start[1:], n) - 1
+        s_sizes = np.diff(s_start, append=len(ts))
+        s_end = s_start + s_sizes - 1
         key_vals = g["k"].to_numpy()[order][s_start]
         return pd.DataFrame({
             key_col: key_vals,
@@ -365,7 +339,7 @@ def _union_sides(
     reference DuckDB ASOF/range joins drop them from the match set).
     Right-side null-key rows are always filtered here; left-side ones
     are filtered too unless ``keep_null_left`` (outer semantics — the
-    caller keeps them as never-matching left rows: pd.factorize codes
+    caller keeps them as never-matching left rows: ``key_codes`` codes
     them -1, and with right nulls filtered no right row carries -1).
     """
     lout = set(left_cols)
@@ -489,7 +463,7 @@ def asof_join(
 
     def emit(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
-        codes = pd.factorize(g["__k"].to_pandas(), sort=False)[0].astype(np.int64)
+        codes, _ = key_codes(g["__k"])
         t = g["__t"].to_numpy(zero_copy_only=False).astype(np.int64)
         side = g["__side"].to_numpy(zero_copy_only=False)
         is_l, is_r = side == 1, side == 0
@@ -622,7 +596,7 @@ def band_join(
 
     def emit(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
-        codes = pd.factorize(g["__k"].to_pandas(), sort=False)[0].astype(np.int64)
+        codes, _ = key_codes(g["__k"])
         t = g["__t"].to_numpy(zero_copy_only=False).astype(np.int64)
         side = g["__side"].to_numpy(zero_copy_only=False)
         li = np.flatnonzero(side == 1)
@@ -984,15 +958,15 @@ def funnel_counts(
         if not t.num_rows:
             return fallback
         t = t.combine_chunks()
-        codes, uniq = pd.factorize(t[key_col].to_pandas(), sort=False)
+        codes, first = key_codes(t[key_col])
         conv = (pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
                 .astype(np.int64))
-        k = len(uniq)
+        k = len(first)
         n = np.zeros(k, dtype=np.int64)
         np.add.at(n, codes, 1)
         c = np.zeros(k, dtype=np.int64)
         np.add.at(c, codes, conv)
-        return pa.table({key_col: pa.array(uniq, ktyp),
+        return pa.table({key_col: t[key_col].take(first),
                          "n_then": pa.array(n),
                          "n_converted": pa.array(c)})
 
@@ -1046,13 +1020,10 @@ def latest_by_key(
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         if not newest:  # oldest ts / smallest id wins instead
             tus, ids = -tus, -ids
-        codes = pd.factorize(t[key_col].to_pandas(),
-                             sort=False)[0].astype(np.int64)
+        codes, _ = key_codes(t[key_col])
         order = np.lexsort((ids, tus, codes))
-        ks = codes[order]
-        last = np.ones(len(ks), dtype=bool)
-        last[:-1] = ks[1:] != ks[:-1]
-        return t.take(pa.array(order[last], pa.int64()))
+        starts, lens = runs(codes[order])
+        return t.take(pa.array(order[starts + lens - 1], pa.int64()))
 
     return keyed_fold(ds, key_col, best, partial=best,
                       fallback=_arrow_schema(ds).empty_table())
@@ -1120,15 +1091,13 @@ def time_weighted_mean(
 
     def emit(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
-        kvals = g["k"]
-        codes, uniq_idx = pd.factorize(kvals.to_pandas(), sort=False)
-        codes = codes.astype(np.int64)
+        codes, first = key_codes(g["k"])
         t = g["t"].to_numpy(zero_copy_only=False)
         i = g["i"].to_numpy(zero_copy_only=False)
         v = g["v"].to_numpy(zero_copy_only=False)
         order = np.lexsort((i, t, codes))
         ks, ts_, vs = codes[order], t[order], v[order]
-        nkeys = len(uniq_idx)
+        nkeys = len(first)
         if len(ks) < 2:
             same = np.zeros(0, dtype=bool)
         else:
@@ -1158,7 +1127,7 @@ def time_weighted_mean(
                 swv = int(shi[j]) * (1 << 32) + int(slo[j])
                 twap.append(float(swv) / float(int(sw[j])))
         out = pa.table({
-            key_col: pa.array(uniq_idx, ktyp),
+            key_col: g["k"].take(first),
             "n": pa.array(n),
             "sw": pa.array(sw),
             "twap": pa.array(twap, pa.float64()),

@@ -15,6 +15,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.analyzer import analyze_strings, analyze_strings_coded
+from konlsearch_ray.functions.blocks import runs
 
 # Small fixed stopword lists for the heuristic language-ID vote. Order of
 # ``LANG_ORDER`` is the deterministic tie-break (first wins on equal votes).
@@ -425,10 +426,8 @@ def tfidf_keywords(
             return empty
         v = len(dictionary)
         comb = doc_idx.astype(np.int64) * v + codes.astype(np.int64)
-        order = np.argsort(comb, kind="stable")
-        cs = comb[order]
-        starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-        tf = np.diff(np.append(starts, len(cs)))
+        cs = np.sort(comb)
+        starts, tf = runs(cs)
         u = cs[starts]
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
@@ -659,10 +658,7 @@ def token_cooccurrence(
         r1, r2 = rank[x], rank[y]
         comb = np.minimum(r1, r2) * nvocab + np.maximum(r1, r2)
         comb.sort(kind="stable")
-        first = np.ones(len(comb), dtype=bool)
-        first[1:] = comb[1:] != comb[:-1]
-        idx = np.flatnonzero(first)
-        cnt = np.diff(np.append(idx, len(comb)))
+        idx, cnt = runs(comb)
         u = comb[idx]
         by_rank = pc.take(dictionary, pa.array(sort_idx))
         t1 = pc.take(by_rank, pa.array(u // nvocab))

@@ -285,13 +285,13 @@ class IndexReader:
                 if self.shards is None or s in self.shards]
         self._store = PostingStore(index_dir, nums, self._dead)
         dl = read_doclens(index_dir, nums)
-        self._dl_docs = dl["doc_id"].to_numpy()  # ascending across shards
+        dl_docs = dl["doc_id"].to_numpy()  # ascending across shards
         dl_vals = dl["doc_len"].to_numpy().astype(np.float64)
         # The doc-id window [_dl_first, _dl_first + _dl_span) holds every
         # id of the reader's shards; dense BM25 and _lnorm index it.
-        n_dl = len(self._dl_docs)
-        self._dl_first = int(self._dl_docs[0]) if n_dl else 0
-        self._dl_span = int(self._dl_docs[-1]) - self._dl_first + 1 if n_dl else 0
+        n_dl = len(dl_docs)
+        self._dl_first = int(dl_docs[0]) if n_dl else 0
+        self._dl_span = int(dl_docs[-1]) - self._dl_first + 1 if n_dl else 0
 
         # Global df: sorted term bytes + aligned df values (probed with
         # searchsorted, memoized) — no Python dict over the vocabulary.
@@ -307,7 +307,7 @@ class IndexReader:
 
         if len(self._dead):
             if self.shards is None:
-                g_docs, g_vals = self._dl_docs, dl_vals
+                g_docs, g_vals = dl_docs, dl_vals
             else:
                 # Shard-subset reader: collection stats must stay GLOBAL
                 # for idf/avgdl to match the whole-index reader; read every
@@ -323,7 +323,7 @@ class IndexReader:
         # off doclens), set once avgdl is live: scoring gathers it per
         # posting. MaxScore's bounds take it at the shortest doc.
         self._lnorm = np.full(self._dl_span, np.nan)
-        self._lnorm[self._dl_docs - self._dl_first] = (
+        self._lnorm[dl_docs - self._dl_first] = (
             K1 * (1 - B + B * dl_vals / self.avgdl))
         min_dl = float(dl_vals.min()) if n_dl else 1.0
         self._min_norm = K1 * (1 - B + B * min_dl / self.avgdl)

@@ -8,9 +8,13 @@ from konlsearch_ray.codec import (
     decode_postings,
     encode_postings_grouped,
     varint_decode,
-    varint_encode,
     varint_encode_with_sizes,
 )
+
+
+def varint_encode(values: np.ndarray) -> bytes:
+    """LEB128 bytes of a uint64 array, through the library encoder."""
+    return varint_encode_with_sizes(values)[0]
 
 
 def ref_varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:

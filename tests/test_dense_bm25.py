@@ -198,7 +198,9 @@ def test_dense_plus_tail_runs_maxscore(indexes, monkeypatch):
     # Boosted and filtered queries keep their scorers.
     r.bm25_topk(HEADS[:2], 10, boosts={HEADS[0]: 2.0})
     assert ran.pop() == "_bm25_maxscore"
-    r.bm25_topk(HEADS[:2], 10, allowed=r._dl_docs[::2])
+    d = indexes["built"]
+    ids = read_doclens(d, shard_nums(d))["doc_id"].to_numpy()
+    r.bm25_topk(HEADS[:2], 10, allowed=ids[::2])
     assert ran.pop() == "_bm25_exact"
     assert not ran
 
@@ -251,7 +253,7 @@ def test_cold_bm25_gathers_each_norm_once(indexes):
     non-empty term's length norms once, over its whole posting list, and
     never binary-searches the reader's doc ids: MaxScore, dense and
     exact alike."""
-    from norm_counting import GatherCounter, SearchsortedCounter
+    from norm_counting import GatherCounter
 
     d = indexes["compacted"]
     vocab = sorted(set(IndexReader(d).sample_terms(10**9)))
@@ -260,10 +262,10 @@ def test_cold_bm25_gathers_each_norm_once(indexes):
     for q in queries:
         r = IndexReader(d)
         assert r._dl_span > r.n_docs
+        # no doc-id array is kept to binary-search
+        assert not hasattr(r, "_dl_docs")
         r._lnorm = GatherCounter.of(r._lnorm)
-        r._dl_docs = SearchsortedCounter.of(r._dl_docs)
         got = r.bm25_topk(q, 10)
         sizes = [len(r._store.entry(t).ids) for t in q]
         assert sorted(r._lnorm.calls) == sorted(n for n in sizes if n), q
-        assert r._dl_docs.calls == [], q
         assert got == IndexReader(d).bm25_topk(q, 10, prune=False), q

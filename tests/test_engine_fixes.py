@@ -279,7 +279,11 @@ def test_parallel_stable_argsort_matches_numpy():
     across chunk boundaries on heavily duplicated keys."""
     import numpy as np
 
-    from konlsearch_ray.build import _parallel_stable_argsort
+    from konlsearch_ray.build import _parallel_argsort_s_parts
+
+    def _parallel_stable_argsort(keys):
+        # one key array split into position-chunk views, as callers do
+        return _parallel_argsort_s_parts(list(np.array_split(keys, 8)))[1]
 
     rng = np.random.default_rng(3)
     # few distinct keys -> massive cross-chunk ties exercise stability

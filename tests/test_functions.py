@@ -865,6 +865,48 @@ def test_grouped_topk_ties_and_small_groups(ray_session):
     assert out[["k", "v", "id"]].values.tolist() == [[1, 9, 13], [1, 5, 10], [2, 7, 14]]
 
 
+def test_null_group_keys_form_their_own_group(ray_session):
+    """Null group keys are one group of their own in ``grouped_topk`` and
+    ``exact_stratified_sample``, coded -1 with no NaN -> int64 cast: the
+    per-block kernel runs here with warnings as errors (Ray workers do
+    not inherit this process's filters), the operators end to end."""
+    import warnings
+
+    import ray.data
+
+    from konlsearch_ray.functions.aggregates import _topk_within, grouped_topk
+    from konlsearch_ray.functions.sampling import exact_stratified_sample
+
+    n = 60
+    g = [None if i % 3 == 0 else i % 3 for i in range(n)]
+    t = pa.table({"g": pa.array(g, pa.int64()),
+                  "v": pa.array([(7 * i) % 11 for i in range(n)], pa.int64()),
+                  "id": pa.array(range(n), pa.int64())})
+    keys = [("v", "descending"), ("id", "ascending")]
+    want = {}
+    for gv, v, i in sorted(zip(g, t["v"].to_pylist(), range(n)),
+                           key=lambda r: (-r[1], r[2])):
+        if len(want.setdefault(gv, [])) < 4:
+            want[gv].append(i)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _topk_within(t, "g", keys, 4)
+        for rows in (got.to_pylist(), grouped_topk(
+                ray.data.from_arrow(t).repartition(3), "g", keys,
+                4).take_all()):
+            by = {}
+            for r in rows:
+                by.setdefault(r["g"], []).append(r["id"])
+            assert {k: sorted(v) for k, v in by.items()} == {
+                k: sorted(v) for k, v in want.items()}
+        out = exact_stratified_sample(ray.data.from_arrow(t).repartition(3),
+                                      "id", "g", 5).take_all()
+    sizes = {}
+    for r in out:
+        sizes[r["g"]] = sizes.get(r["g"], 0) + 1
+    assert sizes == {None: 5, 1: 5, 2: 5}
+
+
 def test_tfidf_keywords_tiny(ray_session):
     import ray.data
 

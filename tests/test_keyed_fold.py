@@ -125,6 +125,15 @@ def test_map_groups_only_in_keyed_fold():
     assert [h[0] for h in hits] == ["functions/blocks.py"], hits
 
 
+def test_factorize_only_in_blocks():
+    # Every key column in the operator library is coded through
+    # blocks.key_codes, so null (and NaN) keys code one way.
+    hits = {p.name
+            for p in sorted((PKG / "functions").glob("*.py"))
+            if "pd.factorize(" in p.read_text()}
+    assert hits == {"blocks.py"}, hits
+
+
 # --- typed empty outputs -------------------------------------------------
 
 def _quantiles(empty):

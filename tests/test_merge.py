@@ -156,8 +156,9 @@ def test_shift_binary_firsts_property():
     import numpy as np
     import pyarrow as pa
 
-    from konlsearch_ray.codec import varint_decode, varint_encode
+    from konlsearch_ray.codec import varint_decode
     from konlsearch_ray.segment import _shift_binary_firsts
+    from test_codec import varint_encode
 
     rng = np.random.default_rng(3)
     for trial in range(20):

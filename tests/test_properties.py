@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from konlsearch_ray.analyzer import analyze_batch, tokenize
-from konlsearch_ray.codec import BLOCK_SIZE, varint_decode, varint_encode
+from konlsearch_ray.codec import BLOCK_SIZE, varint_decode
 from test_codec import (decode_doc_ids, decode_positions, decode_tfs,
-                        encode_posting)
+                        encode_posting, varint_encode)
 
 uint64s = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -224,7 +224,7 @@ def test_segmented_order_matches_lexsort_reference(keys, data):
     # per-row derivation from np.lexsort.
     import pyarrow as pa
 
-    from konlsearch_ray.functions.temporal import _segmented_order
+    from konlsearch_ray.functions.blocks import _segmented_order
 
     n = len(keys)
     minor = np.array(
@@ -250,6 +250,79 @@ def test_segmented_order_matches_lexsort_reference(keys, data):
         while j > 0 and ks[j - 1] == ks[j]:
             j -= 1
         assert seg_start[i] == j
+
+
+_run_cols = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                     max_size=80)
+
+
+@given(_run_cols, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_runs_matches_groupby_reference(rows, sort):
+    # blocks.runs: a run starts wherever ANY aligned column changes —
+    # itertools.groupby over the row tuples, sorted or not.
+    import itertools
+
+    from konlsearch_ray.functions.blocks import runs
+
+    if sort:
+        rows = sorted(rows)
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    for cols, keyed in (((a,), [r[0] for r in rows]), ((a, b), rows)):
+        lens = [len(list(g)) for _, g in itertools.groupby(keyed)]
+        starts = list(itertools.accumulate(lens[:-1], initial=0))[:len(lens)]
+        got_starts, got_lens = runs(*cols)
+        assert got_starts.tolist() == starts
+        assert got_lens.tolist() == lens
+
+
+_key_lists = st.one_of(
+    st.lists(st.one_of(st.none(), st.sampled_from(["x", "y", "", "zz"])),
+             max_size=60).map(lambda v: (v, "string")),
+    st.lists(st.one_of(st.none(), st.integers(-3, 3)),
+             max_size=60).map(lambda v: (v, "int64")),
+    st.lists(st.one_of(st.none(), st.just(float("nan")),
+                       st.sampled_from([0.0, -0.0, 1.5, -2.0])),
+             max_size=60).map(lambda v: (v, "float64")),
+)
+
+
+@given(_key_lists, st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_key_codes_matches_factorize_reference(case, split):
+    # blocks.key_codes: pd.factorize(sort=False) codes (order of first
+    # appearance, -1 for null and NaN) for Arrow arrays, chunked arrays
+    # and pandas series alike, plus each code's first row.
+    import math
+
+    import pandas as pd
+    import pyarrow as pa
+
+    from konlsearch_ray.functions.blocks import key_codes
+
+    values, typ = case
+    seen, want = {}, []
+    for v in values:
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            want.append(-1)
+        else:
+            want.append(seen.setdefault(v, len(seen)))
+    want_first = [want.index(c) for c in range(len(seen))]
+    arr = pa.array(values, pa.type_for_alias(typ))
+    split = min(split, len(values))
+    inputs = [arr, pa.chunked_array([arr[:split], arr[split:]], arr.type),
+              arr.to_pandas()]
+    if typ == "int64" and None not in values:
+        inputs.append(np.array(values, dtype=np.int64))
+    for col in inputs:
+        codes, first = key_codes(col)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == want, type(col)
+        assert first.tolist() == want_first, type(col)
+    ref = pd.factorize(pd.Series(values, dtype=object if typ == "string"
+                                 else None), sort=False)[0]
+    assert ref.tolist() == want
 
 
 # --- the reader's id probe ----------------------------------------------
