@@ -6,12 +6,18 @@ with two phases over ``ray.data.Dataset``:
 
 **Phase A — canonical docs** (runs once, marker-gated):
   read input Parquet → vectorized sha256 (per-row invariant column
-  ``content_sha256``) → exact dedup = ``groupby(content_sha256)`` keep the
-  first row in canonical order (first-wins, reference index.py:299-305) →
-  deterministic dense 1-based ``doc_id`` (sort + metadata prefix-sum, see
-  ids.py) → ``shard = (doc_id - 1) // shard_size`` → each block splits
-  into one piece per shard it touches, and one task per shard writes
-  ``docs/shard=K/`` once: one doc_id-sorted file under a fixed name.
+  ``content_sha256``) → exact dedup, the first row of each sha in
+  canonical order wins (first-wins, reference index.py:299-305) → dense
+  1-based ``doc_id`` in that order. Up to ``DEDUP_DRIVER_MAX_ROWS`` rows
+  the driver ranks one light (sha, key) array per block
+  (``_driver_rank_docs``; appends share it); beyond, a shuffle pre-pass
+  keeps each sha's winner-key rows and a canonical sort numbers them
+  (``_sorted_dedup_ids``); in id_col mode the caller's id is the key.
+  Rows equal in sha AND winning key are a tie, and every path keeps the
+  same row of it (the tie rule, ``_tie_winners``). Then ``shard =
+  (doc_id - 1) // shard_size`` → each block splits into one piece per
+  shard it touches, and one task per shard writes ``docs/shard=K/``
+  once: one doc_id-sorted file under a fixed name.
 
 **Phase B — posting segments** (resumable per shard):
   The docstore write in phase A already partitioned docs by doc-range
@@ -52,6 +58,7 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Sum
 
+from konlsearch_ray.functions.blocks import key_codes, runs
 from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
                                     binary_view, check_version, docs_files,
                                     encode_segment, manifest_path,
@@ -64,6 +71,11 @@ from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
 class IndexConfig:
     content_col: str = "content"
     id_col: str | None = None  # None → assign dense IDs by sort_keys
+    # Doc ids follow these keys. Rows with DIFFERENT content and the same
+    # key are numbered in block arrival order on the driver-rank path
+    # (up to DEDUP_DRIVER_MAX_ROWS rows), which can change with the
+    # input's file layout; keys unique per content give the same ids
+    # from every layout.
     sort_keys: list[str] = field(default_factory=lambda: ["repo", "path", "commit"])
     shard_size: int = 32768  # docs per shard (the resumable / bounded unit)
     dedup: bool = True
@@ -364,82 +376,113 @@ def _winner_filter(t: pa.Table, dup_shas, winner_keys, key_cols: list[str]) -> p
     return t.filter(pc.fill_null(keep, True)).drop_columns(["__dedup_key"])
 
 
-def _tie_row_hash(t: pa.Table) -> np.ndarray:
-    """Deterministic 128-bit per-row fingerprint (md5 hex as ``S32``
-    bytes) over every orderable column, via the same order-preserving
-    sortable-string projection the canonical key uses.
+def _winner_filtered(ds: ray.data.Dataset, read, key_cols: list[str]):
+    """The shuffle dedup pre-pass (``_dedup_winners`` over a second
+    ``read()``) applied to ``ds``: returns ``(filtered ds, dup_shas)``.
+    What survives of a duplicate sha is its winner-key rows — one row,
+    or a tie for ``_tie_drops`` to settle."""
+    dup_shas, winner_keys = _dedup_winners(read(), key_cols)
+    return ds.map_batches(
+        _winner_filter, batch_format="pyarrow",
+        fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
+                   "key_cols": key_cols}), dup_shas
 
-    Used to pick ONE winner among winner-key TIES (rows identical in
-    sha and canonical key): min-by-fingerprint is partition- and
-    run-independent, fully identical rows fingerprint identically, and
-    8+24 bytes per dup row is cheap enough to ship to the driver —
-    unlike the rows themselves (a tie row carries the full content)."""
-    cols = [f.name for f in t.schema
-            if not (pa.types.is_nested(f.type)
-                    or pa.types.is_dictionary(f.type))]
-    key = _col_as_sortable_str(t, cols[0])
-    for k in cols[1:]:
-        key = pc.binary_join_element_wise(
-            key, _col_as_sortable_str(t, k), _KEY_SEP)
-    hx = hash_hex_column(key, "md5")
-    return hx.to_numpy(zero_copy_only=False).astype("S32")
+
+# --------------------------------------------------------------------------
+# The tie rule. A tie is the rows that share a sha AND the winning
+# canonical key (in id_col mode, the caller's id); they can still differ
+# in their other columns. Every docs-phase path keeps the same row of a
+# tie: the smallest over every orderable column (``_orderable``) in
+# schema order, ascending, nulls last, as ``pc.sort_indices`` orders
+# them — then the earliest row. The kept row takes its tie's canonical
+# slot, so doc ids never depend on which row that is. Every row of a
+# tie has the same content, so the content column never leaves its
+# block.
+# --------------------------------------------------------------------------
+
+
+def _orderable(typ: pa.DataType) -> bool:
+    """Whether the tie rule orders by a column of this type: not nested,
+    not dictionary, and sortable by Arrow (no extension, interval or
+    view type)."""
+    if pa.types.is_nested(typ) or pa.types.is_dictionary(typ):
+        return False
+    try:
+        pc.sort_indices(pa.table({"c": pa.nulls(0, typ)}),
+                        sort_keys=[("c", "ascending")])
+    except pa.ArrowException:
+        return False
+    return True
 
 
 @ray.remote
-def _block_tie_info(block: pa.Table, dup_shas) -> dict | None:
-    """Light tie metadata for one sorted block: per duplicate sha
-    (coded as its index in ``dup_shas``) the block's row count and
-    minimal row fingerprint, plus the block's total dup-row count.
-    Ships O(dup shas in block) bytes to the driver — never rows."""
-    idx = pc.index_in(block["content_sha256"], value_set=dup_shas)
-    is_dup = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-    if not is_dup.any():
-        return None
-    di = np.flatnonzero(is_dup)
-    h = _tie_row_hash(block.take(pa.array(di)))
-    codes = (pc.fill_null(idx, 0).to_numpy(zero_copy_only=False)
-             .astype(np.int64)[di])
-    order = np.lexsort((h, codes))
-    cs = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], cs[1:] != cs[:-1])))
-    return {"code": cs[starts], "min_hash": h[order][starts],
-            "total": int(len(di))}
+def _tie_candidates(block: pa.Table, shas: pa.Array, content_col: str,
+                    start: int) -> pa.Table:
+    """The block half of the tie rule: ``block``'s rows whose sha is in
+    ``shas``, as their orderable columns except the content, plus
+    ``__pos`` = ``start`` + their block row (a global row position)."""
+    rows = np.flatnonzero(pc.is_in(block["content_sha256"], value_set=shas)
+                          .to_numpy(zero_copy_only=False))
+    cols = [f.name for f in block.schema
+            if f.name != content_col and _orderable(f.type)]
+    return block.select(cols).take(pa.array(rows)).append_column(
+        "__pos", pa.array(start + rows, pa.int64()))
 
 
-def _resolve_tie_owners(block_refs, shas_ref, counts):
-    """Driver side of the tie-break: one light task per sorted block,
-    then a numpy pass assigns each duplicate sha an OWNER block (the
-    block holding its globally minimal row fingerprint). Mutates
-    ``counts`` to the post-tie-break per-block row counts and returns
-    ``per_block`` (block idx -> (sorted codes, hashes)) for the task-side
-    keep masks. Driver memory is O(dup-sha block occurrences) — bounded
-    by duplicate volume, never corpus volume."""
-    infos = ray.get(
-        [_block_tie_info.remote(ref, shas_ref) for ref, _ in block_refs])
-    codes, hashes, blks = [], [], []
-    for i, info in enumerate(infos):
-        if info is None:
-            continue
-        codes.append(info["code"])
-        hashes.append(info["min_hash"])
-        blks.append(np.full(len(info["code"]), i, dtype=np.int64))
-        counts[i] -= info["total"]
-    if not codes:
+def _block_starts(block_refs: list[tuple]) -> np.ndarray:
+    """Global row position of each ``(ref, num_rows)`` block's first row."""
+    return np.concatenate(([0], np.cumsum([n for _, n in block_refs])))
+
+
+def _tie_winners(block_refs: list[tuple], shas: pa.Array, content_col: str,
+                 rows: np.ndarray | None = None):
+    """The driver half of the tie rule. The candidates are the rows whose
+    sha is in ``shas`` — only those at the sorted global positions
+    ``rows`` when given, and only blocks holding one are asked. One sort
+    by (sha, columns…, position) puts each sha's kept row first. Returns
+    ``(pos, won)``: every candidate's global position and whether it is
+    kept. Memory is bounded by the duplicate volume."""
+    starts = _block_starts(block_refs)
+    blks = (range(len(block_refs)) if rows is None else
+            np.unique(np.searchsorted(starts, rows, side="right") - 1))
+    shas_ref = ray.put(shas)
+    cand = pa.concat_tables(ray.get([
+        _tie_candidates.remote(block_refs[b][0], shas_ref, content_col,
+                               int(starts[b])) for b in blks]),
+        promote_options="permissive")
+    if rows is not None:
+        cand = cand.filter(pa.array(np.isin(cand["__pos"].to_numpy(), rows)))
+    keys = ["content_sha256"] + [c for c in cand.column_names
+                                 if c != "content_sha256"]
+    order = pc.sort_indices(cand, sort_keys=[(c, "ascending") for c in keys],
+                            null_placement="at_end").to_numpy()
+    first, _ = runs(cand["content_sha256"].take(order)
+                    .to_numpy(zero_copy_only=False))
+    won = np.zeros(cand.num_rows, dtype=bool)
+    won[order[first]] = True
+    return cand["__pos"].to_numpy(), won
+
+
+def _tie_drops(block_refs: list[tuple], shas: pa.Array,
+               content_col: str) -> dict[int, np.ndarray]:
+    """For paths whose blocks keep every winner-key row (the shuffle and
+    id_col paths): block index → the block rows that lose their tie."""
+    if not len(shas):
         return {}
-    codes = np.concatenate(codes)
-    hashes = np.concatenate(hashes)
-    blks = np.concatenate(blks)
-    order = np.lexsort((blks, hashes, codes))
-    cs = codes[order]
-    first = np.concatenate(([True], cs[1:] != cs[:-1]))
-    own_code, own_hash, own_blk = (
-        cs[first], hashes[order][first], blks[order][first])
-    per_block: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for b in np.unique(own_blk):
-        sel = own_blk == b
-        per_block[int(b)] = (own_code[sel], own_hash[sel])
-        counts[int(b)] += int(sel.sum())
-    return per_block
+    pos, won = _tie_winners(block_refs, shas, content_col)
+    lost = pos[~won]
+    starts = _block_starts(block_refs)
+    blk = np.searchsorted(starts, lost, side="right") - 1
+    return {int(b): lost[blk == b] - starts[b] for b in np.unique(blk)}
+
+
+def _drop_rows(block: pa.Table, drop: np.ndarray | None) -> pa.Table:
+    """``block`` without its rows ``drop`` (block-local; None = none)."""
+    if drop is None:
+        return block
+    keep = np.ones(block.num_rows, dtype=bool)
+    keep[drop] = False
+    return block.filter(pa.array(keep))
 
 
 # Above this many input rows the driver-side dedup pass (which pulls one
@@ -548,24 +591,25 @@ def _shard_of(doc_id, shard_size: int) -> np.ndarray:
 
 
 @ray.remote
-def _block_shards(block: pa.Table, shard_size: int) -> np.ndarray:
-    """The sorted shards one doc_id-carrying block touches (light: only
-    its doc_id column is read)."""
-    return np.unique(_shard_of(block["doc_id"], shard_size))
+def _block_shards(block: pa.Table, shard_size: int,
+                  drop: np.ndarray | None) -> np.ndarray:
+    """The sorted shards one doc_id-carrying block touches once its rows
+    ``drop`` are gone (light: only its doc_id column is read)."""
+    return np.unique(_shard_of(
+        _drop_rows(block.select(["doc_id"]), drop)["doc_id"], shard_size))
 
 
 @ray.remote
 def _split_docs_block(
-    block: pa.Table, keep: np.ndarray | None, ids: np.ndarray | None,
+    block: pa.Table, drop: np.ndarray | None, ids: np.ndarray | None,
     shard_size: int, keep_cols: list[str],
 ):
-    """Drop the losing rows, attach doc_id (``ids``; None = the block's
-    own doc_id column), keep the stored columns, and cut the block into
-    one piece per shard it touches, in shard order. The caller sets
-    ``num_returns`` to that count, so each shard writer fetches only its
-    own pieces, never a whole block."""
-    if keep is not None:
-        block = block.filter(pa.array(keep))
+    """Drop the losing rows (``drop``, block-local), attach doc_id
+    (``ids``; None = the block's own doc_id column), keep the stored
+    columns, and cut the block into one piece per shard it touches, in
+    shard order. The caller sets ``num_returns`` to that count, so each
+    shard writer fetches only its own pieces, never a whole block."""
+    block = _drop_rows(block, drop)
     if ids is not None:
         # The incoming block may already carry doc_id/shard columns (e.g.
         # a CLI append using the same file format the build ingested) —
@@ -592,37 +636,42 @@ def _write_docs_shard(path: str, *pieces: pa.Table) -> int:
 def _ranked_blocks(block_refs: list[tuple], keep: np.ndarray,
                    ids: np.ndarray, shard_size: int) -> list[tuple]:
     """Writer input for blocks whose ids the driver assigned: per block
-    with a kept row, ``(ref, keep mask or None, kept ids, shards)``."""
+    with a kept row, ``(ref, dropped rows or None, kept ids, shards)``."""
     out, off = [], 0
     for ref, n in block_refs:
         k = keep[off:off + n]
         b_ids = ids[off:off + n][k]
         off += n
         if len(b_ids):
-            out.append((ref, None if k.all() else k, b_ids,
+            out.append((ref, None if k.all() else np.flatnonzero(~k), b_ids,
                         np.unique(_shard_of(b_ids, shard_size))))
     return out
 
 
-def _id_blocks(refs: list, shard_size: int) -> list[tuple]:
+def _id_blocks(refs: list, shard_size: int,
+               drops: dict[int, np.ndarray] | None = None) -> list[tuple]:
     """Writer input for blocks that already carry doc_id: each block's
-    shards come from one light task over its doc_id column."""
-    shards = ray.get([_block_shards.remote(r, shard_size) for r in refs])
-    return [(r, None, None, s) for r, s in zip(refs, shards) if len(s)]
+    shards come from one light task over its doc_id column, after the
+    rows ``drops[i]`` of block ``i`` are gone."""
+    drops = drops or {}
+    shards = ray.get([_block_shards.remote(r, shard_size, drops.get(i))
+                      for i, r in enumerate(refs)])
+    return [(r, drops.get(i), None, s)
+            for i, (r, s) in enumerate(zip(refs, shards)) if len(s)]
 
 
 def _write_docstore(docs_dir: str, blocks: list[tuple], shard_size: int,
                     keep_cols: list[str], name: str = DOCS_FILE) -> None:
-    """Write ``blocks`` (``(ref, keep, ids, shards)``, see
+    """Write ``blocks`` (``(ref, drop, ids, shards)``, see
     ``_ranked_blocks``/``_id_blocks``) into the docstore: one split task
     per block, then one writer per touched shard that writes
     ``docs/shard=K/{name}`` exactly once. The only data movement is each
     row going from its block to its shard — no shuffle, no rewrite."""
     os.makedirs(docs_dir, exist_ok=True)
     pieces: dict[int, list] = {}
-    for ref, keep, ids, shards in blocks:
+    for ref, drop, ids, shards in blocks:
         outs = _split_docs_block.options(num_returns=len(shards)).remote(
-            ref, keep, ids, shard_size, keep_cols)
+            ref, drop, ids, shard_size, keep_cols)
         for s, piece in zip(shards, outs if len(shards) > 1 else [outs]):
             pieces.setdefault(int(s), []).append(piece)
     ray.get([
@@ -731,141 +780,140 @@ def _parallel_argsort_s_parts(
     return keys, order
 
 
-def _driver_rank_docs(
-    ds: ray.data.Dataset, cfg: IndexConfig, docs_dir: str
-) -> dict:
-    """Small/medium-corpus docs phase: canonical IDs by *driver-side rank*
-    instead of a full-data sort exchange.
-
-    The read→sha pipeline is consumed as a STREAM of blocks: each block's
-    light (sha, key) extraction task launches the moment the block exists
-    (overlapped with the read — no ``materialize()`` barrier), while the
-    driver holds the block refs for the second wave. After the light wave,
-    a driver argsort over the keys as fixed-width *UTF-8 bytes* (numpy "S"
-    memcmp == code-point order, 1/4 the memory of a "U" cast; the
-    ``DEDUP_DRIVER_MAX_ROWS`` guard bounds the footprint) gives each row
-    its dense rank (= doc_id) with first-wins dedup, and the docstore
-    writer (``_write_docstore``) routes each kept row to its shard and
-    writes every shard once. Full rows never shuffle at all — the
-    partitioned write is the only data movement. Returns sub-phase timings.
-    """
-    import time
-
-    t0 = time.perf_counter()
-    block_refs: list[tuple] = []
-    light_futs = []
+def _light_wave(ds: ray.data.Dataset, key_cols: list[str]):
+    """Stream ``ds`` once: its non-empty blocks as ``(ref, num_rows)``
+    and, per block, the light (sha, key) arrays of ``_block_light``.
+    Each light task launches the moment its block exists (overlapped
+    with the read — no ``materialize()`` barrier); full rows stay in
+    the object store for the docstore writer."""
+    block_refs, futs = [], []
     for bundle in ds.iter_internal_ref_bundles():
         for ref, meta in bundle.blocks:
             if meta.num_rows:  # empty split blocks may carry empty schemas
                 block_refs.append((ref, meta.num_rows))
-                light_futs.append(_block_light.remote(ref, cfg.sort_keys))
-    if not block_refs:
-        os.makedirs(docs_dir, exist_ok=True)
-        return {}
-    light = ray.get(light_futs)
-    t1 = time.perf_counter()
+                futs.append(_block_light.remote(ref, key_cols))
+    return block_refs, ray.get(futs)
+
+
+def _canonical_rank(light: list[dict], sort: bool, dedup: bool):
+    """The first-wins ranking build and append share, over one light
+    wave. Canonical order is key order when ``sort`` (stable: equal keys
+    keep arrival order), else arrival order; the first row of each sha
+    in it wins (every row when not ``dedup``). In canonical positions,
+    returns ``(order, sh, first, dup, win, tied)``: the permutation, the
+    shas, the winner mask, every other row of a repeated sha (``dup``),
+    its sha's winner (``win``) and whether it has its winner's key
+    (``tied``: a tie, see ``_settle_ties``). Beyond the one hash pass
+    over the shas this costs O(duplicates)."""
+    import pandas as pd
+
     shas = _concat_s_parallel([d["sha"] for d in light])
-    t1b = time.perf_counter()
-    # keys never materialize serially: bucket pad+concat+argsort all run
-    # in threads (the parts are plasma-backed — cold pages fault in on P
-    # cores); the full key array itself is not needed after the order.
-    _, order = _parallel_argsort_s_parts([d["key"] for d in light])
-    t1c = time.perf_counter()
-    if cfg.dedup:
-        # First-wins: first occurrence of each sha in canonical key order.
-        # Hash-based duplicated() beats a sort-based np.unique ~5x on the
-        # fixed-width sha bytes.
-        import pandas as pd
+    # The key array never materializes serially: bucket pad+concat and
+    # argsort run in threads (the parts are plasma-backed, so their cold
+    # pages fault in on P cores).
+    keys, order = (_parallel_argsort_s_parts([d["key"] for d in light])
+                   if sort else (_concat_s([d["key"] for d in light]),
+                                 np.arange(len(shas))))
+    sh = shas[order]
+    if not dedup:
+        none = np.zeros(0, dtype=np.int64)
+        return (order, sh, np.ones(len(sh), dtype=bool), none, none,
+                np.zeros(0, dtype=bool))
+    # Hash-based duplicated() beats a sort-based np.unique ~5x on the
+    # fixed-width sha bytes; only repeated shas are coded after it.
+    pos = np.flatnonzero(pd.Series(sh).duplicated(keep=False).to_numpy())
+    codes, head = key_codes(sh[pos])
+    first = np.ones(len(sh), dtype=bool)
+    first[pos] = False
+    first[pos[head]] = True
+    win = pos[head[codes]]
+    dup = win != pos
+    dup, win = pos[dup], win[dup]
+    return order, sh, first, dup, win, keys[order[dup]] == keys[order[win]]
 
-        keep_sorted = (~pd.Series(shas[order]).duplicated()).to_numpy()
-    else:
-        keep_sorted = np.ones(len(order), dtype=bool)
-    t1d = time.perf_counter()
-    ids_sorted = cfg.id_start - 1 + np.cumsum(keep_sorted)
-    keep = np.empty(len(order), dtype=bool)
-    keep[order] = keep_sorted
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = ids_sorted  # meaningful only where keep is True
 
-    t2 = time.perf_counter()
-    _write_docstore(docs_dir,
-                    _ranked_blocks(block_refs, keep, ids, cfg.shard_size),
-                    cfg.shard_size, _stored_cols(cfg))
-    return {
+def _unsorted(order: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a``, given in canonical positions, in input row order."""
+    out = np.empty_like(a)
+    out[order] = a
+    return out
+
+
+def _settle_ties(block_refs: list[tuple], sh: np.ndarray, order: np.ndarray,
+                 tie: np.ndarray, win: np.ndarray, keep: np.ndarray,
+                 ids: np.ndarray, content_col: str) -> None:
+    """The tie rule on the driver-ranked paths: the rows of each tie —
+    canonical positions ``win`` (the kept one so far) and ``tie`` — hand
+    the kept slot and its doc id to the row ``_tie_winners`` picks.
+    Updates ``keep`` and ``ids`` (input row order) in place."""
+    if not len(tie):
+        return
+    heads = order[win]
+    rows, i = np.unique(np.concatenate([heads, order[tie]]),
+                        return_index=True)
+    heads = np.concatenate([heads, heads])[i]
+    shas = pa.array(np.char.decode(np.unique(sh[win])), pa.string())
+    pos, won = _tie_winners(block_refs, shas, content_col, rows)
+    got = pos[won]
+    keep[rows] = False
+    keep[got] = True
+    ids[got] = ids[heads[np.searchsorted(rows, got)]]
+
+
+def _driver_rank_docs(ds: ray.data.Dataset, cfg: IndexConfig):
+    """Small/medium-corpus docs phase: canonical IDs by *driver-side rank*
+    instead of a full-data sort exchange. One light wave, then a driver
+    argsort over the keys as fixed-width *UTF-8 bytes* (numpy "S" memcmp
+    == code-point order; the ``DEDUP_DRIVER_MAX_ROWS`` guard bounds the
+    footprint) gives each row its dense rank (= doc_id) with first-wins
+    dedup. Full rows never shuffle: the docstore writer is the only data
+    movement. Returns ``(writer blocks, sub-phase timings)``."""
+    import time
+
+    t0 = time.perf_counter()
+    block_refs, light = _light_wave(ds, cfg.sort_keys)
+    if not block_refs:
+        return [], {}
+    t1 = time.perf_counter()
+    order, sh, first, dup, win, tied = _canonical_rank(light, True, cfg.dedup)
+    keep = _unsorted(order, first)
+    ids = _unsorted(order, cfg.id_start - 1 + np.cumsum(first))
+    _settle_ties(block_refs, sh, order, dup[tied], win[tied], keep, ids,
+                 cfg.content_col)
+    return _ranked_blocks(block_refs, keep, ids, cfg.shard_size), {
         "read_sha_light": round(t1 - t0, 3),
-        "rank": round(t2 - t1, 3),
-        # rank sub-steps, for throttle forensics (the rank step is the
-        # serial-driver floor that amplifies host drift in benches)
-        "rank_concat": round(t1b - t1, 3),
-        "rank_argsort": round(t1c - t1b, 3),
-        "rank_dedup": round(t1d - t1c, 3),
-        "write": round(time.perf_counter() - t2, 3),
+        "rank": round(time.perf_counter() - t1, 3),
     }
 
 
 @ray.remote
-def _filter_and_id_block(
-    block: pa.Table, offset: int, dup_shas=None, owned=None,
-) -> pa.Table:
-    """Attach dense ids to one sorted block, optionally applying the
-    tie-break keep rule: drop every duplicate-sha row except, in the
-    sha's OWNER block, the first row matching the sha's globally
-    minimal fingerprint (see ``_resolve_tie_owners``)."""
-    if dup_shas is not None:
-        idx = pc.index_in(block["content_sha256"], value_set=dup_shas)
-        is_dup = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-        keep = ~is_dup
-        own_code, own_hash = owned if owned is not None else (None, None)
-        if own_code is not None and len(own_code) and is_dup.any():
-            di = np.flatnonzero(is_dup)
-            codes = (pc.fill_null(idx, 0).to_numpy(zero_copy_only=False)
-                     .astype(np.int64)[di])
-            pos = np.clip(np.searchsorted(own_code, codes), 0,
-                          len(own_code) - 1)
-            cand = own_code[pos] == codes
-            if cand.any():
-                h = _tie_row_hash(block.take(pa.array(di[cand])))
-                hit = h == own_hash[pos[cand]]
-                hit_codes = codes[cand][hit]
-                _, first = np.unique(hit_codes, return_index=True)
-                keep[di[cand][hit][first]] = True
-        if not keep.all():
-            block = block.filter(pa.array(keep))
+def _filter_and_id_block(block: pa.Table, offset: int,
+                         drop: np.ndarray | None) -> pa.Table:
+    """Attach dense ids ``offset, offset + 1, …`` to one sorted block
+    once its rows ``drop`` (the losers of their ties) are gone."""
+    block = _drop_rows(block, drop)
     ids = pa.array(np.arange(offset, offset + block.num_rows, dtype=np.int64))
     return block.append_column("doc_id", ids)
 
 
-def _sorted_dedup_ids(
-    ds: ray.data.Dataset, sort_keys: list[str], start: int, tie_shas=None,
-) -> list:
+def _sorted_dedup_ids(ds: ray.data.Dataset, sort_keys: list[str], start: int,
+                      dup_shas: pa.Array, content_col: str) -> list:
     """Canonical sort → dense 1-based doc IDs, in ONE full-data pass:
     a single task wave applies ``doc_id = offset + arange`` per sorted
-    block (offsets from a driver prefix-sum over post-filter counts —
-    metadata only). The huge-corpus path dedups with the shuffle
-    pre-pass (``_dedup_winners``/``_winner_filter``) first and passes
-    ``tie_shas`` (the duplicate-sha set): winner-key TIES the filter
-    cannot break (rows identical in sha AND canonical key) are then
-    resolved on the already-pinned sorted blocks — a light fingerprint
-    wave plus in-task keep masks (``_resolve_tie_owners``) — so the
-    corpus is pinned exactly once, by this sort, and the driver holds
-    only dup-sha metadata. Returns the id-carrying block refs.
-    """
+    block (offsets from a driver prefix-sum over post-drop counts). The
+    huge-corpus path runs the shuffle dedup pre-pass first, so of each
+    duplicate sha in ``dup_shas`` only its winner-key rows are left; the
+    tie rule settles them on the already-pinned sorted blocks, so the
+    corpus is pinned exactly once, by this sort. Returns the id-carrying
+    block refs."""
     block_refs = _block_refs(ds.sort(sort_keys).materialize())
     if not block_refs:
         return []
-
-    counts = [n for _, n in block_refs]
-    tie = tie_shas is not None and len(tie_shas) > 0
-    shas_ref = ray.put(tie_shas) if tie else None
-    per_block = (_resolve_tie_owners(block_refs, shas_ref, counts)
-                 if tie else {})
+    drops = _tie_drops(block_refs, dup_shas, content_col)
+    counts = [n - len(drops.get(i, ())) for i, (_, n) in enumerate(block_refs)]
     offsets = start + np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return [
-        _filter_and_id_block.remote(
-            ref, int(offsets[i]), dup_shas=shas_ref if tie else None,
-            owned=per_block.get(i))
-        for i, (ref, _) in enumerate(block_refs)
-    ]
+    return [_filter_and_id_block.remote(ref, int(offsets[i]), drops.get(i))
+            for i, (ref, _) in enumerate(block_refs)]
 
 
 def _write_index_meta(index_dir: str, cfg: IndexConfig) -> None:
@@ -941,126 +989,41 @@ def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
                        "drop_null_content": True})
 
     ds = read()
-    if cfg.id_col is None and _estimate_rows(source) <= DEDUP_DRIVER_MAX_ROWS:
+    sub = {}
+    if cfg.id_col is not None:
+        blocks = _id_col_docs(ds, read, cfg)
+    elif _estimate_rows(source) <= DEDUP_DRIVER_MAX_ROWS:
         # Driver-rank path: one streamed full-data pipeline with an
-        # overlapped light key wave, then the docstore writer. No shuffle.
-        sub = _driver_rank_docs(ds, cfg, docs_dir)
+        # overlapped light key wave. No shuffle.
+        blocks, sub = _driver_rank_docs(ds, cfg)
     else:
-        if cfg.id_col is None:
-            # Huge-scale path: shuffle dedup pre-pass + canonical sort +
-            # ids. Winner-key ties resolve INSIDE the sort's
-            # materialization (tie_shas) — the corpus is pinned once.
-            tie_shas = None
-            if cfg.dedup:
-                dup_shas, winner_keys = _dedup_winners(read(), cfg.sort_keys)
-                ds = ds.map_batches(
-                    _winner_filter, batch_format="pyarrow",
-                    fn_kwargs={"dup_shas": dup_shas,
-                               "winner_keys": winner_keys,
-                               "key_cols": cfg.sort_keys})
-                tie_shas = dup_shas if len(dup_shas) else None
-            refs = _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start,
-                                     tie_shas=tie_shas)
-        else:
-            refs = _id_col_docs(ds, read, index_dir, cfg)
-        t0 = time.perf_counter()
-        _write_docstore(docs_dir, _id_blocks(refs, cfg.shard_size),
-                        cfg.shard_size, _stored_cols(cfg))
-        sub = {"write": round(time.perf_counter() - t0, 3)}
+        # Huge-scale path: shuffle dedup pre-pass + canonical sort + ids.
+        dup_shas = pa.array([], pa.string())
+        if cfg.dedup:
+            ds, dup_shas = _winner_filtered(ds, read, cfg.sort_keys)
+        blocks = _id_blocks(
+            _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start, dup_shas,
+                              cfg.content_col), cfg.shard_size)
+    t0 = time.perf_counter()
+    _write_docstore(docs_dir, blocks, cfg.shard_size, _stored_cols(cfg))
+    sub["write"] = round(time.perf_counter() - t0, 3)
     with open(marker, "w") as f:
         f.write("ok")
     return sub
 
 
-def _id_col_docs(ds: ray.data.Dataset, read, index_dir: str,
-                 cfg: IndexConfig) -> list:
-    """id_col path: stream the (winner-filtered) corpus once and return
-    its doc_id-carrying block refs, plus the blocks holding the
-    deterministic winner of each duplicate-content tie."""
-    tie_tmp = None
+def _id_col_docs(ds: ray.data.Dataset, read, cfg: IndexConfig) -> list:
+    """id_col path: stream the (winner-filtered) corpus once; returns the
+    docstore writer's input for its doc_id-carrying blocks, with the
+    rows that lose their tie dropped."""
+    dup_shas = pa.array([], pa.string())
     if cfg.dedup:
-        dup_shas, winner_keys = _dedup_winners(read(), [cfg.id_col])
-        ds = ds.map_batches(
-            _winner_filter, batch_format="pyarrow",
-            fn_kwargs={"dup_shas": dup_shas, "winner_keys": winner_keys,
-                       "key_cols": [cfg.id_col]})
-        if len(dup_shas):
-            # No sort barrier on this path — divert the (bounded)
-            # duplicate-sha rows to a temp dir during the single
-            # consuming pass; the group pass after it adds one winner
-            # per sha. Never pins the corpus twice.
-            tie_tmp = os.path.join(index_dir, ".tie_tmp")
-            import shutil
-
-            shutil.rmtree(tie_tmp, ignore_errors=True)
-            os.makedirs(tie_tmp)
-            ds = ds.map_batches(
-                _divert_tie_rows, batch_format="pyarrow",
-                fn_kwargs={"dup_shas": dup_shas, "tmp_dir": tie_tmp})
+        ds, dup_shas = _winner_filtered(ds, read, [cfg.id_col])
     if cfg.id_col != "doc_id":
         ds = ds.rename_columns({cfg.id_col: "doc_id"})
-    refs = [ref for ref, _ in _block_refs(ds)]
-    if tie_tmp is not None:
-        # The stream above is the barrier: every divert task has
-        # finished, so the temp dir is complete.
-        refs += _tie_winner_refs(tie_tmp, cfg)
-    return refs
-
-
-def _divert_tie_rows(t: pa.Table, dup_shas, tmp_dir: str) -> pa.Table:
-    """Single-consume tie-break, pass 1 (id_col mode): stream unique-sha
-    rows onward; side-write duplicate-sha rows (duplicate volume, never
-    corpus volume) for the group pass after the stream. Replaces a
-    whole-corpus ``materialize()`` that pinned/spilled the full stream
-    just so two branches could read it. Atomic per-file writes plus the
-    per-sha group downstream make task retries / speculative
-    re-execution harmless (re-written dup rows collapse per sha)."""
-    m = pc.is_in(t["content_sha256"], value_set=dup_shas)
-    dup = t.filter(m)
-    if dup.num_rows:
-        import uuid
-
-        _atomic_write_parquet(
-            dup, os.path.join(tmp_dir, f"ties-{uuid.uuid4().hex}.parquet"))
-    return t.filter(pc.invert(m))
-
-
-def _first_tie_row(g: pa.Table) -> pa.Table:
-    """Deterministic winner among one sha's tie rows: min by every
-    orderable column, so fully identical rows and store-col variants
-    both resolve reproducibly, independent of partitioning."""
-    if g.num_rows <= 1:
-        return g
-    keys = [(f.name, "ascending") for f in g.schema
-            if not (pa.types.is_nested(f.type)
-                    or pa.types.is_dictionary(f.type))]
-    if keys:
-        return g.take(pc.sort_indices(g, sort_keys=keys)[:1])
-    return g.slice(0, 1)
-
-
-def _tie_winner_refs(tie_tmp: str, cfg: IndexConfig) -> list:
-    """Single-consume tie-break, pass 2 (id_col mode): group the
-    diverted duplicate-sha rows per sha and keep each group's
-    deterministic first row; returns the winners' doc_id-carrying block
-    refs, which join the main blocks before any docstore file is
-    written."""
-    import shutil
-
-    from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
-
-    files = [os.path.join(tie_tmp, n) for n in sorted(os.listdir(tie_tmp))
-             if n.endswith(".parquet")]
-    refs = []
-    if files:
-        ties = ray.data.read_parquet(files)
-        grouped = keyed_fold(ties, "content_sha256", _first_tie_row,
-                             fallback=arrow_schema(ties).empty_table())
-        if cfg.id_col != "doc_id":
-            grouped = grouped.rename_columns({cfg.id_col: "doc_id"})
-        refs = [ref for ref, _ in _block_refs(grouped)]
-    shutil.rmtree(tie_tmp, ignore_errors=True)
-    return refs
+    block_refs = _block_refs(ds)
+    return _id_blocks([ref for ref, _ in block_refs], cfg.shard_size,
+                      _tie_drops(block_refs, dup_shas, cfg.content_col))
 
 
 def _build_shards(shards: list[tuple[int, list[str]]], cfg: IndexConfig,
@@ -1233,8 +1196,8 @@ def append_documents(
     - dictionary and stats re-finalize from the shard manifests.
 
     Scale shape (no driver materialization of data): the new batch
-    streams block-by-block with a light (sha, key) wave exactly like the
-    build's docs phase; dedup against the docstore is a broadcast
+    goes through the build's light wave and first-wins ranking, in-batch
+    ties included (``_canonical_rank``, ``_settle_ties``); dedup against the docstore is a broadcast
     semi-join — the NEW batch's distinct shas broadcast once via
     ``ray.put``, the docstore scanned distributed and column-pruned, and
     only matching (sha, doc_id) pairs return to the driver (bounded by
@@ -1285,30 +1248,22 @@ def append_documents(
     ds = ds.map_batches(
         _sha256_batch, batch_format="pyarrow",
         fn_kwargs={"content_col": cfg.content_col})
-    key_cols = cfg.sort_keys or ["content_sha256"]
-    block_refs: list[tuple] = []
-    light_futs = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta_b in bundle.blocks:
-            if meta_b.num_rows:
-                block_refs.append((ref, meta_b.num_rows))
-                light_futs.append(_block_light.remote(ref, key_cols))
+    block_refs, light = _light_wave(ds, cfg.sort_keys or ["content_sha256"])
     if not block_refs:
         stats = _finalize(index_dir)
         stats["appended"] = 0
         stats["statuses"] = _empty_status_table()
         return stats
-    light = ray.get(light_futs)
-    keys = np.concatenate([d["key"] for d in light])
-    shas = np.concatenate([d["sha"] for d in light])
-    n_in = len(shas)
+    # Canonical-key order when the index has sort keys; otherwise the
+    # batch's arrival order (the reference's ingest-order counter).
+    order, sh_sorted, first_sorted, dup, win, tied = _canonical_rank(
+        light, bool(cfg.sort_keys), cfg.dedup)
 
     # --- conflicts vs live docstore: broadcast semi-join ----------------
     from konlsearch_ray.tombstone import load_tombstones
 
     dead = load_tombstones(index_dir)
-    uniq_shas = np.unique(shas)
-    cand_ref = ray.put(pa.array(np.char.decode(uniq_shas.astype("S64"))))
+    cand_ref = ray.put(pa.array(np.char.decode(np.unique(sh_sorted))))
 
     def _match(t: pa.Table) -> pa.Table:
         m = pc.is_in(t["content_sha256"], value_set=ray.get(cand_ref))
@@ -1330,42 +1285,22 @@ def append_documents(
                 if prev is None or did < prev:  # first-wins: lowest live id
                     conflict_of[b] = int(did)
 
-    # --- canonical order, statuses, dense tail ids ----------------------
-    # Canonical-key order when the index has sort keys; otherwise the
-    # batch's arrival order (the reference's ingest-order counter).
-    order = (np.argsort(keys, kind="stable") if cfg.sort_keys
-             else np.arange(n_in))
-    sh_sorted = shas[order]
+    # --- statuses, dense tail ids ---------------------------------------
     is_err_sorted = sh_sorted == b""  # null content (sha filled to "")
-    import pandas as pd
-
-    if cfg.dedup:
-        first_sorted = (~pd.Series(sh_sorted).duplicated()).to_numpy()
-        conf_arr = (np.array(sorted(conflict_of), dtype="S64")
-                    if conflict_of else np.array([], dtype="S64"))
-        existing_sorted = np.isin(sh_sorted, conf_arr)
-    else:
-        # dedup=False index: duplicate content ingests (same as build);
-        # every non-error row is its own winner.
-        first_sorted = np.ones(n_in, dtype=bool)
-        existing_sorted = np.zeros(n_in, dtype=bool)
+    conf_arr = np.array(sorted(conflict_of), dtype="S64")
+    existing_sorted = np.isin(sh_sorted, conf_arr)
     keep_sorted = first_sorted & ~existing_sorted & ~is_err_sorted
     ids_sorted = max_id + np.cumsum(keep_sorted)
     n_new = int(keep_sorted.sum())
 
     # Status doc_id per row: kept → its new id; existing-conflict → the
-    # live doc's id; in-batch dup → the batch winner's id (which is the
-    # existing id when the winner itself conflicted); error → null.
-    if cfg.dedup:
-        codes, uniq_first = pd.factorize(pd.Series(sh_sorted))
-        winner_id_by_code = np.zeros(len(uniq_first), dtype=np.int64)
-        winner_pos = np.flatnonzero(first_sorted)
-        winner_id_by_code[codes[winner_pos]] = np.where(
-            keep_sorted[winner_pos], ids_sorted[winner_pos],
-            [conflict_of.get(bytes(s), 0) for s in sh_sorted[winner_pos]])
-        status_doc_sorted = winner_id_by_code[codes]
-    else:
-        status_doc_sorted = np.where(keep_sorted, ids_sorted, 0)
+    # live doc's id; in-batch dup → its winner's (which is the existing
+    # id when the winner itself conflicted); error → null.
+    status_doc_sorted = np.where(keep_sorted, ids_sorted, 0)
+    conf_pos = np.flatnonzero(existing_sorted & first_sorted)
+    status_doc_sorted[conf_pos] = [conflict_of[bytes(s)]
+                                   for s in sh_sorted[conf_pos]]
+    status_doc_sorted[dup] = status_doc_sorted[win]
     status_sorted = np.where(
         is_err_sorted, STATUS_ERROR,
         np.where(keep_sorted, STATUS_SUCCESS, STATUS_CONFLICT))
@@ -1414,10 +1349,11 @@ def append_documents(
             os.remove(mf)
 
     # --- one file per touched shard (the build's docstore writer) -------
-    keep = np.empty(n_in, dtype=bool)
-    keep[order] = keep_sorted
-    ids = np.empty(n_in, dtype=np.int64)
-    ids[order] = ids_sorted
+    keep = _unsorted(order, keep_sorted)
+    ids = _unsorted(order, ids_sorted)
+    tie = tied & keep_sorted[win]
+    _settle_ties(block_refs, sh_sorted, order, dup[tie], win[tie], keep, ids,
+                 cfg.content_col)
     _write_docstore(docs_dir,
                     _ranked_blocks(block_refs, keep, ids, cfg.shard_size),
                     cfg.shard_size, _stored_cols(cfg),

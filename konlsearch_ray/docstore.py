@@ -25,6 +25,8 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from konlsearch_ray.segment import docs_files
+
 
 def _unique_ids(doc_ids) -> np.ndarray:
     """Any iterable of doc ids (list, array, set, ...) → its distinct ids
@@ -39,29 +41,21 @@ class DocStore:
         from konlsearch_ray.tombstone import load_tombstones
 
         self.index_dir = index_dir
-        self.docs_dir = os.path.join(index_dir, "docs")
         with open(os.path.join(index_dir, "index_meta.json")) as f:
             self.meta = json.load(f)
         self.shard_size = int(self.meta["shard_size"])
         self._dead = load_tombstones(index_dir)
         self._n_dead_live: int | None = None  # memoized live-dead count
 
-    def _shard_dirs(self, shards: set[int] | None) -> list[str]:
-        out = []
-        for name in sorted(os.listdir(self.docs_dir)):
-            if not name.startswith("shard="):
-                continue
-            if shards is None or int(name.split("=", 1)[1]) in shards:
-                out.append(os.path.join(self.docs_dir, name))
-        return out
+    def _files(self, shards: set[int] | None = None) -> list[str]:
+        """The docstore files of ``shards`` (None = every shard), in
+        shard order (``segment.docs_files``)."""
+        return [f for s, fs in docs_files(self.index_dir).items()
+                if shards is None or s in shards for f in fs]
 
     def _read(self, shards: set[int] | None, flt,
               columns: list[str] | None = None) -> pa.Table:
-        files = []
-        for d in self._shard_dirs(shards):
-            files.extend(
-                os.path.join(d, n) for n in sorted(os.listdir(d))
-                if n.endswith(".parquet"))
+        files = self._files(shards)
         if not files:
             return pa.table({})
         dataset = pads.dataset(files, format="parquet")
@@ -171,11 +165,7 @@ class DocStore:
         this is the metadata side of filtered search
         (``IndexReader.bm25_topk(allowed=...)``). ``shards`` restricts
         the scan (scatter-gather actors pass their own subset)."""
-        files = []
-        for d in self._shard_dirs(shards):
-            files.extend(
-                os.path.join(d, n) for n in sorted(os.listdir(d))
-                if n.endswith(".parquet"))
+        files = self._files(shards)
         if not files:
             return np.zeros(0, dtype=np.int64)
         dataset = pads.dataset(files, format="parquet")
@@ -215,10 +205,9 @@ class DocStore:
         """Parquet schema of the docstore rows — a footer-only read of
         the first shard file (all shards share one schema; the build
         writes them from a single Dataset)."""
-        for d in self._shard_dirs(None):
-            for n in sorted(os.listdir(d)):
-                if n.endswith(".parquet"):
-                    return pq.read_schema(os.path.join(d, n))
+        files = self._files()
+        if files:
+            return pq.read_schema(files[0])
         return pa.schema([("doc_id", pa.int64())])
 
     def scan(self, columns: list[str] | None = None):
@@ -229,11 +218,7 @@ class DocStore:
         """
         import ray.data
 
-        files = []
-        for d in self._shard_dirs(None):
-            files.extend(
-                os.path.join(d, n) for n in sorted(os.listdir(d))
-                if n.endswith(".parquet"))
+        files = self._files()
         if not files:
             return ray.data.from_arrow(pa.table({"doc_id": pa.array([], pa.int64())}))
         cols = columns

@@ -955,6 +955,9 @@ def funnel_counts(
                          "n_converted": pa.array([], pa.int64())})
 
     def partial(t: pa.Table) -> pa.Table:
+        # the left join keeps null-key ``then`` rows; they are dropped
+        # here, before coding (their code, -1, would index the last key)
+        t = t.filter(pc.is_valid(t[key_col]))
         if not t.num_rows:
             return fallback
         t = t.combine_chunks()

@@ -113,23 +113,15 @@ def _drop_vanished_frequency_terms(index_dir: str, freq_dir: str) -> int:
     Returns the number of dropped terms."""
     from konlsearch_ray.pipelines.logagg import (current_frequency_table,
                                                  delete_frequency_terms)
+    from konlsearch_ray.query import _read_dictionary
 
     freq = current_frequency_table(freq_dir)
     if not freq.num_rows:
         return 0
-    dict_dir = os.path.join(index_dir, "dictionary")
-    dict_files = ([os.path.join(dict_dir, n)
-                   for n in sorted(os.listdir(dict_dir))
-                   if n.endswith(".parquet")]
-                  if os.path.isdir(dict_dir) else [])
-    if dict_files:
-        terms = pa.concat_tables(
-            [pq.read_table(f, columns=["term"]) for f in dict_files])["term"]
-        alive = pc.is_in(freq["term"],
-                         value_set=terms.combine_chunks())
-        vanished = freq.filter(pc.invert(alive))["term"]
-    else:  # the whole index compacted away
-        vanished = freq["term"]
+    # an index compacted away has no dictionary: every term vanished
+    terms = _read_dictionary(index_dir)["term"].combine_chunks()
+    vanished = freq.filter(
+        pc.invert(pc.is_in(freq["term"], value_set=terms)))["term"]
     if not len(vanished):
         return 0
     delete_frequency_terms(freq_dir, vanished.combine_chunks())

@@ -205,6 +205,41 @@ def test_append_to_id_col_index_uses_arrival_order(ray_session, tmp_path):
     assert r.search(["aa"], "OR") == [5]
 
 
+def test_append_ties_keep_smallest_row_by_value(ray_session, tmp_path):
+    """In-batch tie rows (same content and canonical key) that differ in
+    a store column: however the batch is split, the append stores the
+    smallest row by value under the tie's canonical id, and the
+    statuses are the same."""
+    import ray.data
+
+    from konlsearch_ray.docstore import DocStore
+
+    base = _mini_corpus([f"zzbase doc {i}" for i in range(6)], "org/base")
+    base = base.append_column("origin", pa.array(["base"] * 6))
+    batch = _mini_corpus([f"zztie doc {i}" for i in range(5)])
+    batch = pa.concat_tables([
+        batch.append_column("origin", pa.array([o] * 5))
+        for o in ("cc", "aa", "bb")])
+    statuses = []
+    for k in (1, 3, 7):
+        idx = str(tmp_path / f"i{k}")
+        build_index(ray.data.from_arrow(base), idx,
+                    IndexConfig(shard_size=4, store_cols=["origin"]))
+        out = append_documents(idx, ray.data.from_arrow(batch).repartition(k))
+        assert out["appended"] == 5
+        st = out["statuses"]
+        assert st.num_rows == 15
+        assert sorted(st["status"].to_pylist()) == (
+            ["CONFLICT"] * 10 + ["SUCCESS"] * 5)
+        new = DocStore(idx).get_range(7, 12)
+        assert new["doc_id"].to_pylist() == [7, 8, 9, 10, 11]
+        assert new["content"].to_pylist() == [
+            f"zztie doc {i}" for i in range(5)]
+        assert new["origin"].to_pylist() == ["aa"] * 5
+        statuses.append(st)
+    assert all(s.equals(statuses[0]) for s in statuses[1:])
+
+
 def test_append_writes_one_sorted_file_per_touched_shard(base):
     """A multi-block append adds exactly ONE doc_id-sorted
     ``append-*.parquet`` to each shard it touches; reads and search see

@@ -145,8 +145,8 @@ def test_docstore_bytes_independent_of_block_split(ray_session, tmp_path):
 
 def test_id_col_ties_one_sorted_file_per_shard(ray_session, tmp_path):
     """id_col mode with duplicate-content ties spread over blocks: the
-    tie winners (min over every column) join the main rows before the
-    writers run, so each shard is still ONE doc_id-sorted file."""
+    tie rule keeps the smallest row and drops the others in their
+    blocks, so each shard is still ONE doc_id-sorted file."""
     import os
 
     import pyarrow as pa

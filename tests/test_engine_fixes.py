@@ -185,8 +185,8 @@ def test_huge_path_tie_break_is_deterministic_on_store_col_variants(
         ray_session, tmp_path, monkeypatch):
     """Tie rows identical in sha AND canonical key but DIFFERING in a
     store column must resolve to the same single winner regardless of
-    input partitioning (the fingerprint-ownership tie-break), and the
-    corpus must never be pinned twice (no whole-stream materialize)."""
+    input partitioning (the tie rule), and the corpus must never be
+    pinned twice (no whole-stream materialize)."""
     import pyarrow.parquet as pq
 
     import konlsearch_ray.build as B
@@ -224,11 +224,68 @@ def test_huge_path_tie_break_is_deterministic_on_store_col_variants(
     assert kept[0].equals(kept[1])
 
 
+def test_tie_rule_same_row_on_every_path_and_layout(
+        ray_session, tmp_path, monkeypatch):
+    """Tie rows (equal in sha AND canonical key) that differ only in a
+    store column: the driver-rank path and the shuffle path, each from
+    1, 3, 7 and 13 input files, keep one row per distinct content — the
+    smallest by value — under the same doc ids."""
+    import pyarrow.parquet as pq
+
+    import konlsearch_ray.build as B
+    from konlsearch_ray.docstore import DocStore
+
+    corpus = write_corpus(str(tmp_path / "c"), 60, seed=77)
+    files = [os.path.join(corpus, n) for n in sorted(os.listdir(corpus))
+             if n.endswith(".parquet")]
+    t = pa.concat_tables([pq.read_table(f) for f in files])
+    tripled = pa.concat_tables([
+        t.append_column("origin", pa.array([tag] * t.num_rows))
+        for tag in ("aa", "bb", "cc")])
+    n_distinct = len(set(t["content"].to_pylist()))
+    srcs = {}
+    for nfiles in (1, 3, 7, 13):
+        src = srcs[nfiles] = str(tmp_path / f"src{nfiles}")
+        os.makedirs(src)
+        step = -(-tripled.num_rows // nfiles)
+        for i in range(0, tripled.num_rows, step):
+            pq.write_table(tripled.slice(i, step),
+                           os.path.join(src, f"part-{i:06d}.parquet"))
+        assert len(os.listdir(src)) == nfiles
+    kept = []
+    for limit in (B.DEDUP_DRIVER_MAX_ROWS, 0):  # driver rank, shuffle
+        monkeypatch.setattr(B, "DEDUP_DRIVER_MAX_ROWS", limit)
+        for nfiles, src in srcs.items():
+            idx = str(tmp_path / f"i{limit}_{nfiles}")
+            build_index(src, idx, IndexConfig(shard_size=64,
+                                              store_cols=["origin"]))
+            docs = (DocStore(idx).get_all().sort_by("doc_id")
+                    .select(["doc_id", "content_sha256", "origin"]))
+            assert docs.num_rows == n_distinct
+            assert len(set(docs["content_sha256"].to_pylist())) == n_distinct
+            assert set(docs["origin"].to_pylist()) == {"aa"}
+            kept.append(docs)
+    assert all(k.equals(kept[0]) for k in kept[1:])
+
+
+def test_tie_rule_orders_by_sortable_flat_columns_only():
+    """The tie rule skips columns Arrow cannot sort (and nested or
+    dictionary ones) instead of failing the build on them."""
+    from konlsearch_ray.build import _orderable
+
+    assert all(_orderable(t) for t in (
+        pa.string(), pa.int64(), pa.float64(), pa.bool_(), pa.binary(),
+        pa.timestamp("us"), pa.null()))
+    assert not any(_orderable(t) for t in (
+        pa.list_(pa.int64()), pa.struct([("a", pa.int64())]),
+        pa.dictionary(pa.int32(), pa.string()),
+        pa.month_day_nano_interval()))
+
+
 def test_id_col_path_collapses_content_ties(ray_session, tmp_path):
     """id_col mode: rows identical in (id, content) are ties the winner
-    filter cannot break — exactly one must land, via the divert +
-    group pass before the docstore write (no whole-corpus
-    materialize)."""
+    filter cannot break — exactly one must land (the tie rule drops the
+    others in their blocks; no whole-corpus materialize)."""
     t = pa.table({
         "id": pa.array([1, 1, 2, 3, 3, 3], pa.int64()),
         "text": pa.array(["same one", "same one", "uniq two",
@@ -246,7 +303,7 @@ def test_id_col_path_collapses_content_ties(ray_session, tmp_path):
 
     docs = DocStore(idx).get_all().sort_by("doc_id")
     assert docs["doc_id"].to_pylist() == [1, 2, 3]
-    # temp divert dir cleaned up
+    # no temp dir left behind
     assert not os.path.exists(os.path.join(idx, ".tie_tmp"))
     r = IndexReader(idx)
     assert r.search(["same"], "OR") == [1]
@@ -254,8 +311,7 @@ def test_id_col_path_collapses_content_ties(ray_session, tmp_path):
 
 
 def test_id_col_path_all_rows_duplicated(ray_session, tmp_path):
-    """Every sha duplicated: the main stream carries zero rows and the
-    ENTIRE docstore comes from the tie-winner pass."""
+    """Every sha duplicated: every docstore row is a tie's kept row."""
     t = pa.table({
         "id": pa.array([1, 2], pa.int64()),
         "text": pa.array(["alpha beta", "gamma delta"]),

@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 
 def _lev(a: str, b: str) -> int:
@@ -92,6 +93,28 @@ def test_funnel_counts_matches_exists_sql(ray_session):
                        int_unit="us").to_pandas()
     assert o2["n_then"].tolist() == [1]
     assert o2["n_converted"].tolist() == [1]
+
+
+@pytest.mark.parametrize("nbuckets", [1, None])
+def test_funnel_counts_drops_null_keys(ray_session, nbuckets):
+    """Null-key ``then`` events are dropped, whether they share a block
+    with other keys (one bucket) or fill a block of their own."""
+    import ray.data
+
+    from konlsearch_ray.functions.temporal import funnel_counts
+
+    t = pa.table({
+        "u": pa.array([1, 1, 2, None, None], pa.int64()),
+        "ts": pa.array([10, 20, 30, 40, 50], pa.int64()),
+        "ev": pa.array(["view"] + ["purchase"] * 4),
+    })
+    out = (funnel_counts(ray.data.from_arrow(t), "u", "ts", "ev",
+                         first="view", then="purchase", within_s=100,
+                         nbuckets=nbuckets, int_unit="us")
+           .to_pandas().sort_values("u"))
+    assert out["u"].tolist() == [1, 2]
+    assert out["n_then"].tolist() == [1, 1]
+    assert out["n_converted"].tolist() == [1, 0]
 
 
 def test_exact_stratified_sample_partition_invariant(ray_session):

@@ -84,12 +84,11 @@ def test_per_shard_jobs_fan_out_only_through_run_per_shard():
     assert _ray_callers("tombstone.py") == set()
     assert _ray_callers("merge.py") == set()
     # build.py keeps the docs phase's per-block waves (light keys, tie
-    # fingerprints, block shards, ids, splits) and the docstore writer,
+    # candidates, block shards, ids, splits) and the docstore writer,
     # whose per-shard tasks take the split pieces as task arguments.
     assert _ray_callers("build.py") == {
-        "_resolve_tie_owners", "_id_blocks", "_write_docstore",
-        "_driver_rank_docs", "_sorted_dedup_ids", "append_documents",
-        "_match"}
+        "_light_wave", "_tie_winners", "_id_blocks", "_write_docstore",
+        "_sorted_dedup_ids", "_match"}
 
 
 @pytest.fixture(scope="module")
