@@ -160,7 +160,7 @@ def run_bench() -> dict:
 
     from konlsearch_ray.build import IndexConfig, build_index
     from konlsearch_ray.corpus import write_corpus
-    from konlsearch_ray.query import IndexReader
+    from konlsearch_ray.query import IndexReader, _read_dictionary
 
     queries: dict[str, float] = {}
 
@@ -293,7 +293,9 @@ def run_bench() -> dict:
     from konlsearch_ray.corpus import HEAD_TERMS
 
     rng = np.random.default_rng(7)
-    vocab_terms = [t for t in reader.sample_terms(4000) if t]
+    # The first 4,000 terms of the index's global vocabulary.
+    vocab_terms = [t for t in _read_dictionary(code_idx)["term"]
+                   .slice(0, 4000).to_pylist() if t]
 
     def _latency() -> dict:
         out = {}

@@ -9,8 +9,9 @@ Encode and decode are both vectorized (no per-int Python loop):
 - encode: compute per-value byte widths, allocate one output buffer,
   scatter the 7-bit groups with numpy arithmetic;
 - decode: locate varint terminators via the continuation-bit mask,
-  shift each byte's 7-bit group into place and OR-reduce them per value
-  (``bitwise_or.reduceat``).
+  then fold each multi-byte value's continuation bytes into its last
+  byte, one lane per byte position, touching only the values that
+  have such bytes.
 
 Block-max metadata (``block_last_doc``, ``block_max_tf`` per
 ``BLOCK_SIZE``-entry block) supports block-skip / block-max-WAND pruning
@@ -34,6 +35,7 @@ BLOCK_SIZE = 128
 # array pays value-based casting on every call (~2x the op's cost).
 _CONT = np.uint8(0x80)   # LEB128 continuation bit
 _LOW7 = np.uint8(0x7F)
+_SEVEN = np.uint64(7)
 
 
 def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -78,34 +80,48 @@ def varint_decode(buf: bytes, count: int | None = None) -> np.ndarray:
 
     Fast path: a stream whose continuation bits are all clear is one
     byte per value — a single cast (the dominant case for delta gaps,
-    tfs and positions, which are mostly < 128). The general path sums
-    per-byte 7-bit contributions with ``bitwise_or.reduceat`` — one pass
-    over the bytes instead of a fancy-indexed loop per byte lane.
+    tfs and positions, which are mostly < 128). The general path starts
+    from each value's last byte (its top 7-bit group) and folds the
+    continuation bytes in below it, one lane per byte position from the
+    end (Horner: ``v = v << 7 | byte``). A lane touches only the values
+    that still have a byte there, so its cost follows the multi-byte
+    values, not the stream: a batch whose only wide values are a few
+    absolute doc ids pays one short lane.
 
-    Serving decodes a few hundred bytes per call, so the fixed cost of
-    each numpy call dominates: the general path keeps its call count low
-    and updates intermediates in place.
+    A stream that ends inside a value (last byte with its continuation
+    bit set) raises ``ValueError``.
     """
     raw = np.frombuffer(buf, dtype=np.uint8)
-    last = raw < _CONT
-    if last.all():  # every value single-byte (or an empty stream)
-        n = raw.size
+    cont = raw >= _CONT
+    c = cont.nonzero()[0]  # the continuation bytes: few in posting streams
+    if not c.size:  # every value single-byte (or an empty stream)
         out = raw.astype(np.uint64)
     else:
-        ends = last.nonzero()[0]
-        n = ends.size
-        starts = np.empty(n, dtype=np.intp)
-        starts[0] = 0
-        np.add(ends[:-1], 1, out=starts[1:])
-        # Byte offset within its value, times 7: each byte's shift.
-        shift = np.arange(raw.size, dtype=np.intp)
-        shift -= starts.repeat(ends - starts + 1)
-        shift *= 7
-        out = (raw & _LOW7).astype(np.uint64)
-        out <<= shift.view(np.uint64)
-        out = np.bitwise_or.reduceat(out, starts)
-    if count is not None and n != count:
-        raise ValueError(f"varint stream has {n} values, expected {count}")
+        if cont[-1]:
+            raise ValueError("varint stream ends inside a value")
+        last = ~cont
+        out = raw[last].astype(np.uint64)  # each value's last byte
+        # A multi-byte value's top continuation byte sits right before
+        # its last byte; the k continuation bytes before it belong to
+        # earlier values, so its value index is its position minus k.
+        k = last[c + 1].nonzero()[0]
+        p = c[k]
+        at = p - k
+        v = out[at]
+        while True:
+            v <<= _SEVEN
+            v |= raw[p] & _LOW7
+            out[at] = v
+            p -= 1
+            # The value goes on below p + 1 while that byte continues it
+            # (p = -1 reads the stream's last byte, which never does).
+            more = cont[p]
+            if not more.any():
+                break
+            at, p, v = at[more], p[more], v[more]
+    if count is not None and out.size != count:
+        raise ValueError(
+            f"varint stream has {out.size} values, expected {count}")
     return out
 
 

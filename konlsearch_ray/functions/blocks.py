@@ -17,7 +17,10 @@ empty group with the typed ``fallback`` (``merge`` never sees one),
 then rebuilds the output from its non-empty block refs — only refs
 move to the driver, the blocks stay in the object store — and returns
 exactly ``fallback`` when nothing survives, so an empty input keeps
-the non-empty schema.
+the non-empty schema.  It also owns the null-key landmine: the sort
+shuffle cannot order a null beside a string, so string and binary keys
+cross the exchange encoded (``_encode_keys``) and a null key still
+forms its own group.
 
 ``nonempty_refs`` additionally reports the row count, so join chains can
 SHORT-CIRCUIT on an empty side: Ray's hash-shuffle join crashes when a
@@ -168,6 +171,58 @@ def _segmented_order(
     return order, first, starts, np.repeat(starts, lens)
 
 
+# Ray's sort shuffle finds its partition bounds by comparing key values
+# in Python, and a null beside a string raises TypeError there. So a
+# string or binary key crosses the exchange encoded: "\x00" + value, and
+# a null as "\x01", which sorts after every value and still forms its own
+# group; ``fold`` decodes the key before ``merge`` sees the group.
+_BIG = (1 << 31) - 1  # ``binary_slice``'s stop: past any key's end
+
+
+def _text_key(t: pa.DataType):
+    """The (encoded, null) markers and slicer of a string or binary key
+    type; None for any other type, which crosses the exchange as is."""
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return "\x00", "\x01", lambda c: pc.utf8_slice_codeunits(c, 1)
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return b"\x00", b"\x01", lambda c: pc.binary_slice(c, 1, _BIG)
+    return None
+
+
+def _encode_keys(t: pa.Table, keys: list[str]) -> pa.Table:
+    for k in keys:
+        col, spec = t[k], _text_key(t[k].type)
+        if spec is not None:
+            tag, null, _ = spec
+            typ = col.type
+            enc = pc.fill_null(
+                pc.binary_join_element_wise(pa.scalar(tag, typ), col,
+                                            pa.scalar(tag[:0], typ)),
+                pa.scalar(null, typ))
+            t = t.set_column(t.schema.get_field_index(k), k, enc)
+    return t
+
+
+def _decode_keys(g, keys: list[str]):
+    """``g`` (an Arrow table or a pandas frame) with its keys decoded."""
+    for k in keys:
+        if isinstance(g, pa.Table):
+            spec = _text_key(g[k].type)
+            if spec is not None:
+                _, null, cut = spec
+                col, typ = g[k], g[k].type
+                dec = pc.if_else(pc.equal(col, pa.scalar(null, typ)),
+                                 pa.scalar(None, typ), cut(col))
+                g = g.set_column(g.schema.get_field_index(k), k, dec)
+        else:
+            col = g[k]
+            first = next((v for v in col if v is not None), None)
+            if isinstance(first, (str, bytes)):
+                null = "\x01" if isinstance(first, str) else b"\x01"
+                g = g.assign(**{k: col.str[1:].where(col != null, None)})
+    return g
+
+
 def keyed_fold(
     ds: ray.data.Dataset,
     key: str | list[str],
@@ -182,17 +237,21 @@ def keyed_fold(
     the module docstring).
 
     ``partial`` and ``merge`` both see ``batch_format`` batches;
-    ``merge`` sees only non-empty groups.  ``fallback`` is the typed
+    ``merge`` sees only non-empty groups, with the key values as
+    stored (null keys form one group of their own).  ``fallback`` is the typed
     empty output table: it answers empty groups, and it is the result
     when no group emits a row."""
     if partial is not None:
         ds = ds.map_batches(partial, batch_format=batch_format)
+    keys = [key] if isinstance(key, str) else list(key)
 
     def fold(g):
-        return merge(g) if len(g) else fallback
+        return merge(_decode_keys(g, keys)) if len(g) else fallback
 
     refs, _ = nonempty_refs(
-        ds.groupby(key).map_groups(fold, batch_format=batch_format))
+        ds.map_batches(lambda t: _encode_keys(t, keys), batch_format="pyarrow",
+                       batch_size=None)
+        .groupby(key).map_groups(fold, batch_format=batch_format))
     return (ray.data.from_arrow_refs(refs) if refs
             else ray.data.from_arrow(fallback))
 

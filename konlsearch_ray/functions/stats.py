@@ -61,7 +61,9 @@ def grouped_quantiles(
         out = {key_col: [g[key_col].iloc[0]], "n": [n]}
         for lb, i in zip(labels, idx):
             out[lb] = [float(v[i])]
-        return pd.DataFrame(out)
+        # Typed by ``fallback``: a null-key group's row keeps the key type.
+        return pa.Table.from_pandas(pd.DataFrame(out), schema=fallback.schema,
+                                    preserve_index=False)
 
     return keyed_fold(ds, key_col, emit, fallback=fallback,
                       batch_format="pandas")

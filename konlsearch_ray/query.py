@@ -336,17 +336,6 @@ class IndexReader:
 
         return DocStore(self.index_dir)
 
-    def sample_terms(self, n: int) -> list[str]:
-        """First ``n`` stored terms in segment order — bench/test helper
-        (term enumeration is not a serving-path operation)."""
-        out: list[str] = []
-        for col in self._store.term_columns():
-            take = min(n - len(out), len(col))
-            out.extend(col.slice(0, take).to_pylist())
-            if len(out) >= n:
-                break
-        return out
-
     # --- posting access -------------------------------------------------
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """term → (doc_ids asc, tfs, first_positions)."""
@@ -499,11 +488,12 @@ class IndexReader:
 
         Infix/regex wildcards can't use the sorted-range trick prefix
         expansion uses, so this is the Lucene-style fallback: a full
-        vocabulary scan — but vectorized, not per-term Python. Each
-        segment's ``term`` column is already an Arrow string column, so
-        the scan is one zero-copy :func:`pyarrow.compute` RE2 kernel per
-        segment; cost is proportional to VOCABULARY size (terms × avg
-        term bytes), never corpus size, and in the sharded engine each
+        vocabulary scan — but vectorized, not per-term Python. The
+        store's ``term_column`` is already an Arrow string column (one
+        row per (term, segment) cell), so the scan is one zero-copy
+        :func:`pyarrow.compute` RE2 kernel; cost is proportional to
+        VOCABULARY size (terms × avg term bytes), never corpus size,
+        and in the sharded engine each
         actor scans only its own shards, so wall-time divides by the
         actor count. Substrings go through the query normalizer (terms
         are stored sanitized/lowercased); regex patterns are used as
@@ -520,16 +510,10 @@ class IndexReader:
             if not norm:
                 return []
             pat = norm[0]
-        matched: set[str] = set()
-        for col in self._store.term_columns():
-            if not len(col):
-                continue
-            mask = (pc.match_substring_regex(col, pat) if regex
-                    else pc.match_substring(col, pat))
-            hits = pc.unique(col.filter(mask))
-            if len(hits):
-                matched.update(hits.to_pylist())
-        return sorted(matched)[:limit]
+        col = self._store.term_column
+        mask = (pc.match_substring_regex(col, pat) if regex
+                else pc.match_substring(col, pat))
+        return sorted(pc.unique(col.filter(mask)).to_pylist())[:limit]
 
     def search_contains(self, substring: str, limit: int = 64) -> list[int]:
         """Docs containing ANY term with ``substring`` anywhere in it
@@ -1168,8 +1152,12 @@ class QueryStage:
 
     ``shards`` + ``partial=True`` turn the stage into one leg of the
     scatter-gather layout (``sharded_query_pipeline``): the actor holds
-    only its shard subset (actor-pool memory = index/K, the
-    ShardedQueryEngine layout behind the Dataset API) and emits per-doc
+    only its shard subset, a contiguous run of about 1/K of the shards
+    (``_sharded_groups``, the ShardedQueryEngine layout behind the
+    Dataset API), so its segments and its doc-id window — the
+    ``_lnorm`` table and dense impact vectors, 8 B per window id — are
+    about index/K. The cached postings grow with the terms it serves
+    (unbounded today). It emits per-doc
     PARTIAL rows (mode + k carried through) for a downstream per-qid
     merge. Per-doc BM25 scores are complete within a subset (a doc lives
     in exactly one shard; idf/N/avgdl are global via ``use_global_df``),
@@ -1246,8 +1234,9 @@ def sharded_query_pipeline(
 
     The index's shards split into ``num_subsets`` disjoint groups; the
     query stream fans out through one ``map_batches(QueryStage)`` actor
-    pool per group (each actor holds ONLY its group — memory per actor =
-    index/K instead of the whole index), the partial streams union, and
+    pool per group (each actor holds ONLY its group, a contiguous run of
+    shards: segments and doc-id window about index/K instead of the
+    whole index), the partial streams union, and
     one merge task (``_merge_partials``) produces final ranks. Results
     are identical to a whole-index ``QueryStage``: id-mode partials
     concatenate over disjoint doc sets; BM25 per-doc scores are complete
@@ -1279,9 +1268,14 @@ def sharded_query_pipeline(
 
 
 def _sharded_groups(index_dir: str, k: int, caller: str) -> list[list[int]]:
-    """Validated round-robin shard groups for the sharded serving paths
+    """Validated shard groups for the sharded serving paths
     (``sharded_query_pipeline`` and ``ShardedQueryEngine`` share this so
-    the compaction precondition lives in one place). A zero-document
+    the compaction precondition lives in one place): ``k`` contiguous
+    runs of the ascending shard numbers whose sizes differ by at most
+    one. A shard holds a contiguous doc-id range, so a group's reader
+    window W (its ``_lnorm`` and dense impact vectors, 8·W bytes each)
+    spans at most (group size × ``shard_size``) ids, not the whole
+    index, and its dense rule sees the group's own docs. A zero-document
     index gets one empty group, so it serves empty results as the
     whole-index reader does. Requires a compacted index: dictionary/ df
     is physical (pre-delete) and a subset reader cannot recompute live df
@@ -1295,7 +1289,9 @@ def _sharded_groups(index_dir: str, k: int, caller: str) -> list[list[int]]:
             "konlsearch_ray.tombstone.compact_index() first")
     shard_ids = shard_nums(index_dir)
     k = max(1, min(k, len(shard_ids)))
-    return [shard_ids[i::k] for i in range(k)]
+    size, extra = divmod(len(shard_ids), k)
+    cuts = [i * size + min(i, extra) for i in range(k + 1)]
+    return [shard_ids[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 class ShardQueryActor:

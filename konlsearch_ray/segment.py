@@ -26,7 +26,11 @@ Every other module reaches the format through this one:
 - rewrite: ``decode_segment``/``decode_columns`` (compaction, export)
   and ``shift_segment`` (merge);
 - read: ``PostingStore``, the reader's posting lists, their positions
-  and their cache.
+  and their cache. At open it reads only the reader's columns (not
+  ``cf`` or ``block_last_doc``) and sorts every segment's rows by
+  (term, segment), gathering each stream it reads into that order, so
+  a term's cells are one row range and each of its streams one buffer
+  slice.
 
 Nothing here imports ray at module scope: ``query`` imports this module
 and stays importable without ray.
@@ -138,11 +142,13 @@ def run_per_shard(fn, items: list, *args) -> None:
     ray.get([task.remote(items[i::p], *args) for i in range(p)])
 
 
-def _read_tables(paths: list[str]) -> list[pa.Table]:
+def _read_tables(paths: list[str],
+                 columns: list[str] | None = None) -> list[pa.Table]:
     # Parquet reads release the GIL: a thread pool keeps reader and
     # actor start-up from paying one serial read per shard file.
     with ThreadPoolExecutor(max_workers=8) as pool:
-        return list(pool.map(pq.read_table, paths))
+        return list(pool.map(
+            lambda p: pq.read_table(p, columns=columns), paths))
 
 
 def read_doclens(index_dir: str, shards: list[int]) -> pa.Table:
@@ -380,19 +386,34 @@ def shift_segment(seg: pa.Table, id_off: int) -> pa.Table:
 
 # --- read -----------------------------------------------------------------
 
+# The columns a reader reads: ``cf`` and ``block_last_doc`` serve the
+# rewrites (the dictionary and merge's shift) only.
+_STORE_COLUMNS = ["term", "df", "doc_ids_bin", "tfs_bin", "pos_bin",
+                  "pos_rest_bin", "block_max_tf"]
+
+
+def _row_bytes(view: tuple[np.ndarray, memoryview], spans) -> bytes:
+    """The bytes of each row range in ``spans`` of a ``binary_view``,
+    concatenated: rows lie back to back, so a range is one slice."""
+    offs, data = view
+    return b"".join([data[offs[r.start]:offs[r.stop]] for r in spans])
+
+
 class _TermEntry:
     """Everything a store keeps for one queried term, in one place.
 
-    ``locs`` are the term's (segment, row) cells; ``ids``/``tfs`` its live
-    postings and ``live`` the mask that removed tombstoned entries from
-    the stored ones (None when none was removed). ``maxtf``, the max of
-    the live tfs (0 when there are none), is set at decode: it bounds
-    every posting and is never looser than the stored block maxima.
-    First positions (``pos``, PHRASE), every position (``allpos``, NEAR)
-    and the per-block bounds (``bmax``/``bcount``) decode on first use. Bounds stay per stored block: ``bmax[b]`` is
-    block b's max tf and ``bcount[b]`` its stored entry count, so
-    ``np.repeat(x, bcount)`` followed by ``[live]`` aligns a per-block
-    value with the postings.
+    ``locs`` is the term's range of the store's term-sorted rows (one
+    row per (term, segment) cell, in segment order; empty when no segment
+    holds the term); ``ids``/``tfs`` its live postings and ``live`` the
+    mask that removed tombstoned entries from the stored ones (None when
+    none was removed). ``maxtf``, the max of the live tfs (0 when there
+    are none), is set at decode: it bounds every posting and is never
+    looser than the stored block maxima. First positions (``pos``,
+    PHRASE), every position (``allpos``, NEAR) and the per-block bounds
+    (``bmax``/``bcount``) decode on first use. Bounds stay per stored
+    block: ``bmax[b]`` is block b's max tf and ``bcount[b]`` its stored
+    entry count, so ``np.repeat(x, bcount)`` followed by ``[live]``
+    aligns a per-block value with the postings.
 
     ``imp`` and ``dimp`` are reader state kept on the store's entry; the
     store never reads them. ``imp`` is the term's unboosted BM25 impact of
@@ -416,84 +437,81 @@ class _TermEntry:
         self.imp = self.dimp = None
 
 
-class _Segment:
-    """One loaded segment table and its zero-copy column views, each built
-    on first use (a BM25 query never builds a position view). A term's
-    cell is then a pure buffer slice — no per-cell ``.as_py()``."""
-
-    def __init__(self, table: pa.Table):
-        self.table = table
-
-    @cached_property
-    def df(self) -> np.ndarray:
-        return self.table["df"].to_numpy(zero_copy_only=False)
-
-    @cached_property
-    def docs(self) -> tuple[np.ndarray, memoryview]:
-        return binary_view(self.table["doc_ids_bin"])
-
-    @cached_property
-    def tfs(self) -> tuple[np.ndarray, memoryview]:
-        return binary_view(self.table["tfs_bin"])
-
-    @cached_property
-    def pos(self) -> tuple[np.ndarray, memoryview]:
-        return binary_view(self.table["pos_bin"])
-
-    @cached_property
-    def rest(self) -> tuple[np.ndarray, memoryview]:
-        return binary_view(self.table["pos_rest_bin"])
-
-    @cached_property
-    def bmax(self) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, flat values) of ``block_max_tf``: cell ``i`` is
-        ``vals[offs[i]:offs[i+1]]``, a numpy view."""
-        col = self.table["block_max_tf"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        return (col.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
-                col.values.to_numpy(zero_copy_only=False))
-
-
 class PostingStore:
     """The posting lists of a set of shard segments, decoded on demand and
     cached as one entry per queried term.
 
-    Segments load once, in full. Term resolution goes through ONE global
-    sorted (term bytes, segment, row) index: a query's cold terms cost
-    one ``searchsorted`` pair in total, not one per term or per segment
-    (~25 us of dispatch each — 95 segments made every cold term pay
-    ~2.4 ms), and decode together in one fused pass (``entries``).
-    ``dead`` holds tombstoned doc ids (sorted, unique), masked out of
-    every entry. Block bounds are built only when asked (``bounds``).
+    At open the segments' reader columns (``_STORE_COLUMNS``) load in
+    full, and their rows are sorted by (term bytes, segment): ``keys``
+    holds the sorted term bytes, and each column the store reads is
+    gathered into that order (``_column``). A term's cells are then one
+    contiguous row range, and each of its streams one buffer slice: a
+    query's cold terms cost one ``searchsorted`` pair in total and one
+    slice per stream per term, however many shards hold them, and
+    decode together in one fused pass (``entries``). ``dead`` holds
+    tombstoned doc ids (sorted, unique), masked out of every entry.
+    Block bounds are built only when asked (``bounds``).
     """
 
     def __init__(self, index_dir: str, shards: list[int], dead: np.ndarray):
-        tables = _read_tables([segment_path(index_dir, s) for s in shards])
-        self._segs = [_Segment(t) for t in tables]
+        from konlsearch_ray.build import _parallel_argsort_s_parts
+
+        tables = _read_tables([segment_path(index_dir, s) for s in shards],
+                              columns=_STORE_COLUMNS)
         self._dead = dead
         self._terms: dict[str, _TermEntry] = {}
-        nz = [(i, p) for i, p in
-              ((i, _string_col_to_S(t["term"])) for i, t in enumerate(tables))
-              if len(p)]
-        if nz:
-            from konlsearch_ray.build import _parallel_argsort_s_parts
+        # Empty segments add no key part and no rows: ``order`` indexes
+        # the concatenated rows either way. The stable sort keeps
+        # segment order within a term.
+        keys, order = _parallel_argsort_s_parts(
+            [_string_col_to_S(t["term"]) for t in tables])
+        self.keys = keys[order]
+        self._order = order.astype(np.int32)  # 4 B a cell
+        # Rows in segment order; ``_column`` gathers a column into term
+        # order on first use.
+        self._rows = (pa.concat_tables(tables) if tables else
+                      pa.schema([SEGMENT_SCHEMA.field(c) for c in
+                                 _STORE_COLUMNS]).empty_table())
+        self._df = self._rows["df"].to_numpy()[order]
+        # Row i's postings are entries cdf[i]:cdf[i + 1] of the streams.
+        self._cdf = np.concatenate(([0], np.cumsum(self._df)))
+        self._docs = binary_view(self._column("doc_ids_bin"))
+        self._tfs = binary_view(self._column("tfs_bin"))
 
-            keys, order = _parallel_argsort_s_parts([p for _, p in nz])
-            seg_i = np.concatenate(
-                [np.full(len(p), i, np.int32) for i, p in nz])
-            row_i = np.concatenate(
-                [np.arange(len(p), dtype=np.int32) for _, p in nz])
-            # The stable sort keeps segment order within a term.
-            self.keys, self._seg_i, self._row_i = (
-                keys[order], seg_i[order], row_i[order])
-        else:
-            self.keys = np.zeros(0, "S1")
-            self._seg_i = self._row_i = np.zeros(0, np.int32)
+    def _column(self, name: str) -> pa.ChunkedArray:
+        """Column ``name`` in term order; its segment-order copy goes.
+        Every decode reads the doc-gap and tf streams, so they are
+        gathered at open; the position streams wait for a PHRASE or NEAR
+        query and the block maxima for a block skip, so a reader that
+        never runs them never gathers them."""
+        col = self._rows[name].take(self._order)
+        self._rows = self._rows.drop_columns([name])
+        return col
 
-    def term_columns(self) -> list:
-        """Each segment's ``term`` column, in segment order."""
-        return [s.table["term"] for s in self._segs]
+    def _count(self, rows: range) -> int:
+        """The stored postings of a range of rows."""
+        return int(self._cdf[rows.stop] - self._cdf[rows.start])
+
+    @property
+    def term_column(self) -> pa.ChunkedArray:
+        """Every (term, segment) cell's term, in segment order."""
+        return self._rows["term"]
+
+    @cached_property
+    def _pos(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self._column("pos_bin"))
+
+    @cached_property
+    def _rest(self) -> tuple[np.ndarray, memoryview]:
+        return binary_view(self._column("pos_rest_bin"))
+
+    @cached_property
+    def _bmax(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, flat values) of ``block_max_tf``: row ``i``'s blocks
+        are ``vals[offs[i]:offs[i + 1]]``."""
+        col = self._column("block_max_tf").combine_chunks()
+        return (col.offsets.to_numpy().astype(np.int64),
+                col.values.to_numpy(zero_copy_only=False))
 
     def entry(self, term: str) -> _TermEntry:
         """The term's cached entry; a cold term decodes here. (The warm
@@ -506,12 +524,13 @@ class PostingStore:
         (repeats allowed) decode together here, in one batch:
 
         - ONE ``searchsorted`` pair over ``keys`` locates every cold
-          term (an empty term, or one longer than the longest stored
-          term, gets no cells);
-        - their (segment, row) cells' doc-gap and tf blobs concatenate
-          into ONE fused varint pass (``codec.decode_postings``): each
-          cell's first gap is its absolute doc id, so the segmented
-          cumsum resets at every cell, across shards and terms alike;
+          term's row range (an empty term, or one longer than the
+          longest stored term, gets none);
+        - each term's doc-gap and tf bytes are one slice per stream, and
+          all of them concatenate into ONE fused varint pass
+          (``codec.decode_postings``): each cell's first gap is its
+          absolute doc id, so the segmented cumsum resets at every
+          cell, across shards and terms alike;
         - the decoded streams split back per term by the terms' df sums.
 
         A query's first touch of its terms, head terms spanning hundreds
@@ -534,26 +553,13 @@ class PostingStore:
         q = np.array(tbs, dtype=keys.dtype)  # an over-long term truncates
         lo = keys.searchsorted(q, side="left").tolist()
         hi = keys.searchsorted(q, side="right").tolist()
+        spans = [range(a, b if 0 < len(tb) <= width else a)
+                 for tb, a, b in zip(tbs, lo, hi)]
         # dfs: one per cell, so the cumsum resets per cell; ns: per term.
-        docs, tfs, dfs, ns, spans = [], [], [], [], []
-        for tb, i0, i1 in zip(tbs, lo, hi):
-            if not 0 < len(tb) <= width:
-                i1 = i0
-            locs = list(zip(self._seg_i[i0:i1].tolist(),
-                            self._row_i[i0:i1].tolist()))
-            n = 0
-            for si, i in locs:
-                seg = self._segs[si]
-                df = int(seg.df[i])
-                dfs.append(df)
-                n += df
-                offs, data = seg.docs
-                docs.append(data[offs[i]:offs[i + 1]])
-                offs, data = seg.tfs
-                tfs.append(data[offs[i]:offs[i + 1]])
-            ns.append(n)
-            spans.append(locs)
-        ids, tf = decode_postings(b"".join(docs), b"".join(tfs), dfs)
+        ns = [self._count(r) for r in spans]
+        dfs = np.concatenate([self._df[r.start:r.stop] for r in spans])
+        ids, tf = decode_postings(_row_bytes(self._docs, spans),
+                                  _row_bytes(self._tfs, spans), dfs)
         keep = None
         d = self._dead
         if len(d) and len(ids):
@@ -576,36 +582,26 @@ class PostingStore:
             self._terms[t] = _TermEntry(locs, e_ids, e_tf, live)
 
     def bounds(self, e: _TermEntry) -> _TermEntry:
-        """Fill the entry's per-block bounds from the segments'
-        ``block_max_tf`` lists (block b of a sub-list holds BLOCK_SIZE
-        entries, its last block the rest)."""
+        """Fill the entry's per-block bounds from its rows'
+        ``block_max_tf`` lists (block b of a row's list holds BLOCK_SIZE
+        entries, its last block the rest; an empty row has no blocks)."""
         if e.bmax is None:
-            maxes, counts = [], []
-            for si, i in e.locs:
-                seg = self._segs[si]
-                offs, vals = seg.bmax
-                m = vals[offs[i]:offs[i + 1]]
-                if not len(m):
-                    continue  # an empty sub-list has no blocks
-                maxes.append(m)
-                counts += [BLOCK_SIZE] * (len(m) - 1)
-                counts.append(int(seg.df[i]) - BLOCK_SIZE * (len(m) - 1))
-            e.bmax = (np.concatenate(maxes, dtype=np.int64) if maxes
-                      else np.zeros(0, dtype=np.int64))
-            e.bcount = np.array(counts, dtype=np.int64)
+            offs, vals = self._bmax
+            r = e.locs
+            nb = np.diff(offs[r.start:r.stop + 1])
+            e.bmax = vals[offs[r.start]:offs[r.stop]].astype(np.int64)
+            e.bcount = np.full(len(e.bmax), BLOCK_SIZE, dtype=np.int64)
+            has = nb > 0
+            e.bcount[np.cumsum(nb)[has] - 1] = (
+                self._df[r.start:r.stop][has] - BLOCK_SIZE * (nb[has] - 1))
         return e
 
     def postings(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """term → (doc_ids asc, tfs, first_positions)."""
         e = self.entry(term)
         if e.pos is None:
-            blobs, n = [], 0
-            for si, i in e.locs:
-                seg = self._segs[si]
-                n += int(seg.df[i])
-                offs, data = seg.pos
-                blobs.append(data[offs[i]:offs[i + 1]])
-            pos = varint_decode(b"".join(blobs), n).astype(np.int32)
+            pos = varint_decode(_row_bytes(self._pos, [e.locs]),
+                                self._count(e.locs)).astype(np.int32)
             e.pos = pos if e.live is None else pos[e.live]
         return e.ids, e.tfs, e.pos
 
@@ -613,7 +609,7 @@ class PostingStore:
         """Every position of each term's live postings, in ``terms``
         order: posting ``i`` of the term's entry (``ids[i]``) owns the
         next ``tfs[i]`` values, ascending. Decoded on first use, all the
-        cold terms together: one varint pass over their cells' first
+        cold terms together: one varint pass over their rows' first
         positions and stored tfs, one over their rest gaps; a segmented
         cumsum, reset at each posting's first position, turns the gaps
         into positions.
@@ -622,19 +618,12 @@ class PostingStore:
         es = self.entries(terms)
         cold = list({id(e): e for e in es if e.allpos is None}.values())
         if cold:
-            firsts, tfs, rests, ns = [], [], [], []
-            n = 0
-            for e in cold:
-                start = n
-                for si, i in e.locs:
-                    seg = self._segs[si]
-                    n += int(seg.df[i])
-                    for blobs, (offs, data) in ((firsts, seg.pos),
-                                                (tfs, seg.tfs),
-                                                (rests, seg.rest)):
-                        blobs.append(data[offs[i]:offs[i + 1]])
-                ns.append(n - start)
-            vals = varint_decode(b"".join(firsts + tfs), 2 * n).view(np.int64)
+            spans = [e.locs for e in cold]
+            ns = [self._count(r) for r in spans]
+            n = sum(ns)
+            vals = varint_decode(_row_bytes(self._pos, spans)
+                                 + _row_bytes(self._tfs, spans),
+                                 2 * n).view(np.int64)
             first, tf = vals[:n], vals[n:]
             # Posting i's occurrences are occ[i]:occ[i + 1].
             occ = np.concatenate(([0], np.cumsum(tf)))
@@ -643,7 +632,8 @@ class PostingStore:
             rest = np.ones(occ[-1], dtype=bool)
             rest[heads] = False
             gaps[heads] = first
-            gaps[rest] = varint_decode(b"".join(rests), occ[-1] - n)
+            gaps[rest] = varint_decode(_row_bytes(self._rest, spans),
+                                       occ[-1] - n)
             pos = np.cumsum(gaps)
             pos -= np.repeat(pos[heads] - first, tf)
             end = 0

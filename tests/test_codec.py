@@ -136,6 +136,48 @@ def test_varint_encoder_matches_reference_property(xs):
     _assert_same_encoding(np.array(xs, dtype=np.uint64))
 
 
+def _width_values(width: int) -> st.SearchStrategy:
+    """Values whose LEB128 encoding takes exactly ``width`` bytes."""
+    lo = 0 if width == 1 else 1 << 7 * (width - 1)
+    return st.integers(min_value=lo,
+                       max_value=min((1 << 7 * width) - 1, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(*(_width_values(w) for w in range(1, 11)),
+                          st.sampled_from([0, 2**64 - 1])),
+                max_size=200))
+def test_varint_decode_inverts_encoder_at_every_width(xs):
+    """The decoder reads back what ``varint_encode_with_sizes`` wrote,
+    for every byte width 1..10 mixed in one stream, 0 and 2^64 − 1;
+    cut at each value's end it decodes the values before the cut."""
+    vals = np.array(xs, dtype=np.uint64)
+    buf, sizes = varint_encode_with_sizes(vals)
+    out = varint_decode(buf, len(vals))
+    assert out.dtype == np.uint64
+    assert np.array_equal(out, vals)
+    ends = np.cumsum(sizes)
+    for i in range(0, len(vals), 17):
+        assert np.array_equal(varint_decode(buf[:int(ends[i])]),
+                              vals[:i + 1])
+
+
+def test_varint_decode_empty_and_truncated_streams():
+    """The empty stream is zero values; a stream cut inside a value
+    raises rather than dropping the value's bytes."""
+    assert varint_decode(b"", 0).dtype == np.uint64
+    assert len(varint_decode(b"", 0)) == 0
+    buf, sizes = varint_encode_with_sizes(
+        np.array([5, 300, 2**64 - 1, 1], dtype=np.uint64))
+    for cut in (2, 4, int(sizes[:2].sum()) + 9, len(buf) - 2):
+        with pytest.raises(ValueError, match="ends inside a value"):
+            varint_decode(buf[:cut])
+    with pytest.raises(ValueError, match="ends inside a value"):
+        varint_decode(b"\x80")
+    with pytest.raises(ValueError, match="expected 3"):
+        varint_decode(buf, 3)
+
+
 def test_encode_posting_roundtrip():
     rng = np.random.default_rng(7)
     doc_ids = np.unique(rng.integers(1, 10**9, size=1000)).astype(np.int64)

@@ -23,6 +23,7 @@ from konlsearch_ray.query import (_DENSE, B, K1, IndexReader,
 from konlsearch_ray.segment import read_doclens, shard_nums
 from konlsearch_ray.tombstone import (compact_index, delete_docs,
                                       load_tombstones)
+from stored_terms import sample_terms
 
 N_DOCS = 600
 HEADS = sorted(HEAD_TERMS)
@@ -48,7 +49,7 @@ def indexes(ray_session, tmp_path_factory):
 
 def _dense_terms(r: IndexReader) -> list[str]:
     """The head terms, then the other stored terms dense on ``r``."""
-    vocab = sorted({t for t in r.sample_terms(10**9)} - set(HEADS))
+    vocab = sorted({t for t in sample_terms(r, 10**9)} - set(HEADS))
     return HEADS + [t for t in vocab
                     if _DENSE * r.df(t) >= r._dl_span][:3]
 
@@ -170,7 +171,7 @@ def test_dense_plus_tail_runs_maxscore(indexes, monkeypatch):
     impact vector; an all-dense query runs the dense scorer, builds each
     vector once and reuses it."""
     r = IndexReader(indexes["built"])
-    vocab = sorted(set(r.sample_terms(10**9)))
+    vocab = sorted(set(sample_terms(r, 10**9)))
     tail = [t for t in vocab if 2 <= r.df(t) <= 3][:5]
     assert tail
     ran = []
@@ -256,7 +257,7 @@ def test_cold_bm25_gathers_each_norm_once(indexes):
     from norm_counting import GatherCounter
 
     d = indexes["compacted"]
-    vocab = sorted(set(IndexReader(d).sample_terms(10**9)))
+    vocab = sorted(set(sample_terms(IndexReader(d), 10**9)))
     queries = [[HEADS[0], vocab[7]], HEADS[:2], [vocab[3]],
                [HEADS[2], "nonexistenttermxyz"]]
     for q in queries:

@@ -13,6 +13,7 @@ import pytest
 from konlsearch_ray.build import IndexConfig, append_documents, build_index
 from konlsearch_ray.corpus import write_corpus
 from konlsearch_ray.query import IndexReader
+from stored_terms import sample_terms
 
 
 def test_resume_with_default_cfg_keeps_index_layout(ray_session, tmp_path):
@@ -112,7 +113,7 @@ def test_huge_path_dedup_collapses_identical_key_ties(
     assert s_huge["N"] == s_small["N"] <= t.num_rows
     # identical index content: same per-term stats on both paths
     r1, r2 = IndexReader(idx_small), IndexReader(idx_huge)
-    for tok in r1.sample_terms(10):
+    for tok in sample_terms(r1, 10):
         a = r1.postings(tok)[0]
         b = r2.postings(tok)[0]
         assert len(a) == len(b)

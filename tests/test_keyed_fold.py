@@ -208,3 +208,77 @@ def test_empty_input_keeps_nonempty_schema(ray_session, run):
     empty = _tables(run(True))
     assert empty.num_rows == 0
     assert _fields(empty) == _fields(full)
+
+
+# --- null string keys across blocks --------------------------------------
+
+def _null_key_rows(typ=pa.string()):
+    """60 rows whose string key holds nulls beside "" and real values,
+    split over 3 blocks: Ray's sort shuffle compares key values in
+    Python, and a null beside a string raised TypeError there."""
+    keys = ["a", None, "b", "", None, "c"]
+    vals = [k.encode() if k is not None and typ == pa.binary() else k
+            for k in keys]
+    t = pa.table({"g": pa.array([vals[i % 6] for i in range(60)], typ),
+                  "v": pa.array(np.arange(60), pa.int64())})
+    return t, ray.data.from_arrow(t).repartition(3)
+
+
+def _by_key(rows) -> dict:
+    out: dict = {}
+    for k, v in rows:
+        out.setdefault(k, []).append(v)
+    return out
+
+
+def test_grouped_topk_null_string_keys_over_blocks(ray_session):
+    from konlsearch_ray.functions.aggregates import grouped_topk
+
+    t, ds = _null_key_rows()
+    got = _tables(grouped_topk(ds, "g", [("v", "descending")], 3))
+    want = {k: sorted(vs)[-3:] for k, vs in _by_key(
+        zip(t["g"].to_pylist(), t["v"].to_pylist())).items()}
+    assert {k: sorted(vs) for k, vs in _by_key(
+        zip(got["g"].to_pylist(), got["v"].to_pylist())).items()} == want
+    assert set(want) == {"a", "b", "c", "", None}
+
+
+def test_grouped_quantiles_null_string_keys_over_blocks(ray_session):
+    # A pandas-format fold: its group batches decode the key too.
+    from konlsearch_ray.functions.stats import grouped_quantiles
+
+    t, ds = _null_key_rows()
+    got = _tables(grouped_quantiles(ds, "g", "v", qs=(("p0", 0),)))
+    want = {k: (len(vs), float(min(vs))) for k, vs in _by_key(
+        zip(t["g"].to_pylist(), t["v"].to_pylist())).items()}
+    assert dict(zip(got["g"].to_pylist(),
+                    zip(got["n"].to_pylist(), got["p0"].to_pylist()))) == want
+
+
+def test_distinct_count_null_string_keys_over_blocks(ray_session):
+    from konlsearch_ray.functions.aggregates import distinct_count
+
+    t, ds = _null_key_rows()
+    ds = ds.map_batches(
+        lambda b: b.set_column(1, "v", pc.bit_wise_and(b["v"], 7)),
+        batch_format="pyarrow")
+    got = _tables(distinct_count(ds, "g", "v"))
+    want = {k: len({v & 7 for v in vs}) for k, vs in _by_key(
+        zip(t["g"].to_pylist(), t["v"].to_pylist())).items()}
+    cnt = [c for c in got.column_names if c not in ("g",)][0]
+    assert dict(zip(got["g"].to_pylist(), got[cnt].to_pylist())) == want
+
+
+def test_keyed_fold_null_binary_keys_over_blocks(ray_session):
+    # The merge sees the stored key values: nulls and b"" stay apart.
+    t, ds = _null_key_rows(pa.binary())
+
+    def merge(g: pa.Table) -> pa.Table:
+        assert g["g"].type == pa.binary()
+        return pa.table({"g": g["g"].slice(0, 1),
+                         "n": pa.array([len(g)], pa.int64())})
+
+    got = _tables(keyed_fold(ds, "g", merge, fallback=pa.table({
+        "g": pa.array([], pa.binary()), "n": pa.array([], pa.int64())})))
+    assert dict(zip(got["g"].to_pylist(), got["n"].to_pylist())) == {
+        b"a": 10, b"b": 10, b"c": 10, b"": 10, None: 20}

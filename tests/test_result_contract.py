@@ -214,9 +214,11 @@ def test_batched_entries_equal_one_term_entries(indexes):
             for a, b in zip(batch.postings(t), solo.postings(t)):
                 assert np.array_equal(a, b), t
     assert masked >= 3  # the tombstones really cut the head terms
-    no_cells = [batch._store.entry(t).locs
+    # ``locs`` is the term's range of the store's term-sorted rows:
+    # one row per segment holding it, none for these three.
+    no_cells = [len(batch._store.entry(t).locs)
                 for t in (MISSING[0], "", longest + "z")]
-    assert no_cells == [[], [], []] and batch._store.entry(longest).locs
+    assert no_cells == [0, 0, 0] and len(batch._store.entry(longest).locs)
 
 
 def _batch():

@@ -173,3 +173,131 @@ def test_layout_version_guard(index_dir, tmp_path, layout_file):
             call()
         assert {n: Path(old, n).read_text() for n in before} == before, name
     assert not (tmp_path / "m").exists()
+
+
+@pytest.fixture(scope="module")
+def store_indexes(ray_session, tmp_path_factory):
+    """One corpus in 64-doc shards: as built; every 7th doc tombstoned;
+    and those deletes compacted away."""
+    import shutil
+
+    from konlsearch_ray.build import IndexConfig, build_index
+    from konlsearch_ray.corpus import write_corpus
+    from konlsearch_ray.tombstone import compact_index, delete_docs
+
+    root = tmp_path_factory.mktemp("store")
+    corpus = write_corpus(str(root / "corpus"), 400, seed=17)
+    built, tomb, comp = (str(root / n) for n in ("built", "tomb", "comp"))
+    build_index(corpus, built, IndexConfig(shard_size=64))
+    shutil.copytree(built, tomb)
+    delete_docs(tomb, list(range(2, 401, 7)))
+    shutil.copytree(tomb, comp)
+    compact_index(comp)
+    return {"built": built, "tomb": tomb, "comp": comp}
+
+
+def _per_shard_reference(index_dir: str, shards: list[int],
+                         dead) -> dict:
+    """term → (ids, tfs, first positions, every position, block maxima,
+    block counts), decoded shard by shard with ``decode_segment`` and
+    concatenated in shard order, tombstoned postings dropped (block
+    bounds stay per stored block)."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from konlsearch_ray.codec import BLOCK_SIZE
+    from konlsearch_ray.segment import decode_segment, segment_path
+
+    parts: dict = {}
+    for s in shards:
+        seg = pq.read_table(segment_path(index_dir, s))
+        df, ids, tfs, first, rest = decode_segment(seg)
+        ends = np.cumsum(df)
+        rest_end = np.cumsum(tfs.astype(np.int64) - 1)
+        for i, (t, bmax) in enumerate(zip(seg["term"].to_pylist(),
+                                          seg["block_max_tf"].to_pylist())):
+            a, b = int(ends[i] - df[i]), int(ends[i])
+            live = ~np.isin(ids[a:b], dead)
+            allpos = [np.cumsum(np.concatenate((
+                [first[j]], rest[rest_end[j] - (tfs[j] - 1):rest_end[j]])))
+                for j in range(a, b) if live[j - a]]
+            nb = len(bmax)
+            counts = [BLOCK_SIZE] * (nb - 1) + (
+                [int(df[i]) - BLOCK_SIZE * (nb - 1)] if nb else [])
+            parts.setdefault(t, []).append(
+                (ids[a:b][live], tfs[a:b][live], first[a:b][live],
+                 allpos, bmax, counts))
+    return {t: tuple(
+        np.concatenate([x for p in ps for x in (p[3] if k == 3 else [p[k]])]
+                       + [np.zeros(0, np.int64)])
+        for k in range(6)) for t, ps in parts.items()}
+
+
+@pytest.mark.parametrize("name", ["built", "tomb", "comp"])
+@pytest.mark.parametrize("subset", [False, True])
+def test_store_equals_per_shard_decode(store_indexes, name, subset):
+    """The term-sorted store gives every term the entry a per-shard
+    ``decode_segment`` of the same cells gives: live ids and tfs, block
+    bounds, first positions and all positions; and the term's cells are
+    one contiguous range of the store's term-sorted rows, one row per
+    shard holding it. Whole-index readers and a shard-subset ``use_global_df`` reader."""
+    import numpy as np
+
+    from konlsearch_ray.query import IndexReader
+    from konlsearch_ray.segment import shard_nums
+    from konlsearch_ray.tombstone import load_tombstones
+
+    d = store_indexes[name]
+    shards = shard_nums(d)
+    assert len(shards) >= 6
+    if subset:
+        shards = shards[1:4]
+    r = (IndexReader(d, shards=shards, use_global_df=True) if subset
+         else IndexReader(d))
+    dead = load_tombstones(d)
+    assert (len(dead) > 0) == (name == "tomb")
+    ref = _per_shard_reference(d, shards, dead)
+    store = r._store
+    terms = sorted(ref)
+    entries = store.entries(terms)
+    allpos = store.positions(terms)
+    keys = store.keys
+    cells = _cells(d, shards)
+    assert len(keys) == len(store.term_column) == sum(
+        len(c) for c in cells.values())
+    masked = 0
+    for t, e, ap in zip(terms, entries, allpos):
+        ids, tfs, first, every, bmax, counts = ref[t]
+        assert np.array_equal(e.ids, ids) and np.array_equal(e.tfs, tfs), t
+        masked += e.live is not None
+        got_first = store.postings(t)[2]
+        assert np.array_equal(got_first, first), t
+        assert np.array_equal(ap, every), t
+        store.bounds(e)
+        assert np.array_equal(e.bmax, bmax), t
+        assert np.array_equal(e.bcount, counts), t
+        rows = e.locs
+        assert rows.step == 1 and len(rows) == len(cells[t]), t
+        tb = t.encode()
+        assert set(keys[rows.start:rows.stop].tolist()) == {tb}, t
+        assert rows.start == 0 or keys[rows.start - 1] != tb, t
+        assert rows.stop == len(keys) or keys[rows.stop] != tb, t
+    assert masked == 0 or name == "tomb"
+    if name == "tomb":
+        assert masked > 10
+    missing = store.entry("zzz-not-a-stored-term")
+    assert len(missing.locs) == 0 and len(missing.ids) == 0
+
+
+def _cells(index_dir: str, shards: list[int]) -> dict:
+    """term → the shards whose segment holds it."""
+    import pyarrow.parquet as pq
+
+    from konlsearch_ray.segment import segment_path
+
+    out: dict = {}
+    for s in shards:
+        for t in pq.read_table(segment_path(index_dir, s),
+                               columns=["term"])["term"].to_pylist():
+            out.setdefault(t, []).append(s)
+    return out

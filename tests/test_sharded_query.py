@@ -9,7 +9,10 @@ import pytest
 
 from konlsearch_ray.build import IndexConfig, build_index
 from konlsearch_ray.corpus import write_corpus
-from konlsearch_ray.query import IndexReader, ShardedQueryEngine
+from konlsearch_ray.query import (IndexReader, ShardedQueryEngine,
+                                  _DENSE, _merge_topk, _sharded_groups)
+from konlsearch_ray.segment import shard_nums
+from stored_terms import sample_terms
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +67,7 @@ def test_complex_matches(built):
 
 def test_bm25_rank_and_score_identical(built):
     engine, reader = built
-    vocab = reader.sample_terms(500)
+    vocab = sample_terms(reader, 500)
     rng = random.Random(3)
     queries = [["def", "return", "import"], ["def"], ["마법", "건담"]]
     for _ in range(20):
@@ -222,3 +225,84 @@ def test_query_stage_unknown_mode_raises(built, shards):
                        partial=shards is not None)
     with pytest.raises(ValueError):
         stage(_query_table([["def"]], ["XOR"], [0]))
+
+
+def _spread_index(tmp_path, n=768, shard_size=64):
+    """``n`` docs in ``shard_size``-doc shards; "spread" sits in every
+    6th doc (df = n/6 ≥ n/8), evenly across the doc ids."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "docs.parquet"
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(1, n + 1), pa.int64()),
+        "text": [f"filler{i % 5} {'spread ' if i % 6 == 0 else ''}uniq{i}"
+                 for i in range(1, n + 1)]}), str(src))
+    idx = str(tmp_path / "i")
+    build_index(str(src), idx, IndexConfig(
+        content_col="text", id_col="doc_id", dedup=False, sort_keys=[],
+        shard_size=shard_size))
+    return idx
+
+
+def test_groups_are_balanced_contiguous_runs(ray_session, tmp_path):
+    """Each actor gets a contiguous run of shards, group sizes differ by
+    at most one, and its reader's doc-id window W is at most (largest
+    group) × shard_size ids. On that window an evenly spread term with
+    df ≥ N/8 takes the dense route on every subset reader (a strided
+    subset's window spans the whole index, so it does not), and the
+    merged top-k equals the whole-index reader's."""
+    idx = _spread_index(tmp_path)
+    shards = shard_nums(idx)
+    assert len(shards) == 12
+    whole = IndexReader(idx)
+    assert _DENSE * whole.df("spread") >= whole.n_docs
+    for k in (1, 2, 3, 5, 7, 12, 20):
+        groups = _sharded_groups(idx, k, "test")
+        assert [s for g in groups for s in g] == shards, k
+        sizes = [len(g) for g in groups]
+        assert len(groups) == min(k, 12) and max(sizes) - min(sizes) <= 1
+        subs = [IndexReader(idx, shards=g, use_global_df=True)
+                for g in groups]
+        for sub in subs:
+            assert sub._dl_span <= max(sizes) * 64, (k, sub.shards)
+            toks = ["spread"]
+            assert sub._all_dense(toks, sub._store.entries(toks)), k
+        for q in (["spread"], ["spread", "filler2"], ["filler1", "uniq7"]):
+            for top in (1, 10, 50):
+                assert _merge_topk([s.bm25_topk(q, top) for s in subs],
+                                   top) == whole.bm25_topk(q, top), (k, q)
+        if k > 1 and len(shards[::k]) > 1:
+            strided = IndexReader(idx, shards=shards[::k],
+                                  use_global_df=True)
+            assert not strided._all_dense(
+                ["spread"], strided._store.entries(["spread"])), k
+
+
+def test_appended_index_sharded_equals_single_reader(ray_session, tmp_path):
+    """After ``append_documents`` adds shards, the engine's contiguous
+    groups still return the single reader's results bit for bit."""
+    import ray.data
+
+    from konlsearch_ray.build import append_documents
+
+    idx = str(tmp_path / "i")
+    build_index(write_corpus(str(tmp_path / "c"), 300, seed=5), idx,
+                IndexConfig(shard_size=64))
+    extra = write_corpus(str(tmp_path / "c2"), 120, seed=6)
+    append_documents(idx, ray.data.read_parquet(extra))
+    reader = IndexReader(idx)
+    assert reader.n_docs > 300
+    engine = ShardedQueryEngine(idx, num_actors=3)
+    try:
+        rng = random.Random(8)
+        vocab = sample_terms(reader, 400)
+        queries = [["def", "return"], ["마법", "건담", "def"]] + [
+            rng.sample(vocab, rng.randint(1, 3)) for _ in range(12)]
+        for q in queries:
+            for k in (1, 10, 50):
+                assert engine.bm25_topk(q, k) == reader.bm25_topk(q, k), q
+            assert engine.search(q, "AND") == reader.search(q, "AND"), q
+            assert engine.search(q, "OR") == reader.search(q, "OR"), q
+    finally:
+        engine.shutdown()
