@@ -24,10 +24,23 @@ as an unordered *set* (index.py:98-102) so tf/positions do not exist there):
   (reference index.py:443-444, utility.py:25-26 — SURVEY.md Q5).
 - ``doc_len(doc)`` — total kept tokens (Σ tf), the BM25 ``dl``.
 
-The batch path (`analyze_batch`) is fully vectorized pyarrow.compute; the
-row path (`tokenize`) is the single-process oracle used by tests and must
-agree exactly. The DuckDB oracle SQL in ``__ray_entry__`` re-derives the
-same spec with regexp_replace / regexp_split_to_array / list_filter.
+This module is the one path from text to postings:
+
+- ``analyze_strings`` / ``analyze_strings_coded`` are the batch path from
+  a string column to its kept occurrences (row, term, position): the
+  chain above, vectorized in pyarrow.compute, or — given ``analyzer``,
+  an object with ``tokenize_many(texts) -> list[list[str]]`` such as
+  ``KoreanLexiconAnalyzer`` — that analyzer's streams flattened to the
+  same shape. They are the one entry point for a pluggable analyzer:
+  the build, snippets and the docstore's token reads all call them.
+- ``group_postings`` turns an occurrence stream into per-(term, doc)
+  postings in (term, doc) order, the grouping every segment is encoded
+  from; ``analyze_batch`` is that grouping over one batch.
+
+The row path (``tokenize``) is the single-process oracle used by tests
+and must agree exactly with the batch path. The DuckDB oracle SQL in
+``__ray_entry__`` re-derives the same spec with regexp_replace /
+regexp_split_to_array / list_filter.
 """
 
 from __future__ import annotations
@@ -37,6 +50,8 @@ import re
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from konlsearch_ray.functions.blocks import runs
 
 # Exact reference charset (reference index.py:27).
 SANITIZE_CHARS = '@_!#$%^&*()<>?/\\|}{~:]",'
@@ -90,20 +105,11 @@ def normalize_query_tokens(tokens: list[str]) -> list[str]:
 
 
 def _positions_in_runs(doc_idx: np.ndarray) -> np.ndarray:
-    """Position in the kept stream per doc: running index within equal
-    doc_idx runs. Requires NON-DECREASING doc_idx (the
-    list_parent_indices / flatten order every caller produces) — the
-    one shared implementation of the run-length trick."""
-    n = len(doc_idx)
-    pos = np.zeros(n, dtype=np.int32)
-    if n:
-        starts = np.flatnonzero(np.diff(doc_idx)) + 1
-        seq = np.arange(n, dtype=np.int32)
-        run_start = np.zeros(n, dtype=np.int32)
-        run_start[starts] = seq[starts]
-        run_start = np.maximum.accumulate(run_start)
-        pos = seq - run_start
-    return pos
+    """Each occurrence's position in its doc's kept stream: its index
+    within its run of equal ``doc_idx``. Requires NON-DECREASING doc_idx
+    (row order, which every kept stream comes in)."""
+    starts, lens = runs(doc_idx)
+    return (np.arange(len(doc_idx)) - np.repeat(starts, lens)).astype(np.int32)
 
 
 def _emit_morph_union(texts: list[str], morphs) -> list[list[str]]:
@@ -123,15 +129,20 @@ def _emit_morph_union(texts: list[str], morphs) -> list[list[str]]:
     return out
 
 
-def analyze_strings(col: pa.Array | pa.ChunkedArray) -> dict[str, np.ndarray]:
-    """Vectorized analyzer over a string column.
-
-    Returns flat numpy arrays describing every kept token occurrence:
-    ``doc_idx`` (int64 index into the batch), ``term`` (object/str),
-    ``pos`` (int32 position in the kept ordered stream of that doc).
-    """
+def _kept_tokens(col: pa.Array | pa.ChunkedArray,
+                 analyzer=None) -> tuple[pa.Array, np.ndarray]:
+    """The kept-token stream of a string column, in row then stream
+    order: ``(terms, doc_idx)`` — a string array and each term's int64
+    row. ``analyzer`` (``tokenize_many``) replaces the normative chain;
+    a null row yields no token on either path."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
+    if analyzer is not None:
+        lists = analyzer.tokenize_many(
+            [x if x is not None else "" for x in col.to_pylist()])
+        lens = np.array([len(t) for t in lists], dtype=np.int64)
+        return (pa.array([t for row in lists for t in row], pa.string()),
+                np.repeat(np.arange(len(lists), dtype=np.int64), lens))
     sanitized = pc.replace_substring_regex(col, pattern=SANITIZE_RE, replacement="")
     toks = pc.utf8_split_whitespace(sanitized)
     flat = pc.list_flatten(toks)
@@ -139,15 +150,40 @@ def analyze_strings(col: pa.Array | pa.ChunkedArray) -> dict[str, np.ndarray]:
     # One keep-class pass; lowercasing runs on the kept subset only and is
     # the identity on Hangul, so results equal the two-pass formulation.
     keep = pc.match_substring_regex(flat, f"^({ALPHA_RE}|{HANGUL_RE})$")
-    kept_terms = pc.utf8_lower(pc.filter(flat, keep))
     kept_parent = pc.filter(parent, keep)
+    return (pc.utf8_lower(pc.filter(flat, keep)),
+            kept_parent.to_numpy(zero_copy_only=False).astype(np.int64))
 
-    doc_idx = kept_parent.to_numpy(zero_copy_only=False).astype(np.int64)
+
+def analyze_strings(col: pa.Array | pa.ChunkedArray,
+                    analyzer=None) -> dict[str, np.ndarray]:
+    """Vectorized analyzer over a string column (``analyzer``: see the
+    module docstring; None = the normative chain).
+
+    Returns flat numpy arrays describing every kept token occurrence:
+    ``doc_idx`` (int64 index into the batch), ``term`` (object/str),
+    ``pos`` (int32 position in the kept ordered stream of that doc).
+    """
+    terms, doc_idx = _kept_tokens(col, analyzer)
     return {
         "doc_idx": doc_idx,
-        "term": kept_terms.to_numpy(zero_copy_only=False),
+        "term": terms.to_numpy(zero_copy_only=False),
         "pos": _positions_in_runs(doc_idx),
     }
+
+
+def analyze_strings_coded(
+    col: pa.Array | pa.ChunkedArray, analyzer=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, pa.Array]:
+    """Like ``analyze_strings`` but terms come back factorized: returns
+    ``(doc_idx, term_code int64, pos, dictionary)``. Factorization uses
+    Arrow ``dictionary_encode`` (C) — an order of magnitude faster than
+    ``np.unique`` over a Python-object string array, which dominated the
+    tokenizer profile."""
+    terms, doc_idx = _kept_tokens(col, analyzer)
+    denc = terms.dictionary_encode()
+    codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    return doc_idx, codes, _positions_in_runs(doc_idx), denc.dictionary
 
 
 class KoreanLexiconAnalyzer:
@@ -266,124 +302,73 @@ class MecabMorphemeAnalyzer:
         return _emit_morph_union(texts, self._morphs)
 
 
-def _coded_from_token_lists(
-    token_lists: list[list[str]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, pa.Array]:
-    """Adapter: per-row ordered token lists → the coded occurrence arrays
-    (doc_idx, term_code, pos, dictionary) used by the build pipeline."""
-    lens = np.array([len(t) for t in token_lists], dtype=np.int64)
-    doc_idx = np.repeat(np.arange(len(token_lists), dtype=np.int64), lens)
-    flat = [t for row in token_lists for t in row]
-    arr = pa.array(flat, pa.string())
-    denc = arr.dictionary_encode()
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
-    codes = (denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-             if len(flat) else np.zeros(0, dtype=np.int64))
-    return doc_idx, codes, _positions_in_runs(doc_idx), denc.dictionary
+def group_postings(codes: np.ndarray, dictionary: pa.Array,
+                   doc: np.ndarray, pos: np.ndarray):
+    """A raw occurrence stream as per-(term, doc) postings in (term, doc)
+    order — the grouping every segment is encoded from.
 
+    Input: one row per kept occurrence — its term (``codes`` into
+    ``dictionary``), ``doc`` id and ``pos``, positions ascending within
+    each doc. One stable combined-key sort by (term rank, doc) orders the
+    occurrences; its runs give each entry's tf (run length) and first_pos
+    (run head: stability keeps positions ascending), the gaps of every
+    later position, and each term's run of entries. Deterministic: the
+    output depends only on the (doc, term, pos) content, not on how the
+    stream was batched.
 
-def analyze_strings_coded(
-    col: pa.Array | pa.ChunkedArray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, pa.Array]:
-    """Like ``analyze_strings`` but terms come back factorized: returns
-    ``(doc_idx, term_code int32, pos, dictionary)``. Factorization uses
-    Arrow ``dictionary_encode`` (C) — an order of magnitude faster than
-    ``np.unique`` over a Python-object string array, which dominated the
-    tokenizer profile."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    sanitized = pc.replace_substring_regex(col, pattern=SANITIZE_RE, replacement="")
-    toks = pc.utf8_split_whitespace(sanitized)
-    flat = pc.list_flatten(toks)
-    parent = pc.list_parent_indices(toks)
-    # One keep-class pass; lowercasing runs on the kept subset only and is
-    # the identity on Hangul, so results equal the two-pass formulation.
-    keep = pc.match_substring_regex(flat, f"^({ALPHA_RE}|{HANGUL_RE})$")
-    kept_terms = pc.utf8_lower(pc.filter(flat, keep))
-    kept_parent = pc.filter(parent, keep)
+    Returns ``(terms, starts, lens, doc, tf, first_pos, pos_rest)``:
+    one string per term in code-point order; each term's run of entries
+    (``starts``/``lens``); per entry its doc, tf and first position
+    (int64); and, entry after entry, its other ``tf - 1`` positions as
+    gaps from the position before.
+    """
+    # Arrow sorts strings by UTF-8 bytes, which is code-point order, and
+    # stably: no Python string is made.
+    dict_idx = pc.sort_indices(dictionary)
+    dict_order = dict_idx.to_numpy().astype(np.int64)
+    rank_of_code = np.empty(len(dict_order), dtype=np.int64)
+    rank_of_code[dict_order] = np.arange(len(dict_order))
+    occ_rank = rank_of_code[codes]
 
-    denc = kept_terms.dictionary_encode()
-    if isinstance(denc, pa.ChunkedArray):
-        denc = denc.combine_chunks()
-    codes = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    dictionary = denc.dictionary
-
-    doc_idx = kept_parent.to_numpy(zero_copy_only=False).astype(np.int64)
-    return doc_idx, codes, _positions_in_runs(doc_idx), dictionary
-
-
-def analyze_batch_coded(
-    batch: pa.Table, content_col: str, id_col: str = "doc_id",
-    analyzer=None,
-) -> tuple[dict[str, np.ndarray], pa.Array]:
-    """Batch → grouped per-(doc, term) occurrence data with factorized
-    terms: ``({doc_id, term_code, tf, first_pos}, dictionary)``. The
-    group pass is a pure-int lexsort + run-length reduce.
-
-    ``analyzer``: optional pluggable analyzer object exposing
-    ``tokenize_many(texts) -> list[list[str]]`` (ordered kept tokens per
-    row). None → the normative vectorized regex path."""
-    doc_ids_np = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    if analyzer is None:
-        doc_idx, codes, pos, dictionary = analyze_strings_coded(batch[content_col])
-    else:
-        col = batch[content_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        doc_idx, codes, pos, dictionary = _coded_from_token_lists(
-            analyzer.tokenize_many(col.to_pylist()))
-    if len(doc_idx) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return ({"doc_id": z, "term_code": z, "tf": z.astype(np.int32),
-                 "first_pos": z.astype(np.int32)}, dictionary)
-    doc_id = doc_ids_np[doc_idx]
-    # Group sort by (doc_id, term_code): a single combined-key stable
-    # argsort is ~2x the speed of a 3-key lexsort at equal order — the
-    # stream is doc-contiguous with ascending pos, so stability preserves
-    # the within-group pos order the lexsort's tertiary key provided.
-    dmin = doc_id.min()
-    drel = doc_id - dmin
-    nvocab = int(codes.max()) + 1 if len(codes) else 1
-    if int(drel.max()) < (1 << 62) // (nvocab + 1):
-        order = np.argsort(drel * (nvocab + 1) + codes, kind="stable")
-    else:  # overflow-safe fallback for pathological doc-id spans
-        order = np.lexsort((pos, codes, doc_id))
-    doc_s, code_s, pos_s = doc_id[order], codes[order], pos[order]
-    new_group = np.ones(len(doc_s), dtype=bool)
-    if len(doc_s) > 1:
-        new_group[1:] = (doc_s[1:] != doc_s[:-1]) | (code_s[1:] != code_s[:-1])
-    group_start = np.flatnonzero(new_group)
-    tf = np.diff(np.append(group_start, len(doc_s))).astype(np.int32)
-    return (
-        {
-            "doc_id": doc_s[group_start],
-            "term_code": code_s[group_start],
-            "tf": tf,
-            # pos sorted ascending within group → group_start row holds min.
-            "first_pos": pos_s[group_start],
-        },
-        dictionary,
-    )
+    # Single combined-key stable sort by (term rank, doc): a build shard's
+    # doc ids span at most shard_size, so rank * span + doc_offset fits
+    # int64 with huge margin.
+    base = doc.min() if len(doc) else 0
+    span = int(doc.max()) - int(base) + 1 if len(doc) else 1
+    if not len(occ_rank) or int(occ_rank.max()) < (1 << 62) // span:
+        order = np.argsort(occ_rank * span + (doc - base), kind="stable")
+    else:  # overflow-safe fallback (absurd doc-id spans)
+        order = np.lexsort((doc, occ_rank))
+    r_s, d_s, p_s = occ_rank[order], doc[order], pos[order]
+    e_starts, tf = runs(r_s, d_s)
+    head = np.zeros(len(r_s), dtype=bool)
+    head[e_starts] = True
+    # Every non-head occurrence, as a gap from the one before it.
+    pos_rest = np.diff(p_s)[~head[1:]]
+    rank_s = r_s[e_starts]
+    starts, lens = runs(rank_s)
+    terms = pc.take(dictionary, dict_idx).take(rank_s[starts])
+    return (terms.cast(pa.string()), starts, lens, d_s[e_starts], tf,
+            p_s[e_starts].astype(np.int64), pos_rest)
 
 
 def analyze_batch(
     batch: pa.Table, content_col: str, id_col: str = "doc_id"
 ) -> pa.Table:
-    """Batch → per-(doc, term) rows: doc_id, term, tf, first_pos.
+    """Batch → per-(term, doc) rows: doc_id, term, tf, first_pos.
 
-    Vectorized: pyarrow split/filter + one numpy lexsort-based group pass.
-    Used by the tokenizer stage of the build pipeline; also emits nothing
-    per doc — ``doc_len`` is recovered downstream as Σ tf per doc.
+    The normative analyzer, then the build's own grouping
+    (``group_postings``), so the rows come out in a segment's
+    (term, doc_id) order. Emits nothing per doc: ``doc_len`` is Σ tf
+    per doc.
     """
-    grouped, dictionary = analyze_batch_coded(batch, content_col, id_col)
-    terms = (pc.take(dictionary, pa.array(grouped["term_code"]))
-             if len(grouped["term_code"]) else pa.array([], pa.string()))
-    return pa.table(
-        {
-            "doc_id": pa.array(grouped["doc_id"], pa.int64()),
-            "term": terms.cast(pa.string()) if len(grouped["term_code"]) else terms,
-            "tf": pa.array(grouped["tf"], pa.int32()),
-            "first_pos": pa.array(grouped["first_pos"], pa.int32()),
-        }
-    )
+    doc_idx, codes, pos, dictionary = analyze_strings_coded(batch[content_col])
+    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    terms, _, lens, doc, tf, first_pos, _ = group_postings(
+        codes, dictionary, ids[doc_idx], pos)
+    return pa.table({
+        "doc_id": pa.array(doc, pa.int64()),
+        "term": terms.take(pa.array(np.repeat(np.arange(len(lens)), lens))),
+        "tf": pa.array(tf, pa.int32()),
+        "first_pos": pa.array(first_pos, pa.int32()),
+    })

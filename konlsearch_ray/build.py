@@ -14,8 +14,8 @@ with two phases over ``ray.data.Dataset``:
   keeps each sha's winner-key rows and a canonical sort numbers them
   (``_sorted_dedup_ids``); in id_col mode the caller's id is the key.
   Rows equal in sha AND winning key are a tie, and every path keeps the
-  same row of it (the tie rule, ``_tie_winners``). Then ``shard =
-  (doc_id - 1) // shard_size`` → each block splits into one piece per
+  same row of it (the tie rule, ``_tie_winners``). Then
+  ``segment.shard_of`` → each block splits into one piece per
   shard it touches, and one task per shard writes ``docs/shard=K/``
   once: one doc_id-sorted file under a fixed name.
 
@@ -58,12 +58,13 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Sum
 
+from konlsearch_ray.analyzer import analyze_strings_coded, group_postings
 from konlsearch_ray.functions.blocks import key_codes, runs
 from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
                                     binary_view, check_version, docs_files,
                                     encode_segment, manifest_path,
                                     read_manifests, run_per_shard,
-                                    segment_path, shard_nums,
+                                    segment_path, shard_nums, shard_of,
                                     write_docs_file, write_shard)
 
 
@@ -82,12 +83,11 @@ class IndexConfig:
     store_cols: list[str] | None = None  # extra columns persisted in docs/
     tokenize_batch_size: int = 512
     # Pluggable analyzer (SURVEY.md ST1 / §2.10): a zero-arg factory whose
-    # product exposes tokenize_many(texts) -> list[list[str]]. Built once
+    # product has a ``tokenize_many`` method (see analyzer.py). Built once
     # per postings task, and a build runs at most one task per CPU, so
     # its state (a morpheme model, a dictionary) loads once per worker,
     # never once per shard or batch. None = the normative analyzer.
     analyzer_factory: object | None = None
-    id_start: int = 1
 
 
 # --------------------------------------------------------------------------
@@ -141,13 +141,8 @@ def _build_shard(shard: int, shard_files: list[str], cfg: IndexConfig,
     ``combine_chunks``, and the shard pays exactly ONE stable sort over
     its raw occurrence stream — (doc, term) grouping (tf / first_pos)
     falls out of the same sorted run-length pass that orders the
-    postings.
+    postings (``analyzer.group_postings``).
     """
-    from konlsearch_ray.analyzer import (
-        _coded_from_token_lists,
-        analyze_strings_coded,
-    )
-
     t = pa.concat_tables(
         pq.read_table(f, columns=["doc_id", cfg.content_col],
                       use_threads=False)
@@ -158,19 +153,12 @@ def _build_shard(shard: int, shard_files: list[str], cfg: IndexConfig,
     step = cfg.tokenize_batch_size
     for i in range(0, max(t.num_rows, 1), step):
         sub = t.slice(i, step)
-        col = sub[cfg.content_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if analyzer is None:
-            doc_idx, codes, pos, dictionary = analyze_strings_coded(col)
-        else:
-            doc_idx, codes, pos, dictionary = _coded_from_token_lists(
-                analyzer.tokenize_many(col.to_pylist()))
+        doc_idx, codes, pos, dictionary = analyze_strings_coded(
+            sub[cfg.content_col], analyzer)
         all_doc = sub["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         term_chunks.append(pa.DictionaryArray.from_arrays(
             pa.array(codes.astype(np.int32)), dictionary))
-        doc_parts.append(all_doc[doc_idx] if len(doc_idx) else
-                         np.zeros(0, dtype=np.int64))
+        doc_parts.append(all_doc[doc_idx])
         pos_parts.append(pos)
         # Doclen = kept occurrences per doc (zero-token docs included).
         dl_doc_parts.append(all_doc)
@@ -208,59 +196,13 @@ def _encode_shard(shard: int, denc: pa.DictionaryArray, flat_doc: np.ndarray,
 
     Input: the RAW occurrence stream — one row per kept token occurrence
     (terms as one unified-dictionary array, pos ascending within each
-    doc) — plus doc_id-sorted doclens. One stable combined-key sort by
-    (term rank, doc) orders occurrences; a run-length pass then yields
-    per-(term, doc) tf + first_pos (stability keeps pos ascending within
-    each group, so the group head IS the first occurrence), the gaps of
-    every later position in the group, and the term-level group starts
-    for the varint encoder. Deterministic: output depends only on the
-    shard's (doc, term) content — batch layout is erased by the sort.
+    doc), grouped into postings by ``analyzer.group_postings`` — plus
+    doc_id-sorted doclens.
     """
-    row_code = (denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-                if len(denc) else np.zeros(0, dtype=np.int64))
-    # Arrow sorts strings by UTF-8 bytes, which is code-point order, and
-    # stably: no Python string is made.
-    dict_idx = pc.sort_indices(denc.dictionary)
-    dict_order = dict_idx.to_numpy().astype(np.int64)
-    rank_of_code = np.empty(len(dict_order), dtype=np.int64)
-    rank_of_code[dict_order] = np.arange(len(dict_order))
-    occ_rank = (rank_of_code[row_code]
-                if len(row_code) else np.zeros(0, dtype=np.int64))
-
-    # Single combined-key stable sort by (term rank, doc): doc ids within
-    # a shard span at most shard_size, so rank * span + doc_offset fits
-    # int64 with huge margin.
-    base = flat_doc.min() if len(flat_doc) else 0
-    span = int(flat_doc.max()) - int(base) + 1 if len(flat_doc) else 1
-    if not len(occ_rank) or int(occ_rank.max()) < (1 << 62) // span:
-        order = np.argsort(occ_rank * span + (flat_doc - base),
-                           kind="stable")
-    else:  # overflow-safe fallback (absurd shard_size)
-        order = np.lexsort((flat_doc, occ_rank))
-    r_s = occ_rank[order]
-    d_s = flat_doc[order]
-    p_s = flat_pos[order]
-    m = len(r_s)
-    occ_new = np.ones(m, dtype=bool)
-    if m > 1:
-        occ_new[1:] = (r_s[1:] != r_s[:-1]) | (d_s[1:] != d_s[:-1])
-    e_starts = np.flatnonzero(occ_new)
-    # Per-(term, doc) entries: tf = run length, first_pos = run head.
-    tf_s = np.diff(np.append(e_starts, m)).astype(np.int64)
-    pos_s = p_s[e_starts].astype(np.int64)
-    # Every non-head occurrence, as a gap from the one before it.
-    pos_rest = np.diff(p_s)[~occ_new[1:]]
-    rank_s = r_s[e_starts]
-    doc_s = d_s[e_starts]
-    n = len(rank_s)
-    new = np.ones(n, dtype=bool)
-    if n > 1:
-        new[1:] = rank_s[1:] != rank_s[:-1]
-    starts = np.flatnonzero(new)
-
-    out_terms = pc.take(denc.dictionary, dict_idx).take(rank_s[starts])
-    seg = encode_segment(out_terms.cast(pa.string()), starts, doc_s, tf_s,
-                         pos_s, pos_rest)
+    terms, starts, _, doc_s, tf_s, pos_s, pos_rest = group_postings(
+        denc.indices.to_numpy(zero_copy_only=False).astype(np.int64),
+        denc.dictionary, flat_doc, flat_pos)
+    seg = encode_segment(terms, starts, doc_s, tf_s, pos_s, pos_rest)
     dl = pa.table({"doc_id": pa.array(dl_docs), "doc_len": pa.array(dl_vals)})
     write_shard(index_dir, shard, seg, dl)
 
@@ -489,6 +431,10 @@ def _drop_rows(block: pa.Table, drop: np.ndarray | None) -> pa.Table:
 # light (sha) column to the driver) hands off to the shuffle-based
 # pre-pass. ~64 B/row → ~3 GB driver heap at the threshold.
 DEDUP_DRIVER_MAX_ROWS = 50_000_000
+# Up to this many terms, finalize builds the dictionary and the suggest
+# table on the driver: a Ray pipeline costs seconds of fixed latency for
+# kilobytes of stats. Above it, both run as Ray Data pipelines.
+DRIVER_MAX_TERMS = 4_000_000
 
 
 def _estimate_rows(source) -> int:
@@ -583,19 +529,12 @@ def _block_refs(ds: ray.data.Dataset) -> list[tuple]:
             for ref, meta in bundle.blocks if meta.num_rows]
 
 
-def _shard_of(doc_id, shard_size: int) -> np.ndarray:
-    """``(doc_id - 1) / shard_size`` with Arrow's TRUNCATING divide, so
-    doc_id 0 lands in shard 0 — the reader's shard arithmetic."""
-    shard = pc.divide(pc.subtract(doc_id, 1), shard_size)
-    return pc.cast(shard, pa.int64()).to_numpy(zero_copy_only=False)
-
-
 @ray.remote
 def _block_shards(block: pa.Table, shard_size: int,
                   drop: np.ndarray | None) -> np.ndarray:
     """The sorted shards one doc_id-carrying block touches once its rows
     ``drop`` are gone (light: only its doc_id column is read)."""
-    return np.unique(_shard_of(
+    return np.unique(shard_of(
         _drop_rows(block.select(["doc_id"]), drop)["doc_id"], shard_size))
 
 
@@ -618,7 +557,7 @@ def _split_docs_block(
         stale = [c for c in ("doc_id", "shard") if c in block.schema.names]
         block = block.drop_columns(stale).append_column(
             "doc_id", pa.array(ids, pa.int64()))
-    shard = _shard_of(block["doc_id"], shard_size)
+    shard = shard_of(block["doc_id"], shard_size)
     block = block.select([c for c in block.schema.names if c in keep_cols])
     shards = np.unique(shard)
     if len(shards) == 1:
@@ -644,7 +583,7 @@ def _ranked_blocks(block_refs: list[tuple], keep: np.ndarray,
         off += n
         if len(b_ids):
             out.append((ref, None if k.all() else np.flatnonzero(~k), b_ids,
-                        np.unique(_shard_of(b_ids, shard_size))))
+                        np.unique(shard_of(b_ids, shard_size))))
     return out
 
 
@@ -877,7 +816,7 @@ def _driver_rank_docs(ds: ray.data.Dataset, cfg: IndexConfig):
     t1 = time.perf_counter()
     order, sh, first, dup, win, tied = _canonical_rank(light, True, cfg.dedup)
     keep = _unsorted(order, first)
-    ids = _unsorted(order, cfg.id_start - 1 + np.cumsum(first))
+    ids = _unsorted(order, np.cumsum(first))
     _settle_ties(block_refs, sh, order, dup[tied], win[tied], keep, ids,
                  cfg.content_col)
     return _ranked_blocks(block_refs, keep, ids, cfg.shard_size), {
@@ -896,7 +835,7 @@ def _filter_and_id_block(block: pa.Table, offset: int,
     return block.append_column("doc_id", ids)
 
 
-def _sorted_dedup_ids(ds: ray.data.Dataset, sort_keys: list[str], start: int,
+def _sorted_dedup_ids(ds: ray.data.Dataset, sort_keys: list[str],
                       dup_shas: pa.Array, content_col: str) -> list:
     """Canonical sort → dense 1-based doc IDs, in ONE full-data pass:
     a single task wave applies ``doc_id = offset + arange`` per sorted
@@ -911,7 +850,7 @@ def _sorted_dedup_ids(ds: ray.data.Dataset, sort_keys: list[str], start: int,
         return []
     drops = _tie_drops(block_refs, dup_shas, content_col)
     counts = [n - len(drops.get(i, ())) for i, (_, n) in enumerate(block_refs)]
-    offsets = start + np.concatenate(([0], np.cumsum(counts)[:-1]))
+    offsets = 1 + np.concatenate(([0], np.cumsum(counts)[:-1]))
     return [_filter_and_id_block.remote(ref, int(offsets[i]), drops.get(i))
             for i, (ref, _) in enumerate(block_refs)]
 
@@ -1002,7 +941,7 @@ def _docs_phase(source, index_dir: str, cfg: IndexConfig) -> dict:
         if cfg.dedup:
             ds, dup_shas = _winner_filtered(ds, read, cfg.sort_keys)
         blocks = _id_blocks(
-            _sorted_dedup_ids(ds, cfg.sort_keys, cfg.id_start, dup_shas,
+            _sorted_dedup_ids(ds, cfg.sort_keys, dup_shas,
                               cfg.content_col), cfg.shard_size)
     t0 = time.perf_counter()
     _write_docstore(docs_dir, blocks, cfg.shard_size, _stored_cols(cfg))
@@ -1063,10 +1002,9 @@ def _finalize(index_dir: str) -> dict:
 
             shutil.rmtree(tmp_dir)
         n_terms = sum(m["n_terms"] for m in manifests)
-        if n_terms <= 4_000_000:
-            # Small dictionary: merge on the driver — a Ray groupby
-            # pipeline costs seconds of fixed latency for kilobytes of
-            # stats. (Columns are pruned either way.)
+        if n_terms <= DRIVER_MAX_TERMS:
+            # Small dictionary: merge on the driver. (Columns are pruned
+            # either way.)
             t = pa.concat_tables(
                 pq.read_table(f, columns=["term", "df", "cf"])
                 for f in seg_files)
@@ -1342,7 +1280,7 @@ def append_documents(
     # rows landed — no crash window in which docs exist without postings
     # and nothing is marked stale.
     new_ids = ids_sorted[keep_sorted]
-    touched = sorted(set(((new_ids - 1) // cfg.shard_size).tolist()))
+    touched = sorted(set(shard_of(new_ids, cfg.shard_size).tolist()))
     for s in touched:
         mf = manifest_path(index_dir, int(s))
         if os.path.exists(mf):

@@ -5,9 +5,9 @@ end)`` (half-open) and ``get_all`` over its RocksDB docstore (reference
 index.py:364-408). Here the docstore is the shard-partitioned Parquet
 written by the build (``docs/shard=K/``); reads prune at two levels:
 
-1. **shard pruning** — ``shard = trunc((doc_id - 1) / shard_size)``
-   (toward-zero, matching the build-side Arrow ``pc.divide``) maps an
-   ID set/range to the shard directories that can contain it;
+1. **shard pruning** — ``segment.shard_of``, the build's own
+   ``trunc((doc_id - 1) / shard_size)``, maps an ID set/range to the
+   shard directories that can contain it;
 2. **row-group pruning** — the residual ``doc_id`` filter is pushed into
    the Parquet read (``pyarrow.parquet`` predicate pushdown).
 
@@ -25,7 +25,8 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from konlsearch_ray.segment import docs_files
+from konlsearch_ray.analyzer import analyze_strings
+from konlsearch_ray.segment import docs_files, shard_of
 
 
 def _unique_ids(doc_ids) -> np.ndarray:
@@ -66,14 +67,9 @@ class DocStore:
         return t.sort_by("doc_id")
 
     def _shard_of(self, doc_id):
-        """Shard of one id (an int) or of each id of an int64 array (an
-        array), with TRUNCATING (toward-zero) division — the build routes
-        rows to shards with Arrow ``pc.divide`` (``build._shard_of``),
-        which truncates, so doc_id 0 lives in ``shard=0``; floor division
-        would look in shard -1 and silently miss a live document."""
-        n = np.asarray(doc_id, dtype=np.int64) - 1
-        q = np.sign(n) * (np.abs(n) // self.shard_size)
-        return q if q.ndim else int(q)
+        """Shard of one id (an int) or of each id of an array (an int64
+        array): ``segment.shard_of``, the rule the build wrote by."""
+        return shard_of(doc_id, self.shard_size)
 
     def get(self, doc_id: int) -> dict | None:
         """Point lookup; None when absent or deleted (reference raises
@@ -96,13 +92,8 @@ class DocStore:
         if row is None:
             return None
         content = row.get(self.meta.get("content_col", "content"))
-        if content is None:
-            return []
-        if analyzer is not None:
-            return analyzer.tokenize_many([content])[0]
-        from konlsearch_ray.analyzer import tokenize
-
-        return tokenize(content)
+        return analyze_strings(pa.array([content], pa.string()),
+                               analyzer)["term"].tolist()
 
     def get_tokens(self, doc_id: int, analyzer=None) -> set[str] | None:
         """Token SET of one document — reference J3 parity (reference

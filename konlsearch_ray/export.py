@@ -16,8 +16,8 @@ Two surfaces a search engine owes its downstream consumers:
 - :func:`snippet_table` — first-occurrence highlight windows for a
   term's matching docs (the classic search-result snippet), served from
   the index's stored first positions + a docstore actor stage. The
-  position stream already exists for PHRASE support (build.py
-  ``_encode_shard``: per-(term, doc) ``first_pos``); snippets are its
+  position stream already exists for PHRASE support (analyzer.py
+  ``group_postings``: per-(term, doc) ``first_pos``); snippets are its
   natural user-facing read.
 
 Scale shape: ``export_postings`` ships only the projected binary
@@ -38,6 +38,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from konlsearch_ray.analyzer import analyze_strings, normalize_query_tokens
 
 __all__ = ["export_postings", "snippet_table"]
 
@@ -133,29 +135,6 @@ class _SnippetStage:
         self.width = int(width)
         self.analyzer = analyzer_factory() if analyzer_factory else None
 
-    def _flat_tokens(self, col: pa.Array | pa.ChunkedArray) -> dict:
-        """Flat (doc_idx, term, pos) kept-occurrence streams — the
-        normative vectorized analyzer, or the injected analyzer's
-        ``tokenize_many`` flattened to the same shape (indexes built
-        with a custom analyzer_factory must snippet with the same one,
-        or positions won't match the stored first_pos stream)."""
-        from konlsearch_ray.analyzer import analyze_strings
-
-        if self.analyzer is None:
-            return analyze_strings(col)
-        texts = [x if x is not None else "" for x in col.to_pylist()]
-        lists = self.analyzer.tokenize_many(texts)
-        lens = np.array([len(x) for x in lists], dtype=np.int64)
-        return {
-            "doc_idx": np.repeat(np.arange(len(lists), dtype=np.int64),
-                                 lens),
-            "term": np.array([t for toks in lists for t in toks],
-                             dtype=object),
-            "pos": np.concatenate(
-                [np.arange(n, dtype=np.int32) for n in lens]
-                or [np.array([], dtype=np.int32)]),
-        }
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         if not batch.num_rows:
             return _SNIPPET_SCHEMA.empty_table()
@@ -173,7 +152,9 @@ class _SnippetStage:
         order = np.argsort(req_ids, kind="stable")
         pos_in_req = order[np.searchsorted(req_ids[order], got_ids)]
         fp = req_fp[pos_in_req]
-        toks = self._flat_tokens(rows[self.content_col])
+        # The analyzer that built the index (``analyzer_factory``), or
+        # the normative one: positions must match the stored first_pos.
+        toks = analyze_strings(rows[self.content_col], self.analyzer)
         doc_idx, term_np, pos = toks["doc_idx"], toks["term"], toks["pos"]
         lo = (fp - self.width)[doc_idx]
         hi = (fp + self.width)[doc_idx]
@@ -223,7 +204,6 @@ def snippet_table(
     ``analyzer_factory`` must pass the SAME factory here so windows
     align with the stored first_pos stream.
     """
-    from konlsearch_ray.analyzer import normalize_query_tokens
     from konlsearch_ray.query import IndexReader
 
     # Same normalization as every query path (uppercase-ASCII input

@@ -18,9 +18,11 @@ then rebuilds the output from its non-empty block refs — only refs
 move to the driver, the blocks stay in the object store — and returns
 exactly ``fallback`` when nothing survives, so an empty input keeps
 the non-empty schema.  It also owns the null-key landmine: the sort
-shuffle cannot order a null beside a string, so string and binary keys
-cross the exchange encoded (``_encode_keys``) and a null key still
-forms its own group.
+shuffle can neither order a null beside a value nor keep null dates in
+one group, so every key crosses the exchange as a null flag plus the
+key with its nulls filled (``_encode_keys``), and a null key of any
+flat type forms one group of its own, decoded back to null before
+``merge`` sees it.
 
 ``nonempty_refs`` additionally reports the row count, so join chains can
 SHORT-CIRCUIT on an empty side: Ray's hash-shuffle join crashes when a
@@ -172,55 +174,48 @@ def _segmented_order(
 
 
 # Ray's sort shuffle finds its partition bounds by comparing key values
-# in Python, and a null beside a string raises TypeError there. So a
-# string or binary key crosses the exchange encoded: "\x00" + value, and
-# a null as "\x01", which sorts after every value and still forms its own
-# group; ``fold`` decodes the key before ``merge`` sees the group.
-_BIG = (1 << 31) - 1  # ``binary_slice``'s stop: past any key's end
+# in Python, where a null beside a value raises TypeError, and it splits
+# groups wherever adjacent keys differ, which NaT always does. So every
+# flat key crosses the exchange as two group columns: a null flag first
+# (a null sorts after every value) and the key with its nulls set to
+# one fixed value of its type. A null key thus forms one group of its
+# own; ``fold`` restores the nulls and drops the flags before ``merge``
+# sees the group.
+_NULL = "__null_"
 
 
-def _text_key(t: pa.DataType):
-    """The (encoded, null) markers and slicer of a string or binary key
-    type; None for any other type, which crosses the exchange as is."""
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return "\x00", "\x01", lambda c: pc.utf8_slice_codeunits(c, 1)
-    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
-        return b"\x00", b"\x01", lambda c: pc.binary_slice(c, 1, _BIG)
-    return None
+def _zero(t: pa.DataType) -> pa.Scalar:
+    """The value of flat type ``t`` whose buffers are all zero bytes: 0,
+    False, the epoch, "" or b"" — what a null key stands as."""
+    n = t.byte_width if pa.types.is_fixed_size_binary(t) else 0
+    bufs = [None] + [pa.py_buffer(bytes(max(32, n)))] * (t.num_buffers - 1)
+    return pa.Array.from_buffers(t, 1, bufs)[0]
 
 
 def _encode_keys(t: pa.Table, keys: list[str]) -> pa.Table:
     for k in keys:
-        col, spec = t[k], _text_key(t[k].type)
-        if spec is not None:
-            tag, null, _ = spec
-            typ = col.type
-            enc = pc.fill_null(
-                pc.binary_join_element_wise(pa.scalar(tag, typ), col,
-                                            pa.scalar(tag[:0], typ)),
-                pa.scalar(null, typ))
-            t = t.set_column(t.schema.get_field_index(k), k, enc)
+        col = t[k]
+        if not (pa.types.is_nested(col.type)
+                or pa.types.is_dictionary(col.type)):
+            t = t.set_column(t.schema.get_field_index(k), k,
+                             pc.fill_null(col, _zero(col.type)))
+        t = t.append_column(_NULL + k, pc.is_null(col))
     return t
 
 
 def _decode_keys(g, keys: list[str]):
-    """``g`` (an Arrow table or a pandas frame) with its keys decoded."""
-    for k in keys:
+    """``g`` (one group, an Arrow table or a pandas frame) with its null
+    keys restored and the flags dropped."""
+    flags = [_NULL + k for k in keys]
+    for k, f in zip(keys, flags):
         if isinstance(g, pa.Table):
-            spec = _text_key(g[k].type)
-            if spec is not None:
-                _, null, cut = spec
-                col, typ = g[k], g[k].type
-                dec = pc.if_else(pc.equal(col, pa.scalar(null, typ)),
-                                 pa.scalar(None, typ), cut(col))
-                g = g.set_column(g.schema.get_field_index(k), k, dec)
-        else:
-            col = g[k]
-            first = next((v for v in col if v is not None), None)
-            if isinstance(first, (str, bytes)):
-                null = "\x01" if isinstance(first, str) else b"\x01"
-                g = g.assign(**{k: col.str[1:].where(col != null, None)})
-    return g
+            if g[f][0].as_py():
+                g = g.set_column(g.schema.get_field_index(k), k,
+                                 pa.nulls(len(g), g[k].type))
+        elif g[f].iloc[0]:
+            g = g.assign(**{k: None})
+    return (g.drop_columns(flags) if isinstance(g, pa.Table)
+            else g.drop(columns=flags))
 
 
 def keyed_fold(
@@ -251,7 +246,8 @@ def keyed_fold(
     refs, _ = nonempty_refs(
         ds.map_batches(lambda t: _encode_keys(t, keys), batch_format="pyarrow",
                        batch_size=None)
-        .groupby(key).map_groups(fold, batch_format=batch_format))
+        .groupby([c for k in keys for c in (_NULL + k, k)])
+        .map_groups(fold, batch_format=batch_format))
     return (ray.data.from_arrow_refs(refs) if refs
             else ray.data.from_arrow(fallback))
 

@@ -91,6 +91,8 @@ def build_suggest_table(index_dir: str) -> int:
     Called at finalize; returns the number of terms."""
     import pyarrow.parquet as pq
 
+    from konlsearch_ray.build import DRIVER_MAX_TERMS
+
     d = os.path.join(index_dir, "dictionary")
     files = [os.path.join(d, n) for n in (sorted(os.listdir(d))
                                           if os.path.isdir(d) else [])
@@ -109,7 +111,7 @@ def build_suggest_table(index_dir: str) -> int:
         shutil.rmtree(out_dir, ignore_errors=True)
         os.replace(tmp_dir, out_dir)
 
-    if n_terms <= 4_000_000:
+    if n_terms <= DRIVER_MAX_TERMS:
         # Same small/huge split as the dictionary finalize: a driver
         # build is cheaper than a Ray sort pipeline for ≤ a few M terms.
         terms = pa.concat_tables(

@@ -17,7 +17,8 @@ per term, in term order (``SEGMENT_SCHEMA``):
 Every other module reaches the format through this one:
 
 - layout: ``FORMAT_VERSION`` (2: ``pos_rest_bin`` added), its guard
-  ``check_version``, the shard paths, ``shard_nums``, ``docs_files``
+  ``check_version``, ``shard_of`` (doc id to shard), the shard paths,
+  ``shard_nums``, ``docs_files``
   (each shard's docstore files), ``read_doclens`` and ``read_manifests``;
 - per-shard jobs: ``run_per_shard``, the one task fan-out of the build's
   postings phase, compaction and merge;
@@ -110,6 +111,16 @@ def shard_nums(index_dir: str) -> list[int]:
     return sorted(int(n[len("shard-"):-len(".parquet")])
                   for n in os.listdir(d)
                   if n.startswith("shard-") and n.endswith(".parquet"))
+
+
+def shard_of(doc_id, shard_size: int):
+    """The shard of a doc id (an int gives an int) or of each id of an
+    array (numpy or Arrow gives an int64 array): ``(doc_id - 1) /
+    shard_size`` truncated toward zero, so doc id 0 lives in shard 0.
+    The build, append and the docstore all route ids by this rule."""
+    n = np.asarray(doc_id, dtype=np.int64) - 1
+    q = np.sign(n) * (np.abs(n) // shard_size)
+    return q if q.ndim else int(q)
 
 
 def docs_files(index_dir: str) -> dict[int, list[str]]:

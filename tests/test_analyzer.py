@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 
@@ -8,6 +11,16 @@ from konlsearch_ray.analyzer import (
     sanitize,
     tokenize,
 )
+
+PKG = Path(__file__).resolve().parent.parent / "konlsearch_ray"
+
+
+def _hits(pattern: str) -> list[tuple[str, int]]:
+    rx = re.compile(pattern)
+    return [(p.relative_to(PKG).as_posix(), i)
+            for p in sorted(PKG.rglob("*.py"))
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if rx.search(line)]
 
 
 def test_sanitize_reference_charset():
@@ -67,3 +80,11 @@ def test_analyze_batch_empty():
     out = analyze_batch(batch, "text")
     assert out.num_rows == 0
     assert out.schema.names == ["doc_id", "term", "tf", "first_pos"]
+
+
+def test_one_tokenizer_entry_point():
+    # Only analyzer.py runs the normative split or calls a pluggable
+    # analyzer; every other module tokenizes through analyze_strings /
+    # analyze_strings_coded.
+    hits = _hits(r"(?<!def )\btokenize_many\(|utf8_split_whitespace")
+    assert {f for f, _ in hits} == {"analyzer.py"}, hits

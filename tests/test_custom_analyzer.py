@@ -201,3 +201,43 @@ def test_search_near_unserializable_analyzer(ray_session, tmp_path):
     assert r.search_near(["마법", "소녀"], slop=2, analyzer=an) == [1, 3]
     # slop=1 keeps only the adjacent pair in doc 3.
     assert r.search_near(["마법", "소녀"], slop=1, analyzer=an) == [3]
+
+
+def test_snippet_table_custom_analyzer_matches_bruteforce(ray_session,
+                                                          tmp_path):
+    """Snippets over a custom-analyzer index, given the same factory,
+    are windows of that analyzer's own stream: the stored first
+    positions count its morphemes, so the normative stream would cut
+    them in the wrong place."""
+    from konlsearch_ray.analyzer import tokenize
+    from konlsearch_ray.corpus import write_corpus
+    from konlsearch_ray.docstore import DocStore
+    from konlsearch_ray.export import snippet_table
+
+    idx = str(tmp_path / "i")
+    build_index(write_corpus(str(tmp_path / "c"), 120, seed=7), idx,
+                IndexConfig(shard_size=32,
+                            analyzer_factory=KoreanLexiconAnalyzer))
+    rows = DocStore(idx).get_all()
+    texts = rows["content"].to_pylist()
+    streams = dict(zip(rows["doc_id"].to_pylist(),
+                       KoreanLexiconAnalyzer().tokenize_many(texts)))
+    plain = dict(zip(rows["doc_id"].to_pylist(), map(tokenize, texts)))
+    # Terms only the analyzer emits, and plain terms it moves.
+    morphemes = sorted(set().union(*streams.values())
+                       - set().union(*plain.values()))
+    moved = sorted({t for d, toks in plain.items() for t in toks
+                    if streams[d].index(t) != toks.index(t)})
+    assert morphemes and moved
+    width = 2
+    for term in morphemes[:3] + moved[:3]:
+        want = set()
+        for d, toks in streams.items():
+            if term in toks:
+                fp = toks.index(term)
+                want.add((d, fp + 1, " ".join(
+                    toks[max(0, fp - width):fp + width + 1])))
+        got = snippet_table(idx, term, width=width,
+                            analyzer_factory=KoreanLexiconAnalyzer)
+        got = got.to_pandas()
+        assert set(zip(got["doc_id"], got["pos"], got["snippet"])) == want

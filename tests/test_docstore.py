@@ -341,3 +341,43 @@ def test_shifted_docstore_file_keeps_row_groups(two_big_shards, tmp_path):
     merge_indexes(two_big_shards, m, remap_ids=True)
     assert _row_groups(m, 1) == 3
     assert DocStore(m).get(4096 + 2500)["text"] == "doc w0 n2499"
+
+
+def test_doc_id_zero_in_shard_zero_on_every_route(ray_session, tmp_path):
+    """One shard rule (``segment.shard_of``, truncating): the build
+    writes doc id 0 into shard 0, the docstore looks for it there, and
+    an append into shard 0 invalidates and rebuilds that shard with doc
+    0 still in it."""
+    import os
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from konlsearch_ray.build import append_documents
+    from konlsearch_ray.query import IndexReader
+    from konlsearch_ray.segment import shard_of
+
+    assert shard_of(0, 5) == 0
+    assert shard_of(np.array([0, 1, 5, 6]), 5).tolist() == [0, 0, 0, 1]
+    assert shard_of(pa.array([0, 6], pa.int64()), 5).tolist() == [0, 1]
+    src = str(tmp_path / "d.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
+        "text": pa.array(["zero doc", "one doc", "two doc", "three doc"]),
+    }), src)
+    idx = str(tmp_path / "i")
+    build_index(src, idx, IndexConfig(content_col="text", id_col="doc_id",
+                                      shard_size=5))
+    assert os.listdir(os.path.join(idx, "docs")) == ["shard=0"]
+    store = DocStore(idx)
+    assert store._shard_of(0) == 0 and store.get(0)["text"] == "zero doc"
+    more = str(tmp_path / "more.parquet")
+    pq.write_table(pa.table({"text": pa.array(["four doc"])}), more)
+    stats = append_documents(idx, more)
+    assert stats["touched_shards"] == [0]
+    assert os.listdir(os.path.join(idx, "docs")) == ["shard=0"]
+    r = IndexReader(idx)
+    assert r.search(["zero"], "OR") == [0]
+    assert r.search(["four"], "OR") == [4]
+    assert r.search(["doc"], "OR") == [0, 1, 2, 3, 4]

@@ -2,6 +2,8 @@
 goes through, and the typed-empty contract it gives them.
 """
 
+import datetime
+import decimal
 import pathlib
 
 import numpy as np
@@ -282,3 +284,43 @@ def test_keyed_fold_null_binary_keys_over_blocks(ray_session):
         "g": pa.array([], pa.binary()), "n": pa.array([], pa.int64())})))
     assert dict(zip(got["g"].to_pylist(), got["n"].to_pylist())) == {
         b"a": 10, b"b": 10, b"c": 10, b"": 10, None: 20}
+
+
+@pytest.mark.parametrize("typ, values", [
+    (pa.decimal128(10, 2), [decimal.Decimal("1.50"), decimal.Decimal("0.00"),
+                            decimal.Decimal("-2.25")]),
+    (pa.bool_(), [True, False]),
+    (pa.date32(), [datetime.date(2020, 1, 1), datetime.date(1970, 1, 1),
+                   datetime.date(1999, 3, 1)]),
+], ids=["decimal128", "bool", "date32"])
+@pytest.mark.parametrize("fmt", ["pyarrow", "pandas"])
+def test_keyed_fold_null_keys_of_any_type_over_blocks(ray_session, typ,
+                                                      values, fmt):
+    # 60 rows, a third of them null-keyed, over 3 blocks: null decimal
+    # and bool keys raised TypeError in the sort shuffle, and null dates
+    # split into one group per row. The merge sees the exact stored
+    # values in their own type; the nulls form one group. The zero of
+    # each type (0, False, the epoch) is a real key beside the null one.
+    keys = [values[(i // 3) % len(values)] if i % 3 else None
+            for i in range(60)]
+    t = pa.table({"g": pa.array(keys, typ),
+                  "v": pa.array(np.arange(60), pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(3)
+
+    def merge(g):
+        if fmt == "pandas":
+            g = pa.Table.from_pandas(g, preserve_index=False)
+            g = g.set_column(0, "g", g["g"].cast(typ))
+        return pa.table({"g": g["g"].slice(0, 1),
+                         "n": pa.array([len(g)], pa.int64())})
+
+    got = _tables(keyed_fold(ds, "g", merge, batch_format=fmt,
+                             fallback=pa.table({
+                                 "g": pa.array([], typ),
+                                 "n": pa.array([], pa.int64())})))
+    want: dict = {}
+    for k in keys:
+        want[k] = want.get(k, 0) + 1
+    assert got["g"].type == typ
+    assert dict(zip(got["g"].to_pylist(), got["n"].to_pylist())) == want
+    assert got.num_rows == len(want) == len(values) + 1
