@@ -21,6 +21,7 @@ from typing import Any
 
 import pyarrow as pa
 
+from konlsearch_ray.segment import dictionary_files
 from konlsearch_ray.sources import \
     read_parquet_clean as _rp_clean  # strips pandas metadata at the read
 
@@ -102,14 +103,6 @@ def _reader(sf_dir: str):
     from konlsearch_ray.query import IndexReader
 
     return IndexReader(_index_dir(sf_dir))
-
-
-def _dict_files(sf_dir: str) -> list[str]:
-    """The entry index's dictionary parquet parts (one listing shared by
-    every dictionary-backed query)."""
-    d = os.path.join(_index_dir(sf_dir), "dictionary")
-    return [os.path.join(d, f) for f in sorted(os.listdir(d))
-            if f.endswith(".parquet")]
 
 
 def _morph_index_dir(sf_dir: str) -> str:
@@ -471,7 +464,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def term_stats(sf_dir):
         import ray.data
 
-        t = (_rp_clean(_dict_files(sf_dir))
+        t = (_rp_clean(dictionary_files(_index_dir(sf_dir)))
              .sort(["df", "term"], descending=[True, False]).limit(50).to_pandas())
         return pa.table({"term": pa.array(t["term"], pa.string()),
                          "df": pa.array(t["df"].astype("int64")),
@@ -648,7 +641,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from konlsearch_ray.pipelines.suggest import topk_per_jamo_prefix
 
         out = topk_per_jamo_prefix(
-            _rp_clean(_dict_files(sf_dir)), count_col="df").to_pandas()
+            _rp_clean(dictionary_files(_index_dir(sf_dir))),
+            count_col="df").to_pandas()
         out = out[out["prefix"].str.len() <= 2]
         return pa.table({"prefix": pa.array(out["prefix"], pa.string()),
                          "term": pa.array(out["term"], pa.string()),
@@ -731,7 +725,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         from konlsearch_ray.pipelines.suggest import topk_per_prefix as _tpp
 
-        out = _tpp(_rp_clean(_dict_files(sf_dir))).to_pandas()
+        out = _tpp(_rp_clean(dictionary_files(_index_dir(sf_dir)))).to_pandas()
         return pa.table({"prefix": pa.array(out["prefix"], pa.string()),
                          "term": pa.array(out["term"], pa.string()),
                          "df": pa.array(out["df"].astype("int64")),

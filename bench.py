@@ -160,7 +160,8 @@ def run_bench() -> dict:
 
     from konlsearch_ray.build import IndexConfig, build_index
     from konlsearch_ray.corpus import write_corpus
-    from konlsearch_ray.query import IndexReader, _read_dictionary
+    from konlsearch_ray.query import IndexReader
+    from konlsearch_ray.segment import read_dictionary
 
     queries: dict[str, float] = {}
 
@@ -293,8 +294,9 @@ def run_bench() -> dict:
     from konlsearch_ray.corpus import HEAD_TERMS
 
     rng = np.random.default_rng(7)
-    # The first 4,000 terms of the index's global vocabulary.
-    vocab_terms = [t for t in _read_dictionary(code_idx)["term"]
+    # The first 4,000 terms of the index's global vocabulary, in the
+    # dictionary's (jamo_key, term) order.
+    vocab_terms = [t for t in read_dictionary(code_idx, ["term"])["term"]
                    .slice(0, 4000).to_pylist() if t]
 
     def _latency() -> dict:

@@ -35,8 +35,9 @@ with two phases over ``ray.data.Dataset``:
   of a shuffle.
 
 **Finalize**: global ``stats.json`` (N, avgdl, total_tokens) from shard
-manifests; ``dictionary/`` = groupby(term) over the segments' (term, df,
-cf) columns only (column-pruned read).
+manifests; ``dictionary/``, the one global term table = groupby(term)
+over the segments' (term, df, cf) columns only (column-pruned read),
+each term's ``jamo_key`` appended, sorted by (jamo_key, term).
 
 Per-shard manifests carry lineage (input files), counters, and output
 sha256s; a re-run skips complete shards and reproduces byte-identical
@@ -60,12 +61,13 @@ from ray.data.aggregate import Sum
 
 from konlsearch_ray.analyzer import analyze_strings_coded, group_postings
 from konlsearch_ray.functions.blocks import key_codes, runs
-from konlsearch_ray.segment import (FORMAT_VERSION, _atomic_write_parquet,
-                                    binary_view, check_version, docs_files,
-                                    encode_segment, manifest_path,
-                                    read_manifests, run_per_shard,
-                                    segment_path, shard_nums, shard_of,
-                                    write_docs_file, write_shard)
+from konlsearch_ray.pipelines.suggest import decompose_jamo_bulk
+from konlsearch_ray.segment import (DICTIONARY_ROW_GROUP, FORMAT_VERSION,
+                                    _atomic_write_parquet, binary_view,
+                                    check_version, docs_files, encode_segment,
+                                    manifest_path, read_manifests,
+                                    run_per_shard, segment_path, shard_nums,
+                                    shard_of, write_docs_file, write_shard)
 
 
 @dataclass
@@ -431,9 +433,9 @@ def _drop_rows(block: pa.Table, drop: np.ndarray | None) -> pa.Table:
 # light (sha) column to the driver) hands off to the shuffle-based
 # pre-pass. ~64 B/row → ~3 GB driver heap at the threshold.
 DEDUP_DRIVER_MAX_ROWS = 50_000_000
-# Up to this many terms, finalize builds the dictionary and the suggest
-# table on the driver: a Ray pipeline costs seconds of fixed latency for
-# kilobytes of stats. Above it, both run as Ray Data pipelines.
+# Up to this many terms, finalize builds the dictionary on the driver: a
+# Ray pipeline costs seconds of fixed latency for kilobytes of stats.
+# Above it, the dictionary builds as one Ray Data pipeline.
 DRIVER_MAX_TERMS = 4_000_000
 
 
@@ -981,7 +983,15 @@ def _postings_phase(index_dir: str, cfg: IndexConfig) -> None:
     run_per_shard(_build_shards, todo, cfg, index_dir)
 
 
+def _with_jamo_key(t: pa.Table) -> pa.Table:
+    """(term, df, cf) rows with each term's jamo decomposition appended."""
+    keys = decompose_jamo_bulk(t["term"].to_pylist())
+    return t.append_column("jamo_key", pa.array(keys, pa.string()))
+
+
 def _finalize(index_dir: str) -> dict:
+    import shutil
+
     manifests = read_manifests(index_dir)
     n_docs = sum(m["n_docs"] for m in manifests)
     total_tokens = sum(m["total_tokens"] for m in manifests)
@@ -991,48 +1001,40 @@ def _finalize(index_dir: str) -> dict:
         "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
         "num_shards": len(manifests),
         "version": FORMAT_VERSION,
+        "vocab": 0,
     }
-    # Global dictionary: column-pruned groupby over segment stats.
+    # The global term table: a column-pruned groupby over the segments'
+    # (term, df, cf), keyed and sorted by jamo_key for prefix scans.
     seg_files = [segment_path(index_dir, s) for s in shard_nums(index_dir)]
     dict_dir = os.path.join(index_dir, "dictionary")
     if seg_files:
         tmp_dir = dict_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            import shutil
-
-            shutil.rmtree(tmp_dir)
-        n_terms = sum(m["n_terms"] for m in manifests)
-        if n_terms <= DRIVER_MAX_TERMS:
-            # Small dictionary: merge on the driver. (Columns are pruned
-            # either way.)
-            t = pa.concat_tables(
-                pq.read_table(f, columns=["term", "df", "cf"])
-                for f in seg_files)
-            agg = (t.group_by("term")
-                   .aggregate([("df", "sum"), ("cf", "sum")])
-                   .rename_columns(["term", "df", "cf"]))
-            os.makedirs(tmp_dir, exist_ok=True)
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        cols = ["term", "df", "cf"]
+        keys = ["jamo_key", "term"]
+        if sum(m["n_terms"] for m in manifests) <= DRIVER_MAX_TERMS:
+            t = pa.concat_tables(pq.read_table(f, columns=cols)
+                                 for f in seg_files)
+            agg = (t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+                   .rename_columns(cols))
+            agg = _with_jamo_key(agg).sort_by([(k, "ascending") for k in keys])
+            os.makedirs(tmp_dir)
             pq.write_table(agg, os.path.join(tmp_dir, "dict-000000.parquet"),
-                           compression="zstd")
+                           compression="zstd",
+                           row_group_size=DICTIONARY_ROW_GROUP)
+            stats["vocab"] = agg.num_rows
         else:
-            dct = (
-                ray.data.read_parquet(seg_files, columns=["term", "df", "cf"])
-                .groupby("term")
-                .aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
-            )
-            dct.write_parquet(tmp_dir)
-        if os.path.isdir(dict_dir):
-            import shutil
-
-            shutil.rmtree(dict_dir)
+            dct = (ray.data.read_parquet(seg_files, columns=cols)
+                   .groupby("term")
+                   .aggregate(Sum("df", alias_name="df"),
+                              Sum("cf", alias_name="cf"))
+                   .map_batches(_with_jamo_key, batch_format="pyarrow")
+                   .sort(keys).materialize())
+            dct.write_parquet(tmp_dir, compression="zstd",
+                              row_group_size=DICTIONARY_ROW_GROUP)
+            stats["vocab"] = dct.count()
+        shutil.rmtree(dict_dir, ignore_errors=True)
         os.replace(tmp_dir, dict_dir)
-    stats["vocab"] = int(pq.ParquetDataset(dict_dir).read(["term"]).num_rows) if seg_files else 0
-    if seg_files:
-        # Sorted (jamo_key, term) suggestion table — the trie equivalent
-        # (range scans replace full-dictionary filters; SURVEY.md J5/O2).
-        from konlsearch_ray.pipelines.suggest import build_suggest_table
-
-        build_suggest_table(index_dir)
     tmp = os.path.join(index_dir, ".stats.json.tmp")
     with open(tmp, "w") as f:
         json.dump(stats, f, sort_keys=True)

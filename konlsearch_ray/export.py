@@ -219,21 +219,20 @@ def snippet_table(
     src = pa.table({"doc_id": pa.array(doc_ids.astype(np.int64), pa.int64()),
                     "first_pos": pa.array(first_pos.astype(np.int64),
                                           pa.int64())})
-    ds = ray.data.from_arrow(src)
     # Cap the pool at the cluster's CPUs and autoscale UP from one
-    # actor: a fixed pool of size >= cluster CPUs pre-acquires every
-    # CPU before the upstream repartition can run — observed deadlock
-    # with a 2-CPU session and a fixed concurrency=2 pool. A (1, n)
-    # pool starts work immediately and grows only into free CPUs.
+    # actor, so the pool grows only into free CPUs.
     import ray as _ray
 
     cpu_cap = max(1, int(_ray.cluster_resources().get("CPU", 1)))
     concurrency = max(1, min(concurrency, cpu_cap))
-    # One block per ~batch_size docs, capped so every pool actor gets
-    # work without shattering a small match list into confetti.
+    # Up to two blocks per actor, capped so a small match list is not
+    # shattered into confetti. The driver cuts them: an upstream Ray
+    # task (a repartition) would wait forever for a CPU whenever the
+    # pool holds every CPU, as its one actor does on a 1-CPU session.
     nblocks = max(1, min(concurrency * 2, src.num_rows // 64))
-    if nblocks > 1:
-        ds = ds.repartition(nblocks)
+    step = -(-src.num_rows // nblocks)
+    ds = ray.data.from_arrow(
+        [src.slice(i, step) for i in range(0, src.num_rows, step)])
     out = ds.map_batches(
         _SnippetStage, batch_format="pyarrow",
         fn_constructor_args=(index_dir, width, analyzer_factory),

@@ -18,11 +18,12 @@ then rebuilds the output from its non-empty block refs — only refs
 move to the driver, the blocks stay in the object store — and returns
 exactly ``fallback`` when nothing survives, so an empty input keeps
 the non-empty schema.  It also owns the null-key landmine: the sort
-shuffle can neither order a null beside a value nor keep null dates in
-one group, so every key crosses the exchange as a null flag plus the
-key with its nulls filled (``_encode_keys``), and a null key of any
-flat type forms one group of its own, decoded back to null before
-``merge`` sees it.
+shuffle can neither order a null beside a value nor keep null dates or
+float NaNs in one group, so every key crosses the exchange as a kind
+(value, NaN or null) plus the key with its NaNs and nulls filled
+(``_encode_keys``): a null key of any flat type forms one group of its
+own, as do the NaN keys, decoded back to null or NaN before ``merge``
+sees them.
 
 ``nonempty_refs`` additionally reports the row count, so join chains can
 SHORT-CIRCUIT on an empty side: Ray's hash-shuffle join crashes when a
@@ -175,13 +176,14 @@ def _segmented_order(
 
 # Ray's sort shuffle finds its partition bounds by comparing key values
 # in Python, where a null beside a value raises TypeError, and it splits
-# groups wherever adjacent keys differ, which NaT always does. So every
-# flat key crosses the exchange as two group columns: a null flag first
-# (a null sorts after every value) and the key with its nulls set to
-# one fixed value of its type. A null key thus forms one group of its
-# own; ``fold`` restores the nulls and drops the flags before ``merge``
-# sees the group.
-_NULL = "__null_"
+# groups wherever adjacent keys differ, which NaT and NaN always do. So
+# every flat key crosses the exchange as two group columns: a kind first
+# (0 a value, 1 a float NaN, 2 a null) and the key with its NaNs and
+# nulls set to one fixed value of its type. All NaN keys thus form one
+# group, and all null keys another (DuckDB's GROUP BY); ``fold``
+# restores the NaNs and nulls and drops the kinds before ``merge`` sees
+# the group.
+_KIND = "__kind_"
 
 
 def _zero(t: pa.DataType) -> pa.Scalar:
@@ -195,27 +197,34 @@ def _zero(t: pa.DataType) -> pa.Scalar:
 def _encode_keys(t: pa.Table, keys: list[str]) -> pa.Table:
     for k in keys:
         col = t[k]
+        unset = pc.is_null(col, nan_is_null=True)
         if not (pa.types.is_nested(col.type)
                 or pa.types.is_dictionary(col.type)):
             t = t.set_column(t.schema.get_field_index(k), k,
-                             pc.fill_null(col, _zero(col.type)))
-        t = t.append_column(_NULL + k, pc.is_null(col))
+                             pc.if_else(unset, _zero(col.type), col))
+        kind = pc.add(pc.cast(unset, pa.int8()),
+                      pc.cast(pc.is_null(col), pa.int8()))
+        t = t.append_column(_KIND + k, kind)
     return t
 
 
 def _decode_keys(g, keys: list[str]):
-    """``g`` (one group, an Arrow table or a pandas frame) with its null
-    keys restored and the flags dropped."""
-    flags = [_NULL + k for k in keys]
-    for k, f in zip(keys, flags):
+    """``g`` (one group, an Arrow table or a pandas frame) with its NaN
+    and null keys restored and the kinds dropped."""
+    kinds = [_KIND + k for k in keys]
+    for k, c in zip(keys, kinds):
+        kind = g[c][0].as_py() if isinstance(g, pa.Table) else g[c].iloc[0]
+        if not kind:
+            continue
         if isinstance(g, pa.Table):
-            if g[f][0].as_py():
-                g = g.set_column(g.schema.get_field_index(k), k,
-                                 pa.nulls(len(g), g[k].type))
-        elif g[f].iloc[0]:
-            g = g.assign(**{k: None})
-    return (g.drop_columns(flags) if isinstance(g, pa.Table)
-            else g.drop(columns=flags))
+            typ = g[k].type
+            g = g.set_column(g.schema.get_field_index(k), k,
+                             pa.nulls(len(g), typ) if kind == 2 else
+                             pa.array(np.full(len(g), np.nan), typ))
+        else:
+            g = g.assign(**{k: None if kind == 2 else np.nan})
+    return (g.drop_columns(kinds) if isinstance(g, pa.Table)
+            else g.drop(columns=kinds))
 
 
 def keyed_fold(
@@ -233,9 +242,9 @@ def keyed_fold(
 
     ``partial`` and ``merge`` both see ``batch_format`` batches;
     ``merge`` sees only non-empty groups, with the key values as
-    stored (null keys form one group of their own).  ``fallback`` is the typed
-    empty output table: it answers empty groups, and it is the result
-    when no group emits a row."""
+    stored (null keys form one group of their own, NaN keys another).
+    ``fallback`` is the typed empty output table: it answers empty
+    groups, and it is the result when no group emits a row."""
     if partial is not None:
         ds = ds.map_batches(partial, batch_format=batch_format)
     keys = [key] if isinstance(key, str) else list(key)
@@ -246,7 +255,7 @@ def keyed_fold(
     refs, _ = nonempty_refs(
         ds.map_batches(lambda t: _encode_keys(t, keys), batch_format="pyarrow",
                        batch_size=None)
-        .groupby([c for k in keys for c in (_NULL + k, k)])
+        .groupby([c for k in keys for c in (_KIND + k, k)])
         .map_groups(fold, batch_format=batch_format))
     return (ray.data.from_arrow_refs(refs) if refs
             else ray.data.from_arrow(fallback))

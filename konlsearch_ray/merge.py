@@ -4,13 +4,13 @@ The north-star build "merges [per-partition posting lists] into a global
 segment layout"; this module is the cross-INDEX version of that step:
 two (or more) indexes built separately — different corpora, different
 clusters, different days — become one index whose readers, sharded
-engines, docstore, suggest table and stats behave exactly as if the
+engines, docstore, term table and stats behave exactly as if the
 union corpus had been built in one run.
 
 Why this is cheap here: every per-shard artifact (segment, doclens,
 docstore partition, manifest) is an immutable file keyed by an
 ARITHMETIC shard number ``(doc_id - 1) // shard_size``, and every
-global structure (stats.json, dictionary/, suggest/) is derived from
+global structure (stats.json, dictionary/) is derived from
 the shards by ``build._finalize``. So a merge is:
 
 1. **Disjoint path** (default): verify the indexes' shard sets are

@@ -182,21 +182,32 @@ def aggregate_search_frequency(log_dir: str, freq_dir: str) -> pa.Table:
         new = new.sort_values("term").reset_index(drop=True)
         out = pa.table({"term": pa.array(new["term"], pa.string()),
                         "hits": pa.array(new["hits"].astype("int64"))})
-        new_name = f"frequency-{uuid.uuid4().hex[:10]}.parquet"
-        tmp = os.path.join(freq_dir, "." + new_name + ".tmp")
-        pq.write_table(out, tmp)
-        os.replace(tmp, os.path.join(freq_dir, new_name))  # not yet live
-        tmp = manifest_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump({"consumed": sorted(consumed | set(parts)),
-                       "frequency_file": new_name}, f)
-        os.replace(tmp, manifest_path)  # the single atomic commit point
-        if cur_name and os.path.exists(os.path.join(freq_dir, cur_name)):
-            os.remove(os.path.join(freq_dir, cur_name))
-        cur_name = new_name
+        cur_name = _commit_frequency(
+            freq_dir, out, {"consumed": sorted(consumed | set(parts))},
+            cur_name)
     if cur_name and os.path.exists(os.path.join(freq_dir, cur_name)):
         return pq.read_table(os.path.join(freq_dir, cur_name))
     return _EMPTY_FREQ
+
+
+def _commit_frequency(freq_dir: str, table: pa.Table, manifest: dict,
+                      old_name: str | None) -> str:
+    """Write ``table`` as a new versioned ``frequency-*.parquet``, make
+    it live by swapping in ``manifest`` naming it (the single atomic
+    commit point), then remove the ``old_name`` file. Returns the new
+    file's name."""
+    new_name = f"frequency-{uuid.uuid4().hex[:10]}.parquet"
+    tmp = os.path.join(freq_dir, "." + new_name + ".tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(freq_dir, new_name))  # not yet live
+    manifest_path = os.path.join(freq_dir, "manifest.json")
+    tmp = manifest_path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump({**manifest, "frequency_file": new_name}, f)
+    os.replace(tmp, manifest_path)  # the single atomic commit point
+    if old_name and os.path.exists(os.path.join(freq_dir, old_name)):
+        os.remove(os.path.join(freq_dir, old_name))
+    return new_name
 
 
 _EMPTY_FREQ = pa.table({"term": pa.array([], pa.string()),
@@ -236,18 +247,7 @@ def delete_frequency_terms(freq_dir: str, terms) -> pa.Table:
     out = cur.filter(keep)
     with open(manifest_path) as f:
         m = json.load(f)
-    new_name = f"frequency-{uuid.uuid4().hex[:10]}.parquet"
-    tmp = os.path.join(freq_dir, "." + new_name + ".tmp")
-    pq.write_table(out, tmp)
-    os.replace(tmp, os.path.join(freq_dir, new_name))  # not yet live
-    old_name = m.get("frequency_file")
-    m["frequency_file"] = new_name
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, manifest_path)  # the single atomic commit point
-    if old_name and os.path.exists(os.path.join(freq_dir, old_name)):
-        os.remove(os.path.join(freq_dir, old_name))
+    _commit_frequency(freq_dir, out, m, m.get("frequency_file"))
     return out
 
 

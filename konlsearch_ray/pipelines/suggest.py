@@ -3,19 +3,20 @@
 Replaces the reference's jamo-decomposed RocksDB trie (reference
 trie.py:38-67, 139-154) and bounded per-prefix top-5 counter (reference
 counter.py:41-90, trie.py:200-216 — SURVEY.md J5/A4/O3) with plain
-relational shapes over the dictionary table: a prefix range filter and a
-grouped top-k. The reference's bit-flipped count key encoding (counter.py:
-96-105) is unnecessary — a (count desc, term asc) sort expresses it.
+relational shapes over the global term table (``dictionary/``, which
+carries each term's jamo key): a prefix range scan and a grouped top-k.
+The reference's bit-flipped count key encoding (counter.py:96-105) is
+unnecessary — a (count desc, term asc) sort expresses it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from konlsearch_ray.segment import dictionary_files
 
 TOP_K = 5  # the reference counter's bound (counter.py:12-18)
 
@@ -76,107 +77,44 @@ def decompose_jamo_bulk(terms) -> list[str]:
     return "\x00".join(terms).translate(_jamo_trans_table()).split("\x00")
 
 
-# --- precomputed suggestion key table (the trie equivalent) ---------------
-# ``suggest/`` under the index dir: (jamo_key, term) sorted by jamo_key,
-# written with small row groups so a prefix range scan prunes row groups
-# via parquet min/max statistics — per-query cost tracks the match range,
-# not the vocabulary (the relational analogue of the reference's
-# RocksDB-trie prefix seek, trie.py:38-67).
-
-SUGGEST_DIR = "suggest"
-
-
-def build_suggest_table(index_dir: str) -> int:
-    """Materialize the sorted (jamo_key, term) table from ``dictionary/``.
-    Called at finalize; returns the number of terms."""
-    import pyarrow.parquet as pq
-
-    from konlsearch_ray.build import DRIVER_MAX_TERMS
-
-    d = os.path.join(index_dir, "dictionary")
-    files = [os.path.join(d, n) for n in (sorted(os.listdir(d))
-                                          if os.path.isdir(d) else [])
-             if n.endswith(".parquet")]
-    if not files:
-        return 0
-    import shutil
-
-    n_terms = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    out_dir = os.path.join(index_dir, SUGGEST_DIR)
-    tmp_dir = out_dir + ".tmp"
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    os.makedirs(tmp_dir, exist_ok=True)
-
-    def _swap() -> None:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        os.replace(tmp_dir, out_dir)
-
-    if n_terms <= DRIVER_MAX_TERMS:
-        # Same small/huge split as the dictionary finalize: a driver
-        # build is cheaper than a Ray sort pipeline for ≤ a few M terms.
-        terms = pa.concat_tables(
-            pq.read_table(f, columns=["term"]) for f in files)["term"]
-        terms_py = terms.to_pylist()
-        keys = decompose_jamo_bulk(terms_py)
-        t = pa.table(
-            {"jamo_key": pa.array(keys, pa.string()),
-             "term": pa.array(terms_py, pa.string())}).sort_by("jamo_key")
-        pq.write_table(t, os.path.join(tmp_dir, "keys.parquet"),
-                       compression="zstd", row_group_size=4096)
-        _swap()
-        return t.num_rows
-    # Huge-vocab path: distributed key computation + range-partitioned
-    # sort; each output file carries jamo_key min/max stats for pruning.
-    def add_key(t: pa.Table) -> pa.Table:
-        terms_py = t["term"].to_pylist()
-        return pa.table(
-            {"jamo_key": pa.array(decompose_jamo_bulk(terms_py), pa.string()),
-             "term": t["term"].cast(pa.string())})
-
-    # Same small row groups as the driver path: _prefix_range_scan prunes
-    # on jamo_key min/max PER ROW GROUP, so default (huge) groups would
-    # make every prefix query scan near-full files exactly at the scale
-    # where pruning matters.
-    (ray.data.read_parquet(files, columns=["term"])
-     .map_batches(add_key, batch_format="pyarrow")
-     .sort("jamo_key")
-     .write_parquet(tmp_dir, compression="zstd", row_group_size=4096))
-    _swap()
-    return n_terms
+# --- prefix range scans over the global term table ------------------------
+# ``dictionary/`` carries each term's jamo_key and is sorted by (jamo_key,
+# term) in small row groups (``build._finalize``), so a prefix range scan
+# prunes row groups via parquet min/max statistics — per-query cost tracks
+# the match range, not the vocabulary (the relational analogue of the
+# reference's RocksDB-trie prefix seek, trie.py:38-67).
 
 
 def _prefix_range_scan(index_dir: str, jamo_prefix: str) -> pa.Table:
-    """Row-group-pruned range read [prefix, next(prefix)) over suggest/."""
+    """Row-group-pruned range read [prefix, next(prefix)) over the
+    dictionary's jamo_key: the matching ``term`` column."""
     import pyarrow.dataset as pads
 
-    out_dir = os.path.join(index_dir, SUGGEST_DIR)
-    files = [os.path.join(out_dir, n) for n in sorted(os.listdir(out_dir))
-             if n.endswith(".parquet")] if os.path.isdir(out_dir) else []
+    files = dictionary_files(index_dir)
     if not files:
-        return pa.table({"jamo_key": pa.array([], pa.string()),
-                         "term": pa.array([], pa.string())})
+        return pa.table({"term": pa.array([], pa.string())})
     f = pads.field("jamo_key") >= jamo_prefix
     if jamo_prefix:
         hi = jamo_prefix[:-1] + chr(ord(jamo_prefix[-1]) + 1)
         f = f & (pads.field("jamo_key") < hi)
-    return pads.dataset(files, format="parquet").to_table(filter=f)
+    return pads.dataset(files, format="parquet").to_table(
+        columns=["term"], filter=f)
 
 
 def suggest_indexed(index_dir: str, prefix: str) -> pa.Table:
-    """Term-prefix suggestions via the precomputed key table: jamo range
-    scan prunes, an exact ``starts_with`` filter restores plain-prefix
+    """Term-prefix suggestions via the dictionary's jamo keys: the jamo
+    range scan prunes, an exact ``starts_with`` filter restores plain-prefix
     semantics (an ASCII term's jamo key is the term itself, so the scan
     range always covers every plain match). Sorted by term."""
     t = _prefix_range_scan(index_dir, decompose_jamo(prefix))
-    t = t.filter(pc.starts_with(t["term"], prefix))
-    return t.select(["term"]).sort_by("term")
+    return t.filter(pc.starts_with(t["term"], prefix)).sort_by("term")
 
 
 def suggest_jamo_indexed(index_dir: str, prefix: str) -> pa.Table:
     """Jamo-prefix suggestions (reference trie semantics, J5) as a pure
-    range scan over the sorted key table. Sorted by term."""
+    range scan over the dictionary's sorted jamo keys. Sorted by term."""
     t = _prefix_range_scan(index_dir, decompose_jamo(prefix))
-    return t.select(["term"]).sort_by("term")
+    return t.sort_by("term")
 
 
 def suggest(dictionary: ray.data.Dataset, prefix: str) -> ray.data.Dataset:

@@ -53,31 +53,15 @@ from functools import cached_property
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from konlsearch_ray.analyzer import normalize_query_tokens
 from konlsearch_ray.codec import BLOCK_SIZE
 from konlsearch_ray.segment import (PostingStore, _string_col_to_S,
-                                    check_version, read_doclens, shard_nums)
+                                    check_version, read_dictionary,
+                                    read_doclens, shard_nums)
 
 K1 = 1.2
 B = 0.75
-
-
-def _read_dictionary(index_dir: str) -> pa.Table:
-    """The global ``dictionary/`` (term, df) table — ONE loader shared
-    by the reader's global-df init and the spell suggester so the file
-    walk / projection / concat logic lives in one place."""
-    d = os.path.join(index_dir, "dictionary")
-    parts = [
-        pq.read_table(os.path.join(d, n), columns=["term", "df"])
-        for n in (sorted(os.listdir(d)) if os.path.isdir(d) else [])
-        if n.endswith(".parquet")
-    ]
-    if not parts:
-        return pa.table({"term": pa.array([], pa.string()),
-                         "df": pa.array([], pa.int64())})
-    return pa.concat_tables(parts)
 
 
 def _prefix_upper(pb: bytes) -> bytes | None:
@@ -298,7 +282,7 @@ class IndexReader:
         self._global_df: tuple[np.ndarray, np.ndarray] | None = None
         self._gdf_memo: dict[str, int] = {}
         if use_global_df:
-            dt = _read_dictionary(index_dir)
+            dt = read_dictionary(index_dir, ["term", "df"])
             if dt.num_rows:
                 terms_s = _string_col_to_S(dt["term"])
                 order = np.argsort(terms_s, kind="stable")
@@ -952,7 +936,7 @@ class IndexReader:
             # (The global-df init keeps UTF-8 BYTES for searchsorted;
             # ed1 needs CODEPOINTS — bytes→str astype would mangle
             # Hangul — hence this second, lazily-built representation.)
-            t = _read_dictionary(self.index_dir)
+            t = read_dictionary(self.index_dir, ["term", "df"])
             term_col = t["term"].combine_chunks()
             lens = pc.utf8_length(term_col).to_numpy(
                 zero_copy_only=False).astype(np.int64)
@@ -1209,15 +1193,15 @@ def _merge_partials(t: pa.Table) -> pa.Table:
     (qid, -score, doc_id). Id-mode rows score 0.0, so the same sort
     orders them by doc_id; only top-k rows are cut at ``k`` (for the
     other modes the k column is the slop or m)."""
+    from konlsearch_ray.functions.blocks import runs
+
     q = t["qid"].to_numpy()
     d = t["doc_id"].to_numpy()
     s = t["score"].to_numpy()
     order = np.lexsort((d, -s, q))
     q, d, s = q[order], d[order], s[order]
-    first = np.ones(len(q), dtype=bool)
-    first[1:] = q[1:] != q[:-1]
-    pos = np.arange(len(q))
-    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    starts, lens = runs(q)
+    rank = np.arange(len(q)) - np.repeat(starts, lens)
     topk = pc.is_in(t["mode"], value_set=_TOPK_MODES).to_numpy(
         zero_copy_only=False)[order]
     keep = ~topk | (rank < t["k"].to_numpy()[order])

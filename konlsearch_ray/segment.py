@@ -2,8 +2,14 @@
 
 An index keeps one immutable segment per shard (``segments/``), beside
 that shard's doc lengths (``doclens/``) and a manifest (``manifests/``)
-holding both files' sha256. A segment is one Parquet table with one row
-per term, in term order (``SEGMENT_SCHEMA``):
+holding both files' sha256. One global term table (``dictionary/``,
+``DICTIONARY_SCHEMA``) sums every term's ``df``/``cf`` over the segments
+and carries its Hangul jamo decomposition (``jamo_key``), sorted by
+(jamo_key, term) in ``DICTIONARY_ROW_GROUP``-row groups: it serves the
+global df, spelling and prefix suggestions.
+
+A segment is one Parquet table with one row per term, in term order
+(``SEGMENT_SCHEMA``):
 
 - ``df``/``cf``: the term's posting count and tf sum within the shard;
 - ``doc_ids_bin``: LEB128 doc-id gaps, the first gap the absolute id;
@@ -16,10 +22,12 @@ per term, in term order (``SEGMENT_SCHEMA``):
 
 Every other module reaches the format through this one:
 
-- layout: ``FORMAT_VERSION`` (2: ``pos_rest_bin`` added), its guard
-  ``check_version``, ``shard_of`` (doc id to shard), the shard paths,
-  ``shard_nums``, ``docs_files``
-  (each shard's docstore files), ``read_doclens`` and ``read_manifests``;
+- layout: ``FORMAT_VERSION`` (2: ``pos_rest_bin`` added; 3: the
+  dictionary carries ``jamo_key``), its guard ``check_version``,
+  ``shard_of`` (doc id to shard), the shard paths, ``shard_nums``,
+  ``docs_files`` (each shard's docstore files), ``read_doclens``,
+  ``dictionary_files``/``read_dictionary`` (the global term table) and
+  ``read_manifests``;
 - per-shard jobs: ``run_per_shard``, the one task fan-out of the build's
   postings phase, compaction and merge;
 - write: ``encode_segment`` and ``write_shard`` (build, compaction,
@@ -55,7 +63,7 @@ from konlsearch_ray.codec import (BLOCK_SIZE, decode_postings,
                                   varint_encode_with_sizes)
 
 # The layout version in stats.json, index_meta.json and every manifest.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 SEGMENT_SCHEMA = pa.schema(
     [
@@ -70,6 +78,12 @@ SEGMENT_SCHEMA = pa.schema(
         ("block_max_tf", pa.list_(pa.int32())),
     ]
 )
+
+# The global term table; its row groups stay small so a jamo-prefix
+# range scan prunes them by their jamo_key min/max statistics.
+DICTIONARY_SCHEMA = pa.schema([("term", pa.string()), ("df", pa.int64()),
+                               ("cf", pa.int64()), ("jamo_key", pa.string())])
+DICTIONARY_ROW_GROUP = 4096
 
 
 # --- layout ---------------------------------------------------------------
@@ -169,6 +183,22 @@ def read_doclens(index_dir: str, shards: list[int]) -> pa.Table:
     return pa.concat_tables(tables) if tables else pa.table(
         {"doc_id": pa.array([], pa.int64()),
          "doc_len": pa.array([], pa.int64())})
+
+
+def dictionary_files(index_dir: str) -> list[str]:
+    """The global term table's files (``dictionary/*.parquet``, in name
+    order); empty when there is no ``dictionary/``."""
+    d = os.path.join(index_dir, "dictionary")
+    return [os.path.join(d, n) for n in sorted(os.listdir(d))
+            if n.endswith(".parquet")] if os.path.isdir(d) else []
+
+
+def read_dictionary(index_dir: str, columns: list[str]) -> pa.Table:
+    """The global term table's rows (``columns`` of
+    ``DICTIONARY_SCHEMA``), typed and empty when the index has none."""
+    tables = _read_tables(dictionary_files(index_dir), columns)
+    return pa.concat_tables(tables) if tables else (
+        DICTIONARY_SCHEMA.empty_table().select(columns))
 
 
 def read_manifests(index_dir: str) -> list[dict]:

@@ -113,13 +113,13 @@ def _drop_vanished_frequency_terms(index_dir: str, freq_dir: str) -> int:
     Returns the number of dropped terms."""
     from konlsearch_ray.pipelines.logagg import (current_frequency_table,
                                                  delete_frequency_terms)
-    from konlsearch_ray.query import _read_dictionary
+    from konlsearch_ray.segment import read_dictionary
 
     freq = current_frequency_table(freq_dir)
     if not freq.num_rows:
         return 0
     # an index compacted away has no dictionary: every term vanished
-    terms = _read_dictionary(index_dir)["term"].combine_chunks()
+    terms = read_dictionary(index_dir, ["term"])["term"].combine_chunks()
     vanished = freq.filter(
         pc.invert(pc.is_in(freq["term"], value_set=terms)))["term"]
     if not len(vanished):

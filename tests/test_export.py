@@ -116,6 +116,30 @@ def test_snippet_table_matches_bruteforce(export_built):
         assert expect[int(d)] == (int(p1), sn)
 
 
+def test_snippet_table_cuts_its_blocks_on_the_driver(export_built,
+                                                     monkeypatch):
+    """A term in 128+ docs still runs no repartition: an upstream Ray
+    task would wait forever for a CPU whenever the snippet actor pool
+    holds every CPU, as its one actor does on a 1-CPU session."""
+    import ray.data
+
+    from konlsearch_ray.export import snippet_table
+
+    index_dir, docs = export_built
+    counts = collections.Counter(
+        t for text in docs.values() for t in set(tokenize(text)))
+    term, df = counts.most_common(1)[0]
+    assert df >= 128
+
+    def no_repartition(*_a, **_k):
+        raise AssertionError("snippet_table ran a repartition")
+
+    monkeypatch.setattr(ray.data.Dataset, "repartition", no_repartition)
+    got = snippet_table(index_dir, term).to_pandas()
+    assert sorted(got["doc_id"]) == sorted(
+        d for d, text in docs.items() if term in tokenize(text))
+
+
 def test_snippet_normalizes_query_term(export_built):
     from konlsearch_ray.export import snippet_table
 

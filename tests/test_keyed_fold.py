@@ -324,3 +324,31 @@ def test_keyed_fold_null_keys_of_any_type_over_blocks(ray_session, typ,
     assert got["g"].type == typ
     assert dict(zip(got["g"].to_pylist(), got["n"].to_pylist())) == want
     assert got.num_rows == len(want) == len(values) + 1
+
+
+@pytest.mark.parametrize("fmt", ["pyarrow", "pandas"])
+def test_keyed_fold_nan_keys_form_one_group(ray_session, fmt):
+    # 15 NaN + 5 null + 10 x 1.0 over 3 blocks: the sort shuffle split
+    # every NaN row into a group of its own. All NaN rows form one group
+    # (DuckDB's GROUP BY), apart from the null one, and merge sees NaN.
+    keys = [float("nan")] * 15 + [None] * 5 + [1.0] * 10
+    t = pa.table({"g": pa.array(keys, pa.float64()),
+                  "v": pa.array(np.arange(30), pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(3)
+
+    def merge(g):
+        if fmt == "pandas":  # a float null reads back as NaN in pandas
+            kind = "value" if g["g"].notna().all() else "unset"
+        else:
+            k = g["g"]
+            kind = ("null" if k.null_count == len(g)
+                    else "nan" if pc.all(pc.is_nan(k)).as_py() else "value")
+        return pa.table({"kind": [kind], "n": pa.array([len(g)], pa.int64())})
+
+    got = _tables(keyed_fold(ds, "g", merge, batch_format=fmt,
+                             fallback=pa.table({
+                                 "kind": pa.array([], pa.string()),
+                                 "n": pa.array([], pa.int64())})))
+    want = ([("nan", 15), ("null", 5), ("value", 10)] if fmt == "pyarrow"
+            else [("unset", 5), ("unset", 15), ("value", 10)])
+    assert sorted(zip(got["kind"].to_pylist(), got["n"].to_pylist())) == want

@@ -146,15 +146,15 @@ def test_layout_version_guard(index_dir, tmp_path, layout_file):
     from konlsearch_ray.segment import FORMAT_VERSION
     from konlsearch_ray.tombstone import compact_index
 
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     with open(f"{index_dir}/stats.json") as f:
-        assert json.load(f)["version"] == 2
+        assert json.load(f)["version"] == 3
     old = str(tmp_path / "old")
     shutil.copytree(index_dir, old)
     path = f"{old}/{layout_file}"
     with open(path) as f:
         doc = json.load(f)
-    doc["version"] = 1
+    doc["version"] = 2
     with open(path, "w") as f:
         json.dump(doc, f)
     before = {n: Path(old, n).read_text()
@@ -169,7 +169,7 @@ def test_layout_version_guard(index_dir, tmp_path, layout_file):
                                        str(tmp_path / "m"), remap_ids=True),
     }
     for name, call in calls.items():
-        with pytest.raises(ValueError, match="version 1, expected 2"):
+        with pytest.raises(ValueError, match="version 2, expected 3"):
             call()
         assert {n: Path(old, n).read_text() for n in before} == before, name
     assert not (tmp_path / "m").exists()

@@ -110,15 +110,18 @@ def test_topk_per_jamo_prefix(ray_session):
     assert "모래" not in set(row2["term"])
 
 
-def test_indexed_suggest_matches_dataset_path(ray_session, tmp_path):
-    """The finalize-time (jamo_key, term) range-scan path returns exactly
-    what the full-dictionary filter path returns, for plain and jamo
-    prefixes, including partial-syllable queries."""
+def test_indexed_suggest_matches_dataset_path(ray_session, tmp_path,
+                                              monkeypatch):
+    """Both sides of finalize's ``DRIVER_MAX_TERMS`` switch write the
+    same term table row for row, sorted by (jamo_key, term) in small row
+    groups, and its range-scan paths return exactly what the
+    full-dictionary filter paths return, for plain and jamo prefixes,
+    including partial-syllable queries."""
     import os
 
     import pyarrow.parquet as pq
 
-    from konlsearch_ray.build import IndexConfig, build_index
+    from konlsearch_ray import build
     from konlsearch_ray.corpus import write_corpus
     from konlsearch_ray.pipelines.suggest import (
         suggest,
@@ -126,25 +129,38 @@ def test_indexed_suggest_matches_dataset_path(ray_session, tmp_path):
         suggest_jamo,
         suggest_jamo_indexed,
     )
+    from konlsearch_ray.segment import (DICTIONARY_SCHEMA, dictionary_files,
+                                        read_dictionary)
 
     corpus = write_corpus(str(tmp_path / "c"), 300, seed=4)
-    idx = str(tmp_path / "i")
-    build_index(corpus, idx, IndexConfig(shard_size=64))
-    assert os.path.isdir(os.path.join(idx, "suggest"))
-    d = os.path.join(idx, "dictionary")
-    files = [os.path.join(d, f) for f in sorted(os.listdir(d))
-             if f.endswith(".parquet")]
-    dict_ds = ray.data.read_parquet(files)
-    for prefix in ["s", "de", "마", "ㅁ", "특"]:
-        slow = [r["term"] for r in suggest(dict_ds, prefix).take_all()]
-        fast = suggest_indexed(idx, prefix)["term"].to_pylist()
-        assert fast == slow, prefix
-        slow_j = [r["term"] for r in suggest_jamo(dict_ds, prefix).take_all()]
-        fast_j = suggest_jamo_indexed(idx, prefix)["term"].to_pylist()
-        assert fast_j == slow_j, prefix
+    idx, tables = {}, {}
+    for side, limit in (("driver", build.DRIVER_MAX_TERMS), ("ray", 0)):
+        monkeypatch.setattr(build, "DRIVER_MAX_TERMS", limit)
+        idx[side] = str(tmp_path / side)
+        vocab = build.build_index(
+            corpus, idx[side], build.IndexConfig(shard_size=64))["vocab"]
+        assert not os.path.exists(os.path.join(idx[side], "suggest"))
+        tables[side] = read_dictionary(idx[side], DICTIONARY_SCHEMA.names)
+        assert tables[side].num_rows == vocab > 0
+    assert tables["driver"].equals(tables["ray"])
     # Range scan prunes: the table is sorted with small row groups.
-    t = pq.read_metadata(os.path.join(idx, "suggest", "keys.parquet"))
-    assert t.num_rows > 0
+    t = tables["driver"]
+    assert t.sort_by([("jamo_key", "ascending"),
+                      ("term", "ascending")]).equals(t)
+    md = pq.read_metadata(dictionary_files(idx["driver"])[0])
+    assert md.num_row_groups == -(-t.num_rows // 4096)
+    assert all(md.row_group(i).num_rows <= 4096
+               for i in range(md.num_row_groups))
+    for side, d in idx.items():
+        dict_ds = ray.data.read_parquet(dictionary_files(d))
+        for prefix in ["s", "de", "마", "ㅁ", "특"]:
+            slow = [r["term"] for r in suggest(dict_ds, prefix).take_all()]
+            fast = suggest_indexed(d, prefix)["term"].to_pylist()
+            assert fast == slow, (side, prefix)
+            slow_j = [r["term"]
+                      for r in suggest_jamo(dict_ds, prefix).take_all()]
+            fast_j = suggest_jamo_indexed(d, prefix)["term"].to_pylist()
+            assert fast_j == slow_j, (side, prefix)
 
 
 def test_decompose_jamo_bulk():
