@@ -28,10 +28,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
+from konlsearch_ray.functions.blocks import (_required_rows,
+                                             arrow_schema as _arrow_schema,
                                              key_bucket, key_codes,
-                                             keyed_fold, nonempty_blocks,
-                                             runs)
+                                             keyed_fold, keyed_int_fold,
+                                             nonempty_blocks, runs)
 
 
 def distinct_count(
@@ -270,9 +271,7 @@ def grouped_topk_ties(
         raise ValueError(f"k must be >= 1, got {k}")
 
     def rank_filter(t: pa.Table) -> pa.Table:
-        cols = [key_col] + [c for c, _ in rank_keys]
-        for c in cols:
-            t = t.filter(pc.is_valid(t[c]))
+        t = _required_rows(t, (key_col, *(c for c, _ in rank_keys)))
         if not t.num_rows:
             return t
         idx = pc.sort_indices(
@@ -709,54 +708,27 @@ def _rollup_per_key(
     value_col: str,
 ) -> tuple[ray.data.Dataset, pa.DataType]:
     """Shared head of the rollup variants: per-key ``(n, nv, total)``
-    exact-int partials (map-side ``np.add.at`` collapses each block to
-    O(keys) rows) + one keyed Arrow-native merge. Null keys dropped
-    (indistinguishable from the rollup row), null values count into
-    ``n`` only."""
-    import pandas as pd
-
+    exact-int sums through ``keyed_int_fold``. Null keys dropped
+    (indistinguishable from the rollup row), NaN keys kept as a key of
+    their own, null values count into ``n`` only."""
     sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
     if not pa.types.is_integer(sch.field(value_col).type):
         raise ValueError(
             f"value_col {value_col!r} must be integer-typed "
             f"(got {sch.field(value_col).type}); quantize upstream")
-    empty = pa.table({key_col: pa.array([], ktyp),
-                      "n": pa.array([], pa.int64()),
-                      "nv": pa.array([], pa.int64()),
-                      "total": pa.array([], pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[key_col]))
-        if not t.num_rows:
-            return empty
-        t = t.combine_chunks()
-        codes, first = key_codes(t[key_col])
+    def vectors(t: pa.Table) -> dict:
         vcol = t[value_col]
-        v = (pc.fill_null(vcol, 0).to_numpy(zero_copy_only=False)
-             .astype(np.int64))
-        nn = pc.is_valid(vcol).to_numpy(zero_copy_only=False)
-        k = len(first)
-        n = np.zeros(k, dtype=np.int64)
-        np.add.at(n, codes, 1)
-        nv = np.zeros(k, dtype=np.int64)  # non-null values (SQL sum basis)
-        np.add.at(nv, codes, nn.astype(np.int64))
-        tot = np.zeros(k, dtype=np.int64)
-        np.add.at(tot, codes, v)
-        return pa.table({key_col: t[key_col].take(first),
-                         "n": pa.array(n), "nv": pa.array(nv),
-                         "total": pa.array(tot)})
+        nv = pc.is_valid(vcol).to_numpy(zero_copy_only=False)
+        v = pc.fill_null(vcol, 0).to_numpy(zero_copy_only=False)
+        # nv counts the non-null values (SQL sum basis)
+        return {"n": 1, "nv": nv.astype(np.int64),
+                "total": v.astype(np.int64)}
 
-    def merge(g: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([pc.sum(g["n"]).as_py()], pa.int64()),
-            "nv": pa.array([pc.sum(g["nv"]).as_py()], pa.int64()),
-            "total": pa.array([pc.sum(g["total"]).as_py()], pa.int64()),
-        })
-
-    return (keyed_fold(ds, key_col, merge, partial=partial, fallback=empty),
-            ktyp)
+    return (keyed_int_fold(ds, key_col,
+                           dict.fromkeys(("n", "nv", "total"), "sum"),
+                           vectors),
+            sch.field(key_col).type)
 
 
 def rollup_counts(
@@ -769,7 +741,7 @@ def rollup_counts(
     accounting shape.
 
     ``value_col`` must be integer-typed (exact order-free folds — see
-    ``blocks.cents_col``). Map-side ``np.add.at`` partials collapse
+    ``blocks.cents_col``). Map-side ``keyed_int_fold`` partials collapse
     each block to O(keys) rows; one keyed merge; the rollup (grand
     total) row is folded on the DRIVER from the O(keys) result — the
     raw stream is read once and never shuffled. Null keys are dropped
@@ -912,7 +884,7 @@ def cube_counts(
                         "total": pa.array([], pa.int64())})
 
     def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t[key_a]), pc.is_valid(t[key_b])))
+        t = _required_rows(t, (key_a, key_b))
         if not t.num_rows:
             return p_empty
         t = t.combine_chunks()
@@ -1038,8 +1010,7 @@ def grouped_mode(
     vtyp = sch.field(value_col).type
 
     def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t[key_col]),
-                             pc.is_valid(t[value_col])))
+        t = _required_rows(t, (key_col, value_col))
         out = (t.select([key_col, value_col])
                 .group_by([key_col, value_col])
                 .aggregate([([], "count_all")]))
@@ -1096,8 +1067,7 @@ def grouped_entropy(
     ktyp = sch.field(key_col).type
 
     def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t[key_col]),
-                             pc.is_valid(t[value_col])))
+        t = _required_rows(t, (key_col, value_col))
         out = (t.select([key_col, value_col])
                 .group_by([key_col, value_col])
                 .aggregate([([], "count_all")]))

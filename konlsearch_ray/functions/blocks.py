@@ -36,12 +36,26 @@ After an exchange, every in-bucket kernel finds its key runs and key
 codes through the two rules here, so null handling is decided once:
 ``runs(*sorted_cols)`` gives the ``(starts, lens)`` of the runs over
 aligned, already-sorted columns (a new run wherever ANY column
-changes), and ``key_codes(col)`` codes a key column with
-``pd.factorize(sort=False)`` semantics — codes in order of first
-appearance, -1 for a null (or float NaN) key — plus the row of each
-code's first appearance, so distinct key values come back as
-``col.take(first)`` in the column's own type.  ``_segmented_order``
-builds the per-key ordered operators' scaffold from the two.
+changes), and ``key_codes(col)`` codes a key column — codes in order of
+first appearance — plus the row of each code's first appearance, so
+distinct key values come back as ``col.take(first)`` in the column's
+own type.  ``_segmented_order`` builds the per-key ordered operators'
+scaffold from the two.
+
+The one key rule, the same on both sides of the exchange (DuckDB's
+``GROUP BY``): a null key is dropped or forms one group of its own, as
+each operator documents — ``_required_rows`` is the one filter that
+drops it; a float NaN is a key of its own, never null; −0.0 and 0.0
+are one key.  ``key_codes`` codes a null −1 and nothing else −1, and
+``keyed_fold`` carries NaN and null keys across the shuffle as groups
+of their own.
+
+``keyed_int_fold`` is the map-side fold for per-key integer
+statistics: it drops the rows with a null in the operator's required
+columns, codes the key, folds named int64 per-row vectors per key by
+sum, min or max inside each block, and reduces a group's partial rows
+exactly (Python ints) in the merge, where an operator's ``finish``
+applies its one final expression.
 """
 
 from __future__ import annotations
@@ -98,7 +112,8 @@ def key_bucket(col, nbuckets: int) -> np.ndarray:
     """Vectorized bucket id for a key column: integers hash by value,
     strings and binaries by bytes, any other scalar type by its string
     cast. Routing only — in-bucket grouping compares exact values.
-    Null keys route deterministically (as 0 / empty string)."""
+    Null keys route deterministically (as 0 / empty string); −0.0 and
+    0.0 route together, as do all NaNs."""
     t = col.type
     if pa.types.is_integer(t):
         hv = (pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
@@ -108,6 +123,7 @@ def key_bucket(col, nbuckets: int) -> np.ndarray:
     else:
         from konlsearch_ray.functions.dedup import _string_bucket_hash
 
+        col = _one_zero(col)
         if not (pa.types.is_string(t) or pa.types.is_large_string(t)
                 or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
             col = pc.cast(col, pa.string())
@@ -131,26 +147,58 @@ def runs(*sorted_cols) -> tuple[np.ndarray, np.ndarray]:
 
 
 def key_codes(col) -> tuple[np.ndarray, np.ndarray]:
-    """``pd.factorize(sort=False)`` codes of a key column (Arrow, pandas
-    or numpy) as int64: codes in order of first appearance, -1 for a
-    null or float NaN key.  Returns ``(codes, first)``, ``first[c]``
-    being the row where code ``c`` first appears.  Arrow columns other
-    than float and dictionary ones are coded by Arrow's hash kernel,
-    which gives the same codes without a pandas round trip."""
-    if isinstance(col, (pa.Array, pa.ChunkedArray)):
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_floating(col.type) or pa.types.is_dictionary(col.type):
-            col = col.to_pandas()
-        else:
-            col = pc.fill_null(pc.dictionary_encode(col).indices, -1)
-    if isinstance(col, pa.Array):
-        codes = col.to_numpy(zero_copy_only=False).astype(np.int64)
+    """Codes of a key column (Arrow, pandas or numpy) as int64, in
+    order of first appearance, by the one key rule (module docstring):
+    -1 for a null key and for nothing else; a float NaN is a key of its
+    own; -0.0 and 0.0 are one key.  A pandas or numpy column has no
+    null apart from NaN (pandas reads a null int as a NaN float), so
+    there NaN is the null, as in ``pd.factorize``: -1.
+    Returns ``(codes, first)``, ``first[c]`` being the row where code
+    ``c`` first appears.  Arrow columns other than float ones are coded
+    by Arrow's hash kernel, without a pandas round trip."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if isinstance(col, pa.Array) and pa.types.is_dictionary(col.type):
+        col = col.dictionary_decode()
+    if isinstance(col, pa.Array) and pa.types.is_floating(col.type):
+        valid = col.is_valid().to_numpy(zero_copy_only=False)
+        codes = np.full(len(col), -1, dtype=np.int64)
+        codes[valid] = pd.factorize(col.drop_null().to_numpy(),
+                                    sort=False, use_na_sentinel=False)[0]
+    elif isinstance(col, pa.Array):
+        codes = (pc.fill_null(pc.dictionary_encode(col).indices, -1)
+                 .to_numpy(zero_copy_only=False).astype(np.int64))
     else:
         codes = pd.factorize(col, sort=False)[0].astype(np.int64)
     # codes rise by one at each first appearance
     first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
     return codes, first
+
+
+def _one_zero(col):
+    """A key column with -0.0 as 0.0 (-0.0 + 0.0 is 0.0): Arrow's hash
+    kernels and string casts tell the two zeros apart, the key rule
+    does not."""
+    return (pc.add(col, pa.scalar(0.0, col.type))
+            if pa.types.is_floating(col.type) else col)
+
+
+def key_index(col, keys) -> pa.Array:
+    """``pc.index_in(col, value_set=keys)`` by the one key rule: a NaN
+    finds the NaN key, and -0.0 finds 0.0."""
+    return pc.index_in(_one_zero(col), value_set=_one_zero(keys))
+
+
+def _required_rows(t: pa.Table, cols: tuple[str, ...]) -> pa.Table:
+    """Drop rows where ANY of ``cols`` is null — the one null-key filter
+    (a NaN key is a key, never dropped here), and the ordering contract
+    of the per-key ordered operators (an unguarded null ts/id would
+    NaN-cast to INT64_MIN and corrupt its neighbors' ordering — see
+    ``key_lag_deltas``)."""
+    mask = pc.is_valid(t[cols[0]])
+    for c in cols[1:]:
+        mask = pc.and_kleene(mask, pc.is_valid(t[c]))
+    return t.filter(mask)
 
 
 def _segmented_order(
@@ -259,6 +307,71 @@ def keyed_fold(
         .map_groups(fold, batch_format=batch_format))
     return (ray.data.from_arrow_refs(refs) if refs
             else ray.data.from_arrow(fallback))
+
+
+# fold name -> (numpy ufunc for the block, its identity, exact reduction
+# of a group's partial values in Python ints)
+_INT_FOLDS = {
+    "sum": (np.add, 0, sum),
+    "min": (np.minimum, np.iinfo(np.int64).max, min),
+    "max": (np.maximum, np.iinfo(np.int64).min, max),
+}
+
+
+def keyed_int_fold(
+    ds: ray.data.Dataset,
+    key_col: str,
+    folds: dict[str, str],
+    vectors: Callable[[pa.Table], dict],
+    *,
+    required: tuple[str, ...] = (),
+    out: dict[str, pa.DataType] | None = None,
+    finish: Callable[[dict], dict] | None = None,
+) -> ray.data.Dataset:
+    """Per-key integer statistics through one ``keyed_fold``.
+
+    Inside each block: drop the rows with a null in ``key_col`` or in
+    ``required`` (``_required_rows``), code the key (``key_codes``: a
+    NaN key is a key of its own), and fold each named per-row vector of
+    ``vectors(t)`` — an int64 array over the surviving rows ``t``, or a
+    scalar such as 1 for a count — per key by its ``folds`` entry
+    (``"sum"``, ``"min"`` or ``"max"``) into one int64 partial row per
+    key.  The merge reduces a group's partial rows exactly, in Python
+    ints, to ``{name: int}``; ``finish`` (default: the totals as they
+    are) maps those to the output row, whose columns after ``key_col``
+    are ``out`` (default: the folds, int64).  A ``None`` value emits a
+    null."""
+    ktyp = arrow_schema(ds).field(key_col).type
+    out = out or dict.fromkeys(folds, pa.int64())
+    empty = pa.table({key_col: pa.array([], ktyp),
+                      **{c: pa.array([], pa.int64()) for c in folds}})
+
+    def partial(t: pa.Table) -> pa.Table:
+        t = _required_rows(t, (key_col, *required))
+        if not t.num_rows:
+            return empty
+        t = t.combine_chunks()
+        codes, first = key_codes(t[key_col])
+        cols = {key_col: t[key_col].take(first)}
+        for name, vec in vectors(t).items():
+            ufunc, init, _ = _INT_FOLDS[folds[name]]
+            acc = np.full(len(first), init, dtype=np.int64)
+            ufunc.at(acc, codes, vec)
+            cols[name] = pa.array(acc)
+        return pa.table(cols)
+
+    def merge(g: pa.Table) -> pa.Table:
+        row = {c: _INT_FOLDS[op][2](g[c].to_pylist())
+               for c, op in folds.items()}
+        if finish is not None:
+            row = finish(row)
+        return pa.table({key_col: g[key_col][:1],
+                         **{c: pa.array([row[c]], typ)
+                            for c, typ in out.items()}})
+
+    fallback = pa.table({key_col: pa.array([], ktyp),
+                         **{c: pa.array([], typ) for c, typ in out.items()}})
+    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
 
 
 def nonempty_blocks(

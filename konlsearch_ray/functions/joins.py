@@ -20,11 +20,11 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from konlsearch_ray.functions.blocks import (arrow_schema,
+from konlsearch_ray.functions.blocks import (_required_rows, arrow_schema,
                                              default_join_partitions,
                                              default_nbuckets,
-                                             key_bucket, keyed_fold,
-                                             pinned_nonempty)
+                                             key_bucket, key_index,
+                                             keyed_fold, pinned_nonempty)
 
 
 def broadcast_lookup_join(
@@ -60,7 +60,7 @@ def broadcast_lookup_join(
 
     def lookup(batch: pa.Table) -> pa.Table:
         dim: pa.Table = ray.get(right_ref)
-        idx = pc.index_in(batch[left_key], value_set=dim[right_key])
+        idx = key_index(batch[left_key], dim[right_key])
         if how == "inner":
             sel = pc.is_valid(idx)
             batch = batch.filter(sel)
@@ -117,7 +117,7 @@ def equi_join(
     def _clean(key: str | None):
         def fn(t: pa.Table) -> pa.Table:
             if key is not None:
-                t = t.filter(pc.is_valid(t[key]))
+                t = _required_rows(t, (key,))
             return t.replace_schema_metadata(None)
         return fn
 
@@ -286,8 +286,7 @@ def filter_join(
         else:
             # index_in gives a NULL index for a null left key -> no
             # match, exactly the SQL EXISTS contract.
-            match = pc.is_valid(pc.index_in(lrows[left_key],
-                                            value_set=rkeys))
+            match = pc.is_valid(key_index(lrows[left_key], rkeys))
         keep = match if mode == "semi" else pc.invert(match)
         return lrows.filter(keep).select(lcols)
 

@@ -20,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import key_codes
+from konlsearch_ray.functions.blocks import _one_zero, key_codes
 
 BUCKETS = 10_000  # basis points: fractions resolve to 0.01%
 
@@ -130,7 +130,8 @@ def stratified_sample(
     cuts = {g: int(round(r * BUCKETS)) for g, r in rates.items()}
 
     def keep(t: pa.Table) -> pa.Table:
-        groups = pc.cast(t[group_col], pa.string())
+        # -0.0 reads the rate of 0.0: one key (``blocks`` key rule)
+        groups = pc.cast(_one_zero(t[group_col]), pa.string())
         codes, first = key_codes(groups)
         per_value = [cuts.get(v, default_cut)
                      for v in groups.take(first).to_pylist()]

@@ -22,7 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import (arrow_schema as _arrow_schema,
+from konlsearch_ray.functions.blocks import (_one_zero,
+                                             arrow_schema as _arrow_schema,
                                              key_codes, keyed_fold)
 
 _KEY = "__setop_key"
@@ -35,7 +36,7 @@ def _row_key(t: pa.Table, cols: list[str]) -> pa.Array:
     vectorized (Arrow cast + binary_join_element_wise)."""
     fields = []
     for c in cols:
-        col = t[c]
+        col = _one_zero(t[c])
         s = pc.fill_null(pc.cast(col, pa.string()), "")
         marker = pc.if_else(pc.is_valid(col), pa.scalar("V"),
                             pa.scalar("N"))

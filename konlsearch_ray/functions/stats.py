@@ -16,15 +16,17 @@ exact path here is the oracle-comparable configuration.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import (_segmented_order,
+from konlsearch_ray.functions.blocks import (_required_rows,
+                                             _segmented_order,
                                              arrow_schema as _arrow_schema,
-                                             key_bucket, key_codes,
-                                             keyed_fold, runs)
+                                             default_nbuckets, key_bucket,
+                                             key_index, keyed_fold,
+                                             keyed_int_fold, nonempty_refs,
+                                             runs)
 
 DEFAULT_QS = (("p50", 5000), ("p90", 9000), ("p99", 9900))
 
@@ -48,25 +50,22 @@ def grouped_quantiles(
         **{lb: pa.array([], pa.float64()) for lb in labels},
     })
 
-    def emit(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
+    def emit(g: pa.Table) -> pa.Table:
         # Nulls are not values (SQL quantile semantics): NaN would sort
         # to the end and both shift the real quantiles and land the top
         # ones on NaN.
-        raw = g[value_col].to_numpy().astype(np.float64)
+        raw = (g[value_col].drop_null().to_numpy(zero_copy_only=False)
+               .astype(np.float64))
         v = np.sort(raw[~np.isnan(raw)])
         n = len(v)
         if not n:  # all-null group: emit nothing for it
             return fallback
         idx = (n - 1) * bps // 10_000
-        out = {key_col: [g[key_col].iloc[0]], "n": [n]}
-        for lb, i in zip(labels, idx):
-            out[lb] = [float(v[i])]
-        # Typed by ``fallback``: a null-key group's row keeps the key type.
-        return pa.Table.from_pandas(pd.DataFrame(out), schema=fallback.schema,
-                                    preserve_index=False)
+        return pa.table({key_col: g[key_col][:1], "n": [n],
+                         **{lb: [float(v[i])] for lb, i in zip(labels, idx)}},
+                        schema=fallback.schema)
 
-    return keyed_fold(ds, key_col, emit, fallback=fallback,
-                      batch_format="pandas")
+    return keyed_fold(ds, key_col, emit, fallback=fallback)
 
 
 def global_topk(
@@ -126,20 +125,16 @@ def winsorize(
 
     if not (0 <= lo_bp <= hi_bp <= 10_000):
         raise ValueError("need 0 <= lo_bp <= hi_bp <= 10000")
-    bounds = grouped_quantiles(
-        ds, key_col, value_col,
-        qs=(("lo", lo_bp), ("hi", hi_bp))).to_pandas()
-    # Ray's groupby can emit a null-key group; SQL NULL = NULL is false,
-    # so a null key must never find bounds (index_in WOULD match a null
-    # entry in the value_set) — drop it from the broadcast table. (A
-    # fully-empty result is a column-less frame — don't index it.)
-    if len(bounds.columns):
-        bounds = bounds[bounds[key_col].notna()]
-    ktyp = _arrow_schema(ds).field(key_col).type
-    if not len(bounds):
+    refs, _ = nonempty_refs(grouped_quantiles(
+        ds, key_col, value_col, qs=(("lo", lo_bp), ("hi", hi_bp))))
+    # The fold emits a null-key group; SQL NULL = NULL is false, so a
+    # null key must never find bounds (index_in WOULD match a null
+    # entry in the value_set) — drop it from the broadcast table.
+    bt = (_required_rows(pa.concat_tables(_ray.get(refs)), (key_col,))
+          if refs else None)
+    if not bt:
         # Every value is null (grouped_quantiles emits nothing): all
-        # rows pass through with null v_clip — the 0-row fallback frame
-        # loses its columns/types through to_pandas, so don't index it.
+        # rows pass through with null v_clip.
         def passthru(t: pa.Table) -> pa.Table:
             return pa.table({
                 id_col: t[id_col].cast(pa.int64()),
@@ -148,16 +143,11 @@ def winsorize(
             })
 
         return ds.map_batches(passthru, batch_format="pyarrow")
-    bt = pa.table({
-        key_col: pa.array(bounds[key_col]).cast(ktyp),
-        "lo": pa.array(bounds["lo"].astype(np.float64)),
-        "hi": pa.array(bounds["hi"].astype(np.float64)),
-    })
-    ref = _ray.put(bt)
+    ref = _ray.put(bt.combine_chunks())
 
     def clip(t: pa.Table) -> pa.Table:
         b: pa.Table = _ray.get(ref)
-        idx = pc.index_in(t[key_col], value_set=b[key_col])
+        idx = key_index(t[key_col], b[key_col])
         # A key with no bounds row (null key, or a key whose values are
         # all null) must emit NULL — not the float NaN an unmasked null
         # lo/hi would silently produce (SQL LEFT JOIN parity; same
@@ -198,48 +188,41 @@ def _check_abs_below(col, name: str, op: str, bound: int = 2**31) -> None:
             f"the oracle's BIGINT); rescale the column upstream")
 
 
-def _suffstat_partial(key_col: str, ktyp, x_col: str, y_col: str,
-                      stats: tuple[str, ...]):
-    """Shared per-block partial of :func:`grouped_corr` /
-    :func:`grouped_regression`: drop null key/x/y rows, factorize the
-    key, one exact-int64 ``np.add.at`` fold per requested statistic
-    (from ``n``, ``sx``, ``sy``, ``sxx``, ``syy``, ``sxy``). Keeping
-    the fold in ONE place keeps the two operators' overflow and NULL
-    contracts provably identical."""
+def _require_int(ds: ray.data.Dataset, cols: tuple[str, ...],
+                 what: str) -> None:
+    sch = _arrow_schema(ds)
+    for c in cols:
+        if not pa.types.is_integer(sch.field(c).type):
+            raise ValueError(
+                f"{c!r} must be integer-typed for exact {what} partials "
+                f"(got {sch.field(c).type}); quantize upstream")
 
-    def partial(t: pa.Table) -> pa.Table:
-        # Arrow (not pandas) partial blocks: mixed-format RefBundles
-        # into the shuffle spam schema-divergence warnings.
-        empty = pa.table(
-            {key_col: pa.array([], ktyp),
-             **{c: pa.array([], pa.int64()) for c in stats}})
-        if not t.num_rows:
-            return empty
-        ok = pc.and_kleene(
-            pc.is_valid(t[key_col]),
-            pc.and_kleene(pc.is_valid(t[x_col]), pc.is_valid(t[y_col])))
-        t = t.filter(ok)
-        if not t.num_rows:
-            return empty
-        t = t.combine_chunks()
-        codes, first = key_codes(t[key_col])
+
+def _suffstat_fold(ds: ray.data.Dataset, key_col: str, x_col: str,
+                   y_col: str, stats: tuple[str, ...], what: str,
+                   out: dict, finish) -> ray.data.Dataset:
+    """Shared fold of :func:`grouped_corr`, :func:`grouped_covar`,
+    :func:`grouped_stddev` and :func:`grouped_regression`: exact int64
+    per-key sums of the requested statistics (from ``n``, ``sx``,
+    ``sy``, ``sxx``, ``syy``, ``sxy``) over the rows with a non-null
+    key, x and y, then ``finish``. Keeping the fold in ONE place keeps
+    the four operators' overflow and NULL contracts provably
+    identical."""
+    _require_int(ds, (x_col, y_col), what)
+
+    def vectors(t: pa.Table) -> dict:
         x = t[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
         y = t[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # thunks: only the REQUESTED statistics pay their O(rows)
         # multiply (regression never computes y*y).
-        vecs = {"n": lambda: np.ones(len(x), dtype=np.int64),
-                "sx": lambda: x, "sy": lambda: y,
+        vecs = {"n": lambda: 1, "sx": lambda: x, "sy": lambda: y,
                 "sxx": lambda: x * x, "syy": lambda: y * y,
                 "sxy": lambda: x * y}
-        k = len(first)
-        out = {key_col: t[key_col].take(first)}
-        for name in stats:
-            acc = np.zeros(k, dtype=np.int64)
-            np.add.at(acc, codes, vecs[name]())
-            out[name] = pa.array(acc)
-        return pa.table(out)
+        return {name: vecs[name]() for name in stats}
 
-    return partial
+    return keyed_int_fold(ds, key_col, dict.fromkeys(stats, "sum"), vectors,
+                          required=(x_col, y_col),
+                          out={"n": pa.int64(), **out}, finish=finish)
 
 
 def grouped_corr(
@@ -268,8 +251,9 @@ def grouped_corr(
     SQL aggregate NULL semantics: a row with a null in ``x_col`` or
     ``y_col`` contributes to neither sum nor count (matching
     ``corr(x, y)``, which skips pairs with any null); null keys are
-    dropped. Zero variance in either column yields a null ``corr``
-    (SQL corr returns NULL there too... via NaN; we emit NULL).
+    dropped, and NaN keys form a group of their own. Zero variance in
+    either column yields a null ``corr`` (SQL corr returns NULL there
+    too... via NaN; we emit NULL).
 
     Output: ``key_col``, ``n`` (int64), ``corr`` (float64).
 
@@ -278,45 +262,20 @@ def grouped_corr(
     oracle casts through doubles; |x|,|y| <= ~3e4 with <= ~1e8 rows/key
     is safe.
     """
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    for c in (x_col, y_col):
-        if not pa.types.is_integer(sch.field(c).type):
-            raise ValueError(
-                f"{c!r} must be integer-typed for exact corr partials "
-                f"(got {sch.field(c).type}); quantize upstream")
-
-    partial = _suffstat_partial(key_col, ktyp, x_col, y_col,
-                                ("n", "sx", "sy", "sxx", "syy", "sxy"))
-
-    fallback = pa.table({
-        key_col: pa.array([], ktyp),
-        "n": pa.array([], pa.int64()),
-        "corr": pa.array([], pa.float64()),
-    })
-
-    def merge(g: pa.Table) -> pa.Table:
-        n = pc.sum(g["n"]).as_py()
-        sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
-        sxx, syy = pc.sum(g["sxx"]).as_py(), pc.sum(g["syy"]).as_py()
-        sxy = pc.sum(g["sxy"]).as_py()
+    def finish(s: dict) -> dict:
+        n, sx, sy = s["n"], s["sx"], s["sy"]
         # The one float expression — mirror it EXACTLY in any oracle:
         # every operand cast to double first, same operation order.
-        vx = float(n) * float(sxx) - float(sx) * float(sx)
-        vy = float(n) * float(syy) - float(sy) * float(sy)
+        vx = float(n) * float(s["sxx"]) - float(sx) * float(sx)
+        vy = float(n) * float(s["syy"]) - float(sy) * float(sy)
         if vx <= 0.0 or vy <= 0.0:
-            corr_arr = pa.nulls(1, pa.float64())
-        else:
-            num = float(n) * float(sxy) - float(sx) * float(sy)
-            corr_arr = pa.array(
-                [num / (np.sqrt(vx) * np.sqrt(vy))], pa.float64())
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "corr": corr_arr,
-        })
+            return {"n": n, "corr": None}
+        num = float(n) * float(s["sxy"]) - float(sx) * float(sy)
+        return {"n": n, "corr": num / (np.sqrt(vx) * np.sqrt(vy))}
 
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return _suffstat_fold(ds, key_col, x_col, y_col,
+                          ("n", "sx", "sy", "sxx", "syy", "sxy"), "corr",
+                          {"corr": pa.float64()}, finish)
 
 
 def grouped_covar(
@@ -337,45 +296,21 @@ def grouped_covar(
     double first, same operation order) — none of the order-dependent
     drift of a streaming float covariance. ``n < 2`` emits NULL (SQL
     ``covar_samp`` semantics); null keys and null-x/y rows are dropped
-    exactly as in ``grouped_corr`` (the partial is shared code).
+    exactly as in ``grouped_corr`` (the fold is shared code).
 
     Output: ``key_col``, ``n`` (int64), ``covar`` (float64). Same
     overflow contract as ``grouped_corr``: per-key ``sum(x*y)`` must
     fit int64 and stay below 2^53 for double-casting oracles.
     """
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    for c in (x_col, y_col):
-        if not pa.types.is_integer(sch.field(c).type):
-            raise ValueError(
-                f"{c!r} must be integer-typed for exact covar partials "
-                f"(got {sch.field(c).type}); quantize upstream")
-
-    partial = _suffstat_partial(key_col, ktyp, x_col, y_col,
-                                ("n", "sx", "sy", "sxy"))
-
-    fallback = pa.table({
-        key_col: pa.array([], ktyp),
-        "n": pa.array([], pa.int64()),
-        "covar": pa.array([], pa.float64()),
-    })
-
-    def merge(g: pa.Table) -> pa.Table:
-        n = pc.sum(g["n"]).as_py()
-        sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
-        sxy = pc.sum(g["sxy"]).as_py()
+    def finish(s: dict) -> dict:
+        n = s["n"]
         if n < 2:
-            cov = pa.nulls(1, pa.float64())
-        else:
-            num = float(n) * float(sxy) - float(sx) * float(sy)
-            cov = pa.array([num / (float(n) * float(n - 1))], pa.float64())
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "covar": cov,
-        })
+            return {"n": n, "covar": None}
+        num = float(n) * float(s["sxy"]) - float(s["sx"]) * float(s["sy"])
+        return {"n": n, "covar": num / (float(n) * float(n - 1))}
 
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return _suffstat_fold(ds, key_col, x_col, y_col, ("n", "sx", "sy", "sxy"),
+                          "covar", {"covar": pa.float64()}, finish)
 
 
 def grouped_stddev(
@@ -384,7 +319,7 @@ def grouped_stddev(
     x_col: str,
 ) -> ray.data.Dataset:
     """Per-key exact SAMPLE standard deviation of an INTEGER column —
-    SQL ``stddev_samp`` — from the shared suffstat partial (quantize
+    SQL ``stddev_samp`` — from the shared suffstat fold (quantize
     floats upstream). The one float expression
 
         stddev = sqrt(greatest((n·Sxx − Sx²) / (n·(n−1)), 0))
@@ -399,43 +334,21 @@ def grouped_stddev(
     Output: ``key_col``, ``n`` (int64), ``stddev`` (float64). Same
     overflow contract as the other suffstat operators.
     """
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    if not pa.types.is_integer(sch.field(x_col).type):
-        raise ValueError(
-            f"{x_col!r} must be integer-typed for exact stddev partials "
-            f"(got {sch.field(x_col).type}); quantize upstream")
-
-    partial = _suffstat_partial(key_col, ktyp, x_col, x_col,
-                                ("n", "sx", "sxx"))
-
-    fallback = pa.table({
-        key_col: pa.array([], ktyp),
-        "n": pa.array([], pa.int64()),
-        "stddev": pa.array([], pa.float64()),
-    })
-
-    def merge(g: pa.Table) -> pa.Table:
-        n = pc.sum(g["n"]).as_py()
-        sx, sxx = pc.sum(g["sx"]).as_py(), pc.sum(g["sxx"]).as_py()
+    def finish(s: dict) -> dict:
+        n, sx = s["n"], s["sx"]
         if n < 2:
-            sd = pa.nulls(1, pa.float64())
-        else:
-            # Clamp at 0: the EXACT numerator n·Sxx − Sx² is ≥ 0, but
-            # the float evaluation can round a few ulp negative for
-            # constant/near-constant groups with large values (observed:
-            # 13 × 123456789 → −3.28), which would NaN here and
-            # hard-error a SQL oracle's sqrt. Mirror with greatest(.., 0).
-            var = (float(n) * float(sxx) - float(sx) * float(sx)) / (
-                float(n) * float(n - 1))
-            sd = pa.array([np.sqrt(max(var, 0.0))], pa.float64())
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "stddev": sd,
-        })
+            return {"n": n, "stddev": None}
+        # Clamp at 0: the EXACT numerator n·Sxx − Sx² is ≥ 0, but the
+        # float evaluation can round a few ulp negative for
+        # constant/near-constant groups with large values (observed:
+        # 13 × 123456789 → −3.28), which would NaN here and hard-error
+        # a SQL oracle's sqrt. Mirror with greatest(.., 0).
+        var = (float(n) * float(s["sxx"]) - float(sx) * float(sx)) / (
+            float(n) * float(n - 1))
+        return {"n": n, "stddev": np.sqrt(max(var, 0.0))}
 
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return _suffstat_fold(ds, key_col, x_col, x_col, ("n", "sx", "sxx"),
+                          "stddev", {"stddev": pa.float64()}, finish)
 
 
 def grouped_regression(
@@ -463,47 +376,20 @@ def grouped_regression(
     Output: ``key_col``, ``n`` (int64), ``slope``, ``intercept``
     (float64).
     """
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    for c in (x_col, y_col):
-        if not pa.types.is_integer(sch.field(c).type):
-            raise ValueError(
-                f"{c!r} must be integer-typed for exact regression "
-                f"partials (got {sch.field(c).type}); quantize upstream")
-
-    partial = _suffstat_partial(key_col, ktyp, x_col, y_col,
-                                ("n", "sx", "sy", "sxx", "sxy"))
-
-    fallback = pa.table({
-        key_col: pa.array([], ktyp),
-        "n": pa.array([], pa.int64()),
-        "slope": pa.array([], pa.float64()),
-        "intercept": pa.array([], pa.float64()),
-    })
-
-    def merge(g: pa.Table) -> pa.Table:
-        n = pc.sum(g["n"]).as_py()
-        sx, sy = pc.sum(g["sx"]).as_py(), pc.sum(g["sy"]).as_py()
-        sxx, sxy = pc.sum(g["sxx"]).as_py(), pc.sum(g["sxy"]).as_py()
+    def finish(s: dict) -> dict:
+        n, sx, sy = s["n"], s["sx"], s["sy"]
         # The two float expressions — mirror EXACTLY in any oracle.
-        den = float(n) * float(sxx) - float(sx) * float(sx)
+        den = float(n) * float(s["sxx"]) - float(sx) * float(sx)
         if den <= 0.0:
-            slope_arr = pa.nulls(1, pa.float64())
-            icept_arr = pa.nulls(1, pa.float64())
-        else:
-            slope = (float(n) * float(sxy)
-                     - float(sx) * float(sy)) / den
-            slope_arr = pa.array([slope], pa.float64())
-            icept_arr = pa.array(
-                [(float(sy) - slope * float(sx)) / float(n)], pa.float64())
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "slope": slope_arr,
-            "intercept": icept_arr,
-        })
+            return {"n": n, "slope": None, "intercept": None}
+        slope = (float(n) * float(s["sxy"]) - float(sx) * float(sy)) / den
+        return {"n": n, "slope": slope,
+                "intercept": (float(sy) - slope * float(sx)) / float(n)}
 
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return _suffstat_fold(ds, key_col, x_col, y_col,
+                          ("n", "sx", "sy", "sxx", "sxy"), "regression",
+                          {"slope": pa.float64(), "intercept": pa.float64()},
+                          finish)
 
 
 def grouped_percent_rank(
@@ -532,8 +418,6 @@ def grouped_percent_rank(
     every keyed op here); in-bucket it is one lexsort + run-length
     first-occurrence scan — no per-row Python.
     """
-    from konlsearch_ray.functions.temporal import _required_rows
-    from konlsearch_ray.functions.blocks import default_nbuckets
 
     sch = _arrow_schema(ds)
     ktyp = sch.field(key_col).type
@@ -614,8 +498,6 @@ def grouped_ntile(
     :func:`grouped_percent_rank`). One hash exchange on the key
     bucket; in-bucket one lexsort + integer arithmetic.
     """
-    from konlsearch_ray.functions.blocks import default_nbuckets
-    from konlsearch_ray.functions.temporal import _required_rows
 
     if n_tiles < 1:
         raise ValueError(f"n_tiles must be >= 1, got {n_tiles}")
@@ -694,45 +576,15 @@ def grouped_minmax_norm(
     """
     import ray as _ray
 
-    from konlsearch_ray.functions.temporal import _required_rows
+    _require_int(ds, (value_col,), "min-max")
 
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    if not pa.types.is_integer(sch.field(value_col).type):
-        raise ValueError(
-            f"value_col {value_col!r} must be integer-typed "
-            f"(got {sch.field(value_col).type}); quantize upstream")
-
-    empty = pa.table({key_col: pa.array([], ktyp),
-                      "mn": pa.array([], pa.int64()),
-                      "mx": pa.array([], pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = _required_rows(t, (key_col, value_col))
-        if not t.num_rows:
-            return empty
-        t = t.combine_chunks()
-        codes, first = key_codes(t[key_col])
+    def vectors(t: pa.Table) -> dict:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        k = len(first)
-        mn = np.full(k, np.iinfo(np.int64).max, dtype=np.int64)
-        mx = np.full(k, np.iinfo(np.int64).min, dtype=np.int64)
-        np.minimum.at(mn, codes, v)
-        np.maximum.at(mx, codes, v)
-        return pa.table({key_col: t[key_col].take(first),
-                         "mn": pa.array(mn), "mx": pa.array(mx)})
+        return {"mn": v, "mx": v}
 
-    def merge(g: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: g[key_col][:1],
-            "mn": pa.array([pc.min(g["mn"]).as_py()], pa.int64()),
-            "mx": pa.array([pc.max(g["mx"]).as_py()], pa.int64()),
-        })
-
-    from konlsearch_ray.functions.blocks import nonempty_refs
-
-    refs, rows = nonempty_refs(
-        keyed_fold(ds, key_col, merge, partial=partial, fallback=empty))
+    refs, rows = nonempty_refs(keyed_int_fold(
+        ds, key_col, {"mn": "min", "mx": "max"}, vectors,
+        required=(value_col,)))
     if not rows:
         def passthru(t: pa.Table) -> pa.Table:
             t2 = _required_rows(t, (key_col,))
@@ -755,7 +607,7 @@ def grouped_minmax_norm(
     def norm(t: pa.Table) -> pa.Table:
         b: pa.Table = _ray.get(ref)
         t = _required_rows(t, (key_col,))
-        idx = pc.index_in(t[key_col], value_set=b[key_col])
+        idx = key_index(t[key_col], b[key_col])
         # STAY int64: a null idx (key with only null values) must not
         # promote the whole batch's mn/mx to float64 — that would both
         # degrade (v - mn) below 2^53-exactness and make results depend
@@ -828,72 +680,30 @@ def grouped_zscore(
     """
     import ray as _ray
 
-    from konlsearch_ray.functions.blocks import nonempty_refs
-    from konlsearch_ray.functions.temporal import _required_rows
+    _require_int(ds, (value_col,), "z-score")
 
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    if not pa.types.is_integer(sch.field(value_col).type):
-        raise ValueError(
-            f"value_col {value_col!r} must be integer-typed "
-            f"(got {sch.field(value_col).type}); quantize upstream")
-    p_empty = pa.table({key_col: pa.array([], ktyp),
-                        "n": pa.array([], pa.int64()),
-                        "s": pa.array([], pa.int64()),
-                        "saa": pa.array([], pa.int64()),
-                        "sab": pa.array([], pa.int64()),
-                        "sbb": pa.array([], pa.int64())})
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = _required_rows(t, (key_col, value_col))
-        if not t.num_rows:
-            return p_empty
-        t = t.combine_chunks()
+    def vectors(t: pa.Table) -> dict:
         _check_abs_below(t[value_col], value_col, "grouped_zscore")
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         av = np.abs(v)
-        codes, first = key_codes(t[key_col])
-        k = len(first)
         # two-limb v² = a²·2³² + 2ab·2¹⁶ + b²: every limb sum fits
         # int64 for any realistic block (see docstring).
         a, b = av >> 16, av & 0xFFFF
-        n = np.bincount(codes, minlength=k).astype(np.int64)
-        s = np.zeros(k, dtype=np.int64)
-        np.add.at(s, codes, v)
-        saa = np.zeros(k, dtype=np.int64)
-        np.add.at(saa, codes, a * a)
-        sab = np.zeros(k, dtype=np.int64)
-        np.add.at(sab, codes, a * b)
-        sbb = np.zeros(k, dtype=np.int64)
-        np.add.at(sbb, codes, b * b)
-        return pa.table({key_col: t[key_col].take(first),
-                         "n": pa.array(n), "s": pa.array(s),
-                         "saa": pa.array(saa), "sab": pa.array(sab),
-                         "sbb": pa.array(sbb)})
+        return {"n": 1, "s": v, "saa": a * a, "sab": a * b, "sbb": b * b}
 
-    stats_empty = pa.table({key_col: pa.array([], ktyp),
-                            "n": pa.array([], pa.int64()),
-                            "s_d": pa.array([], pa.float64()),
-                            "var_d": pa.array([], pa.float64())})
-
-    def merge(g: pa.Table) -> pa.Table:
-        n = sum(g["n"].to_pylist())          # exact: Python ints
-        s = sum(g["s"].to_pylist())
-        ssq = (sum(g["saa"].to_pylist()) * (1 << 32)
-               + 2 * sum(g["sab"].to_pylist()) * (1 << 16)
-               + sum(g["sbb"].to_pylist()))
+    def finish(t: dict) -> dict:
+        n, s = t["n"], t["s"]
+        ssq = t["saa"] * (1 << 32) + 2 * t["sab"] * (1 << 16) + t["sbb"]
         num = n * ssq - s * s                # >= 0 (Cauchy-Schwarz)
-        var_d = (float(num) / (float(n) * float(n))
-                 if num > 0 else None)
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "s_d": pa.array([float(s)], pa.float64()),
-            "var_d": pa.array([var_d], pa.float64()),
-        })
+        return {"n": n, "s_d": float(s),
+                "var_d": (float(num) / (float(n) * float(n))
+                          if num > 0 else None)}
 
-    refs, rows = nonempty_refs(
-        keyed_fold(ds, key_col, merge, partial=partial, fallback=stats_empty))
+    refs, rows = nonempty_refs(keyed_int_fold(
+        ds, key_col, dict.fromkeys(("n", "s", "saa", "sab", "sbb"), "sum"),
+        vectors, required=(value_col,), finish=finish,
+        out={"n": pa.int64(), "s_d": pa.float64(), "var_d": pa.float64()}))
+    ktyp = _arrow_schema(ds).field(key_col).type
     out_schema = pa.schema([(key_col, ktyp), (id_col, pa.int64()),
                             ("v", pa.int64()), ("z", pa.float64())])
     if not rows:
@@ -904,7 +714,7 @@ def grouped_zscore(
     def zmap(t: pa.Table) -> pa.Table:
         b: pa.Table = _ray.get(ref)
         t = _required_rows(t, (key_col, value_col))
-        idx = pc.index_in(t[key_col], value_set=b[key_col])
+        idx = key_index(t[key_col], b[key_col])
         # every surviving (non-null-key, non-null-value) row HAS a
         # stats row by construction; a missing one would be a bug.
         n_d = pc.take(b["n"], idx).to_numpy(
@@ -955,9 +765,8 @@ def _histogram_quantile_op(
     bps = np.array([bp for _, bp in qs], dtype=np.int64)
 
     def partial(t: pa.Table) -> pa.Table:
-        t = t.select([key_col, value_col])
-        mask = pc.and_(pc.is_valid(t[key_col]), pc.is_valid(t[value_col]))
-        t = t.filter(mask)
+        t = _required_rows(t.select([key_col, value_col]),
+                           (key_col, value_col))
         out = (t.group_by([key_col, value_col]).aggregate([([], "count_all")])
                .rename_columns([key_col, value_col, "cnt"]))
         return out.replace_schema_metadata(None)
@@ -1071,8 +880,6 @@ def grouped_mad(
     """
     import ray as _ray
 
-    from konlsearch_ray.functions.blocks import nonempty_refs
-    from konlsearch_ray.functions.temporal import _required_rows
 
     sch = _arrow_schema(ds)
     ktyp = sch.field(key_col).type
@@ -1100,7 +907,7 @@ def grouped_mad(
     def dev(t: pa.Table) -> pa.Table:
         b: pa.Table = _ray.get(ref)
         t = _required_rows(t, (key_col, value_col))
-        idx = pc.index_in(t[key_col], value_set=b[key_col])
+        idx = key_index(t[key_col], b[key_col])
         # every surviving row's key HAS a median by construction
         med = pc.take(b["med"], idx)
         dv = pc.abs_checked(pc.subtract_checked(
@@ -1139,60 +946,24 @@ def grouped_weighted_mean(
     skip them). Output: ``key_col``, ``n`` (int64), ``sw`` (int64),
     ``wmean`` (float64).
     """
-    sch = _arrow_schema(ds)
-    ktyp = sch.field(key_col).type
-    for c in (value_col, weight_col):
-        if not pa.types.is_integer(sch.field(c).type):
-            raise ValueError(
-                f"{c!r} must be integer-typed for exact weighted-mean "
-                f"partials (got {sch.field(c).type}); quantize upstream")
-    p_cols = ("n", "sw", "hi", "lo")
-    p_empty = pa.table({key_col: pa.array([], ktyp),
-                        **{c: pa.array([], pa.int64()) for c in p_cols}})
+    _require_int(ds, (value_col, weight_col), "weighted-mean")
 
-    def partial(t: pa.Table) -> pa.Table:
-        ok = pc.and_kleene(
-            pc.is_valid(t[key_col]),
-            pc.and_kleene(pc.is_valid(t[value_col]),
-                          pc.is_valid(t[weight_col])))
-        t = t.filter(ok)
-        if not t.num_rows:
-            return p_empty
-        t = t.combine_chunks()
+    def vectors(t: pa.Table) -> dict:
         _check_abs_below(t[value_col], value_col, "grouped_weighted_mean")
         _check_abs_below(t[weight_col], weight_col, "grouped_weighted_mean")
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.int64)
         w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
         wv = w * v  # < 2^62 in magnitude: exact
-        hi, lo = wv >> 32, wv & 0xFFFFFFFF  # floor/remainder: exact split
-        codes, first = key_codes(t[key_col])
-        k = len(first)
-        out = {key_col: t[key_col].take(first)}
-        for name, vec in (("n", np.ones(len(v), dtype=np.int64)),
-                          ("sw", w), ("hi", hi), ("lo", lo)):
-            acc = np.zeros(k, dtype=np.int64)
-            np.add.at(acc, codes, vec)
-            out[name] = pa.array(acc)
-        return pa.table(out)
+        # floor/remainder: exact split
+        return {"n": 1, "sw": w, "hi": wv >> 32, "lo": wv & 0xFFFFFFFF}
 
-    fallback = pa.table({
-        key_col: pa.array([], ktyp),
-        "n": pa.array([], pa.int64()),
-        "sw": pa.array([], pa.int64()),
-        "wmean": pa.array([], pa.float64()),
-    })
+    def finish(t: dict) -> dict:
+        sw = t["sw"]
+        swv = t["hi"] * (1 << 32) + t["lo"]
+        return {"n": t["n"], "sw": sw,
+                "wmean": float(swv) / float(sw) if sw != 0 else None}
 
-    def merge(g: pa.Table) -> pa.Table:
-        n = sum(g["n"].to_pylist())          # exact: Python ints
-        sw = sum(g["sw"].to_pylist())
-        swv = sum(g["hi"].to_pylist()) * (1 << 32) + sum(g["lo"].to_pylist())
-        wmean = (pa.array([float(swv) / float(sw)], pa.float64())
-                 if sw != 0 else pa.nulls(1, pa.float64()))
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n": pa.array([n], pa.int64()),
-            "sw": pa.array([sw], pa.int64()),
-            "wmean": wmean,
-        })
-
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return keyed_int_fold(
+        ds, key_col, dict.fromkeys(("n", "sw", "hi", "lo"), "sum"), vectors,
+        required=(value_col, weight_col), finish=finish,
+        out={"n": pa.int64(), "sw": pa.int64(), "wmean": pa.float64()})

@@ -33,14 +33,15 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min, Sum
 
-from konlsearch_ray.functions.blocks import (_segmented_order,
+from konlsearch_ray.functions.blocks import (_required_rows,
+                                             _segmented_order,
                                              arrow_schema as _arrow_schema,
                                              cents_np,
                                              default_nbuckets as
                                              _default_nbuckets,
                                              key_bucket, key_codes,
-                                             keyed_fold, nonempty_blocks,
-                                             runs)
+                                             keyed_fold, keyed_int_fold,
+                                             nonempty_blocks, runs)
 
 US = 1_000_000  # microseconds per second
 
@@ -79,17 +80,6 @@ def _ts_us(col: pa.ChunkedArray | pa.Array,
     return out if mul == 1 else pc.multiply_checked(out, mul)
 
 
-def _required_rows(t: pa.Table, cols: tuple[str, ...]) -> pa.Table:
-    """Drop rows where ANY of ``cols`` is null — the shared ordering
-    contract of the per-key ordered operators (a null key has no
-    partition, and an unguarded null ts/id would NaN-cast to INT64_MIN
-    and corrupt its neighbors' ordering — see ``key_lag_deltas``)."""
-    mask = pc.is_valid(t[cols[0]])
-    for c in cols[1:]:
-        mask = pc.and_kleene(mask, pc.is_valid(t[c]))
-    return t.filter(mask)
-
-
 # --------------------------------------------------------------------------
 # Tumbling-window aggregate
 # --------------------------------------------------------------------------
@@ -117,6 +107,10 @@ def tumbling_window(
     ``ts_col``: timestamp[s/ms/us/ns], or a bare integer column whose
     epoch unit the caller MUST state via ``int_unit`` ('us'|'ms'|'s' —
     raises otherwise, see ``_ts_us``); ``width_s`` is seconds.
+
+    Rows with a null ts, value or key are dropped, and so are rows with
+    a NaN key (the pandas group-by drops them) — unlike the keyed
+    operators, where NaN is a key of its own.
     """
     width_us = int(width_s) * US
     keys = [key_col] if key_col else []
@@ -277,7 +271,8 @@ def sessionize(
             "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
+    def emit(g: pa.Table) -> pa.Table:
+        g = g.combine_chunks()
         codes, _ = key_codes(g["k"])
         t = g["t"].to_numpy().astype(np.int64)
         order = np.lexsort((t, codes))
@@ -292,9 +287,8 @@ def sessionize(
         s_start = np.flatnonzero(new_sess)
         s_sizes = np.diff(s_start, append=len(ts))
         s_end = s_start + s_sizes - 1
-        key_vals = g["k"].to_numpy()[order][s_start]
-        return pd.DataFrame({
-            key_col: key_vals,
+        return pa.table({
+            key_col: g["k"].take(order[s_start]),
             "session_seq": seq[s_start].astype(np.int64),
             "session_start_us": ts[s_start],
             "session_end_us": ts[s_end],
@@ -310,7 +304,7 @@ def sessionize(
         "n_events": pa.array([], pa.int64()),
     })
     return keyed_fold(ds.map_batches(prep, batch_format="pyarrow"), "bucket",
-                      emit, fallback=fallback, batch_format="pandas")
+                      emit, fallback=fallback)
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +369,7 @@ def _union_sides(
 
         def fn(t: pa.Table) -> pa.Table:
             if drop_nulls:
-                t = t.filter(pc.is_valid(t[key_col]))
+                t = _required_rows(t, (key_col,))
             n = t.num_rows
             cols: dict[str, object] = {
                 "__k": t[key_col],
@@ -936,8 +930,6 @@ def funnel_counts(
     (``asof_join`` contract). ``ts_col`` unit rules as everywhere:
     timestamp columns convert exactly; bare ints need ``int_unit``.
     """
-    ktyp = _arrow_schema(ds).field(key_col).type
-
     def side(val: str):
         def fn(t: pa.Table) -> pa.Table:
             t = t.filter(pc.equal(t[event_col], val))
@@ -950,38 +942,13 @@ def funnel_counts(
                   tolerance_s=within_s, nbuckets=nbuckets,
                   int_unit=int_unit)
 
-    fallback = pa.table({key_col: pa.array([], ktyp),
-                         "n_then": pa.array([], pa.int64()),
-                         "n_converted": pa.array([], pa.int64())})
+    def vectors(t: pa.Table) -> dict:
+        conv = pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
+        return {"n_then": 1, "n_converted": conv.astype(np.int64)}
 
-    def partial(t: pa.Table) -> pa.Table:
-        # the left join keeps null-key ``then`` rows; they are dropped
-        # here, before coding (their code, -1, would index the last key)
-        t = t.filter(pc.is_valid(t[key_col]))
-        if not t.num_rows:
-            return fallback
-        t = t.combine_chunks()
-        codes, first = key_codes(t[key_col])
-        conv = (pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
-                .astype(np.int64))
-        k = len(first)
-        n = np.zeros(k, dtype=np.int64)
-        np.add.at(n, codes, 1)
-        c = np.zeros(k, dtype=np.int64)
-        np.add.at(c, codes, conv)
-        return pa.table({key_col: t[key_col].take(first),
-                         "n_then": pa.array(n),
-                         "n_converted": pa.array(c)})
-
-    def merge(g: pa.Table) -> pa.Table:
-        return pa.table({
-            key_col: g[key_col][:1],
-            "n_then": pa.array([pc.sum(g["n_then"]).as_py()], pa.int64()),
-            "n_converted": pa.array([pc.sum(g["n_converted"]).as_py()],
-                                    pa.int64()),
-        })
-
-    return keyed_fold(j, key_col, merge, partial=partial, fallback=fallback)
+    # the left join keeps null-key ``then`` rows; the fold drops them
+    return keyed_int_fold(j, key_col,
+                          {"n_then": "sum", "n_converted": "sum"}, vectors)
 
 
 # --------------------------------------------------------------------------

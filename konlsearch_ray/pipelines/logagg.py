@@ -24,6 +24,9 @@ import pyarrow.parquet as pq
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from konlsearch_ray.functions.blocks import (arrow_schema, keyed_fold,
+                                             nonempty_refs)
+
 
 class SearchLog:
     """Append-only search-token log (reference log.py:22-47).
@@ -164,13 +167,14 @@ def aggregate_search_frequency(log_dir: str, freq_dir: str) -> pa.Table:
         n for n in os.listdir(log_dir)
         if n.endswith(".parquet") and n not in consumed)
     if parts:
-        new = (ray.data.read_parquet([os.path.join(log_dir, n) for n in parts])
-               .groupby("term").aggregate(Sum("hits", alias_name="hits"))
-               .to_pandas())
+        # The committed table folds in as one more part: one sum per term.
+        files = [os.path.join(log_dir, n) for n in parts]
         if cur_name and os.path.exists(os.path.join(freq_dir, cur_name)):
-            old = pq.read_table(os.path.join(freq_dir, cur_name)).to_pandas()
-            new = (pd.concat([old, new], ignore_index=True)
-                   .groupby("term", as_index=False)["hits"].sum())
+            files.append(os.path.join(freq_dir, cur_name))
+        refs, _ = nonempty_refs(
+            ray.data.read_parquet(files, columns=["term", "hits"])
+            .groupby("term").aggregate(Sum("hits", alias_name="hits")))
+        new = pa.concat_tables(ray.get(refs)) if refs else _EMPTY_FREQ
         # Negative log entries are decrements (reference trie.py:190):
         # totals clamp at 0 per fold, and zeroed terms drop — the
         # reference's bounded counter likewise removes a key that
@@ -178,10 +182,9 @@ def aggregate_search_frequency(log_dir: str, freq_dir: str) -> pa.Table:
         # sum before clamping (the reference clamps per call; the
         # difference only shows for a decrement that precedes its own
         # increment inside a single drain).
-        new = new[new["hits"] > 0]
-        new = new.sort_values("term").reset_index(drop=True)
-        out = pa.table({"term": pa.array(new["term"], pa.string()),
-                        "hits": pa.array(new["hits"].astype("int64"))})
+        new = new.filter(pc.greater(new["hits"], 0)).sort_by("term")
+        out = pa.table({"term": pc.cast(new["term"], pa.string()),
+                        "hits": pc.cast(new["hits"], pa.int64())})
         cur_name = _commit_frequency(
             freq_dir, out, {"consumed": sorted(consumed | set(parts))},
             cur_name)
@@ -288,8 +291,6 @@ def assign_seq_ids(
         g = g.sort_values(id_col).reset_index(drop=True)
         g["seq"] = np.arange(len(g), dtype=np.int64)
         return g[[id_col, "sec", "seq"]]
-
-    from konlsearch_ray.functions.blocks import arrow_schema, keyed_fold
 
     fallback = pa.table({
         id_col: pa.array([], arrow_schema(events).field(id_col).type),

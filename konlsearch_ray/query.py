@@ -165,6 +165,14 @@ def _fold_facet_counts(vals) -> pa.Table:
         .aggregate([([], "count_all")]))
 
 
+def _sum_facet_counts(t: pa.Table) -> pa.Table:
+    """Sum ``(facet, n)`` partials per facet with one Arrow hash
+    group-by — the merge every multi-part facet path shares: it keeps
+    the null group and folds every NaN into one group."""
+    return _named_facet_n(t.select(["facet", "n"]).group_by("facet")
+                          .aggregate([("n", "sum")]))
+
+
 def _sort_facets(t: pa.Table, k: int) -> pa.Table:
     """The facet output contract: (n desc, facet asc, nulls last),
     top ``k`` when k > 0."""
@@ -1044,13 +1052,8 @@ class IndexReader:
                 return f.append_column(
                     "bucket", pa.array(key_bucket(f["facet"], nbuckets)))
 
-            def _facet_merge(g: pa.Table) -> pa.Table:
-                return _named_facet_n(g.select(["facet", "n"])
-                                      .group_by("facet")
-                                      .aggregate([("n", "sum")]))
-
             folded = keyed_fold(store.scan(columns=[facet_col]), "bucket",
-                                _facet_merge, partial=_facet_partial,
+                                _sum_facet_counts, partial=_facet_partial,
                                 fallback=_empty_facets(ftype))
             out = pa.concat_tables(ray.get(folded.to_arrow_refs()))
         return _sort_facets(out, k)
@@ -1346,16 +1349,14 @@ class ShardQueryActor:
         shard subset, metadata read from its OWN docstore shards only
         (``get_multi`` prunes to the dirs the hit ids live in) — hit
         ids never leave the actor; only the bounded ``(facet, n)``
-        pairs cross the wire, plus the stored column's Arrow type so
-        the merged table keeps it even when every facet is null."""
-        ftype = self._docstore.schema().field(facet_col).type
+        pairs cross the wire, in the stored column's Arrow type so the
+        merged table keeps it even when every facet is null."""
         ids = self.reader._search_ids(tokens, mode)
         if not len(ids):
-            return ftype, []
+            return _empty_facets(
+                self._docstore.schema().field(facet_col).type)
         meta = self._docstore.get_multi(ids, columns=["doc_id", facet_col])
-        folded = _fold_facet_counts(meta[facet_col])
-        return ftype, list(zip(folded["facet"].to_pylist(),
-                               folded["n"].to_pylist()))
+        return _fold_facet_counts(meta[facet_col])
 
 
 class ShardedQueryEngine:
@@ -1460,16 +1461,7 @@ class ShardedQueryEngine:
         ordered by ``n`` desc, facet asc (nulls last), top ``k`` if
         ``k > 0``."""
         parts = self._gather("facet_partial", tokens, facet_col, mode)
-        ftype = parts[0][0] if parts else None
-        cnt: dict = {}
-        for _, p in parts:
-            for f, n in p:
-                cnt[f] = cnt.get(f, 0) + int(n)
-        if not cnt:
-            return _empty_facets(ftype)
-        return _sort_facets(
-            pa.table({"facet": pa.array(list(cnt.keys()), ftype),
-                      "n": pa.array(list(cnt.values()), pa.int64())}), k)
+        return _sort_facets(_sum_facet_counts(pa.concat_tables(parts)), k)
 
     def shutdown(self):
         import ray as _ray

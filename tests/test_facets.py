@@ -38,11 +38,16 @@ def facet_built(ray_session, tmp_path_factory):
     yr = pa.array([2020 + (i % 3) for i in range(table.num_rows)],
                   pa.int64())
     table = table.append_column("yr", yr)
+    # A float facet column with NaN in every 4th doc: NaN is one facet
+    # value, however many shards its docs span.
+    sc = pa.array([float("nan") if i % 4 == 0 else (i % 3) / 2
+                   for i in range(table.num_rows)], pa.float64())
+    table = table.append_column("sc", sc)
     src = str(root / "corpus.parquet")
     pq.write_table(table, src)
     index_dir = str(root / "index")
     build_index(src, index_dir,
-                IndexConfig(shard_size=64, store_cols=["grp", "yr"],
+                IndexConfig(shard_size=64, store_cols=["grp", "yr", "sc"],
                             dedup=False))
     return IndexReader(index_dir), DocStore(index_dir)
 
@@ -110,6 +115,18 @@ def test_facets_sharded_parity(facet_built):
         assert sh_yr.schema.field("facet").type == pa.int64()
         assert sh_yr.to_pylist() == reader.facet_counts(
             ["def"], "yr").to_pylist()
+        # NaN facets: one row, as in the reader (nan != nan, so compare
+        # with NaN as a marker).
+        def nan_aware(t):
+            return [("NaN" if f != f else f, n)
+                    for f, n in zip(t["facet"].to_pylist(), t["n"].to_pylist())]
+
+        for tokens, mode in ([(["def"], "AND"),
+                              (["class", "def", "import"], "OR")]):
+            single = nan_aware(reader.facet_counts(tokens, "sc", mode=mode))
+            assert [f for f, _ in single].count("NaN") == 1
+            assert nan_aware(eng.facet_counts(tokens, "sc",
+                                              mode=mode)) == single
     finally:
         eng.shutdown()
 

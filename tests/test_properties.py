@@ -292,8 +292,9 @@ _key_lists = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_key_codes_matches_factorize_reference(case, split):
     # blocks.key_codes: pd.factorize(sort=False) codes (order of first
-    # appearance, -1 for null and NaN) for Arrow arrays, chunked arrays
-    # and pandas series alike, plus each code's first row.
+    # appearance, -1 for null) with NaN a key of its own, for Arrow
+    # arrays, chunked arrays and pandas series alike, plus each code's
+    # first row.
     import math
 
     import pandas as pd
@@ -301,14 +302,18 @@ def test_key_codes_matches_factorize_reference(case, split):
 
     from konlsearch_ray.functions.blocks import key_codes
 
+    def nan_key(v):
+        return "nan" if isinstance(v, float) and math.isnan(v) else v
+
+    def codes_of(vals):
+        seen, out = {}, []
+        for v in vals:
+            out.append(-1 if v is None
+                       else seen.setdefault(nan_key(v), len(seen)))
+        return out, [out.index(c) for c in range(len(seen))]
+
     values, typ = case
-    seen, want = {}, []
-    for v in values:
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            want.append(-1)
-        else:
-            want.append(seen.setdefault(v, len(seen)))
-    want_first = [want.index(c) for c in range(len(seen))]
+    want, want_first = codes_of(values)
     arr = pa.array(values, pa.type_for_alias(typ))
     split = min(split, len(values))
     inputs = [arr, pa.chunked_array([arr[:split], arr[split:]], arr.type),
@@ -317,11 +322,15 @@ def test_key_codes_matches_factorize_reference(case, split):
         inputs.append(np.array(values, dtype=np.int64))
     for col in inputs:
         codes, first = key_codes(col)
+        # pandas holds no null apart from NaN: there NaN is the null
+        exp, exp_first = (codes_of([None if nan_key(v) == "nan" else v
+                                    for v in values])
+                          if isinstance(col, pd.Series) else (want, want_first))
         assert codes.dtype == np.int64
-        assert codes.tolist() == want, type(col)
-        assert first.tolist() == want_first, type(col)
-    ref = pd.factorize(pd.Series(values, dtype=object if typ == "string"
-                                 else None), sort=False)[0]
+        assert codes.tolist() == exp, type(col)
+        assert first.tolist() == exp_first, type(col)
+    ref = pd.factorize(pd.Series([nan_key(v) for v in values], dtype=object),
+                       sort=False)[0]
     assert ref.tolist() == want
 
 
