@@ -57,10 +57,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
-from ray.data.aggregate import Sum
 
 from konlsearch_ray.analyzer import analyze_strings_coded, group_postings
-from konlsearch_ray.functions.blocks import key_codes, runs
+from konlsearch_ray.functions.blocks import key_codes, keyed_int_fold, runs
 from konlsearch_ray.pipelines.suggest import decompose_jamo_bulk
 from konlsearch_ray.segment import (DICTIONARY_ROW_GROUP, FORMAT_VERSION,
                                     _atomic_write_parquet, binary_view,
@@ -285,18 +284,15 @@ def _dedup_winners(ds: ray.data.Dataset, key_cols: list[str]):
     First-wins = keep the row with the minimum canonical key (matches the
     reference's earliest-doc dedup, reference index.py:299-305).
     """
-    from ray.data.aggregate import Count as _Count
-    from ray.data.aggregate import Min as _Min
-
-    light = (
+    light = keyed_int_fold(
         ds.map_batches(
             lambda t: _add_dedup_key(t, key_cols)
-            .select(["content_sha256", "__dedup_key"]),
-            batch_format="pyarrow")
-        .groupby("content_sha256")
-        .aggregate(_Min("__dedup_key", alias_name="winner"),
-                   _Count(alias_name="n"))
-    )
+            .select(["content_sha256", "__dedup_key"])
+            .rename_columns(["content_sha256", "winner"]),
+            batch_format="pyarrow"),
+        "content_sha256", {"winner": "min", "n": "count"},
+        out={"content_sha256": pa.string(), "winner": pa.string(),
+             "n": pa.int64()})
     dups = pa.Table.from_pandas(
         light.map_batches(
             lambda t: t.filter(pc.greater(t["n"], 1)), batch_format="pyarrow")
@@ -1024,10 +1020,9 @@ def _finalize(index_dir: str) -> dict:
                            row_group_size=DICTIONARY_ROW_GROUP)
             stats["vocab"] = agg.num_rows
         else:
-            dct = (ray.data.read_parquet(seg_files, columns=cols)
-                   .groupby("term")
-                   .aggregate(Sum("df", alias_name="df"),
-                              Sum("cf", alias_name="cf"))
+            dct = (keyed_int_fold(
+                       ray.data.read_parquet(seg_files, columns=cols), "term",
+                       {"df": "sum", "cf": "sum"})
                    .map_batches(_with_jamo_key, batch_format="pyarrow")
                    .sort(keys).materialize())
             dct.write_parquet(tmp_dir, compression="zstd",

@@ -722,12 +722,11 @@ def _rollup_per_key(
         nv = pc.is_valid(vcol).to_numpy(zero_copy_only=False)
         v = pc.fill_null(vcol, 0).to_numpy(zero_copy_only=False)
         # nv counts the non-null values (SQL sum basis)
-        return {"n": 1, "nv": nv.astype(np.int64),
-                "total": v.astype(np.int64)}
+        return {"nv": nv.astype(np.int64), "total": v.astype(np.int64)}
 
     return (keyed_int_fold(ds, key_col,
-                           dict.fromkeys(("n", "nv", "total"), "sum"),
-                           vectors),
+                           {"n": "count", "nv": "sum", "total": "sum"},
+                           vectors, required=(key_col,)),
             sch.field(key_col).type)
 
 

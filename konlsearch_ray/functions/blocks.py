@@ -1,12 +1,12 @@
 """Shared Dataset block-ref utilities and the one keyed exchange.
 
 ``keyed_fold(ds, key, merge, fallback=..., partial=...)`` is the
-package's only keyed ``groupby`` + ``map_groups`` exchange: an optional
-per-block ``partial`` (map-side combine), then Ray's default sort
-shuffle on ``key`` and ``merge`` once per group.  Every wide step —
-per-key folds, and the bucket-routed joins, windows and ranks whose
-``partial`` adds a ``key_bucket`` column — goes through it, so swapping
-the exchange is a one-place change.
+package's only keyed Dataset ``groupby`` (a test guards it): an
+optional per-block ``partial`` (map-side combine), then Ray's default
+sort shuffle on ``key`` and ``merge`` once per group.  Every wide step —
+the per-key folds of ``keyed_int_fold``, and the bucket-routed joins,
+windows and ranks whose ``partial`` adds a ``key_bucket`` column — goes
+through it, so swapping the exchange is a one-place change.
 
 It owns the Ray Data landmine every keyed exchange hits: empty
 shuffle partitions emit 0-row blocks that either reach the group UDF
@@ -50,12 +50,21 @@ are one key.  ``key_codes`` codes a null −1 and nothing else −1, and
 ``keyed_fold`` carries NaN and null keys across the shuffle as groups
 of their own.
 
-``keyed_int_fold`` is the map-side fold for per-key integer
-statistics: it drops the rows with a null in the operator's required
-columns, codes the key, folds named int64 per-row vectors per key by
-sum, min or max inside each block, and reduces a group's partial rows
-exactly (Python ints) in the merge, where an operator's ``finish``
-applies its one final expression.
+``keyed_int_fold`` is the one per-key fold — counts, exact int64
+sums, and mins and maxes in the column's own Arrow type — over one key
+column or a list.  Inside each block it drops the rows with a null in
+the caller's ``required`` columns, codes the key tuples and folds them
+to one partial row per key; the partial rows route by ``key_bucket``
+over the keys, so one merge call reduces a whole bucket, however many
+keys it holds (a pair or n-gram count has one key per pair or n-gram),
+summing exactly (Python ints past int64) before an operator's
+``finish`` applies its one final expression.  A caller drops null keys
+by naming its key columns in ``required``: the integer statistics
+(corr, covar, stddev, regression, min-max, z-score, weighted mean,
+rollup) and the funnel counts do, and the windows drop them before
+their fold; the exact-dedup, label-propagation, pair, n-gram, shingle,
+term-table, search-log, domain and pack-bucket folds keep a null key as
+a group of its own (SQL ``GROUP BY``).
 """
 
 from __future__ import annotations
@@ -108,28 +117,62 @@ def nonempty_refs(ds: ray.data.Dataset) -> tuple[list, int]:
     return refs, rows
 
 
-def key_bucket(col, nbuckets: int) -> np.ndarray:
-    """Vectorized bucket id for a key column: integers hash by value,
-    strings and binaries by bytes, any other scalar type by its string
-    cast. Routing only — in-bucket grouping compares exact values.
-    Null keys route deterministically (as 0 / empty string); −0.0 and
-    0.0 route together, as do all NaNs."""
-    t = col.type
-    if pa.types.is_integer(t):
-        hv = (pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
-              .astype(np.int64).view(np.uint64))
-        hv = hv * np.uint64(0xFF51AFD7ED558CCD)
-        hv ^= hv >> np.uint64(33)
-    else:
-        from konlsearch_ray.functions.dedup import _string_bucket_hash
+def key_bucket(cols, nbuckets: int) -> np.ndarray:
+    """Vectorized bucket id for one key column or a list of them:
+    integers hash by value, strings and binaries by bytes
+    (``_string_bucket_hash``), any other scalar type by its string
+    cast, and several columns combine their hashes in order. Routing
+    only — in-bucket grouping compares exact values. Null keys route
+    deterministically (as 0 / empty string); −0.0 and 0.0 route
+    together, as do all NaNs."""
+    if isinstance(cols, (pa.Array, pa.ChunkedArray)):
+        cols = [cols]
+    h = None
+    for col in cols:
+        t = col.type
+        if pa.types.is_integer(t):
+            hv = (pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
+                  .astype(np.int64).view(np.uint64))
+            hv = hv * np.uint64(0xFF51AFD7ED558CCD)
+            hv ^= hv >> np.uint64(33)
+        else:
+            col = _one_zero(col)
+            if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+                    or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+                col = pc.cast(col, pa.string())
+            hv = _string_bucket_hash(col)
+        h = hv if h is None else h * np.uint64(0x100000001B3) + hv
+    return (h % np.uint64(nbuckets)).astype(np.int64)
 
-        col = _one_zero(col)
-        if not (pa.types.is_string(t) or pa.types.is_large_string(t)
-                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
-            col = pc.cast(col, pa.string())
-        hv = _string_bucket_hash(
-            col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col)
-    return (hv % np.uint64(nbuckets)).astype(np.int64)
+
+def _string_bucket_hash(col) -> np.ndarray:
+    """Vectorized 64-bit string hash (byte-column FNV-style polynomial
+    over the fixed-width bytes matrix) — used only for BUCKETING, never
+    for identity (grouping inside a bucket compares exact values)."""
+    from konlsearch_ray.segment import _string_col_to_S
+
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    s = _string_col_to_S(col)
+    if not len(s):
+        return np.zeros(0, dtype=np.uint64)
+    mat = s.view(np.uint8).reshape(len(s), s.dtype.itemsize)
+    # fill_null: a null string's length is null -> NaN, and NaN->int64 is
+    # an undefined conversion (platform-dependent bucket). Null hashes as
+    # the empty string — deterministic routing; in-bucket grouping still
+    # distinguishes null from "" by exact value.
+    lens = (pc.fill_null(pc.binary_length(col), 0)
+            .to_numpy(zero_copy_only=False).astype(np.int64))
+    h = np.full(len(s), 0xCBF29CE484222325, dtype=np.uint64)
+    prime = np.uint64(1099511628211)
+    for j in range(mat.shape[1]):  # width-bounded loop, each pass is C
+        # Padding columns must be no-ops: the matrix width is BATCH-local
+        # (the widest string in this batch), and a hash that mixed the
+        # padding would give the same string different buckets in
+        # different batches — splitting its group across emit calls.
+        live = j < lens
+        h = np.where(live, h * prime + mat[:, j], h)
+    return h
 
 
 def runs(*sorted_cols) -> tuple[np.ndarray, np.ndarray]:
@@ -309,69 +352,139 @@ def keyed_fold(
             else ray.data.from_arrow(fallback))
 
 
-# fold name -> (numpy ufunc for the block, its identity, exact reduction
-# of a group's partial values in Python ints)
-_INT_FOLDS = {
-    "sum": (np.add, 0, sum),
-    "min": (np.minimum, np.iinfo(np.int64).max, min),
-    "max": (np.maximum, np.iinfo(np.int64).min, max),
-}
+def _row_codes(t: pa.Table, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``key_codes`` over the combination of several key columns: one
+    code per distinct tuple of the columns' keys, a null key being a
+    key here like any other, plus each code's first row."""
+    codes = first = np.zeros(t.num_rows, dtype=np.int64)
+    for k in keys:
+        c, _ = key_codes(t[k])
+        codes, first = key_codes(codes * (int(c.max(initial=-1)) + 2) + c + 1)
+    return codes, first
+
+
+def _fold_codes(t: pa.Table, codes: np.ndarray, aggs: list) -> pa.Table:
+    """Arrow's hash aggregation of ``t`` per code: one row per code, in
+    code order."""
+    return (t.append_column("__code", pa.array(codes, pa.int64()))
+            .group_by("__code", use_threads=False).aggregate(aggs)
+            .sort_by("__code"))
+
+
+def _exact_sum(hi: np.ndarray, lo: np.ndarray):
+    """``hi * 2**32 + lo`` per key from the per-key sums of each partial
+    value's high and low 32 bits: int64 where every total fits, else
+    Python ints."""
+    hi, lo = hi + (lo >> 32), lo & 0xFFFFFFFF
+    if not len(hi) or (hi.min() >= -2**31 and hi.max() < 2**31):
+        return (hi << 32) | lo
+    return np.array([(h << 32) | w for h, w in zip(hi.tolist(), lo.tolist())],
+                    dtype=object)
 
 
 def keyed_int_fold(
     ds: ray.data.Dataset,
-    key_col: str,
+    key: str | list[str],
     folds: dict[str, str],
-    vectors: Callable[[pa.Table], dict],
+    vectors: Callable[[pa.Table], dict] | None = None,
     *,
     required: tuple[str, ...] = (),
     out: dict[str, pa.DataType] | None = None,
     finish: Callable[[dict], dict] | None = None,
 ) -> ray.data.Dataset:
-    """Per-key integer statistics through one ``keyed_fold``.
+    """The one per-key fold: ``count``, exact integer ``sum``, ``min``
+    and ``max`` per key (one column or a list) through one
+    ``keyed_fold``.
 
-    Inside each block: drop the rows with a null in ``key_col`` or in
-    ``required`` (``_required_rows``), code the key (``key_codes``: a
-    NaN key is a key of its own), and fold each named per-row vector of
-    ``vectors(t)`` — an int64 array over the surviving rows ``t``, or a
-    scalar such as 1 for a count — per key by its ``folds`` entry
-    (``"sum"``, ``"min"`` or ``"max"``) into one int64 partial row per
-    key.  The merge reduces a group's partial rows exactly, in Python
-    ints, to ``{name: int}``; ``finish`` (default: the totals as they
-    are) maps those to the output row, whose columns after ``key_col``
-    are ``out`` (default: the folds, int64).  A ``None`` value emits a
-    null."""
-    ktyp = arrow_schema(ds).field(key_col).type
-    out = out or dict.fromkeys(folds, pa.int64())
-    empty = pa.table({key_col: pa.array([], ktyp),
-                      **{c: pa.array([], pa.int64()) for c in folds}})
+    Inside each block: drop the rows with a null in ``required``
+    (``_required_rows`` — a caller that drops null keys names its key
+    columns there; the others keep a null key as a group of its own),
+    code the key tuples (``key_codes``: a NaN key is a key of its own,
+    -0.0 and 0.0 are one key), and fold each ``folds`` entry per key
+    into one partial row per key: a ``"count"`` counts the rows, and a
+    ``"sum"``, ``"min"`` or ``"max"`` folds the named per-row vector of
+    ``vectors(t)`` — a numpy or Arrow array over the surviving rows
+    ``t`` (default: ``t``'s column of that name); sums take int64
+    values, min and max keep the vector's type, cast to their ``out``
+    type when ``out`` names them.  The partial rows route by
+    ``key_bucket`` over the keys, so one merge call folds a whole
+    bucket: it reduces the partial counts and sums of each key exactly
+    (past int64, as Python ints) and the partial mins and maxes by
+    Arrow's ordering.
 
+    The output is the key columns, then ``out`` (default: the folds,
+    int64) in its order; a key column ``out`` does not name takes its
+    type from ``ds``'s schema, which runs ``ds``'s first blocks when it
+    is not known.  ``finish`` (default: the totals as they are) maps
+    each key's ``{name: value}`` — counts and sums as Python ints — to
+    its output row; a ``None`` value emits a null."""
+    keys = [key] if isinstance(key, str) else list(key)
+    out = dict(out or dict.fromkeys(folds, pa.int64()))
+    if any(k not in out for k in keys):
+        sch = arrow_schema(ds)
+        out = {k: sch.field(k).type for k in keys} | out
+    ktyps = {k: out.pop(k) for k in keys}
+    nbuckets = default_nbuckets()
+    counted = {n for n, op in folds.items() if op in ("count", "sum")}
+
+    # A count or sum crosses the exchange as the per-key sums of each
+    # value's high and low 32 bits (".hi", ".lo"): neither can overflow
+    # int64 below 2**31 rows per key, so the totals are exact.
     def partial(t: pa.Table) -> pa.Table:
-        t = _required_rows(t, (key_col, *required))
-        if not t.num_rows:
-            return empty
+        t = _required_rows(t, required) if required else t
         t = t.combine_chunks()
-        codes, first = key_codes(t[key_col])
-        cols = {key_col: t[key_col].take(first)}
-        for name, vec in vectors(t).items():
-            ufunc, init, _ = _INT_FOLDS[folds[name]]
-            acc = np.full(len(first), init, dtype=np.int64)
-            ufunc.at(acc, codes, vec)
-            cols[name] = pa.array(acc)
+        codes, first = _row_codes(t, keys)
+        vecs = t if vectors is None else vectors(t)
+        parts, aggs = {}, [([], "count_all")]
+        for n, op in folds.items():
+            if op == "sum":
+                v = np.asarray(vecs[n], dtype=np.int64)
+                parts[n + ".hi"], parts[n + ".lo"] = v >> 32, v & 0xFFFFFFFF
+                aggs += [(n + ".hi", "sum"), (n + ".lo", "sum")]
+            elif op != "count":
+                parts[n] = vecs[n]
+                aggs.append((n, op))
+        folded = _fold_codes(pa.table(parts) if parts else t.select([]),
+                             codes, aggs)
+        cols = {k: t[k].take(first) for k in keys}
+        for n, op in folds.items():
+            if op == "count":
+                cols[n + ".hi"] = pa.array(np.zeros(len(first), np.int64))
+                cols[n + ".lo"] = folded["count_all"]
+            elif op == "sum":
+                cols[n + ".hi"] = folded[n + ".hi_sum"]
+                cols[n + ".lo"] = folded[n + ".lo_sum"]
+            else:
+                c = folded[f"{n}_{op}"]
+                cols[n] = pc.cast(c, out.get(n, c.type))
+        cols["__route"] = key_bucket([cols[k] for k in keys], nbuckets)
         return pa.table(cols)
 
     def merge(g: pa.Table) -> pa.Table:
-        row = {c: _INT_FOLDS[op][2](g[c].to_pylist())
-               for c, op in folds.items()}
-        if finish is not None:
-            row = finish(row)
-        return pa.table({key_col: g[key_col][:1],
-                         **{c: pa.array([row[c]], typ)
-                            for c, typ in out.items()}})
+        codes, first = _row_codes(g, keys)
+        aggs = [(n + part, "sum") for n in counted for part in (".hi", ".lo")]
+        aggs += [(n, op) for n, op in folds.items() if n not in counted]
+        folded = _fold_codes(g.select([c for c, _ in aggs]), codes, aggs)
+        vals = {n: (_exact_sum(folded[n + ".hi_sum"].to_numpy(),
+                               folded[n + ".lo_sum"].to_numpy())
+                    if n in counted else folded[f"{n}_{folds[n]}"])
+                for n in folds}
+        cols = {k: g[k].take(first) for k in keys}
+        if finish is None:
+            cols |= {c: pa.array(vals[c], typ) if c in counted
+                     else pc.cast(vals[c], typ) for c, typ in out.items()}
+        else:
+            rows = [finish(dict(zip(vals, row))) for row in zip(
+                *(v.tolist() if isinstance(v, np.ndarray) else v.to_pylist()
+                  for v in vals.values()))]
+            cols |= {c: pa.array([r[c] for r in rows], typ)
+                     for c, typ in out.items()}
+        return pa.table(cols)
 
-    fallback = pa.table({key_col: pa.array([], ktyp),
+    fallback = pa.table({**{k: pa.array([], typ) for k, typ in ktyps.items()},
                          **{c: pa.array([], typ) for c, typ in out.items()}})
-    return keyed_fold(ds, key_col, merge, partial=partial, fallback=fallback)
+    return keyed_fold(ds, "__route", merge, partial=partial,
+                      fallback=fallback)
 
 
 def nonempty_blocks(
@@ -382,12 +495,7 @@ def nonempty_blocks(
     """Rebuild a dataset from its non-empty Arrow block refs (refs only —
     no data moves).  Falls back to ``fallback`` (or one empty int64-typed
     block carrying ``cols``) when nothing survives."""
-    refs, _ = nonempty_refs(ds)
-    if not refs:
-        return ray.data.from_arrow(
-            fallback if fallback is not None
-            else pa.table({c: pa.array([], pa.int64()) for c in cols}))
-    return ray.data.from_arrow_refs(refs)
+    return pinned_nonempty(ds, cols, fallback)[0]
 
 
 def pinned_nonempty(

@@ -17,12 +17,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Min
 
 from konlsearch_ray.analyzer import analyze_strings
-from konlsearch_ray.functions.blocks import (default_join_partitions,
-                                             default_nbuckets, key_codes,
-                                             keyed_fold, nonempty_blocks,
+from konlsearch_ray.functions.blocks import (arrow_schema,
+                                             default_join_partitions,
+                                             default_nbuckets, key_bucket,
+                                             key_codes, keyed_fold,
+                                             keyed_int_fold, nonempty_blocks,
                                              pinned_nonempty, runs)
 from konlsearch_ray.functions.text import FP_MOD, _token_hashes
 from konlsearch_ray.segment import binary_view
@@ -50,15 +51,18 @@ def exact_dedup_groups(
     """Exact dedup summary: content hash → surviving (min) id + group size.
 
     First-wins semantics match the reference's hash-dict dedup (reference
-    index.py:299-305). One groupby on the hash — hash keys are uniform, so
-    no skew handling needed.
+    index.py:299-305). One keyed fold on the hash — hash keys are
+    uniform, so no skew handling needed.
     """
     hashed = ds.map_batches(
         _md5_batch, batch_format="pyarrow", fn_kwargs={"content_col": content_col}
-    ).select_columns(["h", id_col])
-    return hashed.groupby("h").aggregate(
-        Min(id_col, alias_name="keep_id"), Count(alias_name="n")
     )
+    return keyed_int_fold(
+        hashed, "h", {"keep_id": "min", "n": "count"},
+        lambda t: {"keep_id": t[id_col]},
+        out={"h": pa.string(),
+             "keep_id": arrow_schema(ds).field(id_col).type,
+             "n": pa.int64()})
 
 
 def _shingle_codes(batch: pa.Table, content_col: str, id_col: str, n: int):
@@ -121,7 +125,7 @@ def ngram_jaccard_pairs(
 
     Exact because any pair with J > 0 shares ≥ 1 shingle, so candidate
     generation via groupby(shingle) has recall 1. Stages:
-    shingle explode → groupby(shingle) pair emission → groupby(pair) count
+    shingle explode → groupby(shingle) pair emission → per-pair count fold
     (= |A∩B|) → J from broadcast per-doc set sizes.
 
     ``max_shingle_df`` is the stop-shingle guard for scale: a shingle
@@ -136,32 +140,16 @@ def ngram_jaccard_pairs(
     """
     # Pin the shingle table once: it feeds both the size aggregation and
     # pair emission (left lazy it would tokenize the corpus twice).
-    shingles = _nonempty_blocks(
+    shingles = nonempty_blocks(
         ds.map_batches(
             _shingle_batch, batch_format="pyarrow",
             fn_kwargs={"content_col": content_col, "id_col": id_col, "n": n}),
         ("doc_id", "shingle"))
-    sizes_ds = shingles.groupby("doc_id").aggregate(Count(alias_name="sz"))
-
-    def _norm_sizes(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                         "sz": t["sz"].cast(pa.int64())})
-
-    sizes_ds = _nonempty_blocks(
-        sizes_ds.map_batches(_norm_sizes, batch_format="pyarrow"),
-        ("doc_id", "sz"))
-
+    sizes_ds = keyed_int_fold(shingles, "doc_id", {"sz": "count"})
     pairs = _emit_pairs_bucketed(shingles, ["shingle"],
                                  cap=max_shingle_df)
-    inter = pairs.groupby(["a", "b"]).aggregate(Count(alias_name="inter"))
-
-    def _norm_inter(t: pa.Table) -> pa.Table:
-        return pa.table({"a": t["a"].cast(pa.int64()),
-                         "b": t["b"].cast(pa.int64()),
-                         "inter": t["inter"].cast(pa.int64())})
-
     inter, inter_rows = pinned_nonempty(
-        inter.map_batches(_norm_inter, batch_format="pyarrow"),
+        keyed_int_fold(pairs, ["a", "b"], {"inter": "count"}),
         ("a", "b", "inter"))
     if not inter_rows:  # no co-shingling pair anywhere: done, skip joins
         return ray.data.from_arrow(_empty_pairs())
@@ -195,40 +183,6 @@ def ngram_jaccard_pairs(
                            ("a", "b"), fallback=_empty_pairs())
 
 
-# Shared implementation lives in functions/blocks.py.
-_nonempty_blocks = nonempty_blocks
-
-
-def _string_bucket_hash(col) -> np.ndarray:
-    """Vectorized 64-bit string hash (byte-column FNV-style polynomial
-    over the fixed-width bytes matrix) — used only for BUCKETING, never
-    for identity (grouping inside a bucket compares exact values)."""
-    from konlsearch_ray.segment import _string_col_to_S
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    s = _string_col_to_S(col)
-    if not len(s):
-        return np.zeros(0, dtype=np.uint64)
-    mat = s.view(np.uint8).reshape(len(s), s.dtype.itemsize)
-    # fill_null: a null string's length is null -> NaN, and NaN->int64 is
-    # an undefined conversion (platform-dependent bucket). Null hashes as
-    # the empty string — deterministic routing; in-bucket grouping still
-    # distinguishes null from "" by exact value.
-    lens = (pc.fill_null(pc.binary_length(col), 0)
-            .to_numpy(zero_copy_only=False).astype(np.int64))
-    h = np.full(len(s), 0xCBF29CE484222325, dtype=np.uint64)
-    prime = np.uint64(1099511628211)
-    for j in range(mat.shape[1]):  # width-bounded loop, each pass is C
-        # Padding columns must be no-ops: the matrix width is BATCH-local
-        # (the widest string in this batch), and a hash that mixed the
-        # padding would give the same string different buckets in
-        # different batches — splitting its group across emit calls.
-        live = j < lens
-        h = np.where(live, h * prime + mat[:, j], h)
-    return h
-
-
 def _emit_pairs_bucketed(
     ds: ray.data.Dataset,
     group_cols: list[str],
@@ -255,19 +209,8 @@ def _emit_pairs_bucketed(
     nbuckets = nbuckets or default_nbuckets()
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        h = np.full(t.num_rows, 0x9E3779B97F4A7C15, dtype=np.uint64)
-        for c in group_cols:
-            col = t[c]
-            if pa.types.is_integer(col.type):
-                hv = (col.to_numpy(zero_copy_only=False)
-                      .astype(np.int64).view(np.uint64))
-                hv = hv * np.uint64(0xFF51AFD7ED558CCD)
-                hv ^= hv >> np.uint64(33)
-            else:
-                hv = _string_bucket_hash(col)
-            h = h * np.uint64(0x100000001B3) + hv
-        return t.append_column(
-            "bucket", pa.array((h % np.uint64(nbuckets)).astype(np.int64)))
+        return t.append_column("bucket", pa.array(
+            key_bucket([t[c] for c in group_cols], nbuckets)))
 
     def emit(g: pd.DataFrame) -> pa.Table:
         codes_list = [key_codes(g[c])[0] for c in group_cols]
@@ -435,14 +378,10 @@ def minhash_lsh_pairs(
 
     sig_ds = sets_ds.map_batches(signatures, batch_format="pyarrow")
 
-    cand = _emit_pairs_bucketed(sig_ds, ["band"] + [f"k{j}" for j in range(r)])
-    cand = cand.groupby(["a", "b"]).aggregate(Count(alias_name="nbands"))
-
-    def _norm_pairs(t: pa.Table) -> pa.Table:
-        return pa.table({"a": t["a"].cast(pa.int64()),
-                         "b": t["b"].cast(pa.int64())})
-
-    cand = cand.map_batches(_norm_pairs, batch_format="pyarrow")
+    # A pair can share several bands — dedupe before the joins.
+    cand = keyed_int_fold(
+        _emit_pairs_bucketed(sig_ds, ["band"] + [f"k{j}" for j in range(r)]),
+        ["a", "b"], {})
 
     # Exact-Jaccard verification WITHOUT driver state: the per-doc
     # shingle-hash sets stay a distributed Dataset, and candidates join
@@ -453,12 +392,9 @@ def minhash_lsh_pairs(
     # Modest default partition count — join fixed costs grow with it;
     # size to data volume at cluster scale.
     nparts = default_join_partitions()
-    # Empty upstream partitions emit 0-row blocks that BYPASS map UDFs and
-    # so carry stale or empty schemas; Ray's hash join rejects them. Drop
-    # them by rebuilding from the non-empty block refs (refs only — no
-    # data moves, blocks stay in the object store). A side with ZERO rows
-    # must not reach the join at all (the empty partition loses its
-    # schema inside the hash-shuffle aggregator) — short-circuit instead.
+    # A side with ZERO rows must not reach the join at all (the empty
+    # partition loses its schema inside the hash-shuffle aggregator) —
+    # short-circuit instead.
     cand, cand_rows = pinned_nonempty(cand, ("a", "b"))
     if not cand_rows:
         return ray.data.from_arrow(empty_out)
@@ -569,8 +505,8 @@ def simhash_pairs(
     Candidate generation: split the 64-bit hash into 4 16-bit chunks —
     any pair within Hamming ≤ 3 agrees on ≥ 1 chunk (pigeonhole) —
     bucketed vectorized pair emission over (chunk, value) groups (one
-    Python call per hash bucket, not per group), dedup via
-    groupby(a, b), then hamming verification by joining the per-doc
+    Python call per hash bucket, not per group), dedup via a keyed
+    fold on (a, b), then hamming verification by joining the per-doc
     simhash table onto both pair sides and one vectorized
     xor + unpackbits popcount pass — the same join-verify scale shape
     as the MinHash pipeline.
@@ -588,7 +524,7 @@ def simhash_pairs(
             f"guarantee (<= 3); pass approximate=True to accept "
             f"chunk-conditioned recall")
     sh = simhash64(ds, content_col, id_col)
-    sh = _nonempty_blocks(sh, (id_col, "simhash"))
+    sh = nonempty_blocks(sh, (id_col, "simhash"))
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -604,17 +540,11 @@ def simhash_pairs(
              "val": pa.array(np.concatenate(val_out))})
 
     exploded = sh.map_batches(explode, batch_format="pyarrow")
-    cand = _emit_pairs_bucketed(exploded, ["chunk", "val"])
     # A pair can match on several chunks — dedupe before the joins.
-    cand = cand.groupby(["a", "b"]).aggregate(Count(alias_name="nch"))
-
-    def _norm(t: pa.Table) -> pa.Table:
-        return pa.table({"a": t["a"].cast(pa.int64()),
-                         "b": t["b"].cast(pa.int64())})
-
+    cand = keyed_int_fold(_emit_pairs_bucketed(exploded, ["chunk", "val"]),
+                          ["a", "b"], {})
     empty_out = _empty_pairs(("hamming", pa.int64()))
-    cand, cand_rows = pinned_nonempty(
-        cand.map_batches(_norm, batch_format="pyarrow"), ("a", "b"))
+    cand, cand_rows = pinned_nonempty(cand, ("a", "b"))
     if not cand_rows:  # empty join sides crash the hash-shuffle join
         return ray.data.from_arrow(empty_out)
     nparts = default_join_partitions()
@@ -672,7 +602,7 @@ def connected_components(
     (1) neighbor propagation — one hash join of the symmetric edge table
     against the label table, so every node offers its label to its
     neighbors — plus (2) pointer jumping — one label-table self-join so
-    labels hop to their label's label — then one ``groupby(node).min``.
+    labels hop to their label's label — then one per-node min fold.
     Data moved per round is O(E + V) through hash-partitioned exchanges;
     pointer jumping makes chain-shaped clusters converge in O(log
     diameter) rounds instead of O(diameter). Convergence is detected
@@ -703,15 +633,11 @@ def connected_components(
         u = np.unique(t["u"].to_numpy(zero_copy_only=False).astype(np.int64))
         return pa.table({"node": pa.array(u), "lab": pa.array(u)})
 
-    def norm_labels(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["node"].cast(pa.int64()),
-                         "lab": t["lab"].cast(pa.int64())})
+    def min_label(ds: ray.data.Dataset) -> ray.data.Dataset:
+        return keyed_int_fold(ds, "node", {"lab": "min"},
+                              out={"node": pa.int64(), "lab": pa.int64()})
 
-    labels = nonempty_blocks(
-        edges.map_batches(to_labels, batch_format="pyarrow")
-        .groupby("node").aggregate(Min("lab", alias_name="lab"))
-        .map_batches(norm_labels, batch_format="pyarrow"),
-        ("node", "lab"))
+    labels = min_label(edges.map_batches(to_labels, batch_format="pyarrow"))
 
     prev_sum = None
     for _ in range(max_iters):
@@ -720,9 +646,7 @@ def connected_components(
                           on=("u",), right_on=("node",))
                .select_columns(["v", "lab"])
                .rename_columns({"v": "node"}))
-        nbr, nbr_rows = pinned_nonempty(
-            nbr.map_batches(norm_labels, batch_format="pyarrow"),
-            ("node", "lab"))
+        nbr, nbr_rows = pinned_nonempty(nbr, ("node", "lab"))
         # (2) pointer jump: node takes lab(lab(node)).
         jump = (labels.join(
                     labels.rename_columns({"node": "n2", "lab": "lab2"}),
@@ -730,9 +654,7 @@ def connected_components(
                     on=("lab",), right_on=("n2",))
                 .select_columns(["node", "lab2"])
                 .rename_columns({"lab2": "lab"}))
-        jump, jump_rows = pinned_nonempty(
-            jump.map_batches(norm_labels, batch_format="pyarrow"),
-            ("node", "lab"))
+        jump, jump_rows = pinned_nonempty(jump, ("node", "lab"))
         # Union only the non-empty parts (an all-empty fallback block
         # would trigger per-iteration schema-mismatch log noise).
         merged = labels
@@ -740,10 +662,7 @@ def connected_components(
             merged = merged.union(nbr)
         if jump_rows:
             merged = merged.union(jump)
-        new_labels = (merged
-                      .groupby("node").aggregate(Min("lab", alias_name="lab"))
-                      .map_batches(norm_labels, batch_format="pyarrow"))
-        labels = nonempty_blocks(new_labels, ("node", "lab"))
+        labels = min_label(merged)
         cur_sum = labels.sum("lab")
         if cur_sum == prev_sum:
             break

@@ -40,7 +40,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from konlsearch_ray.functions.blocks import keyed_fold, nonempty_blocks
+from konlsearch_ray.functions.blocks import (keyed_fold, keyed_int_fold,
+                                             nonempty_blocks)
 
 _PAIR_FALLBACK = pa.table({"a": pa.array([], pa.string()),
                            "b": pa.array([], pa.string())})
@@ -167,7 +168,6 @@ def edit1_pairs(
                       fallback=_PAIR_FALLBACK)
     # a pair can collide through several variants — dedupe BEFORE the
     # (more expensive) verification, moving distinct pairs only.
-    distinct = keyed_fold(cand, ["a", "b"], lambda g: g[:1],
-                          fallback=_PAIR_FALLBACK)
+    distinct = keyed_int_fold(cand, ["a", "b"], {})
     out = distinct.map_batches(verify, batch_format="pyarrow")
     return nonempty_blocks(out, ("a", "b"), fallback=_PAIR_FALLBACK)

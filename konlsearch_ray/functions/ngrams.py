@@ -23,10 +23,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from konlsearch_ray.functions.blocks import (default_join_partitions,
-                                             nonempty_blocks,
+                                             keyed_int_fold, nonempty_blocks,
                                              pinned_nonempty, runs)
 from konlsearch_ray.functions.dedup import _shingle_batch
 
@@ -70,21 +69,16 @@ def ngram_counts(
     """Corpus n-gram occurrence counts over the kept token stream
     (analyzer semantics — same tokens the index sees). Output:
     ``ngram`` (terms joined by one space), ``cnt``."""
-    partial = ds.map_batches(
-        _ngram_count_partial, batch_format="pyarrow",
-        fn_kwargs={"content_col": content_col, "n": n})
-    agg = partial.groupby("ngram").aggregate(Sum("cnt", alias_name="cnt"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        out = pa.table({"ngram": t["ngram"].cast(pa.string()),
-                        "cnt": t["cnt"].cast(pa.int64())})
-        if min_count > 1:
-            out = out.filter(pc.greater_equal(out["cnt"], min_count))
-        return out
-
+    counts = keyed_int_fold(
+        ds.map_batches(_ngram_count_partial, batch_format="pyarrow",
+                       fn_kwargs={"content_col": content_col, "n": n}),
+        "ngram", {"cnt": "sum"}, out={"ngram": pa.string(), "cnt": pa.int64()})
+    if min_count <= 1:
+        return counts
     return nonempty_blocks(
-        agg.map_batches(finish, batch_format="pyarrow"),
-        ("ngram", "cnt"),
+        counts.map_batches(
+            lambda t: t.filter(pc.greater_equal(t["cnt"], min_count)),
+            batch_format="pyarrow"), ("ngram", "cnt"),
         fallback=pa.table({"ngram": pa.array([], pa.string()),
                            "cnt": pa.array([], pa.int64())}))
 
@@ -115,7 +109,7 @@ def contamination(
     shingles and are absent (nothing to decontaminate on).
 
     Scale: the benchmark side dedups to its distinct-shingle set via one
-    groupby (benchmarks are small, but nothing here REQUIRES that — the
+    keyed fold (benchmarks are small, but nothing here REQUIRES that — the
     overlap is a hash-partitioned inner join either way), and the corpus
     side is the same shingle stream the dedup family already computes.
     """
@@ -127,40 +121,21 @@ def contamination(
     corp_sh, corp_rows = pinned_nonempty(_sh(corpus), ("doc_id", "shingle"))
     if not corp_rows:
         return ray.data.from_arrow(_empty_contamination())
-    totals = corp_sh.groupby("doc_id").aggregate(
-        Count(alias_name="n_shingles"))
+    totals = keyed_int_fold(corp_sh, "doc_id", {"n_shingles": "count"})
 
-    def _norm_tot(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                         "n_shingles": t["n_shingles"].cast(pa.int64())})
-
-    totals = nonempty_blocks(
-        totals.map_batches(_norm_tot, batch_format="pyarrow"),
-        ("doc_id", "n_shingles"))
-
-    # Benchmark distinct-shingle set (dedup via groupby so the join
-    # cannot multiply corpus rows).
-    bench_sh = _sh(bench).groupby("shingle").aggregate(Count(alias_name="_c"))
-
-    def _norm_bench(t: pa.Table) -> pa.Table:
-        return pa.table({"shingle": t["shingle"].cast(pa.string())})
-
+    # Benchmark distinct-shingle set (a keyed fold, so the join cannot
+    # multiply corpus rows).
     bench_sh, bench_rows = pinned_nonempty(
-        bench_sh.map_batches(_norm_bench, batch_format="pyarrow"),
-        ("shingle",))
+        keyed_int_fold(_sh(bench), "shingle", {},
+                       out={"shingle": pa.string()}), ("shingle",))
 
     nparts = default_join_partitions()
     if bench_rows:
         hits = corp_sh.join(bench_sh, "inner", num_partitions=nparts,
                             on=("shingle",))
-        hits = hits.groupby("doc_id").aggregate(Count(alias_name="n_hit"))
-
-        def _norm_hit(t: pa.Table) -> pa.Table:
-            return pa.table({"doc_id": t["doc_id"].cast(pa.int64()),
-                             "n_hit": t["n_hit"].cast(pa.int64())})
-
         hits, hit_rows = pinned_nonempty(
-            hits.map_batches(_norm_hit, batch_format="pyarrow"),
+            keyed_int_fold(hits, "doc_id", {"n_hit": "count"},
+                           out={"doc_id": pa.int64(), "n_hit": pa.int64()}),
             ("doc_id", "n_hit"))
     else:
         hit_rows = 0

@@ -39,7 +39,7 @@ from ray.data.aggregate import Max, Min
 
 from konlsearch_ray.functions.blocks import (default_nbuckets as
                                              _default_nbuckets,
-                                             keyed_fold)
+                                             keyed_fold, keyed_int_fold)
 
 
 def pack_by_offset(
@@ -81,15 +81,14 @@ def pack_by_offset(
         return pa.table({"bucket": pa.array(nz, pa.int64()),
                          "wsum": pa.array(sums[nz], pa.int64())})
 
-    # ≤ nbuckets rows per block reach this groupby; the result is ≤
+    # ≤ nbuckets rows per block reach this fold; the result is ≤
     # nbuckets rows total — driver-safe at any corpus size.
-    from ray.data.aggregate import Sum
-
-    agg = (light.map_batches(partial_sums, batch_format="pyarrow")
-           .groupby("bucket").aggregate(Sum("wsum")).take_all())
+    agg = keyed_int_fold(
+        light.map_batches(partial_sums, batch_format="pyarrow"), "bucket",
+        {"wsum": "sum"}, out={"bucket": pa.int64(), "wsum": pa.int64()})
     bucket_sums = np.zeros(nbuckets, dtype=np.int64)
-    for row in agg:
-        bucket_sums[int(row["bucket"])] = int(row["sum(wsum)"])
+    for row in agg.take_all():
+        bucket_sums[int(row["bucket"])] = int(row["wsum"])
     base = np.concatenate(([0], np.cumsum(bucket_sums)))[:nbuckets]
 
     def attach_bucket(t: pa.Table) -> pa.Table:

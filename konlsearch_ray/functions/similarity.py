@@ -415,7 +415,7 @@ def lsh_bucketed_pairs(
     (1-θ/π)^n_planes, so recall = 1-(1-p)^n_tables rises quickly with
     ``n_tables`` (OR-amplification). The all-to-all is one
     groupby(table, bucket); a pair found in several tables dedups in the
-    final (a, b) groupby."""
+    final (a, b) fold."""
     head = ds.take(1)
     if not head:  # empty corpus → empty pair table, like cosine_pairs
         return ray.data.from_arrow(
@@ -454,14 +454,12 @@ def lsh_bucketed_pairs(
         keep = a < b
         return pd.DataFrame({"a": a[keep], "b": b[keep]})
 
-    from ray.data.aggregate import Count
-
-    from konlsearch_ray.functions.blocks import keyed_fold
+    from konlsearch_ray.functions.blocks import keyed_fold, keyed_int_fold
 
     pairs = keyed_fold(ds.map_batches(bucketize, batch_format="pyarrow"),
                        ["table", "bucket"], within, fallback=no_pairs,
                        batch_format="pandas")
-    return pairs.groupby(["a", "b"]).aggregate(Count(alias_name="nb")).select_columns(["a", "b"])
+    return keyed_int_fold(pairs, ["a", "b"], {})
 
 
 def embedding_pca(

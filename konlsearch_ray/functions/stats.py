@@ -215,13 +215,13 @@ def _suffstat_fold(ds: ray.data.Dataset, key_col: str, x_col: str,
         y = t[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
         # thunks: only the REQUESTED statistics pay their O(rows)
         # multiply (regression never computes y*y).
-        vecs = {"n": lambda: 1, "sx": lambda: x, "sy": lambda: y,
-                "sxx": lambda: x * x, "syy": lambda: y * y,
-                "sxy": lambda: x * y}
-        return {name: vecs[name]() for name in stats}
+        vecs = {"sx": lambda: x, "sy": lambda: y, "sxx": lambda: x * x,
+                "syy": lambda: y * y, "sxy": lambda: x * y}
+        return {name: vecs[name]() for name in stats if name != "n"}
 
-    return keyed_int_fold(ds, key_col, dict.fromkeys(stats, "sum"), vectors,
-                          required=(x_col, y_col),
+    return keyed_int_fold(ds, key_col,
+                          {s: "count" if s == "n" else "sum" for s in stats},
+                          vectors, required=(key_col, x_col, y_col),
                           out={"n": pa.int64(), **out}, finish=finish)
 
 
@@ -584,7 +584,7 @@ def grouped_minmax_norm(
 
     refs, rows = nonempty_refs(keyed_int_fold(
         ds, key_col, {"mn": "min", "mx": "max"}, vectors,
-        required=(value_col,)))
+        required=(key_col, value_col)))
     if not rows:
         def passthru(t: pa.Table) -> pa.Table:
             t2 = _required_rows(t, (key_col,))
@@ -689,7 +689,7 @@ def grouped_zscore(
         # two-limb v² = a²·2³² + 2ab·2¹⁶ + b²: every limb sum fits
         # int64 for any realistic block (see docstring).
         a, b = av >> 16, av & 0xFFFF
-        return {"n": 1, "s": v, "saa": a * a, "sab": a * b, "sbb": b * b}
+        return {"s": v, "saa": a * a, "sab": a * b, "sbb": b * b}
 
     def finish(t: dict) -> dict:
         n, s = t["n"], t["s"]
@@ -700,8 +700,9 @@ def grouped_zscore(
                           if num > 0 else None)}
 
     refs, rows = nonempty_refs(keyed_int_fold(
-        ds, key_col, dict.fromkeys(("n", "s", "saa", "sab", "sbb"), "sum"),
-        vectors, required=(value_col,), finish=finish,
+        ds, key_col,
+        {"n": "count", **dict.fromkeys(("s", "saa", "sab", "sbb"), "sum")},
+        vectors, required=(key_col, value_col), finish=finish,
         out={"n": pa.int64(), "s_d": pa.float64(), "var_d": pa.float64()}))
     ktyp = _arrow_schema(ds).field(key_col).type
     out_schema = pa.schema([(key_col, ktyp), (id_col, pa.int64()),
@@ -955,7 +956,7 @@ def grouped_weighted_mean(
         w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.int64)
         wv = w * v  # < 2^62 in magnitude: exact
         # floor/remainder: exact split
-        return {"n": 1, "sw": w, "hi": wv >> 32, "lo": wv & 0xFFFFFFFF}
+        return {"sw": w, "hi": wv >> 32, "lo": wv & 0xFFFFFFFF}
 
     def finish(t: dict) -> dict:
         sw = t["sw"]
@@ -964,6 +965,7 @@ def grouped_weighted_mean(
                 "wmean": float(swv) / float(sw) if sw != 0 else None}
 
     return keyed_int_fold(
-        ds, key_col, dict.fromkeys(("n", "sw", "hi", "lo"), "sum"), vectors,
-        required=(value_col, weight_col), finish=finish,
+        ds, key_col,
+        {"n": "count", **dict.fromkeys(("sw", "hi", "lo"), "sum")}, vectors,
+        required=(key_col, value_col, weight_col), finish=finish,
         out={"n": pa.int64(), "sw": pa.int64(), "wmean": pa.float64()})

@@ -9,8 +9,8 @@ searchsorted pass — the partitioning key (the join/session key) fully
 determines the bucket, so in-bucket results are globally exact.
 
 Scale notes:
-- ``tumbling_window`` pre-aggregates inside ``map_batches`` (per-batch
-  pandas groupby) so the global exchange moves only
+- ``tumbling_window`` pre-aggregates inside each block
+  (``blocks.keyed_int_fold``) so the global exchange moves only
   ``O(windows x keys x blocks)`` partial rows, never the raw events.
 - The joins move each row exactly once (one hash exchange on the key
   bucket); match resolution is ``np.searchsorted`` over a per-bucket
@@ -26,12 +26,10 @@ Scale notes:
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Max, Min, Sum
 
 from konlsearch_ray.functions.blocks import (_required_rows,
                                              _segmented_order,
@@ -41,7 +39,7 @@ from konlsearch_ray.functions.blocks import (_required_rows,
                                              _default_nbuckets,
                                              key_bucket, key_codes,
                                              keyed_fold, keyed_int_fold,
-                                             nonempty_blocks, runs)
+                                             runs)
 
 US = 1_000_000  # microseconds per second
 
@@ -99,7 +97,7 @@ def tumbling_window(
     (if given), ``n``, ``sum_cents`` (value summed in integer cents —
     exact, engine-independent), ``min_value``, ``max_value``.
 
-    Scale: the per-batch pandas groupby collapses each block to at most
+    Scale: ``blocks.keyed_int_fold`` collapses each block to at most
     ``windows x keys`` partial rows before the global exchange, so the
     shuffle volume is independent of event count. This is the
     map-side-combine shape a 100-TB windowed aggregate needs.
@@ -108,34 +106,11 @@ def tumbling_window(
     epoch unit the caller MUST state via ``int_unit`` ('us'|'ms'|'s' —
     raises otherwise, see ``_ts_us``); ``width_s`` is seconds.
 
-    Rows with a null ts, value or key are dropped, and so are rows with
-    a NaN key (the pandas group-by drops them) — unlike the keyed
-    operators, where NaN is a key of its own.
+    Rows with a null ts, value or key are dropped; a NaN key is a key
+    of its own, and -0.0 and 0.0 are one key.
     """
-    width_us = int(width_s) * US
-    keys = [key_col] if key_col else []
-
-    def partial(t: pa.Table) -> pd.DataFrame:
-        # Null ts/value/key rows are dropped (documented deviation from
-        # SQL's NULL group; the oracles carry the matching WHERE). A
-        # NON-null NaN value raises in cents_np — loud, like the
-        # oracle's CAST; pandas' groupby drops NaN keys anyway.
-        t = _required_rows(t, (ts_col, value_col, *keys))
-        tus = _ts_us(t[ts_col], int_unit).to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        df = pd.DataFrame({
-            "win": tus // width_us,
-            "cents": cents_np(v),
-            "v": v,
-        })
-        for k in keys:
-            df[k] = t[k].to_numpy(zero_copy_only=False)
-        g = df.groupby(["win"] + keys, sort=False, observed=True)
-        out = g.agg(n=("v", "size"), sum_cents=("cents", "sum"),
-                    min_value=("v", "min"), max_value=("v", "max"))
-        return out.reset_index()
-
-    return _window_agg_finish(ds, partial, keys, start_mul=int(width_s))
+    return sliding_window(ds, ts_col, width_s, width_s, value_col,
+                          key_col=key_col, int_unit=int_unit)
 
 
 def sliding_window(
@@ -154,7 +129,7 @@ def sliding_window(
     ``win_start = k * slide`` (epoch seconds).
 
     Scale: rows replicate by the constant ``width/slide`` factor INSIDE
-    the per-batch combine (np.repeat, no Python loop), then collapse to
+    the per-block fold (np.repeat, no Python loop), then collapse to
     at most ``windows x keys`` partials per block — the exchange stays
     event-count independent; the replication factor is an explicit cost
     the caller picks via ``width/slide``.
@@ -168,11 +143,13 @@ def sliding_window(
     width_us, slide_us = int(width_s) * US, int(slide_s) * US
     keys = [key_col] if key_col else []
 
-    def partial(t: pa.Table) -> pd.DataFrame:
-        # Same null contract as tumbling_window: drop, don't poison.
+    def windowed(t: pa.Table) -> pa.Table:
+        # Null ts/value/key rows are dropped (documented deviation from
+        # SQL's NULL group; the oracles carry the matching WHERE). A
+        # NON-null NaN value raises in cents_np — loud, like the
+        # oracle's CAST.
         t = _required_rows(t, (ts_col, value_col, *keys))
         tus = _ts_us(t[ts_col], int_unit).to_numpy(zero_copy_only=False)
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         # windows containing t: k in [(t-width)//slide + 1, t//slide]
         # (int64 floor division handles pre-epoch times correctly)
         k_hi = tus // slide_us
@@ -180,59 +157,27 @@ def sliding_window(
         nrep = (k_hi - k_lo + 1).astype(np.int64)
         idx = np.repeat(np.arange(len(tus)), nrep)
         offs = np.arange(len(idx)) - np.repeat(np.cumsum(nrep) - nrep, nrep)
-        df = pd.DataFrame({
-            "win": k_lo[idx] + offs,
-            "cents": cents_np(v)[idx],
-            "v": v[idx],
+        return pa.table({
+            "win_start": pa.array((k_lo[idx] + offs) * int(slide_s),
+                                  pa.int64()),
+            **{k: t[k].take(idx) for k in keys},
+            "__value": pc.cast(t[value_col], pa.float64()).take(idx),
         })
-        for k in keys:
-            df[k] = t[k].to_numpy(zero_copy_only=False)[idx]
-        g = df.groupby(["win"] + keys, sort=False, observed=True)
-        out = g.agg(n=("v", "size"), sum_cents=("cents", "sum"),
-                    min_value=("v", "min"), max_value=("v", "max"))
-        return out.reset_index()
 
-    return _window_agg_finish(ds, partial, keys, start_mul=int(slide_s))
+    def vectors(t: pa.Table) -> dict:
+        v = t["__value"]
+        return {"sum_cents": cents_np(v.to_numpy(zero_copy_only=False)),
+                "min_value": v, "max_value": v}
 
-
-def _window_agg_finish(
-    ds: ray.data.Dataset,
-    partial,
-    keys: list[str],
-    start_mul: int,
-) -> ray.data.Dataset:
-    """Shared tail of the window aggregates: global merge of the
-    per-batch partials + typed output projection."""
-    in_sch = _arrow_schema(ds)
-    agg = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["win"] + keys)
-             .aggregate(Sum("n", alias_name="n"),
-                        Sum("sum_cents", alias_name="sum_cents"),
-                        Min("min_value", alias_name="min_value"),
-                        Max("max_value", alias_name="max_value")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        win = pc.multiply(pc.cast(t["win"], pa.int64()), start_mul)
-        cols = {"win_start": win}
-        for k in keys:
-            cols[k] = t[k]
-        for c in ("n", "sum_cents"):
-            cols[c] = pc.cast(t[c], pa.int64())
-        for c in ("min_value", "max_value"):
-            cols[c] = pc.cast(t[c], pa.float64())
-        return pa.table(cols)
-
-    out = agg.map_batches(finish, batch_format="pyarrow")
-    fallback = pa.table({
-        "win_start": pa.array([], pa.int64()),
-        **{k: pa.array([], in_sch.field(k).type) for k in keys},
-        "n": pa.array([], pa.int64()),
-        "sum_cents": pa.array([], pa.int64()),
-        "min_value": pa.array([], pa.float64()),
-        "max_value": pa.array([], pa.float64()),
-    })
-    return nonempty_blocks(out, tuple(fallback.column_names),
-                           fallback=fallback)
+    return keyed_int_fold(
+        ds.map_batches(windowed, batch_format="pyarrow"),
+        ["win_start", *keys],
+        {"n": "count", "sum_cents": "sum", "min_value": "min",
+         "max_value": "max"}, vectors,
+        out={"win_start": pa.int64(),
+             **{k: _arrow_schema(ds).field(k).type for k in keys},
+             "n": pa.int64(), "sum_cents": pa.int64(),
+             "min_value": pa.float64(), "max_value": pa.float64()})
 
 
 # --------------------------------------------------------------------------
@@ -944,11 +889,12 @@ def funnel_counts(
 
     def vectors(t: pa.Table) -> dict:
         conv = pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
-        return {"n_then": 1, "n_converted": conv.astype(np.int64)}
+        return {"n_converted": conv.astype(np.int64)}
 
     # the left join keeps null-key ``then`` rows; the fold drops them
     return keyed_int_fold(j, key_col,
-                          {"n_then": "sum", "n_converted": "sum"}, vectors)
+                          {"n_then": "count", "n_converted": "sum"}, vectors,
+                          required=(key_col,))
 
 
 # --------------------------------------------------------------------------

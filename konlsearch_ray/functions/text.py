@@ -15,7 +15,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from konlsearch_ray.analyzer import analyze_strings, analyze_strings_coded
-from konlsearch_ray.functions.blocks import runs
+from konlsearch_ray.functions.blocks import (keyed_int_fold, nonempty_blocks,
+                                             runs)
 
 # Small fixed stopword lists for the heuristic language-ID vote. Order of
 # ``LANG_ORDER`` is the deterministic tie-break (first wins on equal votes).
@@ -575,21 +576,9 @@ def url_domain_counts(
         return pa.table({"domain": vc.field(0).cast(pa.string()),
                          "n": pc.cast(vc.field(1), pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    from konlsearch_ray.functions.blocks import nonempty_blocks
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("domain").aggregate(Sum("n", alias_name="n")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({"domain": t["domain"],
-                         "n": pc.cast(t["n"], pa.int64())})
-
-    empty = pa.table({"domain": pa.array([], pa.string()),
-                      "n": pa.array([], pa.int64())})
-    return nonempty_blocks(out.map_batches(finish, batch_format="pyarrow"),
-                           ("domain", "n"), fallback=empty)
+    return keyed_int_fold(ds.map_batches(partial, batch_format="pyarrow"),
+                          "domain", {"n": "sum"},
+                          out={"domain": pa.string(), "n": pa.int64()})
 
 
 def token_cooccurrence(
@@ -620,8 +609,6 @@ def token_cooccurrence(
     Rows with a null id or text are dropped. Output: ``t1``, ``t2``
     (``t1 <= t2``), ``n`` (int64, ``>= min_count``).
     """
-    from ray.data.aggregate import Sum
-
     from konlsearch_ray.analyzer import analyze_strings_coded
 
     if window < 1:
@@ -667,16 +654,11 @@ def token_cooccurrence(
                          "t2": pc.cast(t2, pa.string()),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    merged = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby(["t1", "t2"]).aggregate(Sum("n", alias_name="n_sum")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater_equal(t["n_sum"], min_count))
-        return pa.table({"t1": t["t1"], "t2": t["t2"],
-                         "n": pc.cast(t["n_sum"], pa.int64())})
-
-    from konlsearch_ray.functions.blocks import nonempty_blocks
-
-    return nonempty_blocks(merged.map_batches(finish,
-                                              batch_format="pyarrow"),
-                           ("t1", "t2", "n"), fallback=p_empty)
+    merged = keyed_int_fold(
+        ds.map_batches(partial, batch_format="pyarrow"), ["t1", "t2"],
+        {"n": "sum"}, out={"t1": pa.string(), "t2": pa.string(),
+                           "n": pa.int64()})
+    return nonempty_blocks(
+        merged.map_batches(
+            lambda t: t.filter(pc.greater_equal(t["n"], min_count)),
+            batch_format="pyarrow"), ("t1", "t2", "n"), fallback=p_empty)

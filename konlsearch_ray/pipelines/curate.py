@@ -8,9 +8,10 @@ training-data run needs, entirely as streaming Dataset stages:
    language vote (same kernels as functions/text.py, same values as the
    DuckDB oracle) and filters on them; annotation columns are dropped so
    the surviving rows keep their original schema.
-2. **exact dedup** — first-wins by content md5: one hash-uniform
-   ``groupby`` produces the winner id per distinct content, then a
-   ``left_semi`` hash join keeps exactly the winners. No driver state.
+2. **exact dedup** — first-wins by content md5:
+   ``dedup.exact_dedup_groups`` produces the winner id per distinct
+   content, then a ``left_semi`` hash join keeps exactly the winners.
+   No driver state.
 3. **near-dup drop (optional)** — MinHash+LSH pairs (functions/dedup.py,
    itself join-verified) → ``connected_components`` over the pair graph
    (O(log diameter) rounds of hash joins) → drop every non-representative
@@ -20,7 +21,7 @@ training-data run needs, entirely as streaming Dataset stages:
    larger neighbors (pairs (2,3),(1,3) greedily keep {1,2}; the cluster
    is {1,2,3} and only 1 should survive).
 
-Every wide step is a hash-partitioned groupby or join; per-stage data
+Every wide step is a keyed fold or a hash-partitioned join; per-stage data
 movement is one pass over the rows plus the pair set. Nothing
 materializes on the driver.
 """
@@ -35,9 +36,8 @@ import ray.data
 
 from konlsearch_ray.functions.blocks import pinned_nonempty
 from konlsearch_ray.functions.dedup import (
-    _md5_batch,
-    _nonempty_blocks,
     connected_components,
+    exact_dedup_groups,
     minhash_lsh_pairs,
 )
 from konlsearch_ray.functions.text import LANG_ORDER, STOPWORDS, _doc_coded_arrays
@@ -101,8 +101,6 @@ def curate_documents(
 ) -> ray.data.Dataset:
     """The composed cleaning pipeline; returns the surviving rows with
     their ORIGINAL schema. See module docstring for the stage shapes."""
-    from ray.data.aggregate import Min
-
     # Hash-join/shuffle fixed cost grows with partition count (aggregator
     # actors); default modestly and let 100-TB callers size
     # ``num_partitions`` to their data (partitions ≈ data / 1 GB).
@@ -139,15 +137,9 @@ def curate_documents(
         return gated
 
     # 2. exact dedup: winner id per content hash, kept via left_semi join.
-    hashed = gated.map_batches(
-        _md5_batch, batch_format="pyarrow",
-        fn_kwargs={"content_col": content_col})
-    winners = (hashed.select_columns(["h", id_col])
-               .groupby("h")
-               .aggregate(Min(id_col, alias_name="keep_id"))
-               .select_columns(["keep_id"]))
+    winners = exact_dedup_groups(gated, content_col, id_col)
     deduped = gated.join(
-        _nonempty_blocks(winners, ("keep_id",)), "left_semi",
+        winners.select_columns(["keep_id"]), "left_semi",
         num_partitions=nparts, on=(id_col,), right_on=("keep_id",))
 
     if near_dup_tau is None:

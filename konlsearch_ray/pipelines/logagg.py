@@ -22,10 +22,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
-from ray.data.aggregate import Count, Sum
 
 from konlsearch_ray.functions.blocks import (arrow_schema, keyed_fold,
-                                             nonempty_refs)
+                                             keyed_int_fold, nonempty_refs)
 
 
 class SearchLog:
@@ -171,9 +170,9 @@ def aggregate_search_frequency(log_dir: str, freq_dir: str) -> pa.Table:
         files = [os.path.join(log_dir, n) for n in parts]
         if cur_name and os.path.exists(os.path.join(freq_dir, cur_name)):
             files.append(os.path.join(freq_dir, cur_name))
-        refs, _ = nonempty_refs(
-            ray.data.read_parquet(files, columns=["term", "hits"])
-            .groupby("term").aggregate(Sum("hits", alias_name="hits")))
+        refs, _ = nonempty_refs(keyed_int_fold(
+            ray.data.read_parquet(files, columns=["term", "hits"]), "term",
+            {"hits": "sum"}))
         new = pa.concat_tables(ray.get(refs)) if refs else _EMPTY_FREQ
         # Negative log entries are decrements (reference trie.py:190):
         # totals clamp at 0 per fold, and zeroed terms drop — the
@@ -260,18 +259,35 @@ def aggregate_from_offset(
     key_col: str = "event_type",
     value_col: str = "value",
 ) -> ray.data.Dataset:
-    """Grouped hits/sum past the offset (reference A3 semantics).
+    """Grouped hits/sum past the offset (reference A3 semantics): SQL
+    ``SELECT key, count(*) AS hits, sum(value) AS total ... WHERE ts >=
+    offset GROUP BY key`` — a null key is a group of its own, and a key
+    whose values are all null totals null. ``value_col`` must be
+    integer-typed (exact order-free sums; quantize money upstream with
+    ``blocks.cents_col``).
 
-    Pre-aggregation happens inside Ray's groupby combiner; keys here are
-    low-cardinality so the exchange is tiny.
+    Each block collapses to one partial row per key before the exchange
+    (``blocks.keyed_int_fold``); keys here are low-cardinality so the
+    exchange is tiny.
     """
     filtered = events.map_batches(
         lambda t: t.filter(pc.greater_equal(t["ts"], pa.scalar(offset_ts))),
         batch_format="pyarrow",
     )
-    return filtered.groupby(key_col).aggregate(
-        Count(alias_name="hits"), Sum(value_col, alias_name="total")
-    )
+
+    def vectors(t: pa.Table) -> dict:
+        v = t[value_col]
+        if not pa.types.is_integer(v.type):
+            raise ValueError(f"value_col {value_col!r} must be integer-typed "
+                             f"(got {v.type}); quantize upstream")
+        return {"nv": pc.cast(pc.is_valid(v), pa.int64()),
+                "total": pc.fill_null(v, 0)}
+
+    return keyed_int_fold(
+        filtered, key_col, {"hits": "count", "nv": "sum", "total": "sum"},
+        vectors, out={"hits": pa.int64(), "total": pa.int64()},
+        finish=lambda r: {"hits": r["hits"],
+                          "total": r["total"] if r["nv"] else None})
 
 
 def assign_seq_ids(

@@ -18,7 +18,7 @@ import pyarrow as pa
 import pytest
 
 from konlsearch_ray.functions.aggregates import approx_distinct, distinct_count
-from konlsearch_ray.functions.dedup import _string_bucket_hash
+from konlsearch_ray.functions.blocks import _string_bucket_hash
 import functools as _ft
 
 from konlsearch_ray.functions.temporal import asof_join as _asof_join

@@ -1,4 +1,5 @@
-"""Block-layout sweep over every keyed operator in ``functions/``.
+"""Block-layout sweep over every keyed operator in ``functions/`` and
+the keyed pipeline steps.
 
 One key rule holds for every operator (``blocks`` module docstring):
 a null key is dropped or forms one group of its own, as the operator
@@ -23,6 +24,7 @@ import ray.data
 from konlsearch_ray.functions import (aggregates, joins, sampling, setops,
                                       stats, temporal)
 from konlsearch_ray.functions.blocks import arrow_schema
+from konlsearch_ray.pipelines import logagg
 
 N_ROWS = 40
 
@@ -192,10 +194,19 @@ OPS = {
         "sum(w * v)::DOUBLE / nullif(sum(w), 0)::DOUBLE FROM t "
         "WHERE k IS NOT NULL AND v IS NOT NULL GROUP BY k"),
     # temporal
-    "tumbling_window": (lambda ds: temporal.tumbling_window(
-        ds, "ts", 60, "v", key_col="k", int_unit="s"), None),
-    "sliding_window": (lambda ds: temporal.sliding_window(
-        ds, "ts", 60, 30, "v", key_col="k", int_unit="s"), None),
+    "tumbling_window": (
+        lambda ds: temporal.tumbling_window(
+            ds, "ts", 60, "v", key_col="k", int_unit="s"),
+        "SELECT ts // 60 * 60, k, count(*), sum(v * 100), min(v)::DOUBLE, "
+        "max(v)::DOUBLE FROM t WHERE k IS NOT NULL AND v IS NOT NULL "
+        "GROUP BY ALL"),
+    "sliding_window": (
+        lambda ds: temporal.sliding_window(
+            ds, "ts", 60, 30, "v", key_col="k", int_unit="s"),
+        "SELECT s * 30, k, count(*), sum(v * 100), min(v)::DOUBLE, "
+        "max(v)::DOUBLE FROM t, range(-2, 15) r(s) WHERE k IS NOT NULL "
+        "AND v IS NOT NULL AND ts >= s * 30 AND ts < s * 30 + 60 "
+        "GROUP BY ALL"),
     "sessionize": (lambda ds: temporal.sessionize(
         ds, "ts", "k", 30, int_unit="s"), None),
     "asof_join": (lambda ds: temporal.asof_join(
@@ -247,6 +258,10 @@ OPS = {
         _side(ds, "b").select_columns(["k", "cat"]), "k", "k"), None),
     "broadcast_lookup_join": (lambda ds: joins.broadcast_lookup_join(
         ds.select_columns(["k", "id"]), _dim(ds), "k", "k"), None),
+    # pipelines
+    "aggregate_from_offset": (
+        lambda ds: logagg.aggregate_from_offset(ds, 0, "k", "v"),
+        "SELECT k, count(*), sum(v) FROM t WHERE ts >= 0 GROUP BY k"),
 }
 
 # Every operator on float keys (NaN, -0.0 and 0.0); every second one

@@ -2,6 +2,7 @@
 goes through, and the typed-empty contract it gives them.
 """
 
+import ast
 import datetime
 import decimal
 import pathlib
@@ -14,7 +15,8 @@ import pytest
 import ray
 import ray.data
 
-from konlsearch_ray.functions.blocks import key_bucket, keyed_fold
+from konlsearch_ray.functions.blocks import (key_bucket, keyed_fold,
+                                             keyed_int_fold)
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "konlsearch_ray"
 
@@ -117,6 +119,43 @@ def test_keyed_fold_all_empty_returns_fallback(ray_session):
     assert _tables(out).equals(SUMS)
 
 
+def test_keyed_int_fold_key_list_and_typed_folds(ray_session):
+    # Two key columns (a float one with NaN, -0.0, 0.0 and null), 6
+    # blocks, 64 routing buckets: counts, sums past int64 (exact in
+    # Python ints), and a string min in its own type; a null key is a
+    # group of its own unless the caller names its column in required.
+    big = 2**62
+    a = [float("nan"), -0.0, 0.0, None, 1.5] * 12
+    src = pa.table({
+        "a": pa.array(a, pa.float64()),
+        "b": pa.array([f"b{i % 2}" for i in range(60)]),
+        "v": pa.array([big] * 60, pa.int64()),
+        "s": pa.array([f"s{(i * 7) % 60:02d}" for i in range(60)]),
+    })
+    ds = ray.data.from_arrow(src).repartition(6)
+    folds = {"n": "count", "v": "sum", "s": "min"}
+
+    def run(required=()):
+        out = keyed_int_fold(
+            ds, ["a", "b"], folds, required=required,
+            out={"n": pa.int64(), "v": pa.string(), "s": pa.string()},
+            finish=lambda r: {**r, "v": str(r["v"])})
+        t = _tables(out)
+        assert [t.schema.field(c).type for c in ("a", "b", "s")] == [
+            pa.float64(), pa.string(), pa.string()]
+        return {("nan" if k is not None and k != k else k and k + 0.0, b):
+                (n, v, m) for k, b, n, v, m in zip(*t.to_pydict().values())}
+
+    want: dict = {}
+    for k, b, s in zip(a, src["b"].to_pylist(), src["s"].to_pylist()):
+        key = ("nan" if k is not None and k != k else k and k + 0.0, b)
+        n, _, m = want.get(key, (0, "", "~"))
+        want[key] = (n + 1, str((n + 1) * big), min(m, s))
+    assert run() == want
+    assert run(required=("a",)) == {
+        k: v for k, v in want.items() if k[0] is not None}
+
+
 def test_map_groups_only_in_keyed_fold():
     # Every keyed exchange goes through blocks.keyed_fold, so the
     # empty-partition handling lives in one place.
@@ -125,6 +164,31 @@ def test_map_groups_only_in_keyed_fold():
             for i, line in enumerate(p.read_text().splitlines(), 1)
             if "map_groups(" in line]
     assert [h[0] for h in hits] == ["functions/blocks.py"], hits
+
+
+# The one Ray aggregation outside blocks.py: pack_by_offset's keyless
+# Min/Max id bounds, a single row that no key rule applies to.
+KEYLESS_BOUNDS = "functions/packing.py"
+
+
+def test_dataset_groupby_only_in_blocks():
+    # Every keyed Dataset group-by goes through blocks.py, so the
+    # exchange, the empty-partition fallback and the null/NaN key rule
+    # live in one place. A pandas group-by (it takes ``sort=``) stays
+    # inside one block; a Ray aggregation needs ray.data.aggregate.
+    hits = []
+    for p in sorted(PKG.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if ((isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "groupby"
+                 and not any(k.arg == "sort" for k in node.keywords))
+                    or (isinstance(node, ast.ImportFrom)
+                        and node.module == "ray.data.aggregate")):
+                hits.append((p.relative_to(PKG).as_posix(), node.lineno))
+    # packing.py: its one ray.data.aggregate import, no group-by
+    assert [h[0] for h in hits if h[0] != "functions/blocks.py"] == [
+        KEYLESS_BOUNDS], hits
 
 
 def test_factorize_only_in_blocks():
