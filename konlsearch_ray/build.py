@@ -61,7 +61,8 @@ import ray.data
 from konlsearch_ray.analyzer import analyze_strings_coded, group_postings
 from konlsearch_ray.functions.blocks import key_codes, keyed_int_fold, runs
 from konlsearch_ray.pipelines.suggest import decompose_jamo_bulk
-from konlsearch_ray.segment import (DICTIONARY_ROW_GROUP, FORMAT_VERSION,
+from konlsearch_ray.segment import (DICTIONARY_ROW_GROUP, DICTIONARY_SCHEMA,
+                                    FORMAT_VERSION,
                                     _atomic_write_parquet, binary_view,
                                     check_version, docs_files, encode_segment,
                                     manifest_path, read_manifests,
@@ -985,6 +986,23 @@ def _with_jamo_key(t: pa.Table) -> pa.Table:
     return t.append_column("jamo_key", pa.array(keys, pa.string()))
 
 
+def _write_dictionary(dict_dir: str, tables) -> int:
+    """Write the term table — ``tables``, its rows in (jamo_key, term)
+    order — as one file, ``dict-000000.parquet`` (``DICTIONARY_SCHEMA``,
+    zstd, ``DICTIONARY_ROW_GROUP``-row groups), so a build writes the
+    same bytes whichever path folded it; returns the row count."""
+    os.makedirs(dict_dir)
+    rows = 0
+    with pq.ParquetWriter(os.path.join(dict_dir, "dict-000000.parquet"),
+                          DICTIONARY_SCHEMA, compression="zstd") as w:
+        for t in tables:
+            w.write_table(t.select(DICTIONARY_SCHEMA.names)
+                          .cast(DICTIONARY_SCHEMA).combine_chunks(),
+                          row_group_size=DICTIONARY_ROW_GROUP)
+            rows += t.num_rows
+    return rows
+
+
 def _finalize(index_dir: str) -> dict:
     import shutil
 
@@ -1013,21 +1031,19 @@ def _finalize(index_dir: str) -> dict:
                                  for f in seg_files)
             agg = (t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
                    .rename_columns(cols))
-            agg = _with_jamo_key(agg).sort_by([(k, "ascending") for k in keys])
-            os.makedirs(tmp_dir)
-            pq.write_table(agg, os.path.join(tmp_dir, "dict-000000.parquet"),
-                           compression="zstd",
-                           row_group_size=DICTIONARY_ROW_GROUP)
-            stats["vocab"] = agg.num_rows
+            tables = [_with_jamo_key(agg).sort_by(
+                [(k, "ascending") for k in keys])]
         else:
-            dct = (keyed_int_fold(
-                       ray.data.read_parquet(seg_files, columns=cols), "term",
-                       {"df": "sum", "cf": "sum"})
-                   .map_batches(_with_jamo_key, batch_format="pyarrow")
-                   .sort(keys).materialize())
-            dct.write_parquet(tmp_dir, compression="zstd",
-                              row_group_size=DICTIONARY_ROW_GROUP)
-            stats["vocab"] = dct.count()
+            # Streamed in row-group-sized batches: the sorted Dataset
+            # never lands on the driver whole.
+            tables = (keyed_int_fold(
+                          ray.data.read_parquet(seg_files, columns=cols),
+                          "term", {"df": "sum", "cf": "sum"})
+                      .map_batches(_with_jamo_key, batch_format="pyarrow")
+                      .sort(keys)
+                      .iter_batches(batch_size=DICTIONARY_ROW_GROUP,
+                                    batch_format="pyarrow"))
+        stats["vocab"] = _write_dictionary(tmp_dir, tables)
         shutil.rmtree(dict_dir, ignore_errors=True)
         os.replace(tmp_dir, dict_dir)
     tmp = os.path.join(index_dir, ".stats.json.tmp")

@@ -30,7 +30,7 @@ import ray.data
 
 from konlsearch_ray.functions.blocks import (_required_rows,
                                              arrow_schema as _arrow_schema,
-                                             key_bucket, key_codes,
+                                             bucket_fold, key_codes,
                                              keyed_fold, keyed_int_fold,
                                              nonempty_blocks, runs)
 
@@ -243,8 +243,8 @@ def grouped_topk(
     def partial(t: pa.Table) -> pa.Table:
         return _topk_within(t, key_col, sort_keys, k)
 
-    return keyed_fold(ds, key_col, partial, partial=partial,
-                      fallback=_arrow_schema(ds).empty_table())
+    return bucket_fold(ds, key_col, partial, partial=partial,
+                       fallback=_arrow_schema(ds).empty_table())
 
 
 def grouped_topk_ties(
@@ -278,13 +278,15 @@ def grouped_topk_ties(
             t, sort_keys=[(key_col, "ascending")] + list(rank_keys))
         t = t.take(idx).combine_chunks()
         n = t.num_rows
-        # Boundary masks from adjacent-row inequality (no nulls left).
+        # Key runs by the key rule (all NaN keys are one key), value
+        # runs from adjacent-row inequality (no nulls left).
         def changed(col: str) -> np.ndarray:
             a = t[col]
             return pc.not_equal(a.slice(1), a.slice(0, n - 1)).to_numpy(
                 zero_copy_only=False)
 
-        new_key = np.concatenate(([True], changed(key_col)))
+        codes = key_codes(t[key_col])[0]
+        new_key = np.concatenate(([True], codes[1:] != codes[:-1]))
         new_val = new_key.copy()
         for c, _ in rank_keys:
             new_val[1:] |= changed(c)
@@ -294,8 +296,8 @@ def grouped_topk_ties(
         rank0 = run_start - key_start  # 0-based RANK (ties share it)
         return t.filter(pa.array(rank0 < k))
 
-    return keyed_fold(ds, key_col, rank_filter, partial=rank_filter,
-                      fallback=_arrow_schema(ds).empty_table())
+    return bucket_fold(ds, key_col, rank_filter, partial=rank_filter,
+                       fallback=_arrow_schema(ds).empty_table())
 
 
 def pivot_counts(
@@ -389,7 +391,6 @@ def heavy_hitters(
     value_col: str,
     k: int = 10,
     capacity: int = 8192,
-    nbuckets: int | None = None,
     exact: bool | str = "auto",
 ) -> ray.data.Dataset:
     """Top-k most frequent values with EXACT counts — the heavy-hitters
@@ -401,11 +402,11 @@ def heavy_hitters(
     1. per-block Misra-Gries summaries (Arrow C++ value_counts reduced
        to ``capacity`` rows — the exchange moves <= capacity x blocks
        rows, never the raw stream);
-    2. HIERARCHICAL fold: summary rows hash-partition by VALUE into
-       ``nbuckets`` buckets (a value lives in exactly one bucket, so
+    2. HIERARCHICAL fold: summary rows route by VALUE through
+       ``blocks.bucket_fold`` (a value lives in exactly one bucket, so
        per-bucket sums are complete), each bucket sums + MG-reduces its
-       own <= capacity x blocks / nbuckets rows and keeps its top
-       ``4k``; one final task merges the <= nbuckets x 4k survivors.
+       own share of the capacity x blocks rows and keeps its top
+       ``4k``; one final task merges the <= buckets x 4k survivors.
        No task ever folds the full capacity x blocks stream — the r4
        single-task fold was the one scale-killer in this family
        (VERDICT r4 What's-wrong #3);
@@ -426,7 +427,7 @@ def heavy_hitters(
     counts close to n/capacity, where the MG guarantee is vacuous) the
     operator falls back to the exact path: per-block full value_counts
     → value-hash-bucket exact sums → per-bucket top-k → one <=
-    k x nbuckets-row merge. The fallback's exchange moves the block
+    k x buckets-row merge. The fallback's exchange moves the block
     vocabulary (distinct-per-block x blocks rows) — heavier than the
     sketch, still never the raw stream — so the answer is always exact
     AND deterministic regardless of block partitioning. ``exact=True``
@@ -436,8 +437,6 @@ def heavy_hitters(
 
     Null values are dropped (SQL COUNT semantics).
     """
-    from konlsearch_ray.functions.blocks import default_nbuckets
-
     if k < 1 or capacity < 4 * k:
         raise ValueError("need k >= 1 and capacity >= 4k")
     if exact not in (True, False, "auto"):
@@ -446,13 +445,9 @@ def heavy_hitters(
         # Normalize truthy/falsy spellings (0/1, np.bool_) so the
         # identity dispatch below cannot silently route them to "auto".
         exact = bool(exact)
-    nbuckets = nbuckets or default_nbuckets()
     vtype = _arrow_schema(ds).field(value_col).type
     empty = pa.table({value_col: pa.array([], vtype),
                       "n": pa.array([], pa.int64())})
-    empty_b = pa.table({value_col: pa.array([], vtype),
-                        "n": pa.array([], pa.int64()),
-                        "__hh_bucket": pa.array([], pa.int64())})
     # Sentinel meta codes threaded through the fold so the driver can
     # reconstruct the exact error budget: 0 = candidate estimate,
     # 2 = truncation cut (driver takes max), 3 = per-block MG threshold
@@ -462,15 +457,13 @@ def heavy_hitters(
                         "n": pa.array([], pa.int64()),
                         "__hh_meta": pa.array([], pa.int8())})
 
-    def _with_bucket(vals: pa.Array, counts: np.ndarray) -> pa.Table:
-        return pa.table({value_col: vals,
-                         "n": pa.array(counts, pa.int64()),
-                         "__hh_bucket": pa.array(key_bucket(vals, nbuckets))})
+    def _counts(vals: pa.Array, counts) -> pa.Table:
+        return pa.table({value_col: vals, "n": pa.array(counts, pa.int64())})
 
-    def _sentinel_b(n: int) -> pa.Table:
-        return pa.table({value_col: pa.array([None], vtype),
-                         "n": pa.array([int(n)], pa.int64()),
-                         "__hh_bucket": pa.array([-1], pa.int64())})
+    def _value_counts(col) -> pa.Table:
+        vc = col.value_counts()
+        return _counts(vc.field(0), vc.field(1).to_numpy(
+            zero_copy_only=False).astype(np.int64))
 
     def _meta_rows(tab: pa.Table, code: int) -> pa.Table:
         return tab.append_column(
@@ -481,20 +474,23 @@ def heavy_hitters(
                          "n": pa.array([int(n)], pa.int64()),
                          "__hh_meta": pa.array([code], pa.int8())})
 
+    # Values are never null past the partials, so a per-block MG
+    # threshold crosses the exchange as a null-valued row: all of them
+    # route to one bucket, whose merge sums them.
     def partial(t: pa.Table) -> pa.Table:
         col = t[value_col]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
         col = col.drop_null()
         if not len(col):
-            return empty_b
+            return empty
         vc = col.value_counts()
         vals, counts = (vc.field(0),
                         vc.field(1).to_numpy(zero_copy_only=False)
                         .astype(np.int64))
         vals, counts, thr = _mg_reduce(vals, counts, capacity)
-        out = _with_bucket(vals, counts)
+        out = _counts(vals, counts)
         if thr:
-            out = pa.concat_tables([out, _sentinel_b(thr)])
+            out = pa.concat_tables([out, _counts(pa.nulls(1, vtype), [thr])])
         return out
 
     def _sum_by_value(t: pa.Table) -> tuple[pa.Array, np.ndarray]:
@@ -516,14 +512,14 @@ def heavy_hitters(
                          "n": pa.array(counts[order], pa.int64())}), cut
 
     def bucket_merge(t: pa.Table) -> pa.Table:
-        if t["__hh_bucket"][0].as_py() == -1:
-            # The sentinel group: per-block MG thresholds — fold to one
-            # summed row (driver needs only the total).
-            return _sentinel_m(pc.sum(t["n"]).as_py() or 0, 3)
-        vals, counts = _sum_by_value(t)
+        # The per-block MG thresholds fold to one summed row (the
+        # driver needs only the total).
+        unset = pc.is_null(t[value_col])
+        parts = [_sentinel_m(pc.sum(t.filter(unset)["n"]).as_py() or 0, 3)]
+        vals, counts = _sum_by_value(t.filter(pc.invert(unset)))
         vals, counts, thr = _mg_reduce(vals, counts, capacity)
         top, cut = _top4k(vals, counts)
-        parts = [_meta_rows(top, 0)]
+        parts.append(_meta_rows(top, 0))
         if thr:
             parts.append(_sentinel_m(thr, 4))
         if cut:
@@ -555,19 +551,13 @@ def heavy_hitters(
     def _exact_topk_path() -> ray.data.Dataset:
         # Exact fallback: full per-block value_counts (no MG cap), exact
         # per-bucket sums (values are bucket-disjoint, so per-bucket
-        # top-k contains the global top-k), one k x nbuckets-row merge.
+        # top-k contains the global top-k), one k x buckets-row merge.
         def full_partial(t: pa.Table) -> pa.Table:
             col = t[value_col]
             col = (col.combine_chunks()
                    if isinstance(col, pa.ChunkedArray) else col)
             col = col.drop_null()
-            if not len(col):
-                return empty_b
-            vc = col.value_counts()
-            return _with_bucket(
-                vc.field(0),
-                vc.field(1).to_numpy(zero_copy_only=False)
-                .astype(np.int64))
+            return _value_counts(col) if len(col) else empty
 
         def bucket_exact(t: pa.Table) -> pa.Table:
             vals, counts = _sum_by_value(t)
@@ -578,8 +568,8 @@ def heavy_hitters(
                                "n": pa.array(counts, pa.int64())})
             return topk(summed)
 
-        out = (keyed_fold(ds, "__hh_bucket", bucket_exact,
-                          partial=full_partial, fallback=empty)
+        out = (bucket_fold(ds, value_col, bucket_exact,
+                           partial=full_partial, fallback=empty)
                .repartition(1)
                .map_batches(topk, batch_format="pyarrow", batch_size=None))
         return nonempty_blocks(out, (value_col, "n"), fallback=empty)
@@ -595,8 +585,8 @@ def heavy_hitters(
     if exact is True:
         return _exact_topk_path()
 
-    rows = (keyed_fold(ds, "__hh_bucket", bucket_merge, partial=partial,
-                       fallback=empty_m)
+    rows = (bucket_fold(ds, value_col, bucket_merge, partial=partial,
+                        fallback=empty_m)
             .repartition(1)
             .map_batches(merge, batch_format="pyarrow", batch_size=None)
             .take_all())
@@ -619,22 +609,16 @@ def heavy_hitters(
     def recount(t: pa.Table) -> pa.Table:
         col = t[value_col]
         col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        m = pc.is_in(col, value_set=cand_vals)
-        sub = col.filter(m)
-        if not len(sub):
-            return empty_b
-        vc = sub.value_counts()
-        return _with_bucket(vc.field(0),
-                            vc.field(1).to_numpy(zero_copy_only=False)
-                            .astype(np.int64))
+        sub = col.filter(pc.is_in(col, value_set=cand_vals))
+        return _value_counts(sub) if len(sub) else empty
 
     def bucket_sum(t: pa.Table) -> pa.Table:
         vals, counts = _sum_by_value(t)
         return pa.table({value_col: vals,
                          "n": pa.array(counts, pa.int64())})
 
-    out = (keyed_fold(ds, "__hh_bucket", bucket_sum, partial=recount,
-                      fallback=empty)
+    out = (bucket_fold(ds, value_col, bucket_sum, partial=recount,
+                       fallback=empty)
            .repartition(1)
            .map_batches(topk, batch_format="pyarrow", batch_size=None))
     if exact is False:
@@ -852,22 +836,21 @@ def cube_counts(
     grand total — with null marking the rolled-up position (SQL CUBE
     output shape).
 
-    Scale shape: each block collapses map-side to its distinct
-    ``(a, b)`` pair partials (exchange volume bounded by pairs per
-    block, never rows); ONE keyed exchange on ``a`` merges them; every
-    marginal then derives from the bounded PAIRS dataset — two more
-    tiny groupbys and an O(blocks) grand fold — so raw rows move zero
-    times and nothing O(rows) ever concentrates.
+    Scale shape: one ``keyed_int_fold`` over ``(a, b)`` collapses each
+    block map-side to its distinct pair partials (exchange volume
+    bounded by pairs per block, never rows); every marginal then
+    derives from the bounded PAIRS dataset — two more ``keyed_int_fold``
+    passes and an O(blocks) grand fold — so raw rows move zero times
+    and nothing O(rows) ever concentrates.
 
     SQL parity: rows with a null ``a`` or ``b`` are dropped (a null key
     group would be indistinguishable from its subtotal row — same rule
-    as rollup); null values count into ``n`` only; an all-null-value
-    group sums to null. ``value_col`` must be integer-typed.
+    as rollup); a NaN key is a key of its own; null values count into
+    ``n`` only; an all-null-value group sums to null. ``value_col``
+    must be integer-typed.
 
     Output: ``key_a``, ``key_b``, ``n`` (int64), ``total`` (int64).
     """
-    import pandas as pd
-
     from konlsearch_ray.functions.blocks import pinned_nonempty
 
     sch = _arrow_schema(ds)
@@ -876,110 +859,47 @@ def cube_counts(
         raise ValueError(
             f"value_col {value_col!r} must be integer-typed "
             f"(got {sch.field(value_col).type}); quantize upstream")
-    p_empty = pa.table({key_a: pa.array([], atyp),
-                        key_b: pa.array([], btyp),
-                        "n": pa.array([], pa.int64()),
-                        "nv": pa.array([], pa.int64()),
-                        "total": pa.array([], pa.int64())})
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = _required_rows(t, (key_a, key_b))
-        if not t.num_rows:
-            return p_empty
-        t = t.combine_chunks()
+    def vectors(t: pa.Table) -> dict:
         vcol = t[value_col]
-        df = pd.DataFrame({
-            "a": t[key_a].to_pandas(), "b": t[key_b].to_pandas(),
-            "v": (pc.fill_null(vcol, 0).to_numpy(zero_copy_only=False)
-                  .astype(np.int64)),
-            "nn": (pc.is_valid(vcol).to_numpy(zero_copy_only=False)
-                   .astype(np.int64)),
-        })
-        g = df.groupby(["a", "b"], sort=False, observed=True).agg(
-            n=("v", "size"), nv=("nn", "sum"), total=("v", "sum"))
-        g = g.reset_index()
-        return pa.table({key_a: pa.array(g["a"], atyp),
-                         key_b: pa.array(g["b"], btyp),
-                         "n": pa.array(g["n"], pa.int64()),
-                         "nv": pa.array(g["nv"], pa.int64()),
-                         "total": pa.array(g["total"], pa.int64())})
+        return {"nv": pc.cast(pc.is_valid(vcol), pa.int64()),
+                "total": pc.fill_null(vcol, 0)}
 
-    def merge_by_b(g: pa.Table) -> pa.Table:
-        # One key_a group: collapse its partials per key_b.
-        df = g.to_pandas().groupby(key_b, sort=False,
-                                   observed=True).agg(
-            n=("n", "sum"), nv=("nv", "sum"),
-            total=("total", "sum")).reset_index()
-        return pa.table({key_a: pa.array([g[key_a][0].as_py()] * len(df),
-                                         atyp),
-                         key_b: pa.array(df[key_b], btyp),
-                         "n": pa.array(df["n"], pa.int64()),
-                         "nv": pa.array(df["nv"], pa.int64()),
-                         "total": pa.array(df["total"], pa.int64())})
+    sums = {"n": "sum", "nv": "sum", "total": "sum"}
+    pairs_raw = keyed_int_fold(ds, [key_a, key_b],
+                               {"n": "count", "nv": "sum", "total": "sum"},
+                               vectors, required=(key_a, key_b))
 
-    pairs_raw = keyed_fold(ds, key_a, merge_by_b, partial=partial,
-                           fallback=p_empty)
-    grand_only = pa.table({key_a: pa.nulls(1, atyp),
-                           key_b: pa.nulls(1, btyp),
-                           "n": pa.array([0], pa.int64()),
-                           "total": pa.nulls(1, pa.int64())})
+    def cube_row(t: pa.Table) -> pa.Table:
+        # SQL sum(v): null when every value in the group is null
+        tot = pc.if_else(pc.greater(t["nv"], 0), t["total"],
+                         pa.nulls(t.num_rows, pa.int64()))
+        return pa.table({
+            key_a: t[key_a] if key_a in t.column_names
+            else pa.nulls(t.num_rows, atyp),
+            key_b: t[key_b] if key_b in t.column_names
+            else pa.nulls(t.num_rows, btyp),
+            "n": t["n"], "total": tot})
+
+    def block_sum(t: pa.Table) -> pa.Table:
+        return pa.table({c: pa.array([pc.sum(t[c]).as_py() or 0], pa.int64())
+                         for c in sums})
+
     pairs, rows = pinned_nonempty(pairs_raw,
                                   (key_a, key_b, "n", "nv", "total"))
     if not rows:
         # CUBE over zero rows still emits the grand-total grouping set.
-        return ray.data.from_arrow(grand_only)
-
-    def _tot(nv, total, length):
-        return pc.if_else(pc.greater(nv, 0), total,
-                          pa.nulls(length, pa.int64()))
-
-    def finish_pairs(t: pa.Table) -> pa.Table:
-        return pa.table({key_a: t[key_a], key_b: t[key_b], "n": t["n"],
-                         "total": _tot(t["nv"], t["total"], t.num_rows)})
-
-    m_empty = pa.table({key_a: pa.array([], atyp),
-                        key_b: pa.array([], btyp),
-                        "n": pa.array([], pa.int64()),
-                        "total": pa.array([], pa.int64())})
-
-    def _marginal(keep_col: str, keep_typ, null_col: str, null_typ):
-        def m(g: pa.Table) -> pa.Table:
-            n = pa.array([pc.sum(g["n"]).as_py()], pa.int64())
-            nv = pa.array([pc.sum(g["nv"]).as_py()], pa.int64())
-            tot = pa.array([pc.sum(g["total"]).as_py()], pa.int64())
-            cols = {keep_col: g[keep_col][:1],
-                    null_col: pa.nulls(1, null_typ),
-                    "n": n, "total": _tot(nv, tot, 1)}
-            return pa.table({key_a: cols[key_a], key_b: cols[key_b],
-                             "n": cols["n"], "total": cols["total"]})
-        return m
-
-    def block_sum(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "n": pa.array([pc.sum(t["n"]).as_py() or 0], pa.int64()),
-            "nv": pa.array([pc.sum(t["nv"]).as_py() or 0], pa.int64()),
-            "total": pa.array([pc.sum(t["total"]).as_py() or 0],
-                              pa.int64())})
-
-    def grand_row(t: pa.Table) -> pa.Table:
-        nv = pc.sum(t["nv"]).as_py() or 0
-        return pa.table({
-            key_a: pa.nulls(1, atyp), key_b: pa.nulls(1, btyp),
-            "n": pa.array([pc.sum(t["n"]).as_py() or 0], pa.int64()),
-            "total": (pa.array([pc.sum(t["total"]).as_py()], pa.int64())
-                      if nv else pa.nulls(1, pa.int64()))})
-
-    full = pairs.map_batches(finish_pairs, batch_format="pyarrow")
-    a_marg = keyed_fold(pairs, key_a, _marginal(key_a, atyp, key_b, btyp),
-                        fallback=m_empty)
-    b_marg = keyed_fold(pairs, key_b, _marginal(key_b, btyp, key_a, atyp),
-                        fallback=m_empty)
+        return ray.data.from_arrow(cube_row(block_sum(
+            pa.table({c: pa.array([], pa.int64()) for c in sums}))))
+    marginals = [keyed_int_fold(pairs, k, sums).map_batches(
+                     cube_row, batch_format="pyarrow") for k in (key_a, key_b)]
     gt = (pairs.map_batches(block_sum, batch_format="pyarrow",
                             batch_size=None)
                .repartition(1)
-               .map_batches(grand_row, batch_format="pyarrow",
-                            batch_size=None))
-    return full.union(a_marg).union(b_marg).union(gt)
+               .map_batches(lambda t: cube_row(block_sum(t)),
+                            batch_format="pyarrow", batch_size=None))
+    return (pairs.map_batches(cube_row, batch_format="pyarrow")
+            .union(*marginals).union(gt))
 
 
 def grouped_mode(

@@ -1,29 +1,32 @@
 """Shared Dataset block-ref utilities and the one keyed exchange.
 
-``keyed_fold(ds, key, merge, fallback=..., partial=...)`` is the
-package's only keyed Dataset ``groupby`` (a test guards it): an
-optional per-block ``partial`` (map-side combine), then Ray's default
-sort shuffle on ``key`` and ``merge`` once per group.  Every wide step —
-the per-key folds of ``keyed_int_fold``, and the bucket-routed joins,
-windows and ranks whose ``partial`` adds a ``key_bucket`` column — goes
-through it, so swapping the exchange is a one-place change.
+``bucket_fold(ds, key, merge, fallback=..., partial=...)`` holds the
+package's only Ray ``groupby`` (a test guards it): an optional
+per-block ``partial`` (map-side combine), then one route column —
+``key_bucket`` of ``key`` (one column or a list) over a bucket count
+read once on the driver from ``default_nbuckets()`` — then Ray's sort
+shuffle on that one non-null int64 column and ``merge`` once per route
+bucket, with every row of every key routed there.  ``keyed_fold`` is
+that exchange plus a per-key split inside the bucket (one ``merge``
+call per key), and ``keyed_int_fold`` folds whole buckets.  Every wide
+step goes through these, so swapping the exchange is a one-place
+change.
 
 It owns the Ray Data landmine every keyed exchange hits: empty
 shuffle partitions emit 0-row blocks that either reach the group UDF
 as an empty batch or BYPASS map UDFs entirely, so they travel
 downstream with empty (or stale upstream) schemas, which the hash-join
-operator rejects ("No match for FieldRef").  ``keyed_fold`` answers an
+operator rejects ("No match for FieldRef").  ``bucket_fold`` answers an
 empty group with the typed ``fallback`` (``merge`` never sees one),
 then rebuilds the output from its non-empty block refs — only refs
 move to the driver, the blocks stay in the object store — and returns
 exactly ``fallback`` when nothing survives, so an empty input keeps
-the non-empty schema.  It also owns the null-key landmine: the sort
-shuffle can neither order a null beside a value nor keep null dates or
-float NaNs in one group, so every key crosses the exchange as a kind
-(value, NaN or null) plus the key with its NaNs and nulls filled
-(``_encode_keys``): a null key of any flat type forms one group of its
-own, as do the NaN keys, decoded back to null or NaN before ``merge``
-sees them.
+the non-empty schema.  The null-key landmine (the sort shuffle can
+neither order a null beside a value nor keep null dates or float NaNs
+in one group) is a routing fact: the shuffle only ever sees the route
+column, which is never null, and ``key_bucket`` sends every null key of
+a column to one bucket, every NaN to one bucket, and −0.0 with 0.0.
+The keys themselves cross the exchange as stored.
 
 ``nonempty_refs`` additionally reports the row count, so join chains can
 SHORT-CIRCUIT on an empty side: Ray's hash-shuffle join crashes when a
@@ -42,29 +45,28 @@ distinct key values come back as ``col.take(first)`` in the column's
 own type.  ``_segmented_order`` builds the per-key ordered operators'
 scaffold from the two.
 
-The one key rule, the same on both sides of the exchange (DuckDB's
-``GROUP BY``): a null key is dropped or forms one group of its own, as
-each operator documents — ``_required_rows`` is the one filter that
-drops it; a float NaN is a key of its own, never null; −0.0 and 0.0
-are one key.  ``key_codes`` codes a null −1 and nothing else −1, and
-``keyed_fold`` carries NaN and null keys across the shuffle as groups
-of their own.
+The one key rule (DuckDB's ``GROUP BY``) lives in two places only:
+``key_bucket`` routes by it and ``key_codes`` groups by it.  A null key
+is dropped or forms one group of its own, as each operator documents —
+``_required_rows`` is the one filter that drops it; a float NaN is a
+key of its own, never null; −0.0 and 0.0 are one key.  ``key_codes``
+codes a null −1 and nothing else −1.
 
 ``keyed_int_fold`` is the one per-key fold — counts, exact int64
 sums, and mins and maxes in the column's own Arrow type — over one key
 column or a list.  Inside each block it drops the rows with a null in
 the caller's ``required`` columns, codes the key tuples and folds them
-to one partial row per key; the partial rows route by ``key_bucket``
-over the keys, so one merge call reduces a whole bucket, however many
-keys it holds (a pair or n-gram count has one key per pair or n-gram),
-summing exactly (Python ints past int64) before an operator's
-``finish`` applies its one final expression.  A caller drops null keys
-by naming its key columns in ``required``: the integer statistics
-(corr, covar, stddev, regression, min-max, z-score, weighted mean,
-rollup) and the funnel counts do, and the windows drop them before
-their fold; the exact-dedup, label-propagation, pair, n-gram, shingle,
-term-table, search-log, domain and pack-bucket folds keep a null key as
-a group of its own (SQL ``GROUP BY``).
+to one partial row per key; the partial rows route by their keys, so
+one merge call reduces a whole bucket, however many keys it holds (a
+pair or n-gram count has one key per pair or n-gram), summing exactly
+(Python ints past int64) before an operator's ``finish`` applies its
+one final expression.  A caller drops null keys by naming its key
+columns in ``required``: the integer statistics (corr, covar, stddev,
+regression, min-max, z-score, weighted mean, rollup, cube) and the
+funnel counts do, and the windows drop them before their fold; the
+exact-dedup, label-propagation, pair, n-gram, shingle, term-table,
+search-log, domain and pack-bucket folds keep a null key as a group of
+its own (SQL ``GROUP BY``).
 """
 
 from __future__ import annotations
@@ -117,6 +119,9 @@ def nonempty_refs(ds: ray.data.Dataset) -> tuple[list, int]:
     return refs, rows
 
 
+_FNV_BASIS, _FNV_PRIME = 0xCBF29CE484222325, 1099511628211
+
+
 def key_bucket(cols, nbuckets: int) -> np.ndarray:
     """Vectorized bucket id for one key column or a list of them:
     integers hash by value, strings and binaries by bytes
@@ -146,33 +151,36 @@ def key_bucket(cols, nbuckets: int) -> np.ndarray:
 
 
 def _string_bucket_hash(col) -> np.ndarray:
-    """Vectorized 64-bit string hash (byte-column FNV-style polynomial
-    over the fixed-width bytes matrix) — used only for BUCKETING, never
-    for identity (grouping inside a bucket compares exact values)."""
-    from konlsearch_ray.segment import _string_col_to_S
+    """Vectorized 64-bit string hash — ``h = h * P + byte`` over each
+    key's bytes from the FNV offset basis — used only for BUCKETING,
+    never for identity (grouping inside a bucket compares exact
+    values).  One pass over the column's data buffer: a key of ``L``
+    bytes hashes to ``basis * P**L + sum(byte_j * P**(L-1-j))``, summed
+    per key with ``reduceat`` at the offsets, so the cost is the total
+    key bytes, not rows x widest key.  A key hashes the same in every
+    batch, and a null hashes like the empty string (in-bucket grouping
+    still tells null from "" by exact value)."""
+    from konlsearch_ray.segment import binary_view
 
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    s = _string_col_to_S(col)
-    if not len(s):
-        return np.zeros(0, dtype=np.uint64)
-    mat = s.view(np.uint8).reshape(len(s), s.dtype.itemsize)
-    # fill_null: a null string's length is null -> NaN, and NaN->int64 is
-    # an undefined conversion (platform-dependent bucket). Null hashes as
-    # the empty string — deterministic routing; in-bucket grouping still
-    # distinguishes null from "" by exact value.
-    lens = (pc.fill_null(pc.binary_length(col), 0)
-            .to_numpy(zero_copy_only=False).astype(np.int64))
-    h = np.full(len(s), 0xCBF29CE484222325, dtype=np.uint64)
-    prime = np.uint64(1099511628211)
-    for j in range(mat.shape[1]):  # width-bounded loop, each pass is C
-        # Padding columns must be no-ops: the matrix width is BATCH-local
-        # (the widest string in this batch), and a hash that mixed the
-        # padding would give the same string different buckets in
-        # different batches — splitting its group across emit calls.
-        live = j < lens
-        h = np.where(live, h * prime + mat[:, j], h)
-    return h
+    offs, data = binary_view(col)
+    rel = offs - offs[0]
+    lens = np.diff(rel)
+    data = np.frombuffer(data[offs[0]:offs[-1]], dtype=np.uint8)
+    powers = np.full(int(lens.max(initial=0)) + 1, _FNV_PRIME, np.uint64)
+    powers[0] = 1
+    powers = np.cumprod(powers)  # P**i mod 2**64
+    sums = np.zeros(len(lens), dtype=np.uint64)
+    live = lens > 0
+    if live.any():
+        # byte j of a key ending at ``end`` weighs P**(end - 1 - j)
+        expo = np.repeat(rel[1:], lens) - 1 - np.arange(len(data))
+        sums[live] = np.add.reduceat(data * powers[expo], rel[:-1][live])
+    if col.null_count:
+        valid = col.is_valid().to_numpy(zero_copy_only=False)
+        sums[~valid], lens[~valid] = 0, 0
+    return np.uint64(_FNV_BASIS) * powers[lens] + sums
 
 
 def runs(*sorted_cols) -> tuple[np.ndarray, np.ndarray]:
@@ -265,91 +273,73 @@ def _segmented_order(
     return order, first, starts, np.repeat(starts, lens)
 
 
-# Ray's sort shuffle finds its partition bounds by comparing key values
-# in Python, where a null beside a value raises TypeError, and it splits
-# groups wherever adjacent keys differ, which NaT and NaN always do. So
-# every flat key crosses the exchange as two group columns: a kind first
-# (0 a value, 1 a float NaN, 2 a null) and the key with its NaNs and
-# nulls set to one fixed value of its type. All NaN keys thus form one
-# group, and all null keys another (DuckDB's GROUP BY); ``fold``
-# restores the NaNs and nulls and drops the kinds before ``merge`` sees
-# the group.
-_KIND = "__kind_"
+_ROUTE = "__route"
 
 
-def _zero(t: pa.DataType) -> pa.Scalar:
-    """The value of flat type ``t`` whose buffers are all zero bytes: 0,
-    False, the epoch, "" or b"" — what a null key stands as."""
-    n = t.byte_width if pa.types.is_fixed_size_binary(t) else 0
-    bufs = [None] + [pa.py_buffer(bytes(max(32, n)))] * (t.num_buffers - 1)
-    return pa.Array.from_buffers(t, 1, bufs)[0]
+def bucket_fold(
+    ds: ray.data.Dataset,
+    key: str | list[str],
+    merge: Callable[[pa.Table], pa.Table],
+    *,
+    fallback: pa.Table,
+    partial: Callable[[pa.Table], pa.Table] | None = None,
+) -> ray.data.Dataset:
+    """The one keyed exchange (see the module docstring):
+    ``map_batches(partial)``, a ``key_bucket`` route column over the
+    ``key`` column(s) of each (partial) batch, then ``groupby`` on the
+    route and ``merge`` once per route bucket.
 
+    ``partial`` and ``merge`` take and return Arrow tables; ``merge``
+    sees only non-empty buckets, every row of every key routed there,
+    with the keys as stored and without the route column.
+    ``fallback`` is the typed empty output table: it answers empty
+    groups, and it is the result when no bucket emits a row."""
+    keys = [key] if isinstance(key, str) else list(key)
+    nbuckets = default_nbuckets()  # read once, on the driver
 
-def _encode_keys(t: pa.Table, keys: list[str]) -> pa.Table:
-    for k in keys:
-        col = t[k]
-        unset = pc.is_null(col, nan_is_null=True)
-        if not (pa.types.is_nested(col.type)
-                or pa.types.is_dictionary(col.type)):
-            t = t.set_column(t.schema.get_field_index(k), k,
-                             pc.if_else(unset, _zero(col.type), col))
-        kind = pc.add(pc.cast(unset, pa.int8()),
-                      pc.cast(pc.is_null(col), pa.int8()))
-        t = t.append_column(_KIND + k, kind)
-    return t
+    def route(t: pa.Table) -> pa.Table:
+        t = t if partial is None else partial(t)
+        if _ROUTE in t.column_names:
+            raise ValueError(f"column {_ROUTE!r} is reserved for routing")
+        return t.append_column(_ROUTE, pa.array(
+            key_bucket([t[k] for k in keys], nbuckets), pa.int64()))
 
+    def fold(g: pa.Table) -> pa.Table:
+        return merge(g.drop_columns([_ROUTE])) if len(g) else fallback
 
-def _decode_keys(g, keys: list[str]):
-    """``g`` (one group, an Arrow table or a pandas frame) with its NaN
-    and null keys restored and the kinds dropped."""
-    kinds = [_KIND + k for k in keys]
-    for k, c in zip(keys, kinds):
-        kind = g[c][0].as_py() if isinstance(g, pa.Table) else g[c].iloc[0]
-        if not kind:
-            continue
-        if isinstance(g, pa.Table):
-            typ = g[k].type
-            g = g.set_column(g.schema.get_field_index(k), k,
-                             pa.nulls(len(g), typ) if kind == 2 else
-                             pa.array(np.full(len(g), np.nan), typ))
-        else:
-            g = g.assign(**{k: None if kind == 2 else np.nan})
-    return (g.drop_columns(kinds) if isinstance(g, pa.Table)
-            else g.drop(columns=kinds))
+    refs, _ = nonempty_refs(
+        ds.map_batches(route, batch_format="pyarrow", batch_size=None)
+        .groupby(_ROUTE).map_groups(fold, batch_format="pyarrow"))
+    return (ray.data.from_arrow_refs(refs) if refs
+            else ray.data.from_arrow(fallback))
 
 
 def keyed_fold(
     ds: ray.data.Dataset,
     key: str | list[str],
-    merge: Callable,
+    merge: Callable[[pa.Table], pa.Table],
     *,
     fallback: pa.Table,
-    partial: Callable | None = None,
-    batch_format: str = "pyarrow",
+    partial: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """``map_batches(partial)``, then ``groupby(key)`` + ``map_groups``
-    of ``merge``, with the empty-partition landmine handled once (see
-    the module docstring).
-
-    ``partial`` and ``merge`` both see ``batch_format`` batches;
-    ``merge`` sees only non-empty groups, with the key values as
-    stored (null keys form one group of their own, NaN keys another).
-    ``fallback`` is the typed empty output table: it answers empty
-    groups, and it is the result when no group emits a row."""
-    if partial is not None:
-        ds = ds.map_batches(partial, batch_format=batch_format)
+    """``bucket_fold`` with ``merge`` called once per key: inside each
+    route bucket the rows split by ``_row_codes`` of the ``key``
+    column(s) (the one key rule: null keys form one group of their
+    own, NaN keys another, and -0.0 and 0.0 one), and ``merge`` sees
+    each key's rows in arrival order, with the key values as stored."""
     keys = [key] if isinstance(key, str) else list(key)
 
-    def fold(g):
-        return merge(_decode_keys(g, keys)) if len(g) else fallback
+    def per_key(g: pa.Table) -> pa.Table:
+        codes, _ = _row_codes(g, keys)
+        order = np.argsort(codes, kind="stable")
+        starts, lens = runs(codes[order])
+        g = g.take(pa.array(order))
+        return pa.concat_tables(
+            [merge(g.slice(s, n)) for s, n in zip(starts.tolist(),
+                                                  lens.tolist())],
+            promote_options="default")
 
-    refs, _ = nonempty_refs(
-        ds.map_batches(lambda t: _encode_keys(t, keys), batch_format="pyarrow",
-                       batch_size=None)
-        .groupby([c for k in keys for c in (_KIND + k, k)])
-        .map_groups(fold, batch_format=batch_format))
-    return (ray.data.from_arrow_refs(refs) if refs
-            else ray.data.from_arrow(fallback))
+    return bucket_fold(ds, keys, per_key, fallback=fallback, partial=partial)
 
 
 def _row_codes(t: pa.Table, keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +384,7 @@ def keyed_int_fold(
 ) -> ray.data.Dataset:
     """The one per-key fold: ``count``, exact integer ``sum``, ``min``
     and ``max`` per key (one column or a list) through one
-    ``keyed_fold``.
+    ``bucket_fold``.
 
     Inside each block: drop the rows with a null in ``required``
     (``_required_rows`` — a caller that drops null keys names its key
@@ -406,11 +396,10 @@ def keyed_int_fold(
     ``vectors(t)`` — a numpy or Arrow array over the surviving rows
     ``t`` (default: ``t``'s column of that name); sums take int64
     values, min and max keep the vector's type, cast to their ``out``
-    type when ``out`` names them.  The partial rows route by
-    ``key_bucket`` over the keys, so one merge call folds a whole
-    bucket: it reduces the partial counts and sums of each key exactly
-    (past int64, as Python ints) and the partial mins and maxes by
-    Arrow's ordering.
+    type when ``out`` names them.  The partial rows route by their
+    keys, so one merge call folds a whole bucket: it reduces the
+    partial counts and sums of each key exactly (past int64, as Python
+    ints) and the partial mins and maxes by Arrow's ordering.
 
     The output is the key columns, then ``out`` (default: the folds,
     int64) in its order; a key column ``out`` does not name takes its
@@ -424,7 +413,6 @@ def keyed_int_fold(
         sch = arrow_schema(ds)
         out = {k: sch.field(k).type for k in keys} | out
     ktyps = {k: out.pop(k) for k in keys}
-    nbuckets = default_nbuckets()
     counted = {n for n, op in folds.items() if op in ("count", "sum")}
 
     # A count or sum crosses the exchange as the per-key sums of each
@@ -457,7 +445,6 @@ def keyed_int_fold(
             else:
                 c = folded[f"{n}_{op}"]
                 cols[n] = pc.cast(c, out.get(n, c.type))
-        cols["__route"] = key_bucket([cols[k] for k in keys], nbuckets)
         return pa.table(cols)
 
     def merge(g: pa.Table) -> pa.Table:
@@ -483,8 +470,7 @@ def keyed_int_fold(
 
     fallback = pa.table({**{k: pa.array([], typ) for k, typ in ktyps.items()},
                          **{c: pa.array([], typ) for c, typ in out.items()}})
-    return keyed_fold(ds, "__route", merge, partial=partial,
-                      fallback=fallback)
+    return bucket_fold(ds, keys, merge, partial=partial, fallback=fallback)
 
 
 def nonempty_blocks(

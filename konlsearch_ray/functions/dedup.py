@@ -12,18 +12,16 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
 from konlsearch_ray.analyzer import analyze_strings
-from konlsearch_ray.functions.blocks import (arrow_schema,
+from konlsearch_ray.functions.blocks import (arrow_schema, bucket_fold,
                                              default_join_partitions,
-                                             default_nbuckets, key_bucket,
-                                             key_codes, keyed_fold,
-                                             keyed_int_fold, nonempty_blocks,
+                                             key_codes, keyed_int_fold,
+                                             nonempty_blocks,
                                              pinned_nonempty, runs)
 from konlsearch_ray.functions.text import FP_MOD, _token_hashes
 from konlsearch_ray.segment import binary_view
@@ -188,15 +186,14 @@ def _emit_pairs_bucketed(
     group_cols: list[str],
     id_col: str = "doc_id",
     cap: int | None = None,
-    nbuckets: int | None = None,
 ) -> ray.data.Dataset:
     """All within-group (a < b) id pairs, emitted with ONE vectorized
     call per hash BUCKET instead of one Python call per group.
 
     ``groupby(shingle).map_groups`` pays per-group slicing + a Python
     call for every distinct shingle / band key — billions of groups at
-    corpus scale. Here groups bucket by a hash of the key columns
-    (``groupby("bucket")``), and inside a bucket the pairs derive from
+    corpus scale. Here groups route by their key columns
+    (``blocks.bucket_fold``), and inside a bucket the pairs derive from
     one lexsort + run-length pass; the only Python-level loop is over
     DISTINCT GROUP SIZES (bounded by ``cap``), each iteration emitting
     every pair of every group of that size via a triangular index
@@ -206,13 +203,7 @@ def _emit_pairs_bucketed(
     ``cap``: groups larger than this emit nothing (the stop-shingle
     guard — same semantics as the per-group emitters this replaces).
     """
-    nbuckets = nbuckets or default_nbuckets()
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket", pa.array(
-            key_bucket([t[c] for c in group_cols], nbuckets)))
-
-    def emit(g: pd.DataFrame) -> pa.Table:
+    def emit(g: pa.Table) -> pa.Table:
         codes_list = [key_codes(g[c])[0] for c in group_cols]
         docs = g[id_col].to_numpy().astype(np.int64)
         order = np.lexsort((docs,) + tuple(reversed(codes_list)))
@@ -236,9 +227,7 @@ def _emit_pairs_bucketed(
         return pa.table({"a": pa.array(np.concatenate(out_a), pa.int64()),
                          "b": pa.array(np.concatenate(out_b), pa.int64())})
 
-    return keyed_fold(ds.map_batches(add_bucket, batch_format="pyarrow"),
-                      "bucket", emit, fallback=_empty_pairs(),
-                      batch_format="pandas")
+    return bucket_fold(ds, group_cols, emit, fallback=_empty_pairs())
 
 
 # --------------------------------------------------------------------------

@@ -21,10 +21,9 @@ import ray
 import ray.data
 
 from konlsearch_ray.functions.blocks import (_required_rows, arrow_schema,
+                                             bucket_fold,
                                              default_join_partitions,
-                                             default_nbuckets,
-                                             key_bucket, key_index,
-                                             keyed_fold, pinned_nonempty)
+                                             key_index, pinned_nonempty)
 
 
 def broadcast_lookup_join(
@@ -208,7 +207,6 @@ def filter_join(
     left_key: str,
     right_key: str,
     mode: str = "semi",
-    nbuckets: int | None = None,
 ) -> ray.data.Dataset:
     """Semi / anti join — keep left rows whose key does (``semi``) or
     does not (``anti``) appear in ``right``; SQL ``WHERE [NOT] EXISTS
@@ -228,21 +226,17 @@ def filter_join(
     """
     if mode not in ("semi", "anti"):
         raise ValueError(f"mode must be 'semi' or 'anti', got {mode!r}")
-    nbuckets = nbuckets or default_nbuckets()
     lsch = arrow_schema(left)
     lcols = list(lsch.names)
-    if "__fj_side" in lcols or "__fj_bucket" in lcols:
+    if "__fj_side" in lcols:
         raise ValueError("left columns collide with filter_join internals")
     ktyp = lsch.field(left_key).type
 
     def prep_left(t: pa.Table) -> pa.Table:
-        # Null left keys route to bucket 0 deterministically; they are
-        # resolved in-bucket (never match) so semantics hold wherever
-        # they land.
+        # Null left keys route to one bucket; they are resolved
+        # in-bucket (never match) so semantics hold wherever they land.
         return (t.append_column("__fj_side",
                                 pa.nulls(t.num_rows, pa.int8()).fill_null(0))
-                 .append_column("__fj_bucket",
-                                pa.array(key_bucket(t[left_key], nbuckets)))
                  .replace_schema_metadata(None))
 
     def prep_right(t: pa.Table) -> pa.Table:
@@ -268,7 +262,6 @@ def filter_join(
             else:
                 cols[name] = pa.nulls(n, lsch.field(name).type)
         cols["__fj_side"] = pa.nulls(n, pa.int8()).fill_null(1)
-        cols["__fj_bucket"] = pa.array(key_bucket(keys, nbuckets))
         return pa.table(cols)
 
     fallback = pa.table(
@@ -277,8 +270,7 @@ def filter_join(
     def emit(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
         side = g["__fj_side"].to_numpy(zero_copy_only=False)
-        lrows = g.filter(pa.array(side == 0)).drop_columns(
-            ["__fj_side", "__fj_bucket"])
+        lrows = g.filter(pa.array(side == 0)).drop_columns(["__fj_side"])
         rkeys = pc.unique(g.filter(pa.array(side == 1))[left_key]
                           .combine_chunks())
         if len(rkeys) == 0:
@@ -292,4 +284,4 @@ def filter_join(
 
     lds = left.map_batches(prep_left, batch_format="pyarrow")
     rds = right.map_batches(prep_right, batch_format="pyarrow")
-    return keyed_fold(lds.union(rds), "__fj_bucket", emit, fallback=fallback)
+    return bucket_fold(lds.union(rds), left_key, emit, fallback=fallback)

@@ -9,8 +9,9 @@ classic distributed scan:
 1. one column-pruned pass computes per-RANGE-BUCKET weight sums
    (bucket = (id - min_id) // width, so buckets are contiguous ID
    ranges and bucket order == ID order);
-2. the driver exclusive-scans the ``nbuckets`` sums (tiny — one int per
-   bucket, independent of corpus size) into bucket base offsets;
+2. the driver exclusive-scans the ``blocks.default_nbuckets()`` range
+   sums (tiny — one int per bucket, independent of corpus size) into
+   bucket base offsets;
 3. one keyed exchange routes rows to their bucket, and inside each
    bucket a single vectorized sort + cumsum finishes the scan:
    ``pack_id = (base + cumsum(w) - w) // budget``.
@@ -37,9 +38,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Min
 
-from konlsearch_ray.functions.blocks import (default_nbuckets as
-                                             _default_nbuckets,
-                                             keyed_fold, keyed_int_fold)
+from konlsearch_ray.functions import blocks
+from konlsearch_ray.functions.blocks import keyed_fold, keyed_int_fold
 
 
 def pack_by_offset(
@@ -47,13 +47,12 @@ def pack_by_offset(
     id_col: str,
     weight_col: str,
     budget: int,
-    nbuckets: int | None = None,
 ) -> ray.data.Dataset:
     """Attach ``pack_id`` = (exclusive prefix sum of ``weight_col`` in
     ``id_col`` order) // ``budget``.  Null weights count as 0."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    nbuckets = nbuckets or _default_nbuckets()
+    nbuckets = blocks.default_nbuckets()
 
     empty = pa.table({id_col: pa.array([], pa.int64()),
                       weight_col: pa.array([], pa.int64()),

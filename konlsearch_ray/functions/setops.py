@@ -24,7 +24,7 @@ import ray.data
 
 from konlsearch_ray.functions.blocks import (_one_zero,
                                              arrow_schema as _arrow_schema,
-                                             key_codes, keyed_fold)
+                                             bucket_fold, key_codes)
 
 _KEY = "__setop_key"
 
@@ -59,8 +59,9 @@ def _keyed(ds: ray.data.Dataset, cols: list[str],
 
 
 def _block_distinct(t: pa.Table) -> pa.Table:
-    # per-block pre-distinct on the serialized key: bounds what the
-    # global exchange moves by distinct rows per block, never rows.
+    # distinct on the serialized key, per block before the exchange
+    # (it moves distinct rows per block, never rows) and per bucket
+    # after it.
     if not t.num_rows:
         return t
     return t.take(key_codes(t[_KEY])[1])
@@ -70,8 +71,8 @@ def _global_distinct(ds: ray.data.Dataset,
                      lsch: pa.Schema) -> ray.data.Dataset:
     fallback = lsch.empty_table().append_column(_KEY,
                                                 pa.array([], pa.string()))
-    return keyed_fold(ds, _KEY, lambda g: g.slice(0, 1),
-                      partial=_block_distinct, fallback=fallback)
+    return bucket_fold(ds, _KEY, _block_distinct, partial=_block_distinct,
+                       fallback=fallback)
 
 
 def _setop(left: ray.data.Dataset, right: ray.data.Dataset,

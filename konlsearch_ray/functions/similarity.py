@@ -443,22 +443,22 @@ def lsh_bucketed_pairs(
     no_pairs = pa.table({"a": pa.array([], pa.int64()),
                          "b": pa.array([], pa.int64())})
 
-    def within(g: pd.DataFrame) -> pd.DataFrame | pa.Table:
+    def within(g: pa.Table) -> pa.Table:
         ids = g[id_col].to_numpy().astype(np.int64)
         if len(ids) < 2:
             return no_pairs
-        m = _normalize(np.stack([np.asarray(v, np.float64) for v in g[vec_col]]))
+        m = _normalize(_matrix(g, vec_col))
         sims = m @ m.T
         rows, cols = np.nonzero(sims >= tau)
         a, b = ids[rows], ids[cols]
         keep = a < b
-        return pd.DataFrame({"a": a[keep], "b": b[keep]})
+        return pa.table({"a": pa.array(a[keep], pa.int64()),
+                         "b": pa.array(b[keep], pa.int64())})
 
     from konlsearch_ray.functions.blocks import keyed_fold, keyed_int_fold
 
     pairs = keyed_fold(ds.map_batches(bucketize, batch_format="pyarrow"),
-                       ["table", "bucket"], within, fallback=no_pairs,
-                       batch_format="pandas")
+                       ["table", "bucket"], within, fallback=no_pairs)
     return keyed_int_fold(pairs, ["a", "b"], {})
 
 

@@ -23,8 +23,8 @@ import ray.data
 from konlsearch_ray.functions.blocks import (_required_rows,
                                              _segmented_order,
                                              arrow_schema as _arrow_schema,
-                                             default_nbuckets, key_bucket,
-                                             key_index, keyed_fold,
+                                             bucket_fold, key_index,
+                                             keyed_fold,
                                              keyed_int_fold, nonempty_refs,
                                              runs)
 
@@ -397,7 +397,6 @@ def grouped_percent_rank(
     key_col: str,
     value_col: str,
     id_col: str,
-    nbuckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-key percent rank — SQL ``percent_rank() OVER (PARTITION BY
     key ORDER BY v)`` = ``(rank - 1) / (n - 1)`` with RANK tie
@@ -426,7 +425,6 @@ def grouped_percent_rank(
         raise ValueError(
             f"value_col {value_col!r} must be integer-typed "
             f"(got {sch.field(value_col).type}); quantize upstream")
-    nbuckets = nbuckets or default_nbuckets()
 
     def prep(t: pa.Table) -> pa.Table:
         t = _required_rows(t, (key_col, value_col, id_col))
@@ -434,7 +432,6 @@ def grouped_percent_rank(
             "k": t[key_col],
             "i": t[id_col],
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -470,7 +467,7 @@ def grouped_percent_rank(
             "pct": pa.array(pct),
         })
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 def grouped_ntile(
     ds: ray.data.Dataset,
@@ -478,7 +475,6 @@ def grouped_ntile(
     value_col: str,
     id_col: str,
     n_tiles: int,
-    nbuckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-key NTILE bucketing — SQL ``ntile(n) OVER (PARTITION BY key
     ORDER BY v, id)`` — the quantile-bucket assignment behind
@@ -508,7 +504,6 @@ def grouped_ntile(
         raise ValueError(
             f"value_col {value_col!r} must be integer-typed "
             f"(got {sch.field(value_col).type}); quantize upstream")
-    nbuckets = nbuckets or default_nbuckets()
 
     def prep(t: pa.Table) -> pa.Table:
         t = _required_rows(t, (key_col, value_col, id_col))
@@ -516,7 +511,6 @@ def grouped_ntile(
             "k": t[key_col],
             "i": t[id_col],
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -550,7 +544,7 @@ def grouped_ntile(
             "tile": pa.array(tile.astype(np.int64)),
         })
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 def grouped_minmax_norm(
     ds: ray.data.Dataset,

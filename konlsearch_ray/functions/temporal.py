@@ -2,11 +2,11 @@
 as-of join, band (range) join.
 
 Ray Data has no native window / as-of / range-join operators, so each is
-composed on ``blocks.keyed_fold``: ``blocks.key_bucket`` routes rows into
-``O(cluster CPUs)`` buckets, the fold on ``"bucket"`` brings each bucket
-to one task, and inside the bucket everything is one lexsort /
-searchsorted pass — the partitioning key (the join/session key) fully
-determines the bucket, so in-bucket results are globally exact.
+composed on ``blocks.bucket_fold``: it routes rows by their key into
+``O(cluster CPUs)`` buckets and brings each bucket to one task, and
+inside the bucket everything is one lexsort / searchsorted pass — the
+partitioning key (the join/session key) fully determines the bucket, so
+in-bucket results are globally exact.
 
 Scale notes:
 - ``tumbling_window`` pre-aggregates inside each block
@@ -17,10 +17,10 @@ Scale notes:
   composite ``key_code * time_span + t_rel`` (overflow-guarded with a
   per-key-segment fallback), so cost is ``O(n log n)`` per bucket with
   no per-row Python.
-- Skew: one bucket holds ~``rows / nbuckets`` rows; a single hot key
+- Skew: one bucket holds ~``rows / buckets`` rows; a single hot key
   cannot exceed its own row count. For a pathological single-key
-  dataset, raise ``nbuckets`` only spreads OTHER keys — the hot key's
-  bucket is the floor, same as any keyed shuffle.
+  dataset, more buckets only spread OTHER keys — the hot key's bucket
+  is the floor, same as any keyed shuffle.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from konlsearch_ray.functions.blocks import (_required_rows,
                                              _segmented_order,
                                              arrow_schema as _arrow_schema,
                                              cents_np,
-                                             default_nbuckets as
-                                             _default_nbuckets,
-                                             key_bucket, key_codes,
-                                             keyed_fold, keyed_int_fold,
+                                             bucket_fold, key_codes,
+                                             keyed_int_fold,
                                              runs)
 
 US = 1_000_000  # microseconds per second
@@ -189,7 +187,6 @@ def sessionize(
     ts_col: str,
     key_col: str,
     gap_s: int,
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Split each key's event stream into sessions at gaps > ``gap_s``.
@@ -207,14 +204,9 @@ def sessionize(
     ``gap_s`` is seconds.
     """
     gap_us = int(gap_s) * US
-    nbuckets = nbuckets or _default_nbuckets()
 
     def prep(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "k": t[key_col],
-            "t": _ts_us(t[ts_col], int_unit),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
-        })
+        return pa.table({"k": t[key_col], "t": _ts_us(t[ts_col], int_unit)})
 
     def emit(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
@@ -248,8 +240,7 @@ def sessionize(
         "session_end_us": pa.array([], pa.int64()),
         "n_events": pa.array([], pa.int64()),
     })
-    return keyed_fold(ds.map_batches(prep, batch_format="pyarrow"), "bucket",
-                      emit, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 
 # --------------------------------------------------------------------------
@@ -265,14 +256,13 @@ def _union_sides(
     left_cols: tuple[str, ...],
     right_cols: tuple[str, ...],
     right_prefix: str,
-    nbuckets: int,
     keep_null_left: bool = False,
     int_unit: str | None = None,
 ) -> tuple[ray.data.Dataset, dict[str, pa.DataType]]:
     """Normalize both sides to one padded schema — ``__k``, ``__t``
     (int64 us), ``__side`` (0=right, 1=left), left payload columns,
-    prefixed right payload columns (each null on the other side) — add
-    the key bucket, and union. One pass over each side, no shuffle yet.
+    prefixed right payload columns (each null on the other side) — and
+    union. One pass over each side, no shuffle yet.
 
     Null-key semantics match SQL joins: a NULL key never matches (the
     reference DuckDB ASOF/range joins drop them from the match set).
@@ -283,7 +273,7 @@ def _union_sides(
     """
     lout = set(left_cols)
     rout = {right_prefix + c for c in right_cols}
-    reserved = {"__k", "__t", "__side", "bucket"}
+    reserved = {"__k", "__t", "__side"}
     bad = reserved & (lout | rout)
     if bad:
         raise ValueError(f"payload columns collide with internal names: {bad}")
@@ -320,7 +310,6 @@ def _union_sides(
                 "__k": t[key_col],
                 "__t": _ts_us(t[ts_name], int_unit),
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
-                "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
             }
             for out_name, typ in all_types.items():
                 if out_name in own:
@@ -360,7 +349,6 @@ def asof_join(
     right_prefix: str = "r_",
     tolerance_s: float | None = None,
     how: str = "inner",
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Backward as-of join: for each left row, the right row with the
@@ -385,10 +373,9 @@ def asof_join(
     ``int_unit`` ('us'|'ms'|'s' — raises otherwise, see ``_ts_us``).
     """
     right_ts = right_ts or left_ts
-    nbuckets = nbuckets or _default_nbuckets()
     unioned, ptypes, ktyp = _union_sides(
         left, right, key_col, left_ts, right_ts,
-        left_cols, right_cols, right_prefix, nbuckets,
+        left_cols, right_cols, right_prefix,
         keep_null_left=how == "left", int_unit=int_unit)
     tol_us = None if tolerance_s is None else int(tolerance_s * US)
     out_fallback = pa.table({
@@ -461,7 +448,7 @@ def asof_join(
                                     pa.nulls(len(li), vals.type))
         return pa.table(cols)
 
-    return keyed_fold(unioned, "bucket", emit, fallback=out_fallback)
+    return bucket_fold(unioned, "__k", emit, fallback=out_fallback)
 
 
 def band_join(
@@ -476,7 +463,6 @@ def band_join(
     right_cols: tuple[str, ...] = (),
     right_prefix: str = "r_",
     mode: str = "count",
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Keyed band (range) join: match right rows with
@@ -506,14 +492,13 @@ def band_join(
     ``int_unit`` ('us'|'ms'|'s' — raises otherwise, see ``_ts_us``).
     """
     right_ts = right_ts or left_ts
-    nbuckets = nbuckets or _default_nbuckets()
     if mode == "count" and "n_matches" in left_cols:
         raise ValueError(
             "left payload column 'n_matches' collides with the count "
             "output column")
     unioned, ptypes, ktyp = _union_sides(
         left, right, key_col, left_ts, right_ts,
-        left_cols, right_cols, right_prefix, nbuckets,
+        left_cols, right_cols, right_prefix,
         keep_null_left=mode == "count", int_unit=int_unit)
     lo_us, hi_us = int(round(lo_s * US)), int(round(hi_s * US))
     if mode == "count":
@@ -593,7 +578,7 @@ def band_join(
             cols[right_prefix + c] = g[right_prefix + c].take(pa.array(rpos))
         return pa.table(cols)
 
-    return keyed_fold(unioned, "bucket", emit, fallback=out_fallback)
+    return bucket_fold(unioned, "__k", emit, fallback=out_fallback)
 
 
 def key_lag_deltas(
@@ -601,7 +586,6 @@ def key_lag_deltas(
     key_col: str,
     ts_col: str,
     id_col: str,
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Per-key LAG delta — SQL ``ts - lag(ts) OVER (PARTITION BY key
@@ -619,7 +603,6 @@ def key_lag_deltas(
     no gap signal — and an unguarded null ts would NaN-cast to
     INT64_MIN, sorting first and corrupting its neighbor's delta).
     """
-    nbuckets = nbuckets or _default_nbuckets()
     ktyp = _arrow_schema(ds).field(key_col).type
     ityp = _arrow_schema(ds).field(id_col).type
 
@@ -629,7 +612,6 @@ def key_lag_deltas(
             "k": t[key_col],
             "i": t[id_col],
             "t": _ts_us(t[ts_col], int_unit),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -658,7 +640,7 @@ def key_lag_deltas(
             "delta_us": dcol,
         })
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 def rolling_agg(
     ds: ray.data.Dataset,
@@ -667,7 +649,6 @@ def rolling_agg(
     id_col: str,
     value_col: str,
     window_rows: int | None,
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Per-key rolling row-frame aggregate — SQL
@@ -705,7 +686,6 @@ def rolling_agg(
         raise ValueError(
             f"value_col {value_col!r} must be integer-typed for exact "
             f"rolling sums (got {vtyp}); convert to cents/int upstream")
-    nbuckets = nbuckets or _default_nbuckets()
 
     def prep(t: pa.Table) -> pa.Table:
         t = _required_rows(t, (key_col, ts_col, id_col))
@@ -714,7 +694,6 @@ def rolling_agg(
             "i": t[id_col],
             "t": _ts_us(t[ts_col], int_unit),
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -757,7 +736,7 @@ def rolling_agg(
             "roll_sum": scol,
         })
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 def grouped_sequence(
     ds: ray.data.Dataset,
@@ -766,7 +745,6 @@ def grouped_sequence(
     id_col: str,
     value_col: str,
     sep: str = ",",
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Per-key time-ordered value sequence — SQL ``string_agg(v, sep
@@ -788,7 +766,6 @@ def grouped_sequence(
     Python. The whole-key sequence lands in one output row, so per-key
     volume follows the same co-location contract as any keyed fold.
     """
-    nbuckets = nbuckets or _default_nbuckets()
     ktyp = _arrow_schema(ds).field(key_col).type
 
     def prep(t: pa.Table) -> pa.Table:
@@ -801,7 +778,6 @@ def grouped_sequence(
             # pass 2 GiB at scale — 32-bit offsets would overflow in
             # take/filter below.
             "v": pc.cast(t[value_col], pa.large_string()),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -841,7 +817,7 @@ def grouped_sequence(
             "seq": seq,
         })
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)
 
 def funnel_counts(
     ds: ray.data.Dataset,
@@ -851,7 +827,6 @@ def funnel_counts(
     first: str,
     then: str,
     within_s: float,
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Per-key two-step funnel conversion — for each key, how many
@@ -884,8 +859,7 @@ def funnel_counts(
     thens = ds.map_batches(side(then), batch_format="pyarrow")
     firsts = ds.map_batches(side(first), batch_format="pyarrow")
     j = asof_join(thens, firsts, key_col, ts_col, how="left",
-                  tolerance_s=within_s, nbuckets=nbuckets,
-                  int_unit=int_unit)
+                  tolerance_s=within_s, int_unit=int_unit)
 
     def vectors(t: pa.Table) -> dict:
         conv = pc.is_valid(t["r_ts_us"]).to_numpy(zero_copy_only=False)
@@ -941,8 +915,8 @@ def latest_by_key(
         starts, lens = runs(codes[order])
         return t.take(pa.array(order[starts + lens - 1], pa.int64()))
 
-    return keyed_fold(ds, key_col, best, partial=best,
-                      fallback=_arrow_schema(ds).empty_table())
+    return bucket_fold(ds, key_col, best, partial=best,
+                       fallback=_arrow_schema(ds).empty_table())
 
 
 # --------------------------------------------------------------------------
@@ -955,7 +929,6 @@ def time_weighted_mean(
     ts_col: str,
     value_col: str,
     id_col: str,
-    nbuckets: int | None = None,
     int_unit: str | None = None,
 ) -> ray.data.Dataset:
     """Per-key time-weighted average (TWAP): order each key's rows by
@@ -979,7 +952,6 @@ def time_weighted_mean(
     """
     from konlsearch_ray.functions.stats import _check_abs_below
 
-    nbuckets = nbuckets or _default_nbuckets()
     sch = _arrow_schema(ds)
     ktyp = sch.field(key_col).type
     if not pa.types.is_integer(sch.field(value_col).type):
@@ -995,7 +967,6 @@ def time_weighted_mean(
             "i": pc.cast(t[id_col], pa.int64()),
             "t": _ts_us(t[ts_col], int_unit),
             "v": pc.cast(t[value_col], pa.int64()),
-            "bucket": pa.array(key_bucket(t[key_col], nbuckets)),
         })
 
     fallback = pa.table({
@@ -1052,4 +1023,4 @@ def time_weighted_mean(
         # TWAP at all — SQL's WHERE w IS NOT NULL drops it pre-group
         return out.filter(pc.greater(out["n"], 0))
 
-    return keyed_fold(ds, "bucket", emit, partial=prep, fallback=fallback)
+    return bucket_fold(ds, "k", emit, partial=prep, fallback=fallback)

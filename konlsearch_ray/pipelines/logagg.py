@@ -17,7 +17,6 @@ import time
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -303,15 +302,14 @@ def assign_seq_ids(
             pc.cast(t["ts"], pa.int64()), 1_000_000)), pa.int64())
         return t.append_column("sec", sec)
 
-    def per_second(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col).reset_index(drop=True)
-        g["seq"] = np.arange(len(g), dtype=np.int64)
-        return g[[id_col, "sec", "seq"]]
+    def per_second(g: pa.Table) -> pa.Table:
+        g = g.take(pc.sort_indices(g[id_col]))
+        return pa.table({id_col: g[id_col], "sec": g["sec"],
+                         "seq": pa.array(np.arange(g.num_rows), pa.int64())})
 
     fallback = pa.table({
         id_col: pa.array([], arrow_schema(events).field(id_col).type),
         "sec": pa.array([], pa.int64()),
         "seq": pa.array([], pa.int64())})
-    return keyed_fold(events.map_batches(add_sec, batch_format="pyarrow"),
-                      "sec", per_second, fallback=fallback,
-                      batch_format="pandas")
+    return keyed_fold(events, "sec", per_second, partial=add_sec,
+                      fallback=fallback)

@@ -1018,8 +1018,8 @@ class IndexReader:
         ``FACET_SCAN_MIN_HITS`` the sorted hit ids are broadcast ONCE
         (``ray.put``) and the docstore streams as a Dataset whose
         per-block partial is a searchsorted membership test +
-        ``count_all`` group; a ``keyed_fold`` routed by the facet's
-        ``key_bucket`` sums the partials inside the Dataset, so only
+        ``count_all`` group; a ``bucket_fold`` routed by the facet
+        sums the partials inside the Dataset, so only
         the folded rows — one per distinct facet — reach the driver.
         """
         ids = self._search_ids(tokens, mode)
@@ -1032,15 +1032,12 @@ class IndexReader:
         else:
             import ray
 
-            from konlsearch_ray.functions.blocks import (default_nbuckets,
-                                                         key_bucket,
-                                                         keyed_fold)
+            from konlsearch_ray.functions.blocks import bucket_fold
 
             # The stored column's own type — the fold must return it
             # whatever the hit-set size (footer-only read).
             ftype = store.schema().field(facet_col).type
             ids_ref = ray.put(ids)
-            nbuckets = default_nbuckets()
 
             def _facet_partial(t: pa.Table) -> pa.Table:
                 hit_ids = ray.get(ids_ref)  # zero-copy shared-memory read
@@ -1048,13 +1045,11 @@ class IndexReader:
                 pos = np.searchsorted(hit_ids, col)
                 pos[pos >= len(hit_ids)] = 0
                 mask = hit_ids[pos] == col
-                f = _fold_facet_counts(t[facet_col].filter(pa.array(mask)))
-                return f.append_column(
-                    "bucket", pa.array(key_bucket(f["facet"], nbuckets)))
+                return _fold_facet_counts(t[facet_col].filter(pa.array(mask)))
 
-            folded = keyed_fold(store.scan(columns=[facet_col]), "bucket",
-                                _sum_facet_counts, partial=_facet_partial,
-                                fallback=_empty_facets(ftype))
+            folded = bucket_fold(store.scan(columns=[facet_col]), "facet",
+                                 _sum_facet_counts, partial=_facet_partial,
+                                 fallback=_empty_facets(ftype))
             out = pa.concat_tables(ray.get(folded.to_arrow_refs()))
         return _sort_facets(out, k)
 

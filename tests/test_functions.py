@@ -546,11 +546,12 @@ def test_connected_components(ray_session):
     assert out.schema().names == ["doc_id", "cluster_id"]
 
 
-def test_pack_by_offset_matches_serial_scan(ray_session):
+def test_pack_by_offset_matches_serial_scan(ray_session, monkeypatch):
     """Distributed prefix-sum pack assignment == the serial definition,
     independent of partitioning; nulls weigh 0; empty input keeps schema."""
     import ray.data
 
+    from konlsearch_ray.functions import blocks
     from konlsearch_ray.functions.packing import pack_by_offset
 
     rng = np.random.RandomState(7)
@@ -559,7 +560,8 @@ def test_pack_by_offset_matches_serial_scan(ray_session):
     w[3] = None  # null weight -> 0
     t = pa.table({"id": pa.array(ids), "w": pa.array(list(w), pa.int64())})
     ds = ray.data.from_arrow(t).repartition(7)
-    df = (pack_by_offset(ds, "id", "w", budget=100, nbuckets=5)
+    monkeypatch.setattr(blocks, "default_nbuckets", lambda: 5)
+    df = (pack_by_offset(ds, "id", "w", budget=100)
           .to_pandas().sort_values("id").reset_index(drop=True))
 
     order = np.argsort(ids, kind="stable")
@@ -1250,12 +1252,13 @@ def test_heavy_hitters_exact_topk(ray_session):
     assert out2["n"].tolist() == [4, 4]
 
 
-def test_heavy_hitters_hierarchical_fold_invariant(ray_session):
+def test_heavy_hitters_hierarchical_fold_invariant(ray_session, monkeypatch):
     """The value-hash bucketed fold (no single task ever sees the full
     capacity x blocks summary stream) must give the same exact top-k at
-    any nbuckets — including nbuckets=1, the old single-fold shape."""
+    any bucket count — including 1, the old single-fold shape."""
     import ray.data
 
+    from konlsearch_ray.functions import blocks
     from konlsearch_ray.functions.aggregates import heavy_hitters
 
     rng = np.random.default_rng(7)
@@ -1265,8 +1268,8 @@ def test_heavy_hitters_hierarchical_fold_invariant(ray_session):
         {"v": pa.array(vals, pa.int64())})).repartition(8)
     expect = None
     for nb in (1, 3, 64):
-        out = heavy_hitters(ds, "v", k=8, capacity=128,
-                            nbuckets=nb).to_pandas()
+        monkeypatch.setattr(blocks, "default_nbuckets", lambda: nb)
+        out = heavy_hitters(ds, "v", k=8, capacity=128).to_pandas()
         got = list(zip(out["v"].tolist(), out["n"].tolist()))
         if expect is None:
             expect = got

@@ -96,12 +96,16 @@ def test_funnel_counts_matches_exists_sql(ray_session):
 
 
 @pytest.mark.parametrize("nbuckets", [1, None])
-def test_funnel_counts_drops_null_keys(ray_session, nbuckets):
+def test_funnel_counts_drops_null_keys(ray_session, monkeypatch, nbuckets):
     """Null-key ``then`` events are dropped, whether they share a block
     with other keys (one bucket) or fill a block of their own."""
     import ray.data
 
+    from konlsearch_ray.functions import blocks
     from konlsearch_ray.functions.temporal import funnel_counts
+
+    if nbuckets:
+        monkeypatch.setattr(blocks, "default_nbuckets", lambda: nbuckets)
 
     t = pa.table({
         "u": pa.array([1, 1, 2, None, None], pa.int64()),
@@ -110,7 +114,7 @@ def test_funnel_counts_drops_null_keys(ray_session, nbuckets):
     })
     out = (funnel_counts(ray.data.from_arrow(t), "u", "ts", "ev",
                          first="view", then="purchase", within_s=100,
-                         nbuckets=nbuckets, int_unit="us")
+                         int_unit="us")
            .to_pandas().sort_values("u"))
     assert out["u"].tolist() == [1, 2]
     assert out["n_then"].tolist() == [1, 1]

@@ -7,7 +7,9 @@ documents; a float NaN is a key of its own; -0.0 and 0.0 are one key
 (DuckDB's ``GROUP BY``). Each operator runs on random tables whose keys
 mix those values, on 1 block and on 3, and must return the same rows
 on both; where a small DuckDB query covers the operator, its rows must
-equal DuckDB's too.
+equal DuckDB's too. Every exchange reads its bucket count once, on the
+driver, from ``blocks.default_nbuckets``: on float keys each operator
+must return the same rows at 1 bucket and at 64.
 """
 
 import datetime
@@ -21,8 +23,8 @@ import pytest
 import ray
 import ray.data
 
-from konlsearch_ray.functions import (aggregates, joins, sampling, setops,
-                                      stats, temporal)
+from konlsearch_ray.functions import (aggregates, blocks, joins, sampling,
+                                      setops, stats, temporal)
 from konlsearch_ray.functions.blocks import arrow_schema
 from konlsearch_ray.pipelines import logagg
 
@@ -124,8 +126,12 @@ OPS = {
                         None),
     "grouped_topk": (lambda ds: aggregates.grouped_topk(
         ds, "k", [("v", "descending"), ("id", "ascending")], 2), None),
-    "grouped_topk_ties": (lambda ds: aggregates.grouped_topk_ties(
-        ds, "k", [("v", "descending")], 2), None),
+    "grouped_topk_ties": (
+        lambda ds: aggregates.grouped_topk_ties(
+            ds, "k", [("v", "descending")], 2),
+        "SELECT * EXCLUDE (r) FROM (SELECT *, rank() OVER (PARTITION BY k "
+        "ORDER BY v DESC) AS r FROM t WHERE k IS NOT NULL AND v IS NOT NULL) "
+        "WHERE r <= 2"),
     "pivot_counts": (lambda ds: aggregates.pivot_counts(
         ds, "k", "cat", ["p", "q"]), None),
     "rollup_counts": (
@@ -136,8 +142,10 @@ OPS = {
         lambda ds: aggregates.rollup_counts_dataset(ds, "k", "v"),
         "SELECT k, count(*), sum(v) FROM (SELECT * FROM t "
         "WHERE k IS NOT NULL) GROUP BY ROLLUP (k)"),
-    "cube_counts": (lambda ds: aggregates.cube_counts(ds, "k", "cat", "v"),
-                    None),
+    "cube_counts": (
+        lambda ds: aggregates.cube_counts(ds, "k", "cat", "v"),
+        "SELECT k, cat, count(*), sum(v) FROM (SELECT * FROM t "
+        "WHERE k IS NOT NULL) GROUP BY CUBE (k, cat)"),
     "grouped_mode": (lambda ds: aggregates.grouped_mode(ds, "k", "v"), None),
     "grouped_entropy": (lambda ds: aggregates.grouped_entropy(ds, "k", "v"),
                         None),
@@ -281,6 +289,16 @@ def test_same_rows_on_any_block_layout(ray_session, name, typ):
     assert _rows(run(_ds(t, 3))) == one
     if query is not None:
         assert one[1] == _sql(t, query)
+
+
+@pytest.mark.parametrize("name", list(OPS))
+def test_same_rows_at_any_bucket_count(ray_session, monkeypatch, name):
+    run, _ = OPS[name]
+    t = _table("float64", seed=len(name) * 7 + 7)
+    want = _rows(run(_ds(t, 3)))
+    for nb in (1, 64):
+        monkeypatch.setattr(blocks, "default_nbuckets", lambda: nb)
+        assert _rows(run(_ds(t, 3))) == want, nb
 
 
 def test_stratified_sample_reads_one_rate_for_both_zeros(ray_session):

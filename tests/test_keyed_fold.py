@@ -1,22 +1,24 @@
-"""``blocks.keyed_fold``: the one keyed exchange every wide operator
-goes through, and the typed-empty contract it gives them.
+"""``blocks.bucket_fold``: the one keyed exchange every wide operator
+goes through (``keyed_fold`` splits its buckets per key), and the
+typed-empty contract it gives them.
 """
 
 import ast
 import datetime
 import decimal
 import pathlib
+import tracemalloc
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 import ray
 import ray.data
 
-from konlsearch_ray.functions.blocks import (key_bucket, keyed_fold,
-                                             keyed_int_fold)
+from konlsearch_ray.functions import blocks
+from konlsearch_ray.functions.blocks import (bucket_fold, key_bucket,
+                                             keyed_fold, keyed_int_fold)
 
 PKG = pathlib.Path(__file__).resolve().parent.parent / "konlsearch_ray"
 
@@ -33,25 +35,22 @@ SUMS = pa.table({"k": pa.array([], pa.string()),
                  "total": pa.array([], pa.int64())})
 
 
-def test_keyed_fold_more_buckets_than_keys(ray_session):
+def test_keyed_fold_more_buckets_than_keys(ray_session, monkeypatch):
     # 3 keys routed into 64 buckets over 8 input blocks: most shuffle
     # partitions are empty, and none of them may leak a stale schema.
     keys = ["a", "b", None]
     src = pa.table({"k": pa.array([keys[i % 3] for i in range(300)]),
                     "v": pa.array(np.arange(300), pa.int64())})
     ds = ray.data.from_arrow(src).repartition(8)
-
-    def partial(t: pa.Table) -> pa.Table:
-        return t.append_column("bucket",
-                               pa.array(key_bucket(t["k"], 64)))
+    monkeypatch.setattr(blocks, "default_nbuckets", lambda: 64)
 
     def per_key_sums(g: pa.Table) -> pa.Table:
+        assert "__route" not in g.column_names
         s = g.group_by("k").aggregate([("v", "sum")])
         return pa.table({"k": s["k"],
                          "total": pc.cast(s["v_sum"], pa.int64())})
 
-    out = keyed_fold(ds, "bucket", per_key_sums, partial=partial,
-                     fallback=SUMS)
+    out = bucket_fold(ds, "k", per_key_sums, fallback=SUMS)
     got = _tables(out)
     assert _fields(got) == _fields(SUMS)
     want = src.group_by("k").aggregate([("v", "sum")])
@@ -79,28 +78,6 @@ def test_keyed_fold_multi_column_key(ray_session):
     assert sorted(zip(got["a"].to_pylist(), got["b"].to_pylist(),
                       got["n"].to_pylist())) == [
         (a, b, 10) for a in range(3) for b in ("x0", "x1")]
-
-
-def test_keyed_fold_pandas_batches(ray_session):
-    src = pa.table({"k": pa.array([i % 4 for i in range(40)], pa.int64()),
-                    "v": pa.array(np.arange(40), pa.int64())})
-    fallback = pa.table({"k": pa.array([], pa.int64()),
-                         "hi": pa.array([], pa.int64())})
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        assert isinstance(df, pd.DataFrame)
-        return df[df["v"] % 2 == 0]
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        assert isinstance(g, pd.DataFrame)
-        return pd.DataFrame({"k": [g["k"].iloc[0]], "hi": [g["v"].max()]})
-
-    got = _tables(keyed_fold(ray.data.from_arrow(src), "k", merge,
-                             partial=partial, fallback=fallback,
-                             batch_format="pandas"))
-    assert _fields(got) == _fields(fallback)
-    assert sorted(zip(got["k"].to_pylist(), got["hi"].to_pylist())) == [
-        (0, 36), (2, 38)]
 
 
 def test_keyed_fold_all_empty_returns_fallback(ray_session):
@@ -157,7 +134,7 @@ def test_keyed_int_fold_key_list_and_typed_folds(ray_session):
 
 
 def test_map_groups_only_in_keyed_fold():
-    # Every keyed exchange goes through blocks.keyed_fold, so the
+    # Every keyed exchange goes through blocks.bucket_fold, so the
     # empty-partition handling lives in one place.
     hits = [(p.relative_to(PKG).as_posix(), i)
             for p in sorted(PKG.rglob("*.py"))
@@ -189,6 +166,86 @@ def test_dataset_groupby_only_in_blocks():
     # packing.py: its one ray.data.aggregate import, no group-by
     assert [h[0] for h in hits if h[0] != "functions/blocks.py"] == [
         KEYLESS_BOUNDS], hits
+
+
+def _calls(name: str) -> list:
+    return [(p.relative_to(PKG).as_posix(), node)
+            for p in sorted(PKG.rglob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == name
+                or getattr(node.func, "id", None) == name)]
+
+
+def test_one_groupby_on_one_route_column():
+    # The package's one Ray group-by groups by the exchange's int64
+    # route column, which is never null: the null/NaN key rule is a
+    # routing fact, not a shuffle encoding.
+    hits = [(f, ast.unparse(n)) for f, n in _calls("groupby")
+            if not any(k.arg == "sort" for k in n.keywords)]
+    assert [(f, c.split(".groupby")[1]) for f, c in hits] == [
+        ("functions/blocks.py", "(_ROUTE)")], hits
+    for gone in ("_encode_keys", "_decode_keys", "_zero", "_KIND"):
+        assert not hasattr(blocks, gone), gone
+
+
+def test_key_bucket_called_only_in_blocks():
+    # Every exchange routes through blocks.bucket_fold, so no operator
+    # builds a bucket column of its own (no exemptions).
+    hits = [(f, n.lineno) for f, n in _calls("key_bucket")]
+    assert {f for f, _ in hits} == {"functions/blocks.py"}, hits
+
+
+def test_nbuckets_only_in_key_bucket():
+    # The bucket count is read once, on the driver, by the exchange:
+    # no operator takes a bucket-count knob.
+    hits = [(p.relative_to(PKG).as_posix(), node.name)
+            for p in sorted(PKG.rglob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(a.arg == "nbuckets" for a in (
+                node.args.args + node.args.kwonlyargs
+                + node.args.posonlyargs))]
+    assert hits == [("functions/blocks.py", "key_bucket")], hits
+
+
+def test_key_bucket_costs_total_key_bytes():
+    # 1,000 keys, one of them 100 KB: the hash reads each key's bytes
+    # once (a rows x widest-key matrix took ~100 MB here), and a key
+    # gets the same bucket whatever the widest key in its batch.
+    keys = [f"key-{i}" for i in range(999)] + ["x" * 100_000]
+    col = pa.array(keys)
+    tracemalloc.start()
+    try:
+        got = key_bucket(col, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
+    assert (got[:999] == key_bucket(pa.array(keys[:999]), 64)).all()
+    for i in (0, 17, 998):
+        assert got[i] == key_bucket(pa.array([keys[i]]), 64)[0]
+        assert got[i] == key_bucket(pa.array([keys[i], "y" * 5000]), 64)[0]
+
+
+def test_string_bucket_hash_matches_byte_loop():
+    # The reference: h = h * P + byte over each key's bytes, mod 2**64,
+    # from the FNV offset basis; a null hashes like "".
+    from konlsearch_ray.functions.blocks import _string_bucket_hash
+
+    def loop(b: bytes) -> int:
+        h = 0xCBF29CE484222325
+        for x in b:
+            h = (h * 1099511628211 + x) % 2**64
+        return h
+
+    keys = ["", "a", None, "가나다", "x" * 300, "ab", None, "ba"]
+    col = pa.array(keys)
+    want = [loop((k or "").encode()) for k in keys]
+    assert _string_bucket_hash(col).tolist() == want
+    assert _string_bucket_hash(col.slice(2, 4)).tolist() == want[2:6]
+    assert _string_bucket_hash(pa.chunked_array(
+        [col.slice(0, 3), col.slice(3)])).tolist() == want
 
 
 def test_factorize_only_in_blocks():
@@ -310,7 +367,7 @@ def test_grouped_topk_null_string_keys_over_blocks(ray_session):
 
 
 def test_grouped_quantiles_null_string_keys_over_blocks(ray_session):
-    # A pandas-format fold: its group batches decode the key too.
+    # A per-key fold: its merge sees the stored key too.
     from konlsearch_ray.functions.stats import grouped_quantiles
 
     t, ds = _null_key_rows()
@@ -361,10 +418,12 @@ def test_keyed_fold_null_binary_keys_over_blocks(ray_session):
 def test_keyed_fold_null_keys_of_any_type_over_blocks(ray_session, typ,
                                                       values, fmt):
     # 60 rows, a third of them null-keyed, over 3 blocks: null decimal
-    # and bool keys raised TypeError in the sort shuffle, and null dates
-    # split into one group per row. The merge sees the exact stored
-    # values in their own type; the nulls form one group. The zero of
-    # each type (0, False, the epoch) is a real key beside the null one.
+    # and bool keys raised TypeError in a sort shuffle on the key, and
+    # null dates split into one group per row. The merge sees the exact
+    # stored values in their own type; the nulls form one group. The
+    # zero of each type (0, False, the epoch) is a real key beside the
+    # null one. ``fmt`` is the format the merge works in: a pandas
+    # merge converts its Arrow group itself.
     keys = [values[(i // 3) % len(values)] if i % 3 else None
             for i in range(60)]
     t = pa.table({"g": pa.array(keys, typ),
@@ -373,12 +432,12 @@ def test_keyed_fold_null_keys_of_any_type_over_blocks(ray_session, typ,
 
     def merge(g):
         if fmt == "pandas":
-            g = pa.Table.from_pandas(g, preserve_index=False)
+            g = pa.Table.from_pandas(g.to_pandas(), preserve_index=False)
             g = g.set_column(0, "g", g["g"].cast(typ))
         return pa.table({"g": g["g"].slice(0, 1),
                          "n": pa.array([len(g)], pa.int64())})
 
-    got = _tables(keyed_fold(ds, "g", merge, batch_format=fmt,
+    got = _tables(keyed_fold(ds, "g", merge,
                              fallback=pa.table({
                                  "g": pa.array([], typ),
                                  "n": pa.array([], pa.int64())})))
@@ -392,9 +451,10 @@ def test_keyed_fold_null_keys_of_any_type_over_blocks(ray_session, typ,
 
 @pytest.mark.parametrize("fmt", ["pyarrow", "pandas"])
 def test_keyed_fold_nan_keys_form_one_group(ray_session, fmt):
-    # 15 NaN + 5 null + 10 x 1.0 over 3 blocks: the sort shuffle split
-    # every NaN row into a group of its own. All NaN rows form one group
-    # (DuckDB's GROUP BY), apart from the null one, and merge sees NaN.
+    # 15 NaN + 5 null + 10 x 1.0 over 3 blocks: a sort shuffle on the
+    # key split every NaN row into a group of its own. All NaN rows form
+    # one group (DuckDB's GROUP BY), apart from the null one, and merge
+    # sees NaN; a pandas merge (``fmt``) sees both as NaN, in two groups.
     keys = [float("nan")] * 15 + [None] * 5 + [1.0] * 10
     t = pa.table({"g": pa.array(keys, pa.float64()),
                   "v": pa.array(np.arange(30), pa.int64())})
@@ -402,14 +462,14 @@ def test_keyed_fold_nan_keys_form_one_group(ray_session, fmt):
 
     def merge(g):
         if fmt == "pandas":  # a float null reads back as NaN in pandas
-            kind = "value" if g["g"].notna().all() else "unset"
+            kind = "value" if g.to_pandas()["g"].notna().all() else "unset"
         else:
             k = g["g"]
             kind = ("null" if k.null_count == len(g)
                     else "nan" if pc.all(pc.is_nan(k)).as_py() else "value")
         return pa.table({"kind": [kind], "n": pa.array([len(g)], pa.int64())})
 
-    got = _tables(keyed_fold(ds, "g", merge, batch_format=fmt,
+    got = _tables(keyed_fold(ds, "g", merge,
                              fallback=pa.table({
                                  "kind": pa.array([], pa.string()),
                                  "n": pa.array([], pa.int64())})))

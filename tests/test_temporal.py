@@ -138,21 +138,24 @@ def test_band_join_count_and_pairs(ray_session):
     assert pairs["r_rv"].tolist() == [4, 5]
 
 
-def test_asof_composite_overflow_fallback(ray_session):
+def test_asof_composite_overflow_fallback(ray_session, monkeypatch):
     # A time span wide enough that code * span overflows int64 with >= 2
-    # keys — exercises the per-key-segment fallback path.
+    # keys in one bucket — exercises the per-key-segment fallback path.
+    from konlsearch_ray.functions import blocks
+
+    monkeypatch.setattr(blocks, "default_nbuckets", lambda: 1)
     big = np.int64(1) << 61
     left = _ds({"k": pa.array([1, 2], pa.int64()),
                 "t": pa.array([int(big), 10], pa.int64())})
     right = _ds({"k": pa.array([1, 1, 2], pa.int64()),
                  "t": pa.array([0, int(big) - 5, 20], pa.int64()),
                  "rv": pa.array([1, 2, 3], pa.int64())})
-    out = _sorted(asof_join(left, right, "k", "t", right_cols=("rv",),
-                            nbuckets=1), ["k"])
+    out = _sorted(asof_join(left, right, "k", "t", right_cols=("rv",)),
+                  ["k"])
     assert out["k"].tolist() == [1]
     assert out["r_rv"].tolist() == [2]
     band = _sorted(band_join(left, right, "k", "t", lo_s=-1e12, hi_s=0,
-                             mode="count", nbuckets=1), ["k"])
+                             mode="count"), ["k"])
     assert band["n_matches"].tolist() == [1, 0]
 
 
